@@ -8,7 +8,7 @@ with the structure-preserving reduced operator (SP-ROM variants) - and compare
 errors and energy behavior against the full-order benchmark.
 """
 
-from .avf import AvfScheme, AvfStepper, StepFailure, Trajectory, avf_step, integrate
+from .avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
 from .experiments import (
     ExperimentConfig,
     RomSpec,
@@ -22,13 +22,9 @@ from .experiments import (
 )
 from .fileio import read_config, read_matrix, write_matrix
 from .linalg import (
-    EigenPairs,
     LuFactorization,
     NumericalError,
     SingularMatrixError,
-    gram,
-    lu_solve,
-    sym_eig,
     thin_svd_snapshots,
 )
 from .metrics import EnergyReport, RomReport, e_inf_scalar, e_inf_wave, energy_report
@@ -64,7 +60,6 @@ __all__ = [
     "AvfScheme",
     "AvfStepper",
     "DiagonalQuadratic",
-    "EigenPairs",
     "EnergyReport",
     "ExperimentConfig",
     "Grid1D",
@@ -82,7 +77,6 @@ __all__ = [
     "StepFailure",
     "TensorQuadratic",
     "Trajectory",
-    "avf_step",
     "build_kdv_fom",
     "build_system",
     "build_wave_fom",
@@ -100,11 +94,9 @@ __all__ = [
     "eval_energy",
     "eval_grad",
     "fom_trajectory",
-    "gram",
     "integrate",
     "kdv_initial",
     "laplacian_matrix",
-    "lu_solve",
     "mu_sweep",
     "polynomial_energy",
     "projection_error",
@@ -114,7 +106,6 @@ __all__ = [
     "run_experiment",
     "run_rom",
     "sigma_tail",
-    "sym_eig",
     "table_preset",
     "tail_bound_check",
     "thin_svd_snapshots",

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import LuFactorization
 from .systems import PolyGradFlow, _as_state, eval_energy
 
-__all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "avf_step", "integrate"]
+__all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -194,13 +194,6 @@ class AvfStepper:
             iterations=self.picard_max_iter,
             increment=float(increment),
         )
-
-
-def avf_step(flow: PolyGradFlow, u, dt: float, picard_tol: float = 1e-12,
-             picard_max_iter: int = 100) -> np.ndarray:
-    """Single AVF step without factorization reuse (see AvfStepper for loops)."""
-    u = _as_state(u, flow.dim)
-    return AvfStepper(flow, dt, picard_tol, picard_max_iter).step(u)
 
 
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:

@@ -81,7 +81,7 @@ def _cmd_rom(args) -> int:
         cfg = replace(cfg, roms=(spec,))
     if not cfg.roms:
         raise SystemExit("no ROMs requested: set 'roms' in the configuration or pass --variant/--r")
-    reports = run_experiment(cfg, threads=args.threads)
+    reports = run_experiment(cfg)
     _print_reports(reports)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
     return 1 if any(rep.failed for rep in reports) else 0
@@ -92,7 +92,7 @@ def _cmd_sweep_mu(args) -> int:
     variant = RomVariant.parse(args.variant) if args.variant else RomVariant.SP0
     if args.r is None:
         raise SystemExit("sweep-mu requires --r")
-    rows = mu_sweep(cfg, variant=variant, r=args.r, threads=args.threads, write_outputs=True)
+    rows = mu_sweep(cfg, variant=variant, r=args.r, write_outputs=True)
     finite = [row for row in rows if np.isfinite(row[1])]
     if finite:
         best = min(finite, key=lambda row: row[1])
@@ -105,7 +105,7 @@ def _cmd_table(args) -> int:
     cfg = table_preset(args.table_id)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    reports = run_experiment(cfg, threads=args.threads)
+    reports = run_experiment(cfg)
     print(f"benchmark table {args.table_id} ({cfg.system}):")
     _print_reports(reports)
     print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
@@ -139,20 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rom.add_argument("--variant", default=None, help="ROM variant (GROM, SP0, SP1, SP2)")
     p_rom.add_argument("--r", type=int, default=None, help="reduced dimension")
     p_rom.add_argument("--mu", type=float, default=None, help="gradient snapshot weight")
-    p_rom.add_argument("--threads", type=int, default=1, help="parallel ROM runs")
     p_rom.set_defaults(func=_cmd_rom)
 
     p_sweep = sub.add_parser("sweep-mu", help="sweep the gradient snapshot weight")
     _add_common(p_sweep)
     p_sweep.add_argument("--variant", default="SP0", help="ROM variant to sweep (default SP0)")
     p_sweep.add_argument("--r", type=int, default=None, help="reduced dimension")
-    p_sweep.add_argument("--threads", type=int, default=1, help="parallel sweep points")
     p_sweep.set_defaults(func=_cmd_sweep_mu)
 
     p_table = sub.add_parser("table", help="reproduce a benchmark comparison table")
     p_table.add_argument("--table-id", type=int, choices=(1, 2), required=True)
     p_table.add_argument("--out", default=None, help="output directory")
-    p_table.add_argument("--threads", type=int, default=1, help="parallel ROM runs")
     p_table.set_defaults(func=_cmd_table)
 
     p_tail = sub.add_parser("tail-check", help="integrated error vs singular-value tail")

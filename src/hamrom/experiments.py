@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -53,7 +52,7 @@ SYSTEMS = ("wave", "kdv")
 # flat-text configuration keys, exactly the field names below
 _CONFIG_KEYS = {
     "system", "c", "alpha", "rho", "nu", "n", "length", "origin",
-    "dt", "t_end", "picard_tol", "stride", "roms", "out_dir", "seed",
+    "dt", "t_end", "picard_tol", "stride", "roms", "out_dir",
 }
 
 
@@ -79,11 +78,7 @@ class RomSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one benchmark run needs: system, grid, scheme, ROM list.
-
-    ``seed`` is an unused placeholder (the pipeline is fully deterministic);
-    it is accepted so configurations stay forward compatible.
-    """
+    """Everything one benchmark run needs: system, grid, scheme, ROM list."""
 
     system: str
     n: int
@@ -99,7 +94,6 @@ class ExperimentConfig:
     picard_tol: float = 1e-12
     roms: tuple[RomSpec, ...] = ()
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
@@ -123,7 +117,7 @@ class ExperimentConfig:
         for key in ("c", "alpha", "rho", "nu", "length", "origin", "dt", "t_end", "picard_tol"):
             if key in mapping:
                 kwargs[key] = float(mapping[key])
-        for key in ("n", "stride", "seed"):
+        for key in ("n", "stride"):
             if key in mapping:
                 kwargs[key] = int(mapping[key])
         if "out_dir" in mapping:
@@ -215,7 +209,8 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None,
     ``stride`` overrides the configured recording stride (the comparison
     pipeline records every step and subsamples for snapshots).  The cache is
     keyed on every trajectory-determining parameter plus the on-disk format
-    version; a mismatch triggers a logged recompute.
+    version; a mismatch or an unreadable cache file triggers a logged
+    recompute.
     """
     flow, u0, _ = build_system(cfg)
     eff_stride = cfg.stride if stride is None else stride
@@ -229,19 +224,23 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None,
     if all(p.exists() for p in paths.values()):
         meta_lines = paths["meta"].read_text(encoding="utf-8").splitlines()
         if meta_lines and meta_lines[0] == key:
-            states = read_matrix(paths["states"])
-            energies = read_matrix(paths["energies"])[:, 0]
-            steps = energies.size - 1
-            times = cfg.dt * eff_stride * np.arange(states.shape[1])
-            max_iters = int(meta_lines[1]) if len(meta_lines) > 1 else 0
-            return Trajectory(
-                times=times,
-                states=states,
-                energies=energies,
-                steps_total=steps,
-                max_picard_iterations=max_iters,
-            )
-        log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
+            try:
+                states = read_matrix(paths["states"])
+                energies = read_matrix(paths["energies"])[:, 0]
+                max_iters = int(meta_lines[1]) if len(meta_lines) > 1 else 0
+            except ValueError as exc:  # FormatError of a truncated file, bad count line
+                log.warning("unreadable cache for %s (%s): recomputing",
+                            paths["meta"].name, exc)
+            else:
+                return Trajectory(
+                    times=cfg.dt * eff_stride * np.arange(states.shape[1]),
+                    states=states,
+                    energies=energies,
+                    steps_total=energies.size - 1,
+                    max_picard_iterations=max_iters,
+                )
+        else:
+            log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
     traj = integrate(flow, u0, scheme)
     write_matrix(paths["states"], traj.states)
     write_matrix(paths["energies"], traj.energies)
@@ -268,24 +267,22 @@ def _subsample(traj: Trajectory, stride: int) -> Trajectory:
 
 def _build_bases(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
                  spec: RomSpec):
-    """Snapshot collection, basis extraction, and per-variant preparation."""
+    """Snapshot collection, basis extraction, and per-variant preparation.
+
+    One basis per field row block: a single block for KdV, two for the wave.
+    """
     shifted = spec.variant is RomVariant.SP2
     if cfg.system == "wave":
         sets = collect_wave_snapshots(traj, flow, mu=spec.mu, shifted=shifted)
-        bases = [compute_basis(s, spec.r) for s in sets]
+    else:
+        sets = (collect_snapshots(traj, flow, mu=spec.mu, shifted=shifted),)
+    bases = []
+    for snaps, u0 in zip(sets, np.split(traj.states[:, 0], len(sets))):
+        basis = compute_basis(snaps, spec.r)
         if spec.variant is RomVariant.SP1:
-            n = flow.dim // 2
-            u0_full = traj.states[:, 0]
-            bases = [
-                enrich_with_ic_residual(bases[0], u0_full[:n]),
-                enrich_with_ic_residual(bases[1], u0_full[n:]),
-            ]
-        return tuple(bases)
-    snaps = collect_snapshots(traj, flow, mu=spec.mu, shifted=shifted)
-    basis = compute_basis(snaps, spec.r)
-    if spec.variant is RomVariant.SP1:
-        basis = enrich_with_ic_residual(basis, traj.states[:, 0])
-    return basis
+            basis = enrich_with_ic_residual(basis, u0)
+        bases.append(basis)
+    return tuple(bases)
 
 
 def build_rom(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
@@ -336,8 +333,7 @@ def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
         )
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1,
-                   write_outputs: bool = True) -> list[RomReport]:
+def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[RomReport]:
     """Run the full-order benchmark and every requested reduced model.
 
     Emits ``report.csv``, the full-order energy series, and one energy series
@@ -354,13 +350,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
         write_energy_csv(out / "fom_energy.csv", dense_traj.energy_times, dense_traj.energies)
     if not cfg.roms:
         return []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda s: _run_one(cfg, flow, dense_traj, snap_traj, s), cfg.roms)
-            )
-    else:
-        results = [_run_one(cfg, flow, dense_traj, snap_traj, spec) for spec in cfg.roms]
+    results = [_run_one(cfg, flow, dense_traj, snap_traj, spec) for spec in cfg.roms]
     reports = [rep for rep, _ in results]
     if write_outputs:
         write_report_csv(out / "report.csv", reports)
@@ -387,7 +377,6 @@ def mu_sweep(
     mu_grid: Optional[Sequence[float]] = None,
     variant: RomVariant = RomVariant.SP0,
     r: int = 5,
-    threads: int = 1,
     write_outputs: bool = False,
 ) -> list[tuple[float, float]]:
     """Error of one ROM variant across gradient weights, FOM reused throughout.
@@ -403,16 +392,12 @@ def mu_sweep(
     dense_traj = fom_trajectory(cfg, stride=1)
     snap_traj = _subsample(dense_traj, cfg.stride)
 
-    def one(mu: float) -> tuple[float, float]:
+    rows = []
+    for mu in grid:
         spec = RomSpec(variant=variant, r=r, mu=float(mu))
-        rep, _ = _run_one(cfg, flow, dense_traj, snap_traj, spec)
-        return float(mu), rep.e_inf
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(mu) for mu in grid]
+        # keep only the report: no decoded ROM trajectory outlives its point
+        report = _run_one(cfg, flow, dense_traj, snap_traj, spec)[0]
+        rows.append((float(mu), report.e_inf))
     rows.sort(key=lambda row: row[0])
     if write_outputs:
         out = Path(cfg.out_dir)

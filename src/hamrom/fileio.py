@@ -17,6 +17,7 @@ exactly, unknown keys are errors.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -45,7 +46,12 @@ class FormatError(ValueError):
 
 
 def write_matrix(path, M) -> None:
-    """Write a float64 matrix to ``path`` in the HROM binary container."""
+    """Write a float64 matrix to ``path`` in the HROM binary container.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: an interrupted write never leaves a truncated file
+    under the final name.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
@@ -53,7 +59,13 @@ def write_matrix(path, M) -> None:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, M.shape[0], M.shape[1])
     payload = np.asfortranarray(M, dtype="<f8").tobytes(order="F")
-    Path(path).write_bytes(header + payload)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_matrix(path) -> np.ndarray:

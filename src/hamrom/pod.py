@@ -88,6 +88,23 @@ class PodBasis:
             raise ValueError(f"basis columns are not orthonormal (defect {defect:.2e})")
 
 
+def _assemble(traj: Trajectory, flow: PolyGradFlow, mu: float, shifted: bool):
+    """Snapshot matrix (see :func:`collect_snapshots`) and the initial state."""
+    states = traj.states
+    if states.shape[1] == 0:
+        raise ValueError("trajectory has no recorded states")
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    ref = states[:, 0].copy()
+    blocks = [states - ref[:, None] if shifted else states.copy()]
+    if mu > 0:
+        grads = np.empty_like(states)
+        for j in range(states.shape[1]):
+            grads[:, j] = eval_grad(flow, states[:, j])
+        blocks.append(mu * grads)
+    return np.hstack(blocks), ref
+
+
 def collect_snapshots(
     traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False
 ) -> SnapshotSet:
@@ -97,24 +114,13 @@ def collect_snapshots(
     ``shifted``); with ``mu > 0``, ``mu``-weighted gradient columns evaluated
     at the unshifted states are appended.
     """
-    states = traj.states
-    if states.shape[1] == 0:
-        raise ValueError("trajectory has no recorded states")
-    ref = states[:, 0].copy()
-    blocks = [states - ref[:, None] if shifted else states.copy()]
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if mu > 0:
-        grads = np.empty_like(states)
-        for j in range(states.shape[1]):
-            grads[:, j] = eval_grad(flow, states[:, j])
-        blocks.append(mu * grads)
+    data, ref = _assemble(traj, flow, mu, shifted)
     return SnapshotSet(
-        data=np.hstack(blocks),
+        data=data,
         mu=mu,
         shifted=shifted,
         reference=ref if shifted else None,
-        n_state=states.shape[1],
+        n_state=traj.states.shape[1],
     )
 
 
@@ -123,39 +129,22 @@ def collect_wave_snapshots(
 ) -> tuple[SnapshotSet, SnapshotSet]:
     """Per-field snapshot sets for a stacked two-field (wave) trajectory.
 
-    The two fields are collected and reduced separately.  Gradient columns
-    split accordingly: the first-field set gets the first-field gradient block
-    and likewise for the second field.
+    The two fields are collected and reduced separately: each set is the
+    matching row block of the stacked snapshot matrix, so the first-field set
+    gets the first-field gradient block and likewise for the second field.
     """
     if flow.dim % 2:
         raise ValueError("stacked two-field flow must have even dimension")
-    n = flow.dim // 2
-    states = traj.states
-    if states.shape[1] == 0:
-        raise ValueError("trajectory has no recorded states")
-    refs = states[:n, 0].copy(), states[n:, 0].copy()
-    field_states = states[:n], states[n:]
-    blocks = [
-        [field_states[0] - refs[0][:, None] if shifted else field_states[0].copy()],
-        [field_states[1] - refs[1][:, None] if shifted else field_states[1].copy()],
-    ]
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if mu > 0:
-        grads = np.empty_like(states)
-        for j in range(states.shape[1]):
-            grads[:, j] = eval_grad(flow, states[:, j])
-        blocks[0].append(mu * grads[:n])
-        blocks[1].append(mu * grads[n:])
+    data, ref = _assemble(traj, flow, mu, shifted)
     return tuple(
         SnapshotSet(
-            data=np.hstack(blocks[i]),
+            data=rows,
             mu=mu,
             shifted=shifted,
-            reference=refs[i] if shifted else None,
-            n_state=states.shape[1],
+            reference=field_ref if shifted else None,
+            n_state=traj.states.shape[1],
         )
-        for i in range(2)
+        for rows, field_ref in zip(np.split(data, 2), np.split(ref, 2))
     )
 
 

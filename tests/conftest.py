@@ -123,7 +123,7 @@ def wave_mu_rows(wave_cfg):
     import time
 
     start = time.perf_counter()
-    rows = mu_sweep(wave_cfg, variant=RomVariant.SP0, r=5, threads=4)
+    rows = mu_sweep(wave_cfg, variant=RomVariant.SP0, r=5)
     return rows, time.perf_counter() - start
 
 

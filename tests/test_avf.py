@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, avf_step, integrate
+from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
@@ -46,7 +46,7 @@ class TestStep:
             energy=polynomial_energy(np.eye(2)),
             structure_tag="skew",
         )
-        u1 = avf_step(flow, np.array([1.0, 0.0]), dt=0.37)
+        u1 = AvfStepper(flow, dt=0.37).step(np.array([1.0, 0.0]))
         assert np.linalg.norm(u1) == pytest.approx(1.0, abs=1e-14)
 
     def test_quadratic_fixed_point_at_zero(self):
@@ -58,13 +58,13 @@ class TestStep:
             energy=polynomial_energy(np.zeros((1, 1)), quad_coeff=1.0),
             structure_tag="none",
         )
-        assert avf_step(flow, np.array([0.0]), dt=0.5)[0] == 0.0
+        assert AvfStepper(flow, dt=0.5).step(np.array([0.0]))[0] == 0.0
 
     def test_wave_single_step_conserves_energy(self):
         grid = Grid1D(n=500, length=1.0)
         flow = build_wave_fom(0.1, grid)
         u0 = wave_initial(grid)
-        u1 = avf_step(flow, u0, dt=0.01)
+        u1 = AvfStepper(flow, dt=0.01).step(u0)
         h0, h1 = eval_energy(flow, u0), eval_energy(flow, u1)
         assert abs(h1 - h0) <= 1e-11 * abs(h0)
 
@@ -86,13 +86,8 @@ class TestStep:
             structure_tag="none",
         )
         with pytest.raises(StepFailure) as info:
-            avf_step(flow, np.array([1.0]), dt=10.0, picard_max_iter=8)
+            AvfStepper(flow, dt=10.0, picard_max_iter=8).step(np.array([1.0]))
         assert 1 <= info.value.iterations <= 8
-
-    def test_stepper_matches_one_shot(self):
-        flow = random_skew_quadratic_flow(seed=4)
-        u = np.random.default_rng(5).standard_normal(6) * 0.3
-        assert np.array_equal(avf_step(flow, u, dt=0.02), AvfStepper(flow, 0.02).step(u))
 
 
 class TestEnergyBehavior:

@@ -23,6 +23,7 @@ class TestMatrixContainer:
         path = tmp_path / "m.hrom"
         write_matrix(path, M)
         assert np.array_equal(read_matrix(path), M)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.hrom"]  # no temporary left
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.hrom"

@@ -4,9 +4,6 @@ import pytest
 from hamrom.linalg import (
     LuFactorization,
     SingularMatrixError,
-    gram,
-    lu_solve,
-    sym_eig,
     thin_svd_snapshots,
 )
 
@@ -15,7 +12,7 @@ def _full_svd_oracle(Y):
     """Independent thin SVD via eigendecompositions of both Gram matrices.
 
     Left vectors from Y Y^T, right vectors from Y^T Y, signs aligned so that
-    u_j ~ Y v_j; entirely separate from the method-of-snapshots code path.
+    u_j ~ Y v_j; entirely separate from the LAPACK SVD code path.
     """
     n, m = Y.shape
     lam_l, U = np.linalg.eigh(Y @ Y.T)
@@ -29,94 +26,6 @@ def _full_svd_oracle(Y):
         if U[:, j] @ (Y @ V[:, j]) < 0:
             U[:, j] = -U[:, j]
     return U, sigma, V
-
-
-class TestGram:
-    def test_identity(self):
-        assert np.array_equal(gram(np.eye(2)), np.eye(2))
-
-    def test_single_column(self):
-        G = gram(np.array([[3.0], [4.0]]))
-        assert G.shape == (1, 1)
-        assert G[0, 0] == 25.0
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(7)
-        Y = rng.standard_normal((5, 3))
-        expected = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(5):
-                    expected[i, j] += Y[k, i] * Y[k, j]
-        assert np.allclose(gram(Y), expected, rtol=1e-13, atol=1e-13)
-
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(8)
-        G = gram(rng.standard_normal((40, 17)))
-        assert np.array_equal(G, G.T)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gram(np.zeros((0, 0)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            gram(np.array([[1.0, np.nan]]))
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        pairs = sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(pairs.values, [3.0, 1.0])
-        assert np.allclose(np.abs(pairs.vectors), np.eye(2))
-
-    def test_2x2_closed_form(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 = 1 -> l = 3, 1
-        pairs = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(pairs.values, [3.0, 1.0], atol=1e-14)
-        v0, v1 = pairs.vectors[:, 0], pairs.vectors[:, 1]
-        assert np.allclose(np.abs(v0), np.full(2, 1 / np.sqrt(2)), atol=1e-14)
-        assert np.isclose(abs(v1 @ np.array([1.0, -1.0])) / np.sqrt(2), 1.0, atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 6))
-        S = A + A.T
-        pairs = sym_eig(S)
-        R = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-        assert np.linalg.norm(R - S) <= 1e-9 * np.linalg.norm(S)
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(12)
-        A = rng.standard_normal((9, 9))
-        S = A + A.T
-        pairs = sym_eig(S)
-        assert np.isclose(pairs.values.sum(), np.trace(S), rtol=1e-10)
-
-    def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((8, 8))
-        pairs = sym_eig(A + A.T)
-        V = pairs.vectors
-        assert np.abs(V.T @ V - np.eye(8)).max() <= 1e-10
-
-    def test_sorted_descending(self):
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((7, 7))
-        pairs = sym_eig(A + A.T)
-        assert np.all(np.diff(pairs.values) <= 0)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            sym_eig(np.eye(2), tol=0.0)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.ones((2, 3)))
 
 
 class TestThinSvd:
@@ -159,14 +68,33 @@ class TestThinSvd:
         assert np.isclose(np.sum(sigma**2), np.sum(Y * Y), rtol=1e-10)
 
     def test_rank_deficient_truncation(self):
-        # the Gram squaring floors singular-value noise near sqrt(eps)*sigma_1,
-        # so detecting exact rank deficiency needs an explicit cutoff
+        # singular-value noise of an exactly rank-2 matrix sits near
+        # eps*sigma_1, far below the default cutoff
         rng = np.random.default_rng(24)
         base = rng.standard_normal((10, 2))
         Y = np.column_stack([base, base @ rng.standard_normal((2, 3))])
-        phi, sigma = thin_svd_snapshots(Y, rank_tol=1e-7)
+        phi, sigma = thin_svd_snapshots(Y)
         assert sigma.size == 2
         assert phi.shape == (10, 2)
+
+    def test_graded_spectrum(self):
+        # sigma from 1 down to 1e-11; an SVD through the Gram matrix Y.T @ Y
+        # would lose every value below about 1e-8 * sigma_1
+        rng = np.random.default_rng(26)
+        U = np.linalg.qr(rng.standard_normal((400, 60)))[0]
+        V = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        sigma_true = np.logspace(0, -11, 60)
+        Y = (U * sigma_true) @ V.T
+        phi, sigma = thin_svd_snapshots(Y)
+        assert sigma.size == 60 and phi.shape == (400, 60)
+        assert np.abs(sigma / sigma_true - 1.0).max() <= 1e-5
+        residual = Y - phi @ (phi.T @ Y)
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(Y)
+
+    def test_rejects_invalid_input(self):
+        for Y in (np.zeros((0, 0)), np.array([[1.0, np.nan]]), np.ones(3)):
+            with pytest.raises(ValueError):
+                thin_svd_snapshots(Y)
 
     def test_zero_matrix_warns(self):
         with pytest.warns(UserWarning, match="all-zero"):
@@ -189,23 +117,23 @@ class TestThinSvd:
 class TestLu:
     def test_identity(self):
         v = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(lu_solve(np.eye(3), v), v)
+        assert np.allclose(LuFactorization(np.eye(3)).solve(v), v)
 
     def test_diagonal(self):
-        assert np.allclose(lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(LuFactorization(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_residual_oracle(self):
         rng = np.random.default_rng(31)
         A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
         rhs = rng.standard_normal((10, 3))
-        x = lu_solve(A, rhs)
+        x = LuFactorization(A).solve(rhs)
         assert np.abs(A @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
     def test_roundtrip(self):
         rng = np.random.default_rng(32)
         A = rng.standard_normal((12, 12)) + 8 * np.eye(12)
         x = rng.standard_normal(12)
-        out = lu_solve(A, A @ x)
+        out = LuFactorization(A).solve(A @ x)
         assert np.abs(out - x).max() <= 1e-9 * np.abs(x).max()
 
     def test_factorization_reuse(self):

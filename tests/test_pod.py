@@ -103,6 +103,16 @@ class TestCollect:
         g = eval_grad(flow, traj.states[:, 3])
         assert np.array_equal(set_u.data[:, m + 3], mu * g[:12])
         assert np.array_equal(set_v.data[:, m + 3], mu * g[12:])
+        assert set_u.reference is None and set_v.reference is None
+
+        shift_u, shift_v = collect_wave_snapshots(traj, flow, mu=mu, shifted=True)
+        assert np.array_equal(shift_u.reference, traj.states[:12, 0])
+        assert np.array_equal(shift_v.reference, traj.states[12:, 0])
+        assert np.array_equal(shift_u.data[:, :m], traj.states[:12] - traj.states[:12, :1])
+        assert np.array_equal(shift_v.data[:, :m], traj.states[12:] - traj.states[12:, :1])
+        # gradient columns are evaluated at the unshifted states
+        assert np.array_equal(shift_u.data[:, m:], set_u.data[:, m:])
+        assert np.array_equal(shift_v.data[:, m:], set_v.data[:, m:])
 
     def test_rejects_negative_mu(self):
         flow, traj = kdv_toy()
