@@ -91,10 +91,17 @@ class TestThinSvd:
         residual = Y - phi @ (phi.T @ Y)
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(Y)
 
-    def test_rejects_invalid_input(self):
-        for Y in (np.zeros((0, 0)), np.array([[1.0, np.nan]]), np.ones(3)):
-            with pytest.raises(ValueError):
-                thin_svd_snapshots(Y)
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            thin_svd_snapshots(np.zeros((0, 0)))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            thin_svd_snapshots(np.array([[1.0, np.nan]]))
+
+    def test_rejects_one_dimensional(self):
+        with pytest.raises(ValueError):
+            thin_svd_snapshots(np.ones(3))
 
     def test_zero_matrix_warns(self):
         with pytest.warns(UserWarning, match="all-zero"):
