@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import LuFactorization
 from .systems import PolyGradFlow, _as_state, eval_energy
@@ -106,7 +107,9 @@ class AvfStepper:
 
     The left matrix ``I - dt/2 S G1`` depends only on the flow and ``dt``, so
     it is LU-factored at construction and reused for every step; this is the
-    dominant cost saving for constant-coefficient systems.
+    dominant cost saving for constant-coefficient systems.  Both step
+    matrices keep the storage of the flow's operators: sparse for full-order
+    stencils, dense for reduced models.
 
     The Picard iteration for quadratic flows starts from a cubic extrapolation
     of the step history (an explicit RK4 prediction while the history is
@@ -123,7 +126,10 @@ class AvfStepper:
         self.picard_tol = picard_tol
         self.picard_max_iter = picard_max_iter
         half = 0.5 * dt * (flow.structure @ flow.linear)
-        eye = np.eye(flow.dim)
+        if scipy.sparse.issparse(half):
+            eye = scipy.sparse.eye_array(flow.dim, format="csr")
+        else:
+            eye = np.eye(flow.dim)
         self._lhs = LuFactorization(eye - half)
         self._rhs_mat = eye + half
         self._dtS = dt * flow.structure

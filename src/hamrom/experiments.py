@@ -20,6 +20,7 @@ import numpy as np
 from .avf import AvfScheme, StepFailure, Trajectory, integrate
 from .fileio import (
     FORMAT_VERSION,
+    atomic_write_bytes,
     read_config,
     read_matrix,
     write_energy_csv,
@@ -48,6 +49,12 @@ __all__ = [
 log = logging.getLogger("hamrom")
 
 SYSTEMS = ("wave", "kdv")
+
+# Names the full-order stepper and its linear solver (AVF with a SuperLU
+# factorization of the sparse stencil operators) in every cache key.  Change
+# it whenever a solver change moves the trajectories, so a cache written by
+# the old algorithm is never served.
+FOM_SOLVER = "avf-splu"
 
 # flat-text configuration keys, exactly the field names below
 _CONFIG_KEYS = {
@@ -153,7 +160,7 @@ class ExperimentConfig:
             f"format={FORMAT_VERSION};system={self.system};{phys};"
             f"n={self.n};length={self.length!r};origin={self.origin!r};"
             f"dt={self.dt!r};t_end={self.t_end!r};stride={stride or self.stride};"
-            f"picard_tol={self.picard_tol!r}"
+            f"picard_tol={self.picard_tol!r};solver={FOM_SOLVER}"
         )
 
 
@@ -209,8 +216,8 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None,
     ``stride`` overrides the configured recording stride (the comparison
     pipeline records every step and subsamples for snapshots).  The cache is
     keyed on every trajectory-determining parameter plus the on-disk format
-    version; a mismatch or an unreadable cache file triggers a logged
-    recompute.
+    version and the solver tag :data:`FOM_SOLVER`; a mismatch or an
+    unreadable cache file triggers a logged recompute.
     """
     flow, u0, _ = build_system(cfg)
     eff_stride = cfg.stride if stride is None else stride
@@ -244,7 +251,7 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None,
     traj = integrate(flow, u0, scheme)
     write_matrix(paths["states"], traj.states)
     write_matrix(paths["energies"], traj.energies)
-    paths["meta"].write_text(f"{key}\n{traj.max_picard_iterations}\n", encoding="utf-8")
+    atomic_write_bytes(paths["meta"], f"{key}\n{traj.max_picard_iterations}\n".encode())
     return traj
 
 
@@ -337,9 +344,10 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[Ro
     """Run the full-order benchmark and every requested reduced model.
 
     Emits ``report.csv``, the full-order energy series, and one energy series
-    per ROM into ``cfg.out_dir``.  A solver failure marks that row failed and
-    the remaining ROMs still run.  Deterministic: identical configurations
-    produce identical numbers.
+    per ROM into ``cfg.out_dir``; each ROM's series is written as soon as it
+    has run.  A solver failure marks that row failed and the remaining ROMs
+    still run.  Deterministic: identical configurations produce identical
+    numbers.
     """
     flow, _, _ = build_system(cfg)
     dense_traj = fom_trajectory(cfg, stride=1)
@@ -350,15 +358,16 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[Ro
         write_energy_csv(out / "fom_energy.csv", dense_traj.energy_times, dense_traj.energies)
     if not cfg.roms:
         return []
-    results = [_run_one(cfg, flow, dense_traj, snap_traj, spec) for spec in cfg.roms]
-    reports = [rep for rep, _ in results]
-    if write_outputs:
-        write_report_csv(out / "report.csv", reports)
-        for (rep, rom_traj), spec in zip(results, cfg.roms):
-            if rom_traj is None:
-                continue
+    reports = []
+    for spec in cfg.roms:
+        report, rom_traj = _run_one(cfg, flow, dense_traj, snap_traj, spec)
+        if write_outputs and rom_traj is not None:
             name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
             write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
+        del rom_traj  # the decoded states must not outlive their ROM
+        reports.append(report)
+    if write_outputs:
+        write_report_csv(out / "report.csv", reports)
     return reports
 
 

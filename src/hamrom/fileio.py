@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "FORMAT_VERSION",
     "FormatError",
+    "atomic_write_bytes",
     "parse_config_text",
     "read_config",
     "read_matrix",
@@ -45,13 +46,22 @@ class FormatError(ValueError):
     """A file does not conform to the expected on-disk format."""
 
 
-def write_matrix(path, M) -> None:
-    """Write a float64 matrix to ``path`` in the HROM binary container.
-
-    The bytes go to a temporary file in the same directory, which then
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file in the same directory, which then
     replaces ``path``: an interrupted write never leaves a truncated file
-    under the final name.
-    """
+    under the final name."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_matrix(path, M) -> None:
+    """Write a float64 matrix to ``path`` in the HROM binary container,
+    atomically (see :func:`atomic_write_bytes`)."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
@@ -59,13 +69,7 @@ def write_matrix(path, M) -> None:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, M.shape[0], M.shape[1])
     payload = np.asfortranarray(M, dtype="<f8").tobytes(order="F")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(header + payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    atomic_write_bytes(path, header + payload)
 
 
 def read_matrix(path) -> np.ndarray:

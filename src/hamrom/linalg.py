@@ -1,16 +1,18 @@
-"""Dense linear-algebra kernels used throughout the package.
+"""Dense and sparse linear-algebra kernels used throughout the package.
 
-Thin SVD of snapshot matrices and reusable LU factorizations.  Everything
-works on plain float64 ndarrays; the systems this package targets (a few
-thousand unknowns, a few hundred snapshots) never justify sparse storage.
+Thin SVD of dense snapshot matrices and reusable LU factorizations of either
+a dense array (reduced models) or a ``scipy.sparse`` array (the full-order
+stencil operators).
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "LuFactorization",
@@ -96,30 +98,51 @@ class LuFactorization:
 
     Factor once, then call :meth:`solve` for any number of right-hand sides;
     constant-coefficient time stepping reuses one factorization for thousands
-    of solves.
+    of solves.  A dense ``A`` is factored by LAPACK, a ``scipy.sparse`` one by
+    SuperLU (``splu``, fill-reducing column order) in its own storage.  Both
+    reject a pivot below ``1e-14`` of the largest entry of ``A``.
     """
 
     def __init__(self, A):
-        A = as_dense(A, "A")
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        scale = np.abs(A).max()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy warns before we can check pivots
-            lu, piv = scipy.linalg.lu_factor(A)
-        if np.abs(np.diag(lu)).min() < 1e-14 * scale:
+        sparse = scipy.sparse.issparse(A)
+        if sparse:
+            A = scipy.sparse.csc_array(A, dtype=float)
+            if not np.all(np.isfinite(A.data)):
+                raise ValueError("A contains non-finite entries")
+        else:
+            A = as_dense(A, "A")
+        if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+            raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
+        scale = abs(A).max()
+        if sparse:
+            # imported here: the sparse solver package adds about 20 ms to
+            # start-up (2 cores), and runs that factor no sparse matrix (a
+            # sweep on a cached trajectory) never use it
+            from scipy.sparse.linalg import splu
+
+            try:
+                lu = splu(A)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SingularMatrixError(str(exc)) from exc
+            pivots = lu.U.diagonal()
+            self._solve = lu.solve
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns before we can check pivots
+                lu, piv = scipy.linalg.lu_factor(A)
+            pivots = np.diag(lu)
+            self._solve = partial(scipy.linalg.lu_solve, (lu, piv), check_finite=False)
+        if np.abs(pivots).min() < 1e-14 * scale:
             raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
-        self._lu = lu
-        self._piv = piv
         self.shape = A.shape
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``A x = rhs`` for a vector or a matrix of stacked columns.
 
-        Skips scipy's finiteness scan: callers on the time-stepping hot path
+        Skips any finiteness scan: callers on the time-stepping hot path
         handle divergence themselves.
         """
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.shape[0]}")
-        return scipy.linalg.lu_solve((self._lu, self._piv), b, check_finite=False)
+        return self._solve(b)

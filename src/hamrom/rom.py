@@ -164,12 +164,12 @@ def reduce_operators(
     if variant is RomVariant.GROM:
         left = phi.T @ fom.structure
         structure = np.eye(phi.shape[1])
-        linear = left @ fom.linear @ phi
+        linear = left @ (fom.linear @ phi)
         constant = left @ fom.constant if fom.constant is not None else None
         quadratic = _reduced_quadratic(left, phi, coeff, precompute_tensor) if coeff else None
         tag = "none"
     else:
-        s_r = phi.T @ fom.structure @ phi
+        s_r = phi.T @ (fom.structure @ phi)
         if fom.structure_tag == "skew":
             s_r = 0.5 * (s_r - s_r.T)  # make the inherited skew-symmetry exact
         structure = s_r
@@ -180,15 +180,16 @@ def reduce_operators(
             grad_at_offset = fom.linear @ offset
             if fom.constant is not None:
                 grad_at_offset = grad_at_offset + fom.constant
-            full_linear = fom.linear
+            linear_phi = fom.linear @ phi
             if coeff:
                 grad_at_offset = grad_at_offset + quad.eval(offset, offset)
-                full_linear = fom.linear + 2.0 * coeff * np.diag(offset)
+                # the quadratic term linearized at the offset: diag(2 coeff offset)
+                linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
             constant = phi.T @ grad_at_offset
-            linear = _symmetrized(phi.T @ full_linear @ phi)
+            linear = _symmetrized(phi.T @ linear_phi)
         else:
             constant = phi.T @ fom.constant if fom.constant is not None else None
-            linear = _symmetrized(phi.T @ fom.linear @ phi)
+            linear = _symmetrized(phi.T @ (fom.linear @ phi))
 
     if offset is None:
         def reduced_energy(a, _phi=phi, _energy=fom.energy):

@@ -7,6 +7,8 @@ polynomial-gradient flows
     du/dt = S (g0 + G1 u + G2(u, u)),
 
 the single representation shared by full-order and reduced-order models.
+Full-order operators are sparse periodic stencils (``scipy.sparse`` CSR
+arrays); reduced operators are dense r x r arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "DiagonalQuadratic",
@@ -113,6 +116,7 @@ class ProjectedQuadratic:
 
 
 QuadraticTerm = Union[DiagonalQuadratic, TensorQuadratic, ProjectedQuadratic]
+Operator = Union[np.ndarray, scipy.sparse.sparray]
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,9 @@ class PolyGradFlow:
 
     ``structure`` is S, ``linear`` the symmetric operator G1, ``constant`` the
     optional g0, ``quadratic`` the optional degree-2 term, and ``energy`` maps
-    a state to the conserved (or dissipated) functional value.
+    a state to the conserved (or dissipated) functional value.  S and G1 may
+    be dense arrays or ``scipy.sparse`` arrays; only ``@``, ``.T`` and
+    ``abs`` are used on them.
 
     ``structure_tag`` records what is known about S: ``"skew"`` flows conserve
     the energy under AVF stepping, ``"negative-semidefinite"`` flows dissipate
@@ -129,8 +135,8 @@ class PolyGradFlow:
     Galerkin reduced systems), in which case ``linear`` need not be symmetric.
     """
 
-    structure: np.ndarray
-    linear: np.ndarray
+    structure: Operator
+    linear: Operator
     energy: Callable[[np.ndarray], float]
     constant: Optional[np.ndarray] = None
     quadratic: Optional[QuadraticTerm] = None
@@ -147,13 +153,13 @@ class PolyGradFlow:
             raise ValueError("constant term has the wrong length")
         if self.structure_tag not in STRUCTURE_TAGS:
             raise ValueError(f"unknown structure_tag {self.structure_tag!r}")
-        s_scale = np.abs(S).max()
+        s_scale = abs(S).max()
         if self.structure_tag == "skew" and s_scale > 0:
-            if np.abs(S + S.T).max() > 1e-13 * s_scale:
+            if abs(S + S.T).max() > 1e-13 * s_scale:
                 raise ValueError("structure operator is not skew-symmetric")
         if self.structure_tag != "none":
-            g_scale = np.abs(G1).max()
-            if g_scale > 0 and np.abs(G1 - G1.T).max() > 1e-13 * g_scale:
+            g_scale = abs(G1).max()
+            if g_scale > 0 and abs(G1 - G1.T).max() > 1e-13 * g_scale:
                 raise ValueError("linear gradient operator is not symmetric")
         if isinstance(self.quadratic, TensorQuadratic):
             if self.quadratic.tensor.shape[0] != n:
@@ -212,30 +218,32 @@ def polynomial_energy(
     return energy
 
 
-def central_diff_matrix(grid: Grid1D) -> np.ndarray:
+def _periodic_stencil(n: int, weights: dict[int, float]) -> scipy.sparse.csr_array:
+    """Sparse n x n periodic stencil: row i holds ``weights[k]`` in column
+    ``(i + k) mod n``.  The offsets must stay distinct modulo n."""
+    i = np.arange(n)
+    rows = np.tile(i, len(weights))
+    cols = np.concatenate([(i + k) % n for k in weights])
+    vals = np.repeat(np.array(list(weights.values()), dtype=float), n)
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+def central_diff_matrix(grid: Grid1D) -> scipy.sparse.csr_array:
     """Periodic central first-derivative matrix (entries ±1/(2 dx)), exactly
     skew-symmetric with zero row sums."""
-    n, h = grid.n, grid.dx
-    M = np.zeros((n, n))
-    i = np.arange(n)
-    M[i, (i + 1) % n] = 1.0 / (2.0 * h)
-    M[i, (i - 1) % n] = -1.0 / (2.0 * h)
-    return M
+    h = grid.dx
+    return _periodic_stencil(grid.n, {1: 1.0 / (2.0 * h), -1: -1.0 / (2.0 * h)})
 
 
-def laplacian_matrix(grid: Grid1D, scale: float = 1.0) -> np.ndarray:
+def laplacian_matrix(grid: Grid1D, scale: float = 1.0) -> scipy.sparse.csr_array:
     """Periodic three-point second-derivative matrix times ``scale``.
 
     Exactly symmetric, negative semidefinite for positive ``scale``, with
     zero row sums (constants are annihilated).
     """
-    n, h = grid.n, grid.dx
-    M = np.zeros((n, n))
-    i = np.arange(n)
-    M[i, i] = -2.0 * scale / h**2
-    M[i, (i + 1) % n] = scale / h**2
-    M[i, (i - 1) % n] = scale / h**2
-    return M
+    h = grid.dx
+    off = scale / h**2
+    return _periodic_stencil(grid.n, {0: -2.0 * scale / h**2, 1: off, -1: off})
 
 
 def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
@@ -249,13 +257,9 @@ def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
     if c <= 0:
         raise ValueError("wave speed must be positive")
     n, h = grid.n, grid.dx
-    lap = laplacian_matrix(grid, c * c)
-    S = np.zeros((2 * n, 2 * n))
-    S[:n, n:] = np.eye(n)
-    S[n:, :n] = -np.eye(n)
-    G1 = np.zeros((2 * n, 2 * n))
-    G1[:n, :n] = -lap
-    G1[n:, n:] = np.eye(n)
+    eye = scipy.sparse.eye_array(n, format="csr")
+    S = scipy.sparse.block_array([[None, eye], [-eye, None]], format="csr")
+    G1 = scipy.sparse.block_diag((-laplacian_matrix(grid, c * c), eye), format="csr")
 
     def energy(x: np.ndarray) -> float:
         u, v = x[:n], x[n:]
@@ -276,7 +280,7 @@ def build_kdv_fom(alpha: float, rho: float, nu: float, grid: Grid1D) -> PolyGrad
     """
     n, h = grid.n, grid.dx
     S = central_diff_matrix(grid)
-    G1 = rho * np.eye(n) + nu * laplacian_matrix(grid)
+    G1 = rho * scipy.sparse.eye_array(n, format="csr") + nu * laplacian_matrix(grid)
     quad = DiagonalQuadratic(alpha / 2.0) if alpha != 0.0 else None
 
     def energy(u: np.ndarray) -> float:

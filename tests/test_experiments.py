@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hamrom.experiments as experiments
+from hamrom.avf import integrate
 from hamrom.cli import main
 from hamrom.experiments import (
     ExperimentConfig,
@@ -144,6 +146,24 @@ class TestRunExperiment:
             again = fom_trajectory(cfg, stride=1)
         assert "recomputing" in caplog.text
         assert np.array_equal(traj.states, again.states)
+
+    def test_cache_not_served_across_solvers(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(experiments.FOM_SOLVER)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate", counting_integrate)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "FOM_SOLVER", "avf-other")
+            assert "solver=avf-other" in cfg.cache_key()
+            fom_trajectory(cfg, stride=1)
+        fom_trajectory(cfg, stride=1)  # the other solver's cache is not read
+        fom_trajectory(cfg, stride=1)  # this solver's cache is
+        assert calls == ["avf-other", experiments.FOM_SOLVER]
+        assert not list((tmp_path / "out" / "cache").glob("*.tmp"))
 
     def test_corrupt_cache_recomputes(self, tmp_path, caplog):
         cfg = tiny_wave_cfg(tmp_path / "out")
