@@ -41,6 +41,7 @@ from .pod import (
 from .rom import ReducedModel, RomVariant, decode, encode, reduce_operators, run_rom
 from .systems import (
     DiagonalQuadratic,
+    EnergyPolynomial,
     Grid1D,
     PolyGradFlow,
     ProjectedQuadratic,
@@ -52,7 +53,6 @@ from .systems import (
     eval_grad,
     kdv_initial,
     laplacian_matrix,
-    polynomial_energy,
     wave_initial,
 )
 
@@ -60,6 +60,7 @@ __all__ = [
     "AvfScheme",
     "AvfStepper",
     "DiagonalQuadratic",
+    "EnergyPolynomial",
     "EnergyReport",
     "ExperimentConfig",
     "Grid1D",
@@ -98,7 +99,6 @@ __all__ = [
     "kdv_initial",
     "laplacian_matrix",
     "mu_sweep",
-    "polynomial_energy",
     "projection_error",
     "read_config",
     "read_matrix",

@@ -52,9 +52,9 @@ SYSTEMS = ("wave", "kdv")
 
 # Names the full-order stepper and its linear solver (AVF with a SuperLU
 # factorization of the sparse stencil operators) in every cache key.  Change
-# it whenever a solver change moves the trajectories, so a cache written by
-# the old algorithm is never served.
-FOM_SOLVER = "avf-splu"
+# it whenever a change of the solver or the energy evaluation moves the cached
+# trajectories or energies, so an old algorithm's cache is never served.
+FOM_SOLVER = "avf-splu-polyenergy"
 
 # flat-text configuration keys, exactly the field names below
 _CONFIG_KEYS = {

@@ -31,9 +31,10 @@ from .avf import AvfScheme, Trajectory, integrate
 from .pod import PodBasis
 from .systems import (
     DiagonalQuadratic,
+    EnergyPolynomial,
     PolyGradFlow,
-    ProjectedQuadratic,
     TensorQuadratic,
+    eval_energy,
 )
 
 __all__ = ["ReducedModel", "RomVariant", "decode", "encode", "reduce_operators", "run_rom"]
@@ -106,33 +107,32 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _reduced_quadratic(left: np.ndarray, phi: np.ndarray, coeff: float,
-                       precompute: bool):
-    """Project an entrywise quadratic term: ``left @ (coeff (phi a)(phi b))``.
-
-    Precomputed form: ``T[p, i, j] = coeff * sum_m left[p, m] phi[m, i] phi[m, j]``,
-    stored dense with the (i, j) symmetry enforced exactly.
-    """
-    if not precompute:
-        return ProjectedQuadratic(left=left, basis=phi, coeff=coeff)
+def _reduced_tensors(lefts, phi: np.ndarray, coeff: float) -> list[TensorQuadratic]:
+    """Project an entrywise quadratic term once per left factor, from one
+    n x r^2 buffer of basis products (the reduction's largest array):
+    ``T[p, i, j] = coeff * sum_m left[p, m] phi[m, i] phi[m, j]``, stored dense
+    with the (i, j) symmetry enforced exactly."""
     n, r = phi.shape
     W = (phi[:, :, None] * phi[:, None, :]).reshape(n, r * r)
-    T = (coeff * (left @ W)).reshape(left.shape[0], r, r)
-    T = 0.5 * (T + T.transpose(0, 2, 1))
-    return TensorQuadratic(np.ascontiguousarray(T))
+    tensors = []
+    for left in lefts:
+        T = (coeff * (left @ W)).reshape(left.shape[0], r, r)
+        T = 0.5 * (T + T.transpose(0, 2, 1))
+        tensors.append(TensorQuadratic(np.ascontiguousarray(T)))
+    return tensors
 
 
 def reduce_operators(
     fom: PolyGradFlow,
     basis: Union[PodBasis, Sequence[PodBasis]],
     variant: RomVariant,
-    precompute_tensor: bool = True,
 ) -> ReducedModel:
     """Assemble the reduced operators of ``fom`` for the requested variant.
 
     ``basis`` is a single basis or a per-field pair (stacked two-field
-    systems).  ``precompute_tensor=False`` keeps the reduced quadratic term in
-    on-the-fly form for cross-checking the dense tensor path.
+    systems).  The reduced energy is ``H(offset + Phi a)`` as a polynomial in
+    ``a``, with the full model's weight (and ``H(u0)`` as SP-ROM-2's shift);
+    G-ROM carries the SP-ROM-0 terms as its ``energy_terms``.
 
     Raises ``ValueError`` on variant/basis mismatches: SP1 needs
     enrichment-processed bases, SP2 needs shifted-snapshot bases, and shifted
@@ -161,12 +161,38 @@ def reduce_operators(
     coeff = quad.coeff if quad is not None else 0.0
 
     offset = None
+    shift = fom.energy_shift
+    if variant is RomVariant.SP2:
+        offset = np.concatenate([b.shifted_reference for b in bases])
+        shift = eval_energy(fom, offset)
+        grad_at_offset = fom.linear @ offset
+        if fom.constant is not None:
+            grad_at_offset = grad_at_offset + fom.constant
+        linear_phi = fom.linear @ phi
+        if coeff:
+            grad_at_offset = grad_at_offset + quad.eval(offset, offset)
+            # the quadratic term linearized at the offset: diag(2 coeff offset)
+            linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
+        constant = phi.T @ grad_at_offset
+        linear = _symmetrized(phi.T @ linear_phi)
+    else:
+        constant = phi.T @ fom.constant if fom.constant is not None else None
+        linear = _symmetrized(phi.T @ (fom.linear @ phi))
+
+    # constant and linear are the gradient terms of H(offset + Phi a) / weight;
+    # G-ROM keeps them for its energy and builds its own flow terms
+    energy_terms = None
     if variant is RomVariant.GROM:
         left = phi.T @ fom.structure
+        quadratic, energy_quadratic = (
+            _reduced_tensors((left, phi.T), phi, coeff) if coeff else (None, None)
+        )
+        energy_terms = EnergyPolynomial(
+            linear=linear, constant=constant, quadratic=energy_quadratic
+        )
         structure = np.eye(phi.shape[1])
         linear = left @ (fom.linear @ phi)
         constant = left @ fom.constant if fom.constant is not None else None
-        quadratic = _reduced_quadratic(left, phi, coeff, precompute_tensor) if coeff else None
         tag = "none"
     else:
         s_r = phi.T @ (fom.structure @ phi)
@@ -174,37 +200,17 @@ def reduce_operators(
             s_r = 0.5 * (s_r - s_r.T)  # make the inherited skew-symmetry exact
         structure = s_r
         tag = fom.structure_tag
-        quadratic = _reduced_quadratic(phi.T, phi, coeff, precompute_tensor) if coeff else None
-        if variant is RomVariant.SP2:
-            offset = np.concatenate([b.shifted_reference for b in bases])
-            grad_at_offset = fom.linear @ offset
-            if fom.constant is not None:
-                grad_at_offset = grad_at_offset + fom.constant
-            linear_phi = fom.linear @ phi
-            if coeff:
-                grad_at_offset = grad_at_offset + quad.eval(offset, offset)
-                # the quadratic term linearized at the offset: diag(2 coeff offset)
-                linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
-            constant = phi.T @ grad_at_offset
-            linear = _symmetrized(phi.T @ linear_phi)
-        else:
-            constant = phi.T @ fom.constant if fom.constant is not None else None
-            linear = _symmetrized(phi.T @ (fom.linear @ phi))
-
-    if offset is None:
-        def reduced_energy(a, _phi=phi, _energy=fom.energy):
-            return _energy(_phi @ a)
-    else:
-        def reduced_energy(a, _phi=phi, _energy=fom.energy, _off=offset):
-            return _energy(_off + _phi @ a)
+        quadratic = _reduced_tensors((phi.T,), phi, coeff)[0] if coeff else None
 
     flow = PolyGradFlow(
         structure=structure,
         linear=linear,
-        energy=reduced_energy,
         constant=constant,
         quadratic=quadratic,
         structure_tag=tag,
+        energy_weight=fom.energy_weight,
+        energy_shift=shift,
+        energy_terms=energy_terms,
     )
     return ReducedModel(
         flow=flow,
@@ -222,8 +228,9 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state=None) -> Traje
     ``initial_state`` is the full-order start state; it may be omitted for
     shifted-basis models, whose reduced start is the zero coefficient vector.
     The result records decoded full states at the recording times and the
-    reduced energy series (full-order energy of the decoded state) at every
-    step.
+    reduced energy series at every step.  That series is the reduced energy
+    polynomial evaluated in reduced coordinates, equal to the full-order
+    energy of the decoded state up to rounding; no state is decoded for it.
     """
     if initial_state is None:
         if model.decode_offset is None:

@@ -1,26 +1,26 @@
 """Semi-discrete Hamiltonian systems on uniform periodic 1D grids.
 
-Builds the finite-difference operators, benchmark initial data, and energy
-functionals for the linear wave and KdV test systems, packaged as
-polynomial-gradient flows
+Builds the finite-difference operators and benchmark initial data for the
+linear wave and KdV test systems, packaged as polynomial-gradient flows
 
     du/dt = S (g0 + G1 u + G2(u, u)),
 
-the single representation shared by full-order and reduced-order models.
-Full-order operators are sparse periodic stencils (``scipy.sparse`` CSR
+the single representation shared by full-order and reduced-order models; it
+carries the energy too, as a polynomial of the same terms.  Full-order operators are sparse periodic stencils (``scipy.sparse`` CSR
 arrays); reduced operators are dense r x r arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse
 
 __all__ = [
     "DiagonalQuadratic",
+    "EnergyPolynomial",
     "Grid1D",
     "PolyGradFlow",
     "ProjectedQuadratic",
@@ -32,7 +32,6 @@ __all__ = [
     "eval_grad",
     "kdv_initial",
     "laplacian_matrix",
-    "polynomial_energy",
     "wave_initial",
 ]
 
@@ -102,7 +101,7 @@ class TensorQuadratic:
 class ProjectedQuadratic:
     """On-the-fly reduced quadratic term: ``left @ (coeff * (B a) * (B b))``.
 
-    Cross-check path for the precomputed reduced tensor: same contract as
+    Reference for the precomputed reduced tensor: same contract as
     :class:`TensorQuadratic` without the r^3 storage, at the cost of two
     basis applications per evaluation.
     """
@@ -120,14 +119,28 @@ Operator = Union[np.ndarray, scipy.sparse.sparray]
 
 
 @dataclass(frozen=True)
+class EnergyPolynomial:
+    """Gradient terms ``g0 + G1 u + G2(u, u)`` of an energy that is not the
+    gradient of the flow it is attached to (plain Galerkin reductions)."""
+
+    linear: Operator
+    constant: Optional[np.ndarray] = None
+    quadratic: Optional[QuadraticTerm] = None
+
+
+@dataclass(frozen=True)
 class PolyGradFlow:
     """Finite-dimensional flow ``du/dt = S (g0 + G1 u + G2(u, u))``.
 
     ``structure`` is S, ``linear`` the symmetric operator G1, ``constant`` the
-    optional g0, ``quadratic`` the optional degree-2 term, and ``energy`` maps
-    a state to the conserved (or dissipated) functional value.  S and G1 may
+    optional g0 and ``quadratic`` the optional degree-2 term.  S and G1 may
     be dense arrays or ``scipy.sparse`` arrays; only ``@``, ``.T`` and
     ``abs`` are used on them.
+
+    The energy is the polynomial of these terms (or of ``energy_terms``)
+    with ``energy_weight`` and ``energy_shift``, see :func:`eval_energy`.  A
+    reduced model's energy is its reduced polynomial, not the energy of the
+    decoded state: the two agree up to rounding, but nothing is decoded.
 
     ``structure_tag`` records what is known about S: ``"skew"`` flows conserve
     the energy under AVF stepping, ``"negative-semidefinite"`` flows dissipate
@@ -137,10 +150,12 @@ class PolyGradFlow:
 
     structure: Operator
     linear: Operator
-    energy: Callable[[np.ndarray], float]
     constant: Optional[np.ndarray] = None
     quadratic: Optional[QuadraticTerm] = None
     structure_tag: str = "none"
+    energy_weight: float = 1.0
+    energy_shift: float = 0.0
+    energy_terms: Optional[EnergyPolynomial] = None
 
     def __post_init__(self):
         S, G1 = self.structure, self.linear
@@ -164,6 +179,8 @@ class PolyGradFlow:
         if isinstance(self.quadratic, TensorQuadratic):
             if self.quadratic.tensor.shape[0] != n:
                 raise ValueError("quadratic tensor dimension mismatch")
+        if self.energy_terms is not None and self.energy_terms.linear.shape != (n, n):
+            raise ValueError("energy polynomial dimension mismatch")
 
     @property
     def dim(self) -> int:
@@ -191,31 +208,20 @@ def eval_grad(flow: PolyGradFlow, u) -> np.ndarray:
 
 
 def eval_energy(flow: PolyGradFlow, u) -> float:
-    """Energy functional of the flow evaluated at state ``u``."""
-    return float(flow.energy(_as_state(u, flow.dim)))
+    """Energy ``weight * (g0.u + u.G1 u / 2 + u.G2(u, u) / 3) + shift`` at ``u``.
 
-
-def polynomial_energy(
-    linear: np.ndarray,
-    constant: Optional[np.ndarray] = None,
-    quad_coeff: float = 0.0,
-    weight: float = 1.0,
-) -> Callable[[np.ndarray], float]:
-    """Closed-form energy whose gradient is ``g0 + G1 u + coeff * u * u``.
-
-    Returns ``u -> weight * (g0.u + u.G1 u / 2 + coeff/3 * sum u^3)``; handy
-    for small synthetic systems where no bespoke energy formula exists.
+    The terms are the flow's own gradient terms, or ``flow.energy_terms``
+    when set.  On a skew (negative semidefinite) flow with symmetric terms
+    this is the functional AVF stepping conserves (dissipates).
     """
-
-    def energy(u: np.ndarray) -> float:
-        val = 0.5 * (u @ (linear @ u))
-        if constant is not None:
-            val += constant @ u
-        if quad_coeff:
-            val += (quad_coeff / 3.0) * np.sum(u**3)
-        return float(weight * val)
-
-    return energy
+    u = _as_state(u, flow.dim)
+    terms = flow if flow.energy_terms is None else flow.energy_terms
+    g = 0.5 * (terms.linear @ u)
+    if terms.constant is not None:
+        g = g + terms.constant
+    if terms.quadratic is not None:
+        g = g + terms.quadratic.eval(u, u) / 3.0
+    return flow.energy_weight * float(u @ g) + flow.energy_shift
 
 
 def _periodic_stencil(n: int, weights: dict[int, float]) -> scipy.sparse.csr_array:
@@ -250,23 +256,18 @@ def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
     """Linear wave benchmark ``u_tt = c^2 u_xx`` as a canonical-structure flow.
 
     The state stacks the two fields: entries ``[:n]`` are the displacement u,
-    entries ``[n:]`` the velocity v.  The energy is the dx-weighted discrete
-    integral of ``v^2/2 + c^2 u_x^2 / 2`` (forward differences), which equals
-    the quadratic form ``dx * x.G1 x / 2`` of the stacked gradient operator.
+    entries ``[n:]`` the velocity v.  The energy is the quadratic form
+    ``dx * x.G1 x / 2`` of the stacked gradient operator, which equals the
+    dx-weighted discrete integral of ``v^2/2 + c^2 u_x^2 / 2`` with forward
+    differences for ``u_x``.
     """
     if c <= 0:
         raise ValueError("wave speed must be positive")
-    n, h = grid.n, grid.dx
+    n = grid.n
     eye = scipy.sparse.eye_array(n, format="csr")
     S = scipy.sparse.block_array([[None, eye], [-eye, None]], format="csr")
     G1 = scipy.sparse.block_diag((-laplacian_matrix(grid, c * c), eye), format="csr")
-
-    def energy(x: np.ndarray) -> float:
-        u, v = x[:n], x[n:]
-        du = (np.roll(u, -1) - u) / h
-        return float(h * (0.5 * (v @ v) + 0.5 * c * c * (du @ du)))
-
-    return PolyGradFlow(structure=S, linear=G1, energy=energy, structure_tag="skew")
+    return PolyGradFlow(structure=S, linear=G1, structure_tag="skew", energy_weight=grid.dx)
 
 
 def build_kdv_fom(alpha: float, rho: float, nu: float, grid: Grid1D) -> PolyGradFlow:
@@ -274,28 +275,16 @@ def build_kdv_fom(alpha: float, rho: float, nu: float, grid: Grid1D) -> PolyGrad
 
     The structure operator is the central first-derivative matrix; the
     gradient splits into ``G1 = rho I + nu B`` (B the periodic Laplacian) and
-    the entrywise quadratic ``(alpha/2) u^2``.  The energy is the dx-weighted
-    sum of ``alpha/6 u^3 + rho/2 u^2 - nu/2 (forward-difference u)^2``, whose
-    exact gradient is the vector field above.
+    the entrywise quadratic ``(alpha/2) u^2``.  The energy is the flow's
+    polynomial with weight dx, which equals the dx-weighted sum of
+    ``alpha/6 u^3 + rho/2 u^2 - nu/2 (forward-difference u)^2``.
     """
-    n, h = grid.n, grid.dx
+    n = grid.n
     S = central_diff_matrix(grid)
     G1 = rho * scipy.sparse.eye_array(n, format="csr") + nu * laplacian_matrix(grid)
     quad = DiagonalQuadratic(alpha / 2.0) if alpha != 0.0 else None
-
-    def energy(u: np.ndarray) -> float:
-        du = (np.roll(u, -1) - u) / h
-        return float(
-            h
-            * (
-                (alpha / 6.0) * np.sum(u**3)
-                + (rho / 2.0) * (u @ u)
-                - (nu / 2.0) * (du @ du)
-            )
-        )
-
     return PolyGradFlow(
-        structure=S, linear=G1, energy=energy, quadratic=quad, structure_tag="skew"
+        structure=S, linear=G1, quadratic=quad, structure_tag="skew", energy_weight=grid.dx
     )
 
 

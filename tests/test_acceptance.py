@@ -30,7 +30,6 @@ from hamrom.systems import (
     build_wave_fom,
     eval_energy,
     eval_grad,
-    polynomial_energy,
     wave_initial,
 )
 
@@ -63,7 +62,6 @@ def _skew_quadratic_flow(rng, dim, structure):
         linear=G1,
         constant=g0,
         quadratic=DiagonalQuadratic(coeff),
-        energy=polynomial_energy(G1, g0, coeff),
         structure_tag=tag,
     )
 

@@ -9,7 +9,6 @@ from hamrom.systems import (
     build_kdv_fom,
     build_wave_fom,
     eval_energy,
-    polynomial_energy,
     wave_initial,
 )
 
@@ -32,7 +31,6 @@ def random_skew_quadratic_flow(dim=6, seed=0, coeff=0.3):
         linear=G1,
         constant=g0,
         quadratic=DiagonalQuadratic(coeff),
-        energy=polynomial_energy(G1, g0, coeff),
         structure_tag="skew",
     )
 
@@ -43,7 +41,6 @@ class TestStep:
         flow = PolyGradFlow(
             structure=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             linear=np.eye(2),
-            energy=polynomial_energy(np.eye(2)),
             structure_tag="skew",
         )
         u1 = AvfStepper(flow, dt=0.37).step(np.array([1.0, 0.0]))
@@ -55,7 +52,6 @@ class TestStep:
             structure=np.array([[1.0]]),
             linear=np.zeros((1, 1)),
             quadratic=DiagonalQuadratic(1.0),
-            energy=polynomial_energy(np.zeros((1, 1)), quad_coeff=1.0),
             structure_tag="none",
         )
         assert AvfStepper(flow, dt=0.5).step(np.array([0.0]))[0] == 0.0
@@ -82,7 +78,6 @@ class TestStep:
             structure=np.array([[1.0]]),
             linear=np.zeros((1, 1)),
             quadratic=DiagonalQuadratic(1.0),
-            energy=polynomial_energy(np.zeros((1, 1)), quad_coeff=1.0),
             structure_tag="none",
         )
         with pytest.raises(StepFailure) as info:
@@ -109,7 +104,6 @@ class TestEnergyBehavior:
             structure=S,
             linear=G1,
             quadratic=DiagonalQuadratic(0.3),
-            energy=polynomial_energy(G1, quad_coeff=0.3),
             structure_tag="negative-semidefinite",
         )
         u0 = 0.3 * rng.standard_normal(5)
@@ -161,7 +155,6 @@ class TestIntegrate:
             structure=np.array([[1.0]]),
             linear=np.zeros((1, 1)),
             quadratic=DiagonalQuadratic(1.0),
-            energy=polynomial_energy(np.zeros((1, 1)), quad_coeff=1.0),
             structure_tag="none",
         )
         # blows up in finite time; the failing step index must be reported

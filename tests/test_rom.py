@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,12 @@ from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
     PolyGradFlow,
+    ProjectedQuadratic,
     build_kdv_fom,
     build_wave_fom,
     eval_grad,
     kdv_initial,
     laplacian_matrix,
-    polynomial_energy,
     wave_initial,
 )
 
@@ -26,6 +28,13 @@ def random_orthonormal(n, r, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
     return PodBasis(phi=Q, sigma=np.ones(r), r=r)
+
+
+def on_the_fly(model):
+    """The SP model with its reduced tensor replaced by the on-the-fly term."""
+    phi = model.basis_matrix
+    quad = ProjectedQuadratic(left=phi.T, basis=phi, coeff=model.fom.quadratic.coeff)
+    return dataclasses.replace(model, flow=dataclasses.replace(model.flow, quadratic=quad))
 
 
 def small_kdv():
@@ -106,8 +115,8 @@ class TestReduceAlgebra:
     def test_tensor_matches_on_the_fly(self):
         flow, _ = small_kdv()
         basis = random_orthonormal(20, 4, seed=6)
-        dense = reduce_operators(flow, basis, RomVariant.SP0, precompute_tensor=True)
-        lazy = reduce_operators(flow, basis, RomVariant.SP0, precompute_tensor=False)
+        dense = reduce_operators(flow, basis, RomVariant.SP0)
+        lazy = on_the_fly(dense)
         rng = np.random.default_rng(7)
         for _ in range(5):
             a, b = rng.standard_normal(4), rng.standard_normal(4)
@@ -212,7 +221,6 @@ class TestRunRom:
             structure=S,
             linear=G1,
             quadratic=DiagonalQuadratic(0.3),
-            energy=polynomial_energy(G1, quad_coeff=0.3),
             structure_tag="negative-semidefinite",
         )
         basis = random_orthonormal(8, 3, seed=16)
@@ -227,8 +235,8 @@ class TestRunRom:
         scheme = AvfScheme(dt=0.02, t_end=1.0, snapshot_stride=10)
         traj = integrate(flow, u0, scheme)
         basis = compute_basis(collect_snapshots(traj, flow), 4)
-        dense = reduce_operators(flow, basis, RomVariant.SP0, precompute_tensor=True)
-        lazy = reduce_operators(flow, basis, RomVariant.SP0, precompute_tensor=False)
+        dense = reduce_operators(flow, basis, RomVariant.SP0)
+        lazy = on_the_fly(dense)
         t_dense = run_rom(dense, scheme, initial_state=u0)
         t_lazy = run_rom(lazy, scheme, initial_state=u0)
         assert np.abs(t_dense.states - t_lazy.states).max() <= 1e-10

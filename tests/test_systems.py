@@ -13,7 +13,6 @@ from hamrom.systems import (
     eval_grad,
     kdv_initial,
     laplacian_matrix,
-    polynomial_energy,
     wave_initial,
 )
 
@@ -97,12 +96,15 @@ class TestWaveSystem:
 
     def test_energy_equals_quadratic_form(self):
         grid = Grid1D(n=32, length=1.0)
-        flow = build_wave_fom(0.25, grid)
+        c = 0.25
+        flow = build_wave_fom(c, grid)
         rng = np.random.default_rng(5)
         for _ in range(5):
             x = rng.standard_normal(64)
-            quad_form = 0.5 * grid.dx * (x @ (flow.linear @ x))
-            assert eval_energy(flow, x) == pytest.approx(quad_form, rel=1e-12)
+            u, v = x[:32], x[32:]
+            du = (np.roll(u, -1) - u) / grid.dx
+            forward_diff = grid.dx * (0.5 * (v @ v) + 0.5 * c * c * (du @ du))
+            assert eval_energy(flow, x) == pytest.approx(forward_diff, rel=1e-12)
 
     def test_gradient_blocks(self):
         grid = Grid1D(n=16, length=1.0)
@@ -143,14 +145,15 @@ class TestKdvSystem:
         assert np.allclose(g, alpha / 2 * cval**2 + rho * cval, rtol=1e-13)
 
     def test_energy_matches_operator_form(self):
-        # forward-difference energy formula == cubic + dx/2 u.G1 u identity
+        # the flow's polynomial == the forward-difference energy formula
         grid = Grid1D(n=24, length=8.0)
         alpha, rho, nu = -6.0, 0.2, -1.0
         flow = build_kdv_fom(alpha, rho, nu, grid)
         rng = np.random.default_rng(9)
         for _ in range(5):
             u = rng.standard_normal(24)
-            alg = grid.dx * (alpha / 6.0 * np.sum(u**3) + 0.5 * (u @ (flow.linear @ u)))
+            du = (np.roll(u, -1) - u) / grid.dx
+            alg = grid.dx * (alpha / 6.0 * np.sum(u**3) + rho / 2.0 * (u @ u) - nu / 2.0 * (du @ du))
             assert eval_energy(flow, u) == pytest.approx(alg, rel=1e-12, abs=1e-14)
 
     def test_gradient_is_energy_gradient(self):
@@ -211,7 +214,6 @@ class TestPolyGradFlow:
         flow = PolyGradFlow(
             structure=np.zeros((3, 3)),
             linear=np.eye(3),
-            energy=polynomial_energy(np.eye(3)),
             structure_tag="skew",
         )
         u = np.array([1.0, -2.0, 3.0])
@@ -229,7 +231,6 @@ class TestPolyGradFlow:
             linear=G1,
             constant=g0,
             quadratic=quad,
-            energy=polynomial_energy(G1, g0, 0.8),
             structure_tag="skew",
         )
         u, v = rng.standard_normal(5), rng.standard_normal(5)
@@ -247,19 +248,18 @@ class TestPolyGradFlow:
         G1 = G1 + G1.T
         g0 = rng.standard_normal(4)
         coeff = -1.3
-        energy = polynomial_energy(G1, g0, coeff, weight=0.5)
         flow = PolyGradFlow(
             structure=np.zeros((4, 4)),
             linear=G1,
             constant=g0,
             quadratic=DiagonalQuadratic(coeff),
-            energy=energy,
             structure_tag="skew",
+            energy_weight=0.5,
         )
         u = rng.standard_normal(4)
         w = rng.standard_normal(4)
         eps = 1e-6
-        fd = (energy(u + eps * w) - energy(u - eps * w)) / (2 * eps)
+        fd = (eval_energy(flow, u + eps * w) - eval_energy(flow, u - eps * w)) / (2 * eps)
         assert fd == pytest.approx(0.5 * (eval_grad(flow, u) @ w), rel=1e-7)
 
     def test_rejects_nonskew_structure(self):
@@ -267,7 +267,6 @@ class TestPolyGradFlow:
             PolyGradFlow(
                 structure=np.array([[0.0, 1.0], [1.0, 0.0]]),
                 linear=np.eye(2),
-                energy=lambda u: 0.0,
                 structure_tag="skew",
             )
 
@@ -276,7 +275,6 @@ class TestPolyGradFlow:
             PolyGradFlow(
                 structure=np.zeros((2, 2)),
                 linear=np.array([[1.0, 2.0], [0.0, 1.0]]),
-                energy=lambda u: 0.0,
                 structure_tag="skew",
             )
 
@@ -284,7 +282,6 @@ class TestPolyGradFlow:
         PolyGradFlow(
             structure=np.eye(2),
             linear=np.array([[1.0, 2.0], [0.0, 1.0]]),
-            energy=lambda u: 0.0,
             structure_tag="none",
         )
 
