@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import LuFactorization
+from .linalg import LuFactorization, SingularMatrixError
 from .systems import PolyGradFlow, _as_state, eval_energy
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
@@ -26,8 +26,12 @@ __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 class AvfScheme:
     """Time-integration parameters: step size, horizon, nonlinear solve knobs.
 
-    ``snapshot_stride`` controls recording: every ``stride``-th state (plus
-    the initial one) is kept in the trajectory.
+    ``picard_tol`` and ``picard_max_iter`` are the stopping tolerance and the
+    iteration cap of whichever nonlinear solver the flow's storage selects
+    (see :class:`AvfStepper`): Picard iteration on sparse full-order flows,
+    Newton iteration on dense reduced ones.  ``snapshot_stride`` controls
+    recording: every ``stride``-th state (plus the initial one) is kept in
+    the trajectory.
     """
 
     dt: float
@@ -61,7 +65,8 @@ class AvfScheme:
 
 
 class StepFailure(RuntimeError):
-    """Picard iteration did not converge within the allowed iterations."""
+    """The nonlinear solve of one step failed: Picard or Newton iteration
+    did not converge, diverged, or (Newton) met a singular Jacobian."""
 
     def __init__(self, message: str, step_index: int = 0, iterations: int = 0,
                  increment: float = float("nan")):
@@ -78,6 +83,8 @@ class Trajectory:
     ``states`` holds one recorded state per column, ``times`` the matching
     instants (first entry is t=0).  ``energies`` has one entry per time step
     plus the initial value, regardless of the recording stride.
+    ``max_picard_iterations`` is the largest per-step iteration count of the
+    nonlinear solver that ran (Picard or Newton; 0 for linear flows).
     """
 
     times: np.ndarray
@@ -103,15 +110,25 @@ class Trajectory:
 
 
 class AvfStepper:
-    """One-step AVF integrator with the constant linear solve factored once.
+    """One-step AVF integrator; the storage of the flow's operators picks the solver.
 
-    The left matrix ``I - dt/2 S G1`` depends only on the flow and ``dt``, so
-    it is LU-factored at construction and reused for every step; this is the
-    dominant cost saving for constant-coefficient systems.  Both step
-    matrices keep the storage of the flow's operators: sparse for full-order
-    stencils, dense for reduced models.
+    With ``A = dt/2 S G1``, every step solves
+    ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``.
 
-    The Picard iteration for quadratic flows starts from a cubic extrapolation
+    * Sparse operators (full-order stencils): ``I - A`` is LU-factored once
+      and reused for every step; a quadratic flow iterates on the average
+      quadratic term by Picard iteration, one solve per iteration.
+    * Dense linear flows (reduced models): the step is the precomputed
+      propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
+      ``c = (I - A)^-1 dt S g0``.
+    * Dense quadratic flows (reduced models): Newton iteration with the
+      r x r Jacobian ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)``
+      is the matrix of ``v -> G2(a, v)``, factored every iteration.
+
+    Both iterations stop when the increment drops to ``picard_tol`` relative
+    to ``1 + max|x|`` and fail with :class:`StepFailure` after
+    ``picard_max_iter`` iterations; ``last_iterations`` is the count of the
+    last step (0 for linear flows).  They start from a cubic extrapolation
     of the step history (an explicit RK4 prediction while the history is
     short).  The predictor only changes the iteration count, never the
     converged step.
@@ -126,16 +143,29 @@ class AvfStepper:
         self.picard_tol = picard_tol
         self.picard_max_iter = picard_max_iter
         half = 0.5 * dt * (flow.structure @ flow.linear)
-        if scipy.sparse.issparse(half):
-            eye = scipy.sparse.eye_array(flow.dim, format="csr")
-        else:
-            eye = np.eye(flow.dim)
-        self._lhs = LuFactorization(eye - half)
+        sparse = scipy.sparse.issparse(half)
+        eye = scipy.sparse.eye_array(flow.dim, format="csr") if sparse else np.eye(flow.dim)
+        self._lhs_mat = eye - half
+        self._lhs = LuFactorization(self._lhs_mat)  # Newton refactors it per iteration
         self._rhs_mat = eye + half
         self._dtS = dt * flow.structure
         self._const = self._dtS @ flow.constant if flow.constant is not None else None
         self._deltas: list[np.ndarray] = []  # last three step increments
         self.last_iterations = 0
+        # plain functions, not bound methods: a bound method stored on the
+        # instance is a reference cycle that would keep the stepper, its
+        # flow and its factors alive until the cyclic garbage collector runs
+        if sparse and flow.quadratic is None:
+            self._advance = AvfStepper._solve_linear
+        elif sparse:
+            self._advance = AvfStepper._picard
+        elif flow.quadratic is None:
+            self._propagator = self._lhs.solve(self._rhs_mat)
+            self._offset = self._lhs.solve(self._const) if self._const is not None else None
+            self._advance = AvfStepper._propagate
+        else:
+            self._dtS3 = self._dtS / 3.0
+            self._advance = AvfStepper._newton
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         g = self.flow.linear @ u
@@ -157,49 +187,104 @@ class AvfStepper:
         return guess if np.all(np.isfinite(guess)) else u
 
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
-        """Advance one step from ``u``; raises StepFailure on non-convergence.
+        """Advance one step from ``u``; raises StepFailure when the nonlinear
+        solve fails (``step_index`` is reported with it)."""
+        return self._advance(self, u, step_index)
 
-        Overflow inside a diverging Picard iteration is expected and reported
-        as StepFailure, hence the suppressed floating-point warnings.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._step(u, step_index)
-
-    def _step(self, u: np.ndarray, step_index: int) -> np.ndarray:
+    def _rhs(self, u: np.ndarray) -> np.ndarray:
         base = self._rhs_mat @ u
-        if self._const is not None:
-            base = base + self._const
-        quad = self.flow.quadratic
-        if quad is None:
-            self.last_iterations = 0
-            return self._lhs.solve(base)
+        return base if self._const is None else base + self._const
 
-        q_kk = quad.eval(u, u)
-        guess = self._predict(u)
-        increment = np.inf
-        for m in range(1, self.picard_max_iter + 1):
-            q_avg = (q_kk + quad.eval(u, guess) + quad.eval(guess, guess)) / 3.0
-            new = self._lhs.solve(base + self._dtS @ q_avg)
-            if not np.all(np.isfinite(new)):
-                raise StepFailure(
-                    f"Picard iteration diverged (overflow after {m} iterations)",
-                    step_index=step_index,
-                    iterations=m,
-                    increment=float("inf"),
-                )
-            increment = np.abs(new - guess).max()
-            if increment <= self.picard_tol * (1.0 + np.abs(guess).max()):
-                self.last_iterations = m
-                self._deltas = (self._deltas + [new - u])[-3:]
-                return new
-            guess = new
-        raise StepFailure(
-            f"Picard iteration stalled after {self.picard_max_iter} iterations "
-            f"(last increment {increment:.3e})",
-            step_index=step_index,
-            iterations=self.picard_max_iter,
-            increment=float(increment),
-        )
+    def _solve_linear(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        return self._lhs.solve(self._rhs(u))
+
+    def _propagate(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        x = self._propagator @ u
+        return x if self._offset is None else x + self._offset
+
+    def _picard(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        # overflow inside a diverging iteration is expected and reported as
+        # StepFailure, hence the suppressed floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = self.flow.quadratic
+            base = self._rhs(u)
+            q_kk = quad.eval(u, u)
+            guess = self._predict(u)
+            increment = np.inf
+            for m in range(1, self.picard_max_iter + 1):
+                q_avg = (q_kk + quad.eval(u, guess) + quad.eval(guess, guess)) / 3.0
+                new = self._lhs.solve(base + self._dtS @ q_avg)
+                if not np.all(np.isfinite(new)):
+                    raise _diverged("Picard", step_index, m)
+                increment = np.abs(new - guess).max()
+                if increment <= self.picard_tol * (1.0 + np.abs(guess).max()):
+                    return self._accept(u, new, m)
+                guess = new
+        raise _stalled("Picard", step_index, self.picard_max_iter, increment)
+
+    def _newton(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = self.flow.quadratic
+            k_u = self._dtS3 @ quad.jacobian(u)  # dt S J2(u) / 3
+            base = self._rhs(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
+            fixed = self._lhs_mat - k_u  # the Jacobian's part that x leaves fixed
+            x = self._predict(u)
+            increment = np.inf
+            for m in range(1, self.picard_max_iter + 1):
+                k_x = self._dtS3 @ quad.jacobian(x)
+                # residual of (I - A) x = base + dt S (G2(u,x) + G2(x,x)) / 3;
+                # an overflow in k_x leaves it non-finite too
+                residual = (fixed - k_x) @ x - base
+                if not np.isfinite(residual).all():
+                    raise _diverged("Newton", step_index, m)
+                try:
+                    self._lhs.factor(fixed - 2.0 * k_x)
+                except SingularMatrixError as exc:
+                    raise StepFailure(
+                        f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
+                        step_index=step_index,
+                        iterations=m,
+                    ) from exc
+                new = x - self._lhs.solve(residual)
+                increment = np.abs(new - x).max()
+                if not np.isfinite(increment):  # the maximum propagates NaN and inf
+                    raise _diverged("Newton", step_index, m)
+                if increment <= self.picard_tol * (1.0 + np.abs(x).max()):
+                    return self._accept(u, new, m)
+                x = new
+        raise _stalled("Newton", step_index, self.picard_max_iter, increment)
+
+    def _accept(self, u: np.ndarray, new: np.ndarray, iterations: int) -> np.ndarray:
+        self.last_iterations = iterations
+        self._deltas = (self._deltas + [new - u])[-3:]
+        return new
+
+
+def _diverged(solver: str, step_index: int, iterations: int) -> StepFailure:
+    return StepFailure(
+        f"{solver} iteration diverged (overflow after {iterations} iterations)",
+        step_index=step_index,
+        iterations=iterations,
+        increment=float("inf"),
+    )
+
+
+def _stalled(solver: str, step_index: int, iterations: int, increment: float) -> StepFailure:
+    return StepFailure(
+        f"{solver} iteration stalled after {iterations} iterations "
+        f"(last increment {increment:.3e})",
+        step_index=step_index,
+        iterations=iterations,
+        increment=float(increment),
+    )
+
+
+# one eval_energy call in integrate covers up to 256 consecutive states and
+# about 32k state entries (256 KB): a few hundred columns for reduced models,
+# so the per-call overhead vanishes, and 16 for a 2000-entry full-order state,
+# whose block and temporaries then stay far below the recorded trajectory
+_ENERGY_BLOCK_COLUMNS = 256
+_ENERGY_BLOCK_ENTRIES = 32768
 
 
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
@@ -207,7 +292,8 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
 
     Column 0 of the result is the initial state.  The energy series carries
     one entry per step (plus the initial one) so conservation can be checked
-    at full resolution even when states are recorded sparsely.
+    at full resolution even when states are recorded sparsely; it is
+    evaluated once per block of consecutive states, not once per step.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
@@ -216,19 +302,24 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     states = np.empty((flow.dim, n_rec))
     times = np.empty(n_rec)
     energies = np.empty(steps + 1)
+    width = max(1, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // flow.dim, steps + 1))
+    block = np.empty((flow.dim, width))  # column j holds step k - k % width + j
     states[:, 0] = u
     times[0] = 0.0
-    energies[0] = eval_energy(flow, u)
+    block[:, 0] = u
     rec = 1
     max_iters = 0
     for k in range(1, steps + 1):
         u = stepper.step(u, step_index=k)
-        energies[k] = eval_energy(flow, u)
         max_iters = max(max_iters, stepper.last_iterations)
         if k % scheme.snapshot_stride == 0:
             states[:, rec] = u
             times[rec] = k * scheme.dt
             rec += 1
+        j = k % width
+        block[:, j] = u
+        if j == width - 1 or k == steps:
+            energies[k - j : k + 1] = eval_energy(flow, block[:, : j + 1])
     return Trajectory(
         times=times[:rec],
         states=states[:, :rec],

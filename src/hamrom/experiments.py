@@ -51,10 +51,11 @@ log = logging.getLogger("hamrom")
 SYSTEMS = ("wave", "kdv")
 
 # Names the full-order stepper and its linear solver (AVF with a SuperLU
-# factorization of the sparse stencil operators) in every cache key.  Change
-# it whenever a change of the solver or the energy evaluation moves the cached
+# factorization of the sparse stencil operators) and the energy evaluation
+# (the polynomial, over blocks of states) in every cache key.  Change it
+# whenever a change of the solver or the energy evaluation moves the cached
 # trajectories or energies, so an old algorithm's cache is never served.
-FOM_SOLVER = "avf-splu-polyenergy"
+FOM_SOLVER = "avf-splu-polyenergy-blocks"
 
 # flat-text configuration keys, exactly the field names below
 _CONFIG_KEYS = {

@@ -98,22 +98,27 @@ class LuFactorization:
 
     Factor once, then call :meth:`solve` for any number of right-hand sides;
     constant-coefficient time stepping reuses one factorization for thousands
-    of solves.  A dense ``A`` is factored by LAPACK, a ``scipy.sparse`` one by
-    SuperLU (``splu``, fill-reducing column order) in its own storage.  Both
-    reject a pivot below ``1e-14`` of the largest entry of ``A``.
+    of solves.  A dense ``A`` is factored by LAPACK (``getrf``), a
+    ``scipy.sparse`` one by SuperLU (``splu``, fill-reducing column order) in
+    its own storage.  Both reject a pivot at or below ``1e-14`` of the
+    largest entry of ``A`` (so an all-zero matrix is singular too).
+    :meth:`factor` replaces the factors in place, for a Newton iteration
+    that factors a new Jacobian every iteration.
     """
 
     def __init__(self, A):
+        self.factor(A)
+
+    def factor(self, A) -> None:
+        """Factor ``A``, replacing any previous factors; raises
+        :class:`SingularMatrixError` on a small pivot."""
         sparse = scipy.sparse.issparse(A)
-        if sparse:
-            A = scipy.sparse.csc_array(A, dtype=float)
-            if not np.all(np.isfinite(A.data)):
-                raise ValueError("A contains non-finite entries")
-        else:
-            A = as_dense(A, "A")
-        if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        A = scipy.sparse.csc_array(A, dtype=float) if sparse else np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
         scale = abs(A).max()
+        if not np.isfinite(scale):  # the maximum propagates NaN and inf
+            raise ValueError("A contains non-finite entries")
         if sparse:
             # imported here: the sparse solver package adds about 20 ms to
             # start-up (2 cores), and runs that factor no sparse matrix (a
@@ -127,12 +132,12 @@ class LuFactorization:
             pivots = lu.U.diagonal()
             self._solve = lu.solve
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # scipy warns before we can check pivots
-                lu, piv = scipy.linalg.lu_factor(A)
-            pivots = np.diag(lu)
-            self._solve = partial(scipy.linalg.lu_solve, (lu, piv), check_finite=False)
-        if np.abs(pivots).min() < 1e-14 * scale:
+            # the LAPACK routines themselves: the scipy.linalg wrappers cost
+            # more than the work at reduced sizes (r <= 60)
+            lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
+            pivots = lu.diagonal()
+            self._solve = partial(_getrs, lu, piv)
+        if np.abs(pivots).min() <= 1e-14 * scale:
             raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
         self.shape = A.shape
 
@@ -146,3 +151,7 @@ class LuFactorization:
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.shape[0]}")
         return self._solve(b)
+
+
+def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]

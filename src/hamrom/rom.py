@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .avf import AvfScheme, Trajectory, integrate
 from .pod import PodBasis
@@ -103,6 +102,16 @@ def decode(model: ReducedModel, a) -> np.ndarray:
     return u
 
 
+def _block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Blocks placed along the diagonal of one zero matrix, in order."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
 def _symmetrized(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -149,7 +158,7 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = bases[0].phi if len(bases) == 1 else scipy.linalg.block_diag(*(b.phi for b in bases))
+    phi = _block_diagonal([b.phi for b in bases])
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"

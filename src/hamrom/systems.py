@@ -74,13 +74,18 @@ class DiagonalQuadratic:
     def eval(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.coeff * u * v
 
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """Matrix of ``v -> G2(a, v)``: ``diag(coeff * a)``, dense."""
+        return np.diag(self.coeff * a)
+
 
 @dataclass(frozen=True)
 class TensorQuadratic:
     """Dense quadratic term ``G2(a, b)_p = sum_ij T[p, i, j] a_i b_j``.
 
     The tensor must be symmetric in its last two indices; full symmetry in all
-    three is not required (plain Galerkin reductions break it).
+    three is not required (plain Galerkin reductions break it).  ``a`` and
+    ``b`` are vectors or (r, m) blocks of column vectors.
     """
 
     tensor: np.ndarray
@@ -94,7 +99,12 @@ class TensorQuadratic:
             raise ValueError("tensor is not symmetric in its last two indices")
 
     def eval(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (self.tensor @ b) @ a
+        tb = self.tensor @ b
+        return tb @ a if a.ndim == 1 else np.einsum("pik,ik->pk", tb, a)
+
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """Matrix of ``v -> G2(a, v)``: ``T a``, by the (i, j) symmetry."""
+        return self.tensor @ a
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,10 @@ class ProjectedQuadratic:
 
     def eval(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.left @ (self.coeff * (self.basis @ a) * (self.basis @ b))
+
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """Matrix of ``v -> G2(a, v)``: ``left diag(coeff B a) B``."""
+        return self.left @ ((self.coeff * (self.basis @ a))[:, None] * self.basis)
 
 
 QuadraticTerm = Union[DiagonalQuadratic, TensorQuadratic, ProjectedQuadratic]
@@ -187,9 +201,10 @@ class PolyGradFlow:
         return self.structure.shape[0]
 
 
-def _as_state(u, dim: int) -> np.ndarray:
+def _as_state(u, dim: int, block: bool = False) -> np.ndarray:
+    """Validated float state of shape (dim,), or (dim, m) columns if ``block``."""
     out = np.asarray(u, dtype=float)
-    if out.shape != (dim,):
+    if out.shape != (dim,) and not (block and out.ndim == 2 and out.shape[0] == dim):
         raise ValueError(f"state must have shape ({dim},), got {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("state contains non-finite entries")
@@ -207,21 +222,25 @@ def eval_grad(flow: PolyGradFlow, u) -> np.ndarray:
     return g
 
 
-def eval_energy(flow: PolyGradFlow, u) -> float:
+def eval_energy(flow: PolyGradFlow, u):
     """Energy ``weight * (g0.u + u.G1 u / 2 + u.G2(u, u) / 3) + shift`` at ``u``.
 
     The terms are the flow's own gradient terms, or ``flow.energy_terms``
     when set.  On a skew (negative semidefinite) flow with symmetric terms
-    this is the functional AVF stepping conserves (dissipates).
+    this is the functional AVF stepping conserves (dissipates).  A state of
+    shape (dim,) gives a float; a (dim, m) block of states gives the m
+    energies of its columns.
     """
-    u = _as_state(u, flow.dim)
+    u = _as_state(u, flow.dim, block=True)
+    U = u.reshape(flow.dim, -1)
     terms = flow if flow.energy_terms is None else flow.energy_terms
-    g = 0.5 * (terms.linear @ u)
+    g = 0.5 * (terms.linear @ U)
     if terms.constant is not None:
-        g = g + terms.constant
+        g = g + terms.constant[:, None]
     if terms.quadratic is not None:
-        g = g + terms.quadratic.eval(u, u) / 3.0
-    return flow.energy_weight * float(u @ g) + flow.energy_shift
+        g = g + terms.quadratic.eval(U, U) / 3.0
+    h = flow.energy_weight * np.einsum("ij,ij->j", U, g) + flow.energy_shift
+    return float(h[0]) if u.ndim == 1 else h
 
 
 def _periodic_stencil(n: int, weights: dict[int, float]) -> scipy.sparse.csr_array:
