@@ -282,7 +282,9 @@ def _stalled(solver: str, step_index: int, iterations: int, increment: float) ->
 # one eval_energy call in integrate covers up to 256 consecutive states and
 # about 32k state entries (256 KB): a few hundred columns for reduced models,
 # so the per-call overhead vanishes, and 16 for a 2000-entry full-order state,
-# whose block and temporaries then stay far below the recorded trajectory
+# whose block and temporaries then stay far below the recorded trajectory;
+# never fewer than 2 columns, or the initial state would be overwritten by
+# the first step before its energy is evaluated
 _ENERGY_BLOCK_COLUMNS = 256
 _ENERGY_BLOCK_ENTRIES = 32768
 
@@ -302,7 +304,7 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     states = np.empty((flow.dim, n_rec))
     times = np.empty(n_rec)
     energies = np.empty(steps + 1)
-    width = max(1, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // flow.dim, steps + 1))
+    width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // flow.dim, steps + 1))
     block = np.empty((flow.dim, width))  # column j holds step k - k % width + j
     states[:, 0] = u
     times[0] = 0.0

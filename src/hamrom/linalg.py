@@ -103,7 +103,8 @@ class LuFactorization:
     its own storage.  Both reject a pivot at or below ``1e-14`` of the
     largest entry of ``A`` (so an all-zero matrix is singular too).
     :meth:`factor` replaces the factors in place, for a Newton iteration
-    that factors a new Jacobian every iteration.
+    that factors a new Jacobian every iteration; a rejected matrix leaves the
+    previous factors in place.
     """
 
     def __init__(self, A):
@@ -111,7 +112,8 @@ class LuFactorization:
 
     def factor(self, A) -> None:
         """Factor ``A``, replacing any previous factors; raises
-        :class:`SingularMatrixError` on a small pivot."""
+        :class:`SingularMatrixError` on a small pivot and then keeps the
+        previous factors."""
         sparse = scipy.sparse.issparse(A)
         A = scipy.sparse.csc_array(A, dtype=float) if sparse else np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
@@ -130,15 +132,16 @@ class LuFactorization:
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SingularMatrixError(str(exc)) from exc
             pivots = lu.U.diagonal()
-            self._solve = lu.solve
+            solve = lu.solve
         else:
             # the LAPACK routines themselves: the scipy.linalg wrappers cost
             # more than the work at reduced sizes (r <= 60)
             lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
             pivots = lu.diagonal()
-            self._solve = partial(_getrs, lu, piv)
+            solve = partial(_getrs, lu, piv)
         if np.abs(pivots).min() <= 1e-14 * scale:
             raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
+        self._solve = solve
         self.shape = A.shape
 
     def solve(self, rhs) -> np.ndarray:

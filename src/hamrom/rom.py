@@ -158,7 +158,7 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = _block_diagonal([b.phi for b in bases])
+    phi = bases[0].phi if len(bases) == 1 else _block_diagonal([b.phi for b in bases])
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"

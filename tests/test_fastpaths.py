@@ -15,6 +15,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, integrate
 from hamrom.linalg import SingularMatrixError
 from hamrom.pod import collect_snapshots, compute_basis
@@ -185,6 +186,17 @@ class TestBlockEnergy:
         assert np.abs(every.energies - per_state).max() <= tol
         strided = integrate(flow, u0, replace(scheme, snapshot_stride=stride))
         assert np.abs(strided.energies - per_state).max() <= tol
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_state_wider_than_a_block(self, monkeypatch, steps):
+        # a state with more entries than one block holds still takes 2 columns
+        monkeypatch.setattr(avf, "_ENERGY_BLOCK_ENTRIES", 10)
+        flow = _skew_flow(7, 20)
+        u0 = np.random.default_rng(8).standard_normal(20)
+        traj = integrate(flow, u0, AvfScheme(dt=0.01, t_end=0.01 * steps))
+        per_state = np.array([eval_energy(flow, u) for u in traj.states.T])
+        assert traj.energies[0] == eval_energy(flow, u0)
+        assert np.abs(traj.energies - per_state).max() <= 1e-12 * np.abs(per_state).max()
 
     @pytest.mark.parametrize("kind", QUADRATICS)
     def test_quadratic_block_matches_per_state(self, kind):

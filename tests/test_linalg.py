@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hamrom.linalg import (
     LuFactorization,
@@ -155,6 +156,16 @@ class TestLu:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
             LuFactorization(A)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rejected_refactor_keeps_previous_factors(self, sparse):
+        A = np.diag([2.0, 4.0, 5.0])
+        fac = LuFactorization(scipy.sparse.csc_array(A) if sparse else A)
+        singular = np.diag([1e20, 1.0])  # factors, then fails the pivot check
+        with pytest.raises(SingularMatrixError):
+            fac.factor(scipy.sparse.csc_array(singular) if sparse else singular)
+        assert fac.shape == (3, 3)
+        np.testing.assert_allclose(fac.solve(np.array([2.0, 4.0, 5.0])), np.ones(3), rtol=1e-15)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
