@@ -27,7 +27,14 @@ from .linalg import (
     SingularMatrixError,
     thin_svd_snapshots,
 )
-from .metrics import EnergyReport, RomReport, e_inf_scalar, e_inf_wave, energy_report
+from .metrics import (
+    EnergyReport,
+    RomReport,
+    e_inf_scalar,
+    e_inf_wave,
+    energy_report,
+    squared_errors,
+)
 from .pod import (
     PodBasis,
     SnapshotSet,
@@ -106,6 +113,7 @@ __all__ = [
     "run_experiment",
     "run_rom",
     "sigma_tail",
+    "squared_errors",
     "table_preset",
     "tail_bound_check",
     "thin_svd_snapshots",

@@ -12,6 +12,7 @@ nonlinear-solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse
@@ -85,6 +86,11 @@ class Trajectory:
     plus the initial value, regardless of the recording stride.
     ``max_picard_iterations`` is the largest per-step iteration count of the
     nonlinear solver that ran (Picard or Newton; 0 for linear flows).
+
+    ``basis`` and ``offset`` are the decode map of a reduced run: with a
+    ``basis``, ``states`` holds reduced coefficients and the full state of
+    column k is ``offset + basis @ states[:, k]`` (no offset when absent).
+    :meth:`full_states` gives full states of a block of columns.
     """
 
     times: np.ndarray
@@ -92,21 +98,41 @@ class Trajectory:
     energies: np.ndarray
     steps_total: int
     max_picard_iterations: int = 0
+    basis: Optional[np.ndarray] = None
+    offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.states.shape[1] != self.times.size:
             raise ValueError("states column count must match times")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ValueError("recorded times must be strictly increasing")
+        if self.basis is not None and self.basis.shape[1] != self.states.shape[0]:
+            raise ValueError("decode basis must have one column per reduced coefficient")
 
     @property
     def dt(self) -> float:
         return (self.times[-1] - self.times[0]) / self.steps_total
 
     @property
+    def dim(self) -> int:
+        """Dimension of the full states (the decoded ones of a reduced run)."""
+        return self.states.shape[0] if self.basis is None else self.basis.shape[0]
+
+    @property
     def energy_times(self) -> np.ndarray:
         """Time instants matching the per-step energy series."""
         return self.dt * np.arange(self.steps_total + 1)
+
+    def full_states(self, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Full states of columns ``start:stop``: a view of the recorded
+        states, or, for a reduced run, decoded into ``out`` (shape
+        ``(dim, stop - start)``; a new array when None)."""
+        if self.basis is None:
+            return self.states[:, start:stop]
+        out = np.matmul(self.basis, self.states[:, start:stop], out=out)
+        if self.offset is not None:
+            out += self.offset[:, None]
+        return out
 
 
 class AvfStepper:
@@ -120,7 +146,8 @@ class AvfStepper:
       quadratic term by Picard iteration, one solve per iteration.
     * Dense linear flows (reduced models): the step is the precomputed
       propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
-      ``c = (I - A)^-1 dt S g0``.
+      ``c = (I - A)^-1 dt S g0`` (:func:`integrate` applies its powers to
+      whole blocks of steps instead).
     * Dense quadratic flows (reduced models): Newton iteration with the
       r x r Jacobian ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)``
       is the matrix of ``v -> G2(a, v)``, factored every iteration.
@@ -160,7 +187,11 @@ class AvfStepper:
         elif sparse:
             self._advance = AvfStepper._picard
         elif flow.quadratic is None:
-            self._propagator = self._lhs.solve(self._rhs_mat)
+            # NumPy's LAPACK, not the SciPy one of the factorization: SciPy's
+            # multi-column solve wakes SciPy's OpenBLAS threads, which keep
+            # spinning afterwards and, on 2 cores, doubled the time of the
+            # NumPy SVD that follows a short reduced run in a sweep
+            self._propagator = np.linalg.solve(self._lhs_mat, self._rhs_mat)
             self._offset = self._lhs.solve(self._const) if self._const is not None else None
             self._advance = AvfStepper._propagate
         else:
@@ -284,47 +315,85 @@ def _stalled(solver: str, step_index: int, iterations: int, increment: float) ->
 # so the per-call overhead vanishes, and 16 for a 2000-entry full-order state,
 # whose block and temporaries then stay far below the recorded trajectory;
 # never fewer than 2 columns, or the initial state would be overwritten by
-# the first step before its energy is evaluated
+# the first step before its energy is evaluated.  The stacked propagator
+# powers of a dense linear flow are held to the same 32k entries.
 _ENERGY_BLOCK_COLUMNS = 256
 _ENERGY_BLOCK_ENTRIES = 32768
+
+
+def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
+    """``[M; M^2; ...; M^count]`` and the matching offsets, stacked row-wise.
+
+    Row block j (from 0) maps a state to the state ``j + 1`` steps of
+    ``u -> M u + c`` later: ``M^(j+1) u + (M^j + ... + I) c``.  The offsets
+    are None without ``c``.
+    """
+    dim = M.shape[0]
+    powers = np.empty((count, dim, dim))
+    offsets = None if c is None else np.empty((count, dim))
+    powers[0] = M
+    if offsets is not None:
+        offsets[0] = c
+    for j in range(1, count):
+        np.matmul(M, powers[j - 1], out=powers[j])
+        if offsets is not None:
+            offsets[j] = M @ offsets[j - 1] + c
+    return powers.reshape(count * dim, dim), None if offsets is None else offsets.ravel()
 
 
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     """March ``flow`` from ``u0`` to ``t_end``, recording every stride-th state.
 
-    Column 0 of the result is the initial state.  The energy series carries
+    Column 0 of the result is the initial state; each recorded state is one
+    contiguous column (column-major ``states``).  The energy series carries
     one entry per step (plus the initial one) so conservation can be checked
-    at full resolution even when states are recorded sparsely; it is
-    evaluated once per block of consecutive states, not once per step.
+    at full resolution even when states are recorded sparsely.
+
+    The steps fill blocks of consecutive states, and each block gives its
+    energies in one evaluation and its recorded states in one copy.  A dense
+    linear flow (a linear reduced model) fills a block without stepping: up
+    to B states at a time come from one matvec of the stacked propagator
+    powers ``[M; M^2; ...; M^B]`` with the block's start state.  Every other
+    flow takes :meth:`AvfStepper.step` once per step.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
+    stride = scheme.snapshot_stride
     stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol, scheme.picard_max_iter)
-    n_rec = steps // scheme.snapshot_stride + 1
-    states = np.empty((flow.dim, n_rec))
-    times = np.empty(n_rec)
+    dim = flow.dim
+    states = np.empty((dim, steps // stride + 1), order="F")
     energies = np.empty(steps + 1)
-    width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // flow.dim, steps + 1))
-    block = np.empty((flow.dim, width))  # column j holds step k - k % width + j
-    states[:, 0] = u
-    times[0] = 0.0
+    width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // dim, steps + 1))
+    block = np.empty((dim, width))  # column j holds step k0 + j
     block[:, 0] = u
-    rec = 1
+    powers = None
+    if stepper._advance is AvfStepper._propagate:
+        chunk = max(1, min(width, _ENERGY_BLOCK_ENTRIES // (dim * dim)))
+        powers, offsets = _stacked_powers(stepper._propagator, stepper._offset, chunk)
     max_iters = 0
-    for k in range(1, steps + 1):
-        u = stepper.step(u, step_index=k)
-        max_iters = max(max_iters, stepper.last_iterations)
-        if k % scheme.snapshot_stride == 0:
-            states[:, rec] = u
-            times[rec] = k * scheme.dt
-            rec += 1
-        j = k % width
-        block[:, j] = u
-        if j == width - 1 or k == steps:
-            energies[k - j : k + 1] = eval_energy(flow, block[:, : j + 1])
+    for k0 in range(0, steps + 1, width):
+        w = min(width, steps + 1 - k0)
+        start = 1 if k0 == 0 else 0  # column 0 of the first block is the initial state
+        if powers is None:
+            for j in range(start, w):
+                u = stepper.step(u, step_index=k0 + j)
+                max_iters = max(max_iters, stepper.last_iterations)
+                block[:, j] = u
+        else:
+            for j in range(start, w, chunk):
+                count = min(chunk, w - j)
+                x = powers[: count * dim] @ u
+                if offsets is not None:
+                    x += offsets[: count * dim]
+                block[:, j : j + count] = x.reshape(count, dim).T
+                u = x[-dim:]
+        energies[k0 : k0 + w] = eval_energy(flow, block[:, :w])
+        first = -(-k0 // stride)  # index of the first recorded state in the block
+        last = (k0 + w - 1) // stride + 1
+        states[:, first:last] = block[:, first * stride - k0 : w : stride]
     return Trajectory(
-        times=times[:rec],
-        states=states[:, :rec],
+        times=scheme.dt * (stride * np.arange(states.shape[1])),  # step k at k * dt
+        states=states,
         energies=energies,
         steps_total=steps,
         max_picard_iterations=max_iters,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,47 +47,81 @@ class FormatError(ValueError):
     """A file does not conform to the expected on-disk format."""
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file in the same directory, which then
-    replaces ``path``: an interrupted write never leaves a truncated file
-    under the final name."""
+@contextmanager
+def _atomic_file(path):
+    """Binary file handle on a temporary file in the same directory, which
+    replaces ``path`` once the block completes: an interrupted write never
+    leaves a truncated file under the final name."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (see :func:`_atomic_file`)."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
+# columns per payload write: a column-major (or 1-D) matrix is written from
+# its own memory, any other layout through one block of about 1 MB at a time
+_WRITE_BLOCK_ENTRIES = 1 << 17
+
+
 def write_matrix(path, M) -> None:
     """Write a float64 matrix to ``path`` in the HROM binary container,
-    atomically (see :func:`atomic_write_bytes`)."""
+    atomically (see :func:`_atomic_file`).
+
+    The header and then the column-major payload are streamed into the
+    file, so no full-size copy of ``M`` is made.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, M.shape[0], M.shape[1])
-    payload = np.asfortranarray(M, dtype="<f8").tobytes(order="F")
-    atomic_write_bytes(path, header + payload)
+    rows, cols = M.shape
+    width = max(1, cols if M.flags.f_contiguous else _WRITE_BLOCK_ENTRIES // max(rows, 1))
+    with _atomic_file(path) as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols))
+        for start in range(0, cols, width):
+            # the transpose of a column block, C-ordered, is its column-major payload
+            fh.write(np.ascontiguousarray(M[:, start : start + width].T, dtype="<f8"))
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + 8 * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload has {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    return data.reshape((rows, cols), order="F").copy()
+    """Read a matrix written by :func:`write_matrix`, as a column-major array.
+
+    The header is checked against the file size before the result is
+    allocated; the payload is read straight into the result.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, rows, cols = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + 8 * rows * cols
+        if size != expected:
+            raise FormatError(f"{path}: payload has {size} bytes, expected {expected}")
+        out = np.empty((rows, cols), dtype="<f8", order="F")
+        payload = out.reshape(-1, order="F").view(np.uint8)  # a view: out is column-major
+        done = 0
+        while done < payload.size:
+            got = fh.readinto(payload[done:])
+            if not got:
+                raise FormatError(f"{path}: payload ends after {done} of {payload.size} bytes")
+            done += got
+    return out
 
 
 def parse_config_text(text: str) -> dict[str, str]:

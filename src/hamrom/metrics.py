@@ -15,7 +15,14 @@ import numpy as np
 
 from .avf import Trajectory
 
-__all__ = ["EnergyReport", "RomReport", "e_inf_scalar", "e_inf_wave", "energy_report"]
+__all__ = [
+    "EnergyReport",
+    "RomReport",
+    "e_inf_scalar",
+    "e_inf_wave",
+    "energy_report",
+    "squared_errors",
+]
 
 
 @dataclass
@@ -35,15 +42,37 @@ class RomReport:
 
 
 def _check_compatible(fom: Trajectory, rom: Trajectory) -> None:
-    if fom.states.shape[0] != rom.states.shape[0]:
+    if fom.dim != rom.dim:
         raise ValueError(
-            f"trajectories live on different grids: "
-            f"{fom.states.shape[0]} vs {rom.states.shape[0]} unknowns"
+            f"trajectories live on different grids: {fom.dim} vs {rom.dim} unknowns"
         )
     if fom.times.size != rom.times.size or not np.allclose(
         fom.times, rom.times, rtol=0.0, atol=1e-10
     ):
         raise ValueError("trajectories were recorded at different times")
+
+
+# the comparison holds one (dim, width) difference block at a time: up to 256
+# recorded times and 2^19 entries (4 MB), so it never forms a full-size
+# array, whether the trajectories are full or reduced
+_BLOCK_COLUMNS = 256
+_BLOCK_ENTRIES = 1 << 19
+
+
+def _differences(fom: Trajectory, rom: Trajectory, first: int = 0):
+    """Full-state differences ``rom - fom`` of the recorded columns from
+    ``first`` on, one column block at a time (reduced trajectories are
+    decoded block-wise).  Each block is overwritten by the next one; the
+    caller checks compatibility first."""
+    width = max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // fom.dim))
+    diff = np.empty((fom.dim, width), order="F")
+    # a reduced first trajectory decodes into its own buffer
+    spare = np.empty_like(diff) if fom.basis is not None else diff
+    for start in range(first, fom.times.size, width):
+        stop = min(start + width, fom.times.size)
+        out = diff[:, : stop - start]
+        b = fom.full_states(start, stop, spare[:, : stop - start])
+        yield np.subtract(rom.full_states(start, stop, out), b, out=out)
 
 
 def e_inf_wave(fom: Trajectory, rom: Trajectory) -> float:
@@ -54,12 +83,14 @@ def e_inf_wave(fom: Trajectory, rom: Trajectory) -> float:
     including the initial one.
     """
     _check_compatible(fom, rom)
-    if fom.states.shape[0] % 2:
+    if fom.dim % 2:
         raise ValueError("two-field error needs an even (stacked) state dimension")
-    n = fom.states.shape[0] // 2
-    diff = rom.states - fom.states
-    pointwise = np.sqrt(diff[:n] ** 2 + diff[n:] ** 2)
-    return float(pointwise.max())
+    n = fom.dim // 2
+    worst = []
+    for diff in _differences(fom, rom):
+        np.square(diff, out=diff)
+        worst.append(np.add(diff[:n], diff[n:], out=diff[:n]).max())
+    return float(np.sqrt(np.max(worst)))  # sqrt is monotone: the root of the max is the max root
 
 
 def e_inf_scalar(fom: Trajectory, rom: Trajectory) -> float:
@@ -71,7 +102,16 @@ def e_inf_scalar(fom: Trajectory, rom: Trajectory) -> float:
     _check_compatible(fom, rom)
     if fom.times.size < 2:
         raise ValueError("need at least one recorded time after the start")
-    return float(np.abs(rom.states[:, 1:] - fom.states[:, 1:]).max())
+    blocks = _differences(fom, rom, first=1)
+    return float(np.max([np.abs(diff, out=diff).max() for diff in blocks]))
+
+
+def squared_errors(fom: Trajectory, rom: Trajectory) -> np.ndarray:
+    """Squared Euclidean norm of the full-state error at each recorded time."""
+    _check_compatible(fom, rom)
+    return np.concatenate(
+        [np.einsum("ij,ij->j", diff, diff) for diff in _differences(fom, rom)]
+    )
 
 
 @dataclass(frozen=True)

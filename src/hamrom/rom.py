@@ -21,7 +21,7 @@ two-by-two reduced block structure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -92,13 +92,17 @@ def encode(model: ReducedModel, u) -> np.ndarray:
 
 
 def decode(model: ReducedModel, a) -> np.ndarray:
-    """Full state of reduced coefficients: ``offset + Phi a``."""
+    """Full states of reduced coefficients: ``offset + Phi a``, for one
+    coefficient vector of shape (r,) or an (r, m) block of columns."""
     a = np.asarray(a, dtype=float)
-    if a.shape != (model.reduced_dim,):
-        raise ValueError(f"coefficients must have shape ({model.reduced_dim},), got {a.shape}")
+    if a.ndim not in (1, 2) or a.shape[0] != model.reduced_dim:
+        raise ValueError(
+            f"coefficients must have shape ({model.reduced_dim},) or ({model.reduced_dim}, m), "
+            f"got {a.shape}"
+        )
     u = model.basis_matrix @ a
     if model.decode_offset is not None:
-        u = u + model.decode_offset
+        u += model.decode_offset if a.ndim == 1 else model.decode_offset[:, None]
     return u
 
 
@@ -117,18 +121,21 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
 
 
 def _reduced_tensors(lefts, phi: np.ndarray, coeff: float) -> list[TensorQuadratic]:
-    """Project an entrywise quadratic term once per left factor, from one
-    n x r^2 buffer of basis products (the reduction's largest array):
+    """Project an entrywise quadratic term once per left factor:
     ``T[p, i, j] = coeff * sum_m left[p, m] phi[m, i] phi[m, j]``, stored dense
-    with the (i, j) symmetry enforced exactly."""
+    with the (i, j) symmetry enforced exactly.  The basis products are formed
+    for one index i at a time, an n x r block, never all n x r^2 of them."""
     n, r = phi.shape
-    W = (phi[:, :, None] * phi[:, None, :]).reshape(n, r * r)
-    tensors = []
-    for left in lefts:
-        T = (coeff * (left @ W)).reshape(left.shape[0], r, r)
-        T = 0.5 * (T + T.transpose(0, 2, 1))
-        tensors.append(TensorQuadratic(np.ascontiguousarray(T)))
-    return tensors
+    tensors = [np.empty((left.shape[0], r, r)) for left in lefts]
+    for i in range(r):
+        W = phi * phi[:, i : i + 1]  # W[m, j] = phi[m, i] phi[m, j]
+        for T, left in zip(tensors, lefts):
+            np.matmul(left, W, out=T[:, i, :])
+    out = []
+    for T in tensors:
+        T *= coeff
+        out.append(TensorQuadratic(0.5 * (T + T.transpose(0, 2, 1))))
+    return out
 
 
 def reduce_operators(
@@ -232,14 +239,16 @@ def reduce_operators(
 
 
 def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state=None) -> Trajectory:
-    """Integrate the reduced flow and return the decoded trajectory.
+    """Integrate the reduced flow; the trajectory stays in reduced coordinates.
 
     ``initial_state`` is the full-order start state; it may be omitted for
     shifted-basis models, whose reduced start is the zero coefficient vector.
-    The result records decoded full states at the recording times and the
-    reduced energy series at every step.  That series is the reduced energy
-    polynomial evaluated in reduced coordinates, equal to the full-order
-    energy of the decoded state up to rounding; no state is decoded for it.
+    The result's ``states`` are the r x m reduced coefficients at the
+    recording times, and it carries the decode map (``basis`` and
+    ``offset``): the error metrics decode it block-wise, and :func:`decode`
+    gives full states to callers that want them.  The energy series is the
+    reduced energy polynomial at every step, equal to the full-order energy
+    of the decoded state up to rounding.
     """
     if initial_state is None:
         if model.decode_offset is None:
@@ -248,13 +257,4 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state=None) -> Traje
     else:
         a0 = encode(model, initial_state)
     reduced = integrate(model.flow, a0, scheme)
-    states = model.basis_matrix @ reduced.states
-    if model.decode_offset is not None:
-        states = states + model.decode_offset[:, None]
-    return Trajectory(
-        times=reduced.times,
-        states=states,
-        energies=reduced.energies,
-        steps_total=reduced.steps_total,
-        max_picard_iterations=reduced.max_picard_iterations,
-    )
+    return replace(reduced, basis=model.basis_matrix, offset=model.decode_offset)

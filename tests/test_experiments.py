@@ -17,7 +17,7 @@ from hamrom.experiments import (
     table_preset,
     tail_bound_check,
 )
-from hamrom.rom import RomVariant
+from hamrom.rom import RomVariant, run_rom
 
 
 def tiny_wave_cfg(out_dir, roms=("SP0:2", "GROM:2")):
@@ -204,6 +204,24 @@ class TestRunExperiment:
         reports = run_experiment(cfg)
         assert reports[0].failed and np.isnan(reports[0].e_inf)
         assert not reports[1].failed and np.isfinite(reports[1].e_inf)
+
+    def test_comparison_errors_propagate(self, tmp_path, monkeypatch):
+        # a ROM run recorded at other times than the benchmark is a programming
+        # error of the comparison, not a failed row
+        def misrecorded(model, scheme, initial_state=None):
+            traj = run_rom(model, scheme, initial_state=initial_state)
+            return replace(traj, times=traj.times[:-1], states=traj.states[:, :-1])
+
+        monkeypatch.setattr(experiments, "run_rom", misrecorded)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=("SP0:2",))
+        with pytest.raises(ValueError, match="different times"):
+            run_experiment(cfg)
+        with pytest.raises(ValueError, match="different times"):
+            mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2)
+        kdv = replace(cfg, system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, length=40.0,
+                      origin=-20.0, n=32, roms=(RomSpec.parse("SP0:3"),))
+        with pytest.raises(ValueError, match="different times"):
+            run_experiment(kdv)
 
     def test_all_variants_run_on_tiny_kdv(self, tmp_path):
         cfg = ExperimentConfig(

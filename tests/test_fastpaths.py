@@ -2,8 +2,10 @@
 
 A dense linear flow steps with its precomputed propagator and a dense
 quadratic flow with Newton iteration; a ``scipy.sparse`` copy of the same
-flow takes the LU step and Picard iteration.  The block-wise energy series of
-``integrate`` is checked against per-state ``eval_energy`` calls.
+flow takes the LU step and Picard iteration.  ``integrate`` fills blocks of a
+dense linear flow from stacked propagator powers, checked against single
+propagator steps, and its block-wise energy series against per-state
+``eval_energy`` calls.
 """
 
 import itertools
@@ -164,6 +166,63 @@ class TestNewton:
         assert info.value.step_index == 7
         assert info.value.iterations == 1
         assert isinstance(info.value.__cause__, SingularMatrixError)
+
+
+class TestBlockPropagation:
+    """A dense linear flow is integrated from stacked propagator powers."""
+
+    @staticmethod
+    def _per_step(flow, u0, dt, steps, stride):
+        """Recorded states of ``steps`` single propagator steps ``M u + c``."""
+        stepper = AvfStepper(flow, dt)
+        recorded, u = [u0], u0
+        for k in range(1, steps + 1):
+            u = stepper.step(u, step_index=k)
+            if k % stride == 0:
+                recorded.append(u)
+        return np.column_stack(recorded)
+
+    @PROPERTY
+    @given(
+        dim=st.integers(1, 12),
+        steps=st.integers(1, 700),
+        stride=st.integers(1, 9),
+        constant=st.booleans(),
+        entries=st.sampled_from([10, 1000, avf._ENERGY_BLOCK_ENTRIES]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # with the default block entries B = 256 steps per matvec at these dims
+    @example(dim=5, steps=100, stride=1, constant=True, entries=32768, seed=0)  # below B
+    @example(dim=5, steps=256, stride=3, constant=False, entries=32768, seed=1)  # equal to B
+    @example(dim=5, steps=257, stride=1, constant=True, entries=32768, seed=2)  # B + 1
+    @example(dim=10, steps=1000, stride=7, constant=True, entries=32768, seed=3)  # not a multiple
+    @example(dim=10, steps=333, stride=2, constant=False, entries=1000, seed=4)  # B = 10 < block
+    def test_matches_the_per_step_propagator(self, dim, steps, stride, constant, entries, seed):
+        flow = _skew_flow(seed, dim, constant=constant)
+        u0 = np.random.default_rng(seed + 1).standard_normal(dim)
+        dt = 0.05
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(avf, "_ENERGY_BLOCK_ENTRIES", entries)
+            traj = integrate(flow, u0, AvfScheme(dt=dt, t_end=dt * steps, snapshot_stride=stride))
+        reference = self._per_step(flow, u0, dt, steps, stride)
+        assert traj.states.shape == reference.shape
+        assert np.array_equal(traj.states[:, 0], u0)
+        assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.array_equal(traj.times, dt * (stride * np.arange(reference.shape[1])))
+        h = traj.energies
+        assert h.size == steps + 1
+        assert np.abs(h - h[0]).max() <= 1e-10 * (1.0 + abs(h[0]))
+        assert traj.max_picard_iterations == 0
+
+    def test_stacked_powers_are_the_step_maps(self):
+        rng = np.random.default_rng(21)
+        M, c, u = 0.5 * rng.standard_normal((4, 4)), rng.standard_normal(4), rng.standard_normal(4)
+        powers, offsets = avf._stacked_powers(M, c, 5)
+        later = (powers @ u + offsets).reshape(5, 4)  # row j: the state j + 1 steps on
+        for j in range(5):
+            u = M @ u + c
+            assert np.allclose(later[j], u, rtol=1e-13, atol=1e-13)
+        assert avf._stacked_powers(M, None, 3)[1] is None
 
 
 class TestBlockEnergy:

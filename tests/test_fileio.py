@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from hamrom import fileio
 from hamrom.fileio import (
     FORMAT_VERSION,
     FormatError,
@@ -70,6 +71,91 @@ class TestMatrixContainer:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="payload"):
             read_matrix(path)
+
+
+class TestStreamedContainer:
+    """The streamed write keeps the bytes of the one-shot encoding, and the
+    read checks the header against the file size before allocating."""
+
+    @staticmethod
+    def _one_shot(M):
+        M = np.asarray(M, dtype=float)
+        M = M[:, None] if M.ndim == 1 else M
+        header = struct.pack("<4sIQQ", b"HROM", FORMAT_VERSION, *M.shape)
+        return header + np.asfortranarray(M, dtype="<f8").tobytes(order="F")
+
+    @pytest.mark.parametrize(
+        "layout", ["C", "F", "C column slice", "F column slice", "row slice", "1-D", "float32"]
+    )
+    def test_bytes_match_the_one_shot_encoding(self, tmp_path, layout):
+        # 400 x 700 C-ordered entries span several write blocks
+        states = np.random.default_rng(1).standard_normal((400, 700))
+        M = {
+            "C": states,
+            "F": np.asfortranarray(states),
+            "C column slice": states[:, :333],
+            "F column slice": np.asfortranarray(states)[:, :333],
+            "row slice": states[::3],
+            "1-D": states[:, 5],
+            "float32": states.astype(np.float32),
+        }[layout]
+        path = tmp_path / "m.hrom"
+        write_matrix(path, M)
+        assert path.read_bytes() == self._one_shot(M)
+        back = read_matrix(path)
+        assert back.flags.f_contiguous
+        assert np.array_equal(back, M[:, None] if M.ndim == 1 else M)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, tmp_path, shape):
+        path = tmp_path / "m.hrom"
+        write_matrix(path, np.zeros(shape))
+        assert path.read_bytes() == self._one_shot(np.zeros(shape))
+        assert read_matrix(path).shape == shape
+
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_truncated_file(self, tmp_path, cut):
+        path = tmp_path / "m.hrom"
+        write_matrix(path, np.ones((4, 5)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError):
+            read_matrix(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.hrom"
+        path.write_bytes(b"HROM\x01\x00")
+        with pytest.raises(FormatError, match="header"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_oversized_file(self, tmp_path, extra):
+        path = tmp_path / "m.hrom"
+        write_matrix(path, np.ones((4, 5)))
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(FormatError, match="payload"):
+            read_matrix(path)
+
+    def test_huge_header_is_rejected_before_allocation(self, tmp_path):
+        # 2^40 x 2^40 doubles cannot be allocated: the size check must come first
+        path = tmp_path / "m.hrom"
+        path.write_bytes(struct.pack("<4sIQQ", b"HROM", FORMAT_VERSION, 2**40, 2**40))
+        with pytest.raises(FormatError, match="payload"):
+            read_matrix(path)
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.hrom"
+        write_matrix(path, np.ones((2, 2)))
+
+        def interrupted(*args, **kwargs):
+            raise OSError("disk full")
+
+        # the header is in the temporary file when the payload write fails
+        monkeypatch.setattr(fileio.np, "ascontiguousarray", interrupted)
+        with pytest.raises(OSError, match="disk full"):
+            write_matrix(path, np.zeros((2, 2)))
+        monkeypatch.undo()
+        assert np.array_equal(read_matrix(path), np.ones((2, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.hrom"]
 
 
 class TestConfigParsing:

@@ -189,6 +189,20 @@ class TestEncodeDecode:
         assert np.linalg.norm(roundtrip - u0) <= 1e-10 * np.linalg.norm(u0)
 
 
+    def test_block_decode_is_columnwise(self):
+        flow, u0 = small_kdv()
+        rng = np.random.default_rng(22)
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+        basis = PodBasis(phi=Q, sigma=np.ones(3), r=3, shifted_reference=u0)
+        model = reduce_operators(flow, basis, RomVariant.SP2)
+        A = rng.standard_normal((3, 5))
+        expected = np.column_stack([decode(model, a) for a in A.T])
+        assert np.allclose(decode(model, A), expected, rtol=0, atol=1e-14)
+        for bad in (np.zeros(4), np.zeros((4, 2)), np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match="coefficients"):
+                decode(model, bad)
+
+
 class TestRunRom:
     def test_full_basis_reproduces_fom(self):
         grid = Grid1D(n=8, length=1.0)
@@ -199,7 +213,22 @@ class TestRunRom:
         for variant in (RomVariant.SP0, RomVariant.GROM):
             model = reduce_operators(flow, (identity_basis(8), identity_basis(8)), variant)
             rom_traj = run_rom(model, scheme, initial_state=u0)
-            assert np.abs(rom_traj.states - fom_traj.states).max() <= 1e-9
+            assert np.abs(decode(model, rom_traj.states) - fom_traj.states).max() <= 1e-9
+
+    def test_trajectory_stays_reduced(self):
+        flow, u0 = small_kdv()
+        scheme = AvfScheme(dt=0.02, t_end=0.2, snapshot_stride=2)
+        traj = integrate(flow, u0, scheme)
+        basis = compute_basis(collect_snapshots(traj, flow, shifted=True), 3)
+        model = reduce_operators(flow, basis, RomVariant.SP2)
+        rom_traj = run_rom(model, scheme)
+        assert rom_traj.states.shape == (3, traj.times.size)
+        assert rom_traj.basis is model.basis_matrix
+        assert rom_traj.offset is model.decode_offset
+        assert rom_traj.dim == 20
+        block = np.empty((20, 2), order="F")
+        expected = decode(model, rom_traj.states[:, 1:3])
+        assert np.allclose(rom_traj.full_states(1, 3, block), expected, rtol=0, atol=1e-14)
 
     def test_sp_variants_conserve_energy(self):
         flow, u0 = small_kdv()
@@ -239,7 +268,7 @@ class TestRunRom:
         lazy = on_the_fly(dense)
         t_dense = run_rom(dense, scheme, initial_state=u0)
         t_lazy = run_rom(lazy, scheme, initial_state=u0)
-        assert np.abs(t_dense.states - t_lazy.states).max() <= 1e-10
+        assert np.abs(decode(dense, t_dense.states) - decode(lazy, t_lazy.states)).max() <= 1e-10
 
     def test_decoded_states_carry_offset(self):
         flow, u0 = small_kdv()
@@ -248,7 +277,7 @@ class TestRunRom:
         basis = compute_basis(collect_snapshots(traj, flow, shifted=True), 3)
         model = reduce_operators(flow, basis, RomVariant.SP2)
         rom_traj = run_rom(model, scheme)  # no initial state needed
-        assert np.allclose(rom_traj.states[:, 0], u0, atol=1e-12)
+        assert np.allclose(decode(model, rom_traj.states[:, 0]), u0, atol=1e-12)
 
     def test_initial_state_required_without_shift(self):
         flow, u0 = small_kdv()
