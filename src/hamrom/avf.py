@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import LuFactorization, SingularMatrixError
-from .systems import PolyGradFlow, _as_state, eval_energy
+from .systems import PolyGradFlow, _as_state, _grad, eval_energy
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
@@ -83,7 +83,8 @@ class Trajectory:
 
     ``states`` holds one recorded state per column, ``times`` the matching
     instants (first entry is t=0).  ``energies`` has one entry per time step
-    plus the initial value, regardless of the recording stride.
+    plus the initial value, regardless of the recording stride; ``dt`` is the
+    step size, so the energy of step k belongs to time ``k * dt``.
     ``max_picard_iterations`` is the largest per-step iteration count of the
     nonlinear solver that ran (Picard or Newton; 0 for linear flows).
 
@@ -97,6 +98,7 @@ class Trajectory:
     states: np.ndarray
     energies: np.ndarray
     steps_total: int
+    dt: float
     max_picard_iterations: int = 0
     basis: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
@@ -108,10 +110,6 @@ class Trajectory:
             raise ValueError("recorded times must be strictly increasing")
         if self.basis is not None and self.basis.shape[1] != self.states.shape[0]:
             raise ValueError("decode basis must have one column per reduced coefficient")
-
-    @property
-    def dt(self) -> float:
-        return (self.times[-1] - self.times[0]) / self.steps_total
 
     @property
     def dim(self) -> int:
@@ -199,11 +197,8 @@ class AvfStepper:
             self._advance = AvfStepper._newton
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
-        g = self.flow.linear @ u
-        if self.flow.constant is not None:
-            g = g + self.flow.constant
-        g = g + self.flow.quadratic.eval(u, u)
-        return self.flow.structure @ g
+        # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
+        return self.flow.structure @ _grad(self.flow, u)
 
     def _predict(self, u: np.ndarray) -> np.ndarray:
         if len(self._deltas) == 3:
@@ -396,5 +391,6 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
         states=states,
         energies=energies,
         steps_total=steps,
+        dt=scheme.dt,
         max_picard_iterations=max_iters,
     )

@@ -98,7 +98,7 @@ def _cmd_sweep_mu(args) -> int:
         best = min(finite, key=lambda row: row[1])
         print(f"{len(rows)} sweep points; min E_inf = {best[1]:.6g} at mu = {best[0]:g}")
     print(f"wrote {Path(cfg.out_dir) / f'sweep_mu_{variant.name.lower()}_r{args.r}.csv'}")
-    return 0
+    return 0 if len(finite) == len(rows) else 1
 
 
 def _cmd_table(args) -> int:

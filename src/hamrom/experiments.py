@@ -4,6 +4,10 @@ Ties the pipeline together: build a full-order system from a configuration,
 integrate it (with a disk cache keyed on every parameter that affects the
 trajectory), extract bases, run the requested reduced models, and emit CSV
 reports.  Named presets reproduce the two benchmark comparison tables.
+
+A configuration has one full-order reference: the run recorded at every
+step, which is all the cache stores.  The snapshot stride only selects a
+strided view of it (:func:`_subsample`).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,12 +61,6 @@ SYSTEMS = ("wave", "kdv")
 # trajectories or energies, so an old algorithm's cache is never served.
 FOM_SOLVER = "avf-splu-polyenergy-blocks"
 
-# flat-text configuration keys, exactly the field names below
-_CONFIG_KEYS = {
-    "system", "c", "alpha", "rho", "nu", "n", "length", "origin",
-    "dt", "t_end", "picard_tol", "stride", "roms", "out_dir",
-}
-
 
 @dataclass(frozen=True)
 class RomSpec:
@@ -71,6 +69,10 @@ class RomSpec:
     variant: RomVariant
     r: int
     mu: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"gradient weight must be finite and non-negative, got {self.mu!r}")
 
     @classmethod
     def parse(cls, text: str) -> "RomSpec":
@@ -121,20 +123,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         if "system" not in mapping:
             raise ValueError("configuration must set 'system'")
-        kwargs: dict = {"system": mapping["system"]}
-        for key in ("c", "alpha", "rho", "nu", "length", "origin", "dt", "t_end", "picard_tol"):
-            if key in mapping:
-                kwargs[key] = float(mapping[key])
-        for key in ("n", "stride"):
-            if key in mapping:
-                kwargs[key] = int(mapping[key])
-        if "out_dir" in mapping:
-            kwargs["out_dir"] = mapping["out_dir"]
-        if "roms" in mapping and mapping["roms"]:
-            kwargs["roms"] = tuple(
-                RomSpec.parse(item) for item in mapping["roms"].split(",") if item.strip()
-            )
-        return cls(**kwargs)
+        return cls(**{
+            f.name: _PARSERS[f.type](mapping[f.name]) for f in fields(cls) if f.name in mapping
+        })
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -144,25 +135,31 @@ class ExperimentConfig:
         return Grid1D(n=self.n, length=self.length, origin=self.origin)
 
     def scheme(self) -> AvfScheme:
-        return AvfScheme(
-            dt=self.dt,
-            t_end=self.t_end,
-            picard_tol=self.picard_tol,
-            snapshot_stride=self.stride,
-        )
+        """The time stepping of the full-order run, recording every step."""
+        return AvfScheme(dt=self.dt, t_end=self.t_end, picard_tol=self.picard_tol)
 
-    def cache_key(self, stride: Optional[int] = None) -> str:
-        """Canonical description of everything that determines the trajectory."""
-        if self.system == "wave":
-            phys = f"c={self.c!r}"
-        else:
-            phys = f"alpha={self.alpha!r};rho={self.rho!r};nu={self.nu!r}"
-        return (
-            f"format={FORMAT_VERSION};system={self.system};{phys};"
-            f"n={self.n};length={self.length!r};origin={self.origin!r};"
-            f"dt={self.dt!r};t_end={self.t_end!r};stride={stride or self.stride};"
-            f"picard_tol={self.picard_tol!r};solver={FOM_SOLVER}"
+    def cache_key(self) -> str:
+        """Canonical description of everything that determines the every-step
+        trajectory: every field but the ROM list, the output directory and the
+        snapshot stride, plus the format version and the solver tag."""
+        values = ";".join(
+            f"{f.name}={getattr(self, f.name)!r}"
+            for f in fields(self) if f.name not in _NOT_IN_CACHE_KEY
         )
+        return f"format={FORMAT_VERSION};{values};solver={FOM_SOLVER}"
+
+
+def _parse_roms(text: str) -> tuple[RomSpec, ...]:
+    return tuple(RomSpec.parse(item) for item in text.split(",") if item.strip())
+
+
+# fields that leave the full-order trajectory unchanged
+_NOT_IN_CACHE_KEY = {"roms", "out_dir", "stride"}
+# flat-text configuration keys, exactly the field names, and the parser of
+# each field's annotation
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_PARSERS = {"str": str, "int": int, "float": float, "Optional[float]": float,
+            "tuple[RomSpec, ...]": _parse_roms}
 
 
 def table_preset(table_id: int) -> ExperimentConfig:
@@ -210,50 +207,52 @@ def _cache_paths(key: str, system: str, cache_dir: Path) -> dict[str, Path]:
     }
 
 
-def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None,
-                   cache: bool = True) -> Trajectory:
-    """Run (or load from cache) the full-order trajectory of a configuration.
+def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Optional[Trajectory]:
+    """The cached every-step trajectory, or None (logged) when it cannot be served."""
+    try:
+        meta = paths["meta"].read_text(encoding="utf-8").splitlines()
+        if meta[:1] != [key]:
+            log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
+            return None
+        states = read_matrix(paths["states"])
+        energies = read_matrix(paths["energies"])[:, 0]
+        max_iters = int(meta[1]) if len(meta) > 1 else 0
+    # undecodable meta text, a truncated file (FormatError), a bad count line
+    except ValueError as exc:
+        log.warning("unreadable cache for %s (%s): recomputing", paths["meta"].name, exc)
+        return None
+    return Trajectory(
+        times=cfg.dt * np.arange(states.shape[1]),
+        states=states,
+        energies=energies,
+        steps_total=energies.size - 1,
+        dt=cfg.dt,
+        max_picard_iterations=max_iters,
+    )
 
-    ``stride`` overrides the configured recording stride (the comparison
-    pipeline records every step and subsamples for snapshots).  The cache is
-    keyed on every trajectory-determining parameter plus the on-disk format
-    version and the solver tag :data:`FOM_SOLVER`; a mismatch or an
-    unreadable cache file triggers a logged recompute.
+
+def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Trajectory:
+    """The full-order trajectory of a configuration, recorded every ``stride``
+    steps (default: the configured snapshot stride).
+
+    The run recorded at every step is loaded from the cache or integrated
+    and cached; the result is its strided view.  The cache is keyed on
+    :meth:`ExperimentConfig.cache_key`: every trajectory-determining field
+    plus the on-disk format version and the solver tag :data:`FOM_SOLVER`.
+    A mismatch or an unreadable cache file triggers a logged recompute.
     """
-    flow, u0, _ = build_system(cfg)
-    eff_stride = cfg.stride if stride is None else stride
-    scheme = replace(cfg.scheme(), snapshot_stride=eff_stride)
-    if not cache:
-        return integrate(flow, u0, scheme)
     cache_dir = Path(cfg.out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = cfg.cache_key(stride=eff_stride)
+    key = cfg.cache_key()
     paths = _cache_paths(key, cfg.system, cache_dir)
-    if all(p.exists() for p in paths.values()):
-        meta_lines = paths["meta"].read_text(encoding="utf-8").splitlines()
-        if meta_lines and meta_lines[0] == key:
-            try:
-                states = read_matrix(paths["states"])
-                energies = read_matrix(paths["energies"])[:, 0]
-                max_iters = int(meta_lines[1]) if len(meta_lines) > 1 else 0
-            except ValueError as exc:  # FormatError of a truncated file, bad count line
-                log.warning("unreadable cache for %s (%s): recomputing",
-                            paths["meta"].name, exc)
-            else:
-                return Trajectory(
-                    times=cfg.dt * eff_stride * np.arange(states.shape[1]),
-                    states=states,
-                    energies=energies,
-                    steps_total=energies.size - 1,
-                    max_picard_iterations=max_iters,
-                )
-        else:
-            log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
-    traj = integrate(flow, u0, scheme)
-    write_matrix(paths["states"], traj.states)
-    write_matrix(paths["energies"], traj.energies)
-    atomic_write_bytes(paths["meta"], f"{key}\n{traj.max_picard_iterations}\n".encode())
-    return traj
+    dense = _read_cache(cfg, key, paths) if all(p.exists() for p in paths.values()) else None
+    if dense is None:
+        flow, u0, _ = build_system(cfg)
+        dense = integrate(flow, u0, cfg.scheme())
+        write_matrix(paths["states"], dense.states)
+        write_matrix(paths["energies"], dense.energies)
+        atomic_write_bytes(paths["meta"], f"{key}\n{dense.max_picard_iterations}\n".encode())
+    return _subsample(dense, cfg.stride if stride is None else stride)
 
 
 def _subsample(traj: Trajectory, stride: int) -> Trajectory:
@@ -262,20 +261,24 @@ def _subsample(traj: Trajectory, stride: int) -> Trajectory:
     Column k of the result is the state after ``k * stride`` steps, exactly
     what an integration recorded at that stride would have produced.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     if stride == 1:
         return traj
-    return Trajectory(
-        times=traj.times[::stride].copy(),
-        states=traj.states[:, ::stride].copy(),
-        energies=traj.energies,
-        steps_total=traj.steps_total,
-        max_picard_iterations=traj.max_picard_iterations,
-    )
+    return replace(traj, times=traj.times[::stride].copy(), states=traj.states[:, ::stride].copy())
 
 
-def _build_bases(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
-                 spec: RomSpec):
-    """Snapshot collection, basis extraction, and per-variant preparation.
+def _references(cfg: ExperimentConfig) -> tuple[PolyGradFlow, Trajectory, Trajectory]:
+    """What run_experiment, mu_sweep and tail_bound_check start from: the
+    full-order flow, the every-step reference trajectory and its snapshot view."""
+    dense = fom_trajectory(cfg, stride=1)
+    flow, _, _ = build_system(cfg)
+    return flow, dense, _subsample(dense, cfg.stride)
+
+
+def _build_rom(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
+               spec: RomSpec) -> ReducedModel:
+    """Reduced model for one ROM spec, snapshots taken from ``traj``.
 
     One basis per field row block: a single block for KdV, two for the wave.
     """
@@ -290,13 +293,7 @@ def _build_bases(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
         if spec.variant is RomVariant.SP1:
             basis = enrich_with_ic_residual(basis, u0)
         bases.append(basis)
-    return tuple(bases)
-
-
-def build_rom(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
-              spec: RomSpec) -> ReducedModel:
-    """Reduced model for one ROM spec, snapshots taken from ``traj``."""
-    return reduce_operators(flow, _build_bases(cfg, flow, traj, spec), spec.variant)
+    return reduce_operators(flow, tuple(bases), spec.variant)
 
 
 def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
@@ -309,13 +306,12 @@ def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
     the Table 1 values reproduce to <= 0.02% only with dense recording.
     """
     e_inf = e_inf_wave if cfg.system == "wave" else e_inf_scalar
-    dense_scheme = replace(cfg.scheme(), snapshot_stride=1)
     # only the model build and the run can fail as a solver or rank failure;
     # an error of the comparison is a programming error and propagates
     try:
-        model = build_rom(cfg, flow, snap_traj, spec)
+        model = _build_rom(cfg, flow, snap_traj, spec)
         start = time.perf_counter()
-        rom_traj = run_rom(model, dense_scheme, initial_state=dense_traj.states[:, 0])
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=dense_traj.states[:, 0])
         wall_ms = 1e3 * (time.perf_counter() - start)
     except (StepFailure, ValueError) as exc:
         log.warning("%s r=%d mu=%g failed: %s", spec.variant.value, spec.r, spec.mu, exc)
@@ -343,7 +339,7 @@ def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
     return report, rom_traj
 
 
-def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[RomReport]:
+def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     """Run the full-order benchmark and every requested reduced model.
 
     Emits ``report.csv``, the full-order energy series, and one energy series
@@ -352,24 +348,20 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[Ro
     still run.  Deterministic: identical configurations produce identical
     numbers.
     """
-    flow, _, _ = build_system(cfg)
-    dense_traj = fom_trajectory(cfg, stride=1)
-    snap_traj = _subsample(dense_traj, cfg.stride)
+    flow, dense_traj, snap_traj = _references(cfg)
     out = Path(cfg.out_dir)
-    if write_outputs:
-        out.mkdir(parents=True, exist_ok=True)
-        write_energy_csv(out / "fom_energy.csv", dense_traj.energy_times, dense_traj.energies)
+    out.mkdir(parents=True, exist_ok=True)
+    write_energy_csv(out / "fom_energy.csv", dense_traj.energy_times, dense_traj.energies)
     if not cfg.roms:
         return []
     reports = []
     for spec in cfg.roms:
         report, rom_traj = _run_one(cfg, flow, dense_traj, snap_traj, spec)
-        if write_outputs and rom_traj is not None:
+        if rom_traj is not None:
             name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
             write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
         reports.append(report)
-    if write_outputs:
-        write_report_csv(out / "report.csv", reports)
+    write_report_csv(out / "report.csv", reports)
     return reports
 
 
@@ -394,20 +386,14 @@ def mu_sweep(
 
     Snapshot gradient columns are recomputed per weight (cheap); per-point
     failures are recorded as NaN and the sweep continues.  Rows come back
-    sorted by weight.
+    sorted by weight.  A negative or non-finite weight is rejected before
+    anything runs.
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
-    if np.any(grid < 0):
-        raise ValueError("gradient weights must be non-negative")
-    flow, _, _ = build_system(cfg)
-    dense_traj = fom_trajectory(cfg, stride=1)
-    snap_traj = _subsample(dense_traj, cfg.stride)
-
-    rows = []
-    for mu in grid:
-        spec = RomSpec(variant=variant, r=r, mu=float(mu))
-        report = _run_one(cfg, flow, dense_traj, snap_traj, spec)[0]
-        rows.append((float(mu), report.e_inf))
+    specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
+    flow, dense_traj, snap_traj = _references(cfg)
+    rows = [(spec.mu, _run_one(cfg, flow, dense_traj, snap_traj, spec)[0].e_inf)
+            for spec in specs]
     rows.sort(key=lambda row: row[0])
     if write_outputs:
         out = Path(cfg.out_dir)
@@ -430,15 +416,11 @@ def tail_bound_check(
     from the inputs).  For two-field systems the tail sums both per-field
     spectra.
     """
-    flow, _, _ = build_system(cfg)
-    dense_traj = fom_trajectory(cfg, stride=1)
-    snap_traj = _subsample(dense_traj, cfg.stride)
-    dense_scheme = replace(cfg.scheme(), snapshot_stride=1)
+    flow, dense_traj, snap_traj = _references(cfg)
     rows = []
     for r in r_list:
-        spec = RomSpec(variant=RomVariant.SP0, r=r)
-        model = build_rom(cfg, flow, snap_traj, spec)
-        rom_traj = run_rom(model, dense_scheme, initial_state=dense_traj.states[:, 0])
+        model = _build_rom(cfg, flow, snap_traj, RomSpec(variant=RomVariant.SP0, r=r))
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=dense_traj.states[:, 0])
         integrated = float(np.trapezoid(squared_errors(dense_traj, rom_traj), dense_traj.times))
         tail = sum(sigma_tail(basis, r) for basis in model.bases)
         ratio = integrated / tail if tail > 0 else float("inf")

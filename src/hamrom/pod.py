@@ -98,10 +98,7 @@ def _assemble(traj: Trajectory, flow: PolyGradFlow, mu: float, shifted: bool):
     ref = states[:, 0].copy()
     blocks = [states - ref[:, None] if shifted else states.copy()]
     if mu > 0:
-        grads = np.empty_like(states)
-        for j in range(states.shape[1]):
-            grads[:, j] = eval_grad(flow, states[:, j])
-        blocks.append(mu * grads)
+        blocks.append(mu * eval_grad(flow, states))
     return np.hstack(blocks), ref
 
 

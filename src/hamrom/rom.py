@@ -34,6 +34,7 @@ from .systems import (
     PolyGradFlow,
     TensorQuadratic,
     eval_energy,
+    eval_grad,
 )
 
 __all__ = ["ReducedModel", "RomVariant", "decode", "encode", "reduce_operators", "run_rom"]
@@ -181,15 +182,11 @@ def reduce_operators(
     if variant is RomVariant.SP2:
         offset = np.concatenate([b.shifted_reference for b in bases])
         shift = eval_energy(fom, offset)
-        grad_at_offset = fom.linear @ offset
-        if fom.constant is not None:
-            grad_at_offset = grad_at_offset + fom.constant
+        constant = phi.T @ eval_grad(fom, offset)
         linear_phi = fom.linear @ phi
         if coeff:
-            grad_at_offset = grad_at_offset + quad.eval(offset, offset)
             # the quadratic term linearized at the offset: diag(2 coeff offset)
             linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
-        constant = phi.T @ grad_at_offset
         linear = _symmetrized(phi.T @ linear_phi)
     else:
         constant = phi.T @ fom.constant if fom.constant is not None else None

@@ -212,11 +212,19 @@ def _as_state(u, dim: int, block: bool = False) -> np.ndarray:
 
 
 def eval_grad(flow: PolyGradFlow, u) -> np.ndarray:
-    """Gradient ``g0 + G1 u + G2(u, u)`` of the flow's generating functional."""
-    u = _as_state(u, flow.dim)
+    """Gradient ``g0 + G1 u + G2(u, u)`` of the flow's generating functional.
+
+    A state of shape (dim,) gives its gradient; a (dim, m) block of states
+    gives the m gradients of its columns.
+    """
+    return _grad(flow, _as_state(u, flow.dim, block=True))
+
+
+def _grad(flow: PolyGradFlow, u: np.ndarray) -> np.ndarray:
+    """:func:`eval_grad` without the state validation (non-finite states pass)."""
     g = flow.linear @ u
     if flow.constant is not None:
-        g = g + flow.constant
+        g = g + (flow.constant if u.ndim == 1 else flow.constant[:, None])
     if flow.quadratic is not None:
         g = g + flow.quadratic.eval(u, u)
     return g

@@ -107,6 +107,7 @@ def test_criterion_02_projection_error_identity():
             states=rng.standard_normal((dim, m)),
             energies=np.zeros(m),
             steps_total=m - 1,
+            dt=1.0,
         )
         mu = float(rng.uniform(0.1, 1.0))
         snaps = collect_snapshots(traj, flow, mu=mu)

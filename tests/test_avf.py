@@ -85,6 +85,19 @@ class TestStep:
         assert 1 <= info.value.iterations <= 8
 
 
+    def test_overflowing_prediction_fails_as_a_step(self):
+        # the RK4 stages of the start guess overflow; that is a solver
+        # failure of the step, not an invalid state
+        flow = PolyGradFlow(
+            structure=np.array([[1.0]]),
+            linear=np.zeros((1, 1)),
+            quadratic=DiagonalQuadratic(1.0),
+            structure_tag="none",
+        )
+        with pytest.raises(StepFailure):
+            AvfStepper(flow, dt=10.0, picard_max_iter=8).step(np.array([1e100]))
+
+
 class TestEnergyBehavior:
     def test_skew_quadratic_conservation(self):
         flow = random_skew_quadratic_flow(seed=6)
@@ -188,6 +201,7 @@ class TestValidation:
                 states=np.zeros((2, 3)),
                 energies=np.zeros(3),
                 steps_total=2,
+                dt=1.0,
             )
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(
@@ -195,6 +209,7 @@ class TestValidation:
                 states=np.zeros((2, 2)),
                 energies=np.zeros(3),
                 steps_total=2,
+                dt=1.0,
             )
 
 

@@ -1,5 +1,5 @@
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hamrom.cli import main
 from hamrom.experiments import (
     ExperimentConfig,
     RomSpec,
+    build_system,
     default_mu_grid,
     fom_trajectory,
     mu_sweep,
@@ -69,6 +70,14 @@ class TestConfig:
         assert cfg.system == "kdv"
         assert cfg.roms == (RomSpec(RomVariant.SP2, 3, 0.5),)
 
+    def test_every_field_parses(self):
+        # a field the flat-text parser cannot read fails here, not silently
+        for cfg in (table_preset(1), table_preset(2)):
+            mapping = {f.name: str(getattr(cfg, f.name)) for f in fields(cfg)
+                       if getattr(cfg, f.name) is not None}
+            mapping["roms"] = ", ".join(f"{s.variant.name}:{s.r}:{s.mu}" for s in cfg.roms)
+            assert ExperimentConfig.from_mapping(mapping) == cfg
+
     def test_unknown_key_rejected(self):
         for key in ("bogus", "seed"):
             with pytest.raises(ValueError, match="unknown"):
@@ -98,6 +107,18 @@ class TestConfig:
             RomSpec.parse("SP0")
         with pytest.raises(ValueError):
             RomSpec.parse("SP0:1:2:3")
+
+    def test_cache_key_names_every_trajectory_field(self):
+        cfg = tiny_wave_cfg("out")
+        key = cfg.cache_key()
+        for name in ("system", "n", "length", "dt", "t_end", "origin", "c", "alpha",
+                     "rho", "nu", "picard_tol"):
+            assert f";{name}=" in key
+        # the ROM list, the output directory and the snapshot stride leave
+        # the every-step trajectory unchanged
+        assert "stride" not in key and "roms" not in key and "out_dir" not in key
+        assert replace(cfg, stride=2, roms=(), out_dir="elsewhere").cache_key() == key
+        assert replace(cfg, picard_tol=1e-10).cache_key() != key
 
     def test_table_presets(self):
         assert table_preset(1).system == "wave"
@@ -184,6 +205,31 @@ class TestRunExperiment:
             again = run_experiment(cfg)
         assert "unreadable cache" in caplog.text
         assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        # a meta file that is not UTF-8 text
+        meta.write_bytes(b"\xff\xfe\x00bad")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            again = run_experiment(cfg)
+        assert "unreadable cache" in caplog.text
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+
+    @pytest.mark.parametrize("stride", [1, 3, 10, 20])
+    def test_stride_views(self, tmp_path, stride):
+        # 10 steps; strides 3 and 20 do not divide the step count
+        cfg = replace(tiny_wave_cfg(tmp_path / "out", roms=()), dt=0.02, t_end=0.2)
+        view = fom_trajectory(cfg, stride=stride)
+        flow, u0, _ = build_system(cfg)
+        recorded = integrate(flow, u0, replace(cfg.scheme(), snapshot_stride=stride))
+        for traj in (view, recorded):
+            assert traj.steps_total == 10
+            assert traj.energy_times[-1] == cfg.t_end
+            assert np.array_equal(traj.energy_times, cfg.dt * np.arange(11))
+        # the view is what an integration recorded at that stride gives
+        assert np.array_equal(view.times, recorded.times)
+        assert np.array_equal(view.states, recorded.states)
+        assert np.array_equal(view.energies, recorded.energies)
+        with pytest.raises(ValueError, match="stride"):
+            fom_trajectory(cfg, stride=0)
 
     def test_outputs_written(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out")
@@ -254,6 +300,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             mu_sweep(cfg, mu_grid=[-0.1], variant=RomVariant.SP0, r=2)
 
+    def test_non_finite_mu_rejected(self, tmp_path):
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                mu_sweep(cfg, mu_grid=[bad, 0.0], variant=RomVariant.SP0, r=2)
+        assert not (tmp_path / "out").exists()  # rejected before the full-order run
+
+    def test_non_finite_spec_rejected(self):
+        for text in ("SP0:2:nan", "SP0:2:inf", "SP0:2:-inf", "SP0:2:-0.1"):
+            with pytest.raises(ValueError, match="finite"):
+                RomSpec.parse(text)
+
     def test_sweep_csv(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
         mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2, write_outputs=True)
@@ -308,6 +366,28 @@ class TestCli:
         assert code == 0
         assert (out_dir / "sweep_mu_sp0_r2.csv").exists()
         assert "min E_inf" in capsys.readouterr().out
+
+    def test_sweep_command_fails_on_a_failed_point(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        # r=50 exceeds the rank of the tiny snapshot sets: every point fails
+        code = main(["sweep-mu", "--config", str(cfg), "--r", "50"])
+        assert code == 1
+        assert (tmp_path / "out" / "sweep_mu_sp0_r50.csv").exists()
+
+    def test_fom_then_rom_integrate_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        # the full-order integration; the reduced runs integrate through hamrom.rom
+        monkeypatch.setattr(experiments, "integrate", counting_integrate)
+        cfg = self.write_cfg(tmp_path)
+        assert main(["fom", "--config", str(cfg)]) == 0
+        assert main(["rom", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
 
     def test_tail_command(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

@@ -16,6 +16,7 @@ def make_traj(states, energies=None):
         states=states,
         energies=np.zeros(3) if energies is None else np.asarray(energies, float),
         steps_total=k - 1,
+        dt=1.0,
     )
 
 
@@ -99,6 +100,7 @@ class TestMetricProperties:
             states=np.zeros((6, 4)),
             energies=np.zeros(3),
             steps_total=3,
+            dt=2.0,
         )
         with pytest.raises(ValueError, match="times"):
             e_inf_scalar(a, b)
@@ -137,7 +139,7 @@ class TestBlockwiseMatchesDecoded:
 
         def traj(states, **decode_map):
             return Trajectory(times=times, states=states, energies=np.zeros(cols),
-                              steps_total=max(cols - 1, 1), **decode_map)
+                              steps_total=max(cols - 1, 1), dt=0.1, **decode_map)
 
         fom = traj(fom_states)
         rom = traj(coeffs, basis=basis, offset=offset)
@@ -169,16 +171,16 @@ class TestBlockwiseMatchesDecoded:
         times = np.arange(300.0)
         a, b = rng.standard_normal((3, 300)), rng.standard_normal((3, 300))
         first = Trajectory(times=times, states=a, energies=np.zeros(2), steps_total=299,
-                           basis=basis)
+                           dt=1.0, basis=basis)
         second = Trajectory(times=times, states=b, energies=np.zeros(2), steps_total=299,
-                            basis=basis, offset=np.ones(6))
+                            dt=1.0, basis=basis, offset=np.ones(6))
         diff = basis @ (b - a) + 1.0
         assert e_inf_scalar(first, second) == pytest.approx(np.abs(diff[:, 1:]).max(), rel=1e-14)
 
     def test_decode_basis_must_match_the_coefficients(self):
         with pytest.raises(ValueError, match="decode basis"):
             Trajectory(times=np.arange(2.0), states=np.zeros((3, 2)), energies=np.zeros(2),
-                       steps_total=1, basis=np.zeros((6, 4)))
+                       steps_total=1, dt=1.0, basis=np.zeros((6, 4)))
 
 
 class TestEnergyReport:

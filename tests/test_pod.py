@@ -31,6 +31,7 @@ def toy_trajectory(dim=6, cols=5, seed=0, scale=1.0):
         states=states,
         energies=np.zeros(cols),
         steps_total=cols - 1,
+        dt=1.0,
     )
 
 
@@ -86,6 +87,7 @@ class TestCollect:
             states=np.tile(kdv_initial(Grid1D(n=24, length=12.0, origin=-6.0)), (3, 1)).T,
             energies=np.zeros(3),
             steps_total=2,
+            dt=1.0,
         )
         snaps = collect_snapshots(frozen, flow, shifted=True)
         assert np.abs(snaps.data).max() == 0.0
@@ -165,6 +167,7 @@ class TestComputeBasis:
             states=np.tile(u0, (3, 1)).T,
             energies=np.zeros(3),
             steps_total=2,
+            dt=1.0,
         )
         snaps = collect_snapshots(frozen, flow, shifted=True)
         with pytest.warns(UserWarning, match="all-zero"):
