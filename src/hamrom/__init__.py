@@ -24,6 +24,7 @@ from .fileio import read_config, read_matrix, write_matrix
 from .linalg import (
     LuFactorization,
     NumericalError,
+    RankError,
     SingularMatrixError,
     thin_svd_snapshots,
 )
@@ -37,6 +38,7 @@ from .metrics import (
 )
 from .pod import (
     PodBasis,
+    SnapshotFrame,
     SnapshotSet,
     collect_snapshots,
     collect_wave_snapshots,
@@ -44,6 +46,7 @@ from .pod import (
     enrich_with_ic_residual,
     projection_error,
     sigma_tail,
+    snapshot_frames,
 )
 from .rom import ReducedModel, RomVariant, decode, encode, reduce_operators, run_rom
 from .systems import (
@@ -76,11 +79,13 @@ __all__ = [
     "PodBasis",
     "PolyGradFlow",
     "ProjectedQuadratic",
+    "RankError",
     "ReducedModel",
     "RomReport",
     "RomSpec",
     "RomVariant",
     "SingularMatrixError",
+    "SnapshotFrame",
     "SnapshotSet",
     "StepFailure",
     "TensorQuadratic",
@@ -113,6 +118,7 @@ __all__ = [
     "run_experiment",
     "run_rom",
     "sigma_tail",
+    "snapshot_frames",
     "squared_errors",
     "table_preset",
     "tail_bound_check",

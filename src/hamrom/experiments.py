@@ -33,8 +33,18 @@ from .fileio import (
     write_sweep_csv,
     write_tail_csv,
 )
+from .linalg import NumericalError
 from .metrics import RomReport, e_inf_scalar, e_inf_wave, energy_report, squared_errors
-from .pod import collect_snapshots, collect_wave_snapshots, compute_basis, enrich_with_ic_residual, sigma_tail
+from .pod import (
+    SnapshotFrame,
+    SnapshotSet,
+    collect_snapshots,
+    collect_wave_snapshots,
+    compute_basis,
+    enrich_with_ic_residual,
+    sigma_tail,
+    snapshot_frames,
+)
 from .rom import ReducedModel, RomVariant, reduce_operators, run_rom
 from .systems import Grid1D, PolyGradFlow, build_kdv_fom, build_wave_fom, kdv_initial, wave_initial
 
@@ -106,6 +116,11 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # one value, one key: c=1 in code and "c = 1" in a file are both 1.0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "Optional[float]") and value is not None:
+                object.__setattr__(self, f.name, float(value))
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if self.system == "wave" and self.c is None:
@@ -268,36 +283,56 @@ def _subsample(traj: Trajectory, stride: int) -> Trajectory:
     return replace(traj, times=traj.times[::stride].copy(), states=traj.states[:, ::stride].copy())
 
 
-def _references(cfg: ExperimentConfig) -> tuple[PolyGradFlow, Trajectory, Trajectory]:
+@dataclass
+class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
-    full-order flow, the every-step reference trajectory and its snapshot view."""
+    full-order flow, the every-step reference trajectory, its snapshot view
+    and the number of field row blocks (two for the wave, one for KdV)."""
+
+    flow: PolyGradFlow
+    dense: Trajectory
+    snap: Trajectory
+    fields: int
+    frames: Optional[tuple[SnapshotFrame, ...]] = None
+
+    def snapshot_sets(self, mu: float, shifted: bool) -> tuple[SnapshotSet, ...]:
+        """One snapshot set per field.  Gradient-augmented sets (``mu > 0``)
+        come in coordinates of the per-field frames of ``[U, F]``, built on
+        the first such request and shared by every later weight; ``mu = 0``
+        sets are assembled directly and never build the frames."""
+        if mu > 0 and self.frames is None:
+            self.frames = snapshot_frames(self.snap, self.flow, self.fields)
+        if self.fields == 2:
+            return collect_wave_snapshots(self.snap, self.flow, mu=mu, shifted=shifted,
+                                          frames=self.frames)
+        frame = self.frames[0] if self.frames else None
+        return (collect_snapshots(self.snap, self.flow, mu=mu, shifted=shifted, frame=frame),)
+
+
+def _references(cfg: ExperimentConfig) -> _Reference:
+    """The shared prelude: the cached (or integrated) full-order reference."""
     dense = fom_trajectory(cfg, stride=1)
     flow, _, _ = build_system(cfg)
-    return flow, dense, _subsample(dense, cfg.stride)
+    return _Reference(flow=flow, dense=dense, snap=_subsample(dense, cfg.stride),
+                      fields=2 if cfg.system == "wave" else 1)
 
 
-def _build_rom(cfg: ExperimentConfig, flow: PolyGradFlow, traj: Trajectory,
-               spec: RomSpec) -> ReducedModel:
-    """Reduced model for one ROM spec, snapshots taken from ``traj``.
-
-    One basis per field row block: a single block for KdV, two for the wave.
-    """
-    shifted = spec.variant is RomVariant.SP2
-    if cfg.system == "wave":
-        sets = collect_wave_snapshots(traj, flow, mu=spec.mu, shifted=shifted)
-    else:
-        sets = (collect_snapshots(traj, flow, mu=spec.mu, shifted=shifted),)
+def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
+    """Reduced model for one ROM spec, snapshots taken from the reference's
+    snapshot view.  One basis per field row block: a single block for KdV,
+    two for the wave."""
+    sets = ref.snapshot_sets(spec.mu, shifted=spec.variant is RomVariant.SP2)
     bases = []
-    for snaps, u0 in zip(sets, np.split(traj.states[:, 0], len(sets))):
+    for snaps, u0 in zip(sets, np.split(ref.snap.states[:, 0], len(sets))):
         basis = compute_basis(snaps, spec.r)
         if spec.variant is RomVariant.SP1:
             basis = enrich_with_ic_residual(basis, u0)
         bases.append(basis)
-    return reduce_operators(flow, tuple(bases), spec.variant)
+    return reduce_operators(ref.flow, tuple(bases), spec.variant)
 
 
-def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
-             snap_traj: Trajectory, spec: RomSpec) -> tuple[RomReport, Optional[Trajectory]]:
+def _run_one(cfg: ExperimentConfig, ref: _Reference,
+             spec: RomSpec) -> tuple[RomReport, Optional[Trajectory]]:
     """Build and run one ROM; compare against the benchmark at every step.
 
     Snapshots come from the stride-sampled trajectory, the maximum error from
@@ -305,15 +340,17 @@ def _run_one(cfg: ExperimentConfig, flow: PolyGradFlow, dense_traj: Trajectory,
     sampling understates the maximum by 1.4-8.8% across the four variants;
     the Table 1 values reproduce to <= 0.02% only with dense recording.
     """
+    dense_traj = ref.dense
     e_inf = e_inf_wave if cfg.system == "wave" else e_inf_scalar
-    # only the model build and the run can fail as a solver or rank failure;
-    # an error of the comparison is a programming error and propagates
+    # only a solver or rank failure of the model build or the run fails the
+    # row; any other error, there or in the comparison, is a programming error
+    # and propagates
     try:
-        model = _build_rom(cfg, flow, snap_traj, spec)
+        model = _build_rom(ref, spec)
         start = time.perf_counter()
         rom_traj = run_rom(model, cfg.scheme(), initial_state=dense_traj.states[:, 0])
         wall_ms = 1e3 * (time.perf_counter() - start)
-    except (StepFailure, ValueError) as exc:
+    except (StepFailure, NumericalError) as exc:
         log.warning("%s r=%d mu=%g failed: %s", spec.variant.value, spec.r, spec.mu, exc)
         nan = float("nan")
         return (
@@ -348,15 +385,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     still run.  Deterministic: identical configurations produce identical
     numbers.
     """
-    flow, dense_traj, snap_traj = _references(cfg)
+    ref = _references(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_energy_csv(out / "fom_energy.csv", dense_traj.energy_times, dense_traj.energies)
+    write_energy_csv(out / "fom_energy.csv", ref.dense.energy_times, ref.dense.energies)
     if not cfg.roms:
         return []
     reports = []
     for spec in cfg.roms:
-        report, rom_traj = _run_one(cfg, flow, dense_traj, snap_traj, spec)
+        report, rom_traj = _run_one(cfg, ref, spec)
         if rom_traj is not None:
             name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
             write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
@@ -384,16 +421,17 @@ def mu_sweep(
 ) -> list[tuple[float, float]]:
     """Error of one ROM variant across gradient weights, FOM reused throughout.
 
-    Snapshot gradient columns are recomputed per weight (cheap); per-point
-    failures are recorded as NaN and the sweep continues.  Rows come back
+    The snapshot gradients and each field's frame of ``[U, F]`` are built
+    once; every weight then costs one small SVD per field (see
+    :mod:`hamrom.pod`).  Per-point solver failures are recorded as NaN and
+    the sweep continues.  Rows come back
     sorted by weight.  A negative or non-finite weight is rejected before
     anything runs.
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
-    flow, dense_traj, snap_traj = _references(cfg)
-    rows = [(spec.mu, _run_one(cfg, flow, dense_traj, snap_traj, spec)[0].e_inf)
-            for spec in specs]
+    ref = _references(cfg)
+    rows = [(spec.mu, _run_one(cfg, ref, spec)[0].e_inf) for spec in specs]
     rows.sort(key=lambda row: row[0])
     if write_outputs:
         out = Path(cfg.out_dir)
@@ -416,12 +454,12 @@ def tail_bound_check(
     from the inputs).  For two-field systems the tail sums both per-field
     spectra.
     """
-    flow, dense_traj, snap_traj = _references(cfg)
+    ref = _references(cfg)
     rows = []
     for r in r_list:
-        model = _build_rom(cfg, flow, snap_traj, RomSpec(variant=RomVariant.SP0, r=r))
-        rom_traj = run_rom(model, cfg.scheme(), initial_state=dense_traj.states[:, 0])
-        integrated = float(np.trapezoid(squared_errors(dense_traj, rom_traj), dense_traj.times))
+        model = _build_rom(ref, RomSpec(variant=RomVariant.SP0, r=r))
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
+        integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
         tail = sum(sigma_tail(basis, r) for basis in model.bases)
         ratio = integrated / tail if tail > 0 else float("inf")
         rows.append((int(r), integrated, float(tail), float(ratio)))

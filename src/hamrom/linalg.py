@@ -17,6 +17,7 @@ import scipy.sparse
 __all__ = [
     "LuFactorization",
     "NumericalError",
+    "RankError",
     "SingularMatrixError",
     "as_dense",
     "thin_svd_snapshots",
@@ -25,6 +26,13 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """A solver failed to produce a usable result."""
+
+
+class RankError(NumericalError, ValueError):
+    """More basis vectors were requested than a snapshot set's attained rank.
+
+    Also a ``ValueError``: the request exceeds what the data can give.
+    """
 
 
 class SingularMatrixError(NumericalError):

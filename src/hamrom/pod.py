@@ -6,6 +6,14 @@ shifted columns (states minus the initial state, with the reduced ansatz
 ``u = u0 + Phi a``).  Bases can additionally be enriched with the normalized
 projection residual of the initial state so the start configuration is
 represented exactly.
+
+Every gradient-augmented set ``Y(mu) = [U, mu F]``, shifted or not, lies in
+the range of ``[U, F]``.  A :class:`SnapshotFrame` holds an orthonormal
+basis ``Q`` of that range with ``Q^T U`` and ``Q^T F``; a set collected
+through it holds the coordinates ``Q^T Y(mu)`` and carries ``Q``, and
+:func:`compute_basis` lifts the SVD of the coordinates back with ``Q``.
+That gives the bases of the directly assembled set exactly (no Gram
+product), and a sweep over weights builds ``F`` and the frame once.
 """
 
 from __future__ import annotations
@@ -16,11 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .avf import Trajectory
-from .linalg import thin_svd_snapshots
+from .linalg import RankError, thin_svd_snapshots
 from .systems import PolyGradFlow, eval_grad
 
 __all__ = [
     "PodBasis",
+    "SnapshotFrame",
     "SnapshotSet",
     "collect_snapshots",
     "collect_wave_snapshots",
@@ -28,6 +37,7 @@ __all__ = [
     "enrich_with_ic_residual",
     "projection_error",
     "sigma_tail",
+    "snapshot_frames",
 ]
 
 
@@ -37,7 +47,10 @@ class SnapshotSet:
 
     The first ``n_state`` columns are (possibly shifted) states; when
     ``mu > 0`` another ``n_state`` columns of ``mu``-weighted gradients follow.
-    Gradient columns are always evaluated at the unshifted states.
+    Gradient columns are always evaluated at the unshifted states.  With a
+    ``frame`` (orthonormal columns, see :class:`SnapshotFrame`) ``data``
+    holds the coordinates of those columns in it: the snapshots are
+    ``frame @ data``.
     """
 
     data: np.ndarray
@@ -45,6 +58,7 @@ class SnapshotSet:
     shifted: bool = False
     reference: Optional[np.ndarray] = None
     n_state: int = 0
+    frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.mu < 0:
@@ -56,6 +70,27 @@ class SnapshotSet:
             raise ValueError(
                 f"snapshot set has {self.data.shape[1]} columns, expected {expected}"
             )
+        if self.frame is not None and self.frame.shape[1] != self.data.shape[0]:
+            raise ValueError(
+                f"frame has {self.frame.shape[1]} columns for {self.data.shape[0]} coordinates"
+            )
+
+
+@dataclass(frozen=True)
+class SnapshotFrame:
+    """Orthonormal frame of one field's states ``U`` and gradients ``F``.
+
+    ``basis`` spans the range of ``[U, F]`` and is not truncated at any
+    rank: a cutoff relative to ``[U, F]`` would drop directions that a set
+    with a small weight keeps.  ``states`` and ``grads`` are ``Q^T U`` and
+    ``Q^T F``; ``reference`` is the field's initial state, the shift of
+    shifted sets.
+    """
+
+    basis: np.ndarray
+    states: np.ndarray
+    grads: np.ndarray
+    reference: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,15 +137,56 @@ def _assemble(traj: Trajectory, flow: PolyGradFlow, mu: float, shifted: bool):
     return np.hstack(blocks), ref
 
 
+def snapshot_frames(
+    traj: Trajectory, flow: PolyGradFlow, fields: int = 1
+) -> tuple[SnapshotFrame, ...]:
+    """One :class:`SnapshotFrame` per field row block of a recorded trajectory.
+
+    The gradients are evaluated once at all recorded states; each field's
+    ``[U, F]`` is factored by a Householder QR (NumPy's, which shares its
+    BLAS with the SVD that follows).
+    """
+    states = traj.states
+    if states.shape[1] == 0:
+        raise ValueError("trajectory has no recorded states")
+    if flow.dim % fields:
+        raise ValueError(f"flow dimension {flow.dim} does not split into {fields} fields")
+    m = states.shape[1]
+    frames = []
+    for U, F in zip(np.split(states, fields), np.split(eval_grad(flow, states), fields)):
+        q, r = np.linalg.qr(np.hstack([U, F]))
+        frames.append(SnapshotFrame(basis=q, states=r[:, :m], grads=r[:, m:],
+                                    reference=U[:, 0].copy()))
+    return tuple(frames)
+
+
+def _from_frame(frame: SnapshotFrame, mu: float, shifted: bool) -> SnapshotSet:
+    """The set of :func:`collect_snapshots`, in coordinates of ``frame``."""
+    states = frame.states - frame.states[:, :1] if shifted else frame.states
+    return SnapshotSet(
+        data=np.hstack([states, mu * frame.grads]),
+        mu=mu,
+        shifted=shifted,
+        reference=frame.reference if shifted else None,
+        n_state=states.shape[1],
+        frame=frame.basis,
+    )
+
+
 def collect_snapshots(
-    traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False
+    traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False,
+    frame: Optional[SnapshotFrame] = None,
 ) -> SnapshotSet:
     """Assemble the snapshot matrix of a recorded trajectory.
 
     State columns are the recorded states (shifted by the initial one when
     ``shifted``); with ``mu > 0``, ``mu``-weighted gradient columns evaluated
-    at the unshifted states are appended.
+    at the unshifted states are appended.  With ``mu > 0`` and the
+    trajectory's ``frame`` (:func:`snapshot_frames`), the set comes in the
+    frame's coordinates and no gradient is evaluated.
     """
+    if mu > 0 and frame is not None:
+        return _from_frame(frame, mu, shifted)
     data, ref = _assemble(traj, flow, mu, shifted)
     return SnapshotSet(
         data=data,
@@ -122,16 +198,21 @@ def collect_snapshots(
 
 
 def collect_wave_snapshots(
-    traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False
+    traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False,
+    frames: Optional[tuple[SnapshotFrame, SnapshotFrame]] = None,
 ) -> tuple[SnapshotSet, SnapshotSet]:
     """Per-field snapshot sets for a stacked two-field (wave) trajectory.
 
     The two fields are collected and reduced separately: each set is the
     matching row block of the stacked snapshot matrix, so the first-field set
     gets the first-field gradient block and likewise for the second field.
+    With ``mu > 0`` and the per-field ``frames`` (:func:`snapshot_frames`
+    with two fields), each set comes in its field's frame coordinates.
     """
     if flow.dim % 2:
         raise ValueError("stacked two-field flow must have even dimension")
+    if mu > 0 and frames is not None:
+        return tuple(_from_frame(frame, mu, shifted) for frame in frames)
     data, ref = _assemble(traj, flow, mu, shifted)
     return tuple(
         SnapshotSet(
@@ -149,14 +230,16 @@ def compute_basis(snaps: SnapshotSet, r: int) -> PodBasis:
     """First ``r`` left singular vectors of the snapshot matrix.
 
     The full numerical-rank spectrum is retained on the result for tail
-    computations.  Requesting more vectors than the attained rank is an error.
+    computations.  Requesting more vectors than the attained rank raises
+    :class:`RankError`.  A set in frame coordinates is decomposed in them and
+    its vectors are lifted by the frame.
     """
-    phi_all, sigma = thin_svd_snapshots(snaps.data)
+    w, sigma = thin_svd_snapshots(snaps.data)
     d = sigma.size
     if not 1 <= r <= d:
-        raise ValueError(f"requested r={r}, but the snapshot set has rank {d}")
+        raise RankError(f"requested r={r}, but the snapshot set has rank {d}")
     return PodBasis(
-        phi=np.ascontiguousarray(phi_all[:, :r]),
+        phi=np.ascontiguousarray(w[:, :r] if snaps.frame is None else snaps.frame @ w[:, :r]),
         sigma=sigma,
         r=r,
         shifted_reference=snaps.reference,
@@ -170,7 +253,7 @@ def projection_error(snaps: SnapshotSet, basis: PodBasis) -> float:
     Evaluated directly from the residual columns; equals the squared
     singular-value tail of the source set (the identity the tests check).
     """
-    Y = snaps.data
+    Y = snaps.data if snaps.frame is None else snaps.frame @ snaps.data
     if Y.shape[0] != basis.phi.shape[0]:
         raise ValueError("snapshot and basis dimensions do not match")
     R = Y - basis.phi @ (basis.phi.T @ Y)

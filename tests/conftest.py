@@ -11,6 +11,7 @@ import pytest
 
 from hamrom.experiments import (
     RomSpec,
+    _Reference,
     _run_one,
     _subsample,
     build_system,
@@ -69,11 +70,16 @@ def kdv_snap(kdv_cfg, kdv_dense):
     return _subsample(kdv_dense, kdv_cfg.stride)
 
 
+def _reference(cfg, system, dense, snap):
+    return _Reference(flow=system[0], dense=dense, snap=snap,
+                      fields=2 if cfg.system == "wave" else 1)
+
+
 def _variant_runs(cfg, system, dense, snap, r):
-    flow = system[0]
+    ref = _reference(cfg, system, dense, snap)
     out = {}
     for variant in RomVariant:
-        report, traj = _run_one(cfg, flow, dense, snap, RomSpec(variant=variant, r=r))
+        report, traj = _run_one(cfg, ref, RomSpec(variant=variant, r=r))
         assert not report.failed, f"{variant.value} r={r} failed to run"
         out[variant] = (report, traj)
     return out
@@ -87,12 +93,10 @@ def wave_table1(wave_cfg, wave_system, wave_dense, wave_snap):
 
 @pytest.fixture(scope="session")
 def wave_r20(wave_cfg, wave_system, wave_dense, wave_snap):
-    flow = wave_system[0]
+    ref = _reference(wave_cfg, wave_system, wave_dense, wave_snap)
     out = {}
     for variant in (RomVariant.GROM, RomVariant.SP0):
-        report, traj = _run_one(
-            wave_cfg, flow, wave_dense, wave_snap, RomSpec(variant=variant, r=20)
-        )
+        report, traj = _run_one(wave_cfg, ref, RomSpec(variant=variant, r=20))
         assert not report.failed
         out[variant] = (report, traj)
     return out
@@ -106,12 +110,10 @@ def kdv_table2(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
 
 @pytest.fixture(scope="session")
 def kdv_r60(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
-    flow = kdv_system[0]
+    ref = _reference(kdv_cfg, kdv_system, kdv_dense, kdv_snap)
     out = {}
     for variant in (RomVariant.GROM, RomVariant.SP0):
-        report, traj = _run_one(
-            kdv_cfg, flow, kdv_dense, kdv_snap, RomSpec(variant=variant, r=60)
-        )
+        report, traj = _run_one(kdv_cfg, ref, RomSpec(variant=variant, r=60))
         assert not report.failed
         out[variant] = (report, traj)
     return out

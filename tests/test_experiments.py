@@ -18,6 +18,7 @@ from hamrom.experiments import (
     table_preset,
     tail_bound_check,
 )
+from hamrom.linalg import NumericalError, RankError
 from hamrom.rom import RomVariant, run_rom
 
 
@@ -119,6 +120,20 @@ class TestConfig:
         assert "stride" not in key and "roms" not in key and "out_dir" not in key
         assert replace(cfg, stride=2, roms=(), out_dir="elsewhere").cache_key() == key
         assert replace(cfg, picard_tol=1e-10).cache_key() != key
+
+    def test_cache_key_canonical_in_float_fields(self, tmp_path):
+        # integers in code and numerals in a config file are one run, one entry
+        out = str(tmp_path / "out")
+        in_code = ExperimentConfig(system="wave", c=1, n=16, length=1, dt=0.05, t_end=1,
+                                   stride=5, out_dir=out)
+        from_text = ExperimentConfig.from_mapping(
+            {"system": "wave", "c": "1", "n": "16", "length": "1", "dt": "0.05",
+             "t_end": "1", "stride": "5", "out_dir": out})
+        assert in_code.cache_key() == from_text.cache_key()
+        assert isinstance(in_code.c, float) and in_code.alpha is None
+        fom_trajectory(in_code)
+        fom_trajectory(from_text)
+        assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
 
     def test_table_presets(self):
         assert table_preset(1).system == "wave"
@@ -268,6 +283,24 @@ class TestRunExperiment:
                       origin=-20.0, n=32, roms=(RomSpec.parse("SP0:3"),))
         with pytest.raises(ValueError, match="different times"):
             run_experiment(kdv)
+
+    def test_build_errors_propagate(self, tmp_path, monkeypatch):
+        # a ValueError in the model build is a programming error, not a failed row
+        def broken(flow, bases, variant):
+            raise ValueError("broken reduction")
+
+        monkeypatch.setattr(experiments, "reduce_operators", broken)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=("SP0:2",))
+        with pytest.raises(ValueError, match="broken reduction"):
+            run_experiment(cfg)
+        with pytest.raises(ValueError, match="broken reduction"):
+            mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2)
+
+    def test_rank_failure_is_numerical(self, tmp_path):
+        assert issubclass(RankError, NumericalError)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        rows = mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=50)
+        assert all(np.isnan(e) for _, e in rows)
 
     def test_all_variants_run_on_tiny_kdv(self, tmp_path):
         cfg = ExperimentConfig(
