@@ -120,7 +120,7 @@ def _cmd_tail_check(args) -> int:
     for r, err, tail, ratio in rows:
         print(f"{r:4d} {err:18.6e} {tail:14.6e} {ratio:10.4g}")
     print(f"wrote {Path(cfg.out_dir) / 'tail_check.csv'}")
-    return 0
+    return 0 if all(np.isfinite(row[1]) for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,6 +81,8 @@ class RomSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"reduced dimension must be at least 1, got {self.r!r}")
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"gradient weight must be finite and non-negative, got {self.mu!r}")
 
@@ -200,6 +202,11 @@ def table_preset(table_id: int) -> ExperimentConfig:
     raise ValueError(f"table_id must be 1 or 2, got {table_id}")
 
 
+def _fields(cfg: ExperimentConfig) -> int:
+    """Number of field row blocks of the state: two for the wave, one for KdV."""
+    return 2 if cfg.system == "wave" else 1
+
+
 def build_system(cfg: ExperimentConfig) -> tuple[PolyGradFlow, np.ndarray, Grid1D]:
     """Full-order flow, initial state, and grid for a configuration."""
     grid = cfg.grid()
@@ -224,23 +231,31 @@ def _cache_paths(key: str, system: str, cache_dir: Path) -> dict[str, Path]:
 
 def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Optional[Trajectory]:
     """The cached every-step trajectory, or None (logged) when it cannot be served."""
+    columns = cfg.scheme().steps() + 1
+    shape = (cfg.n * _fields(cfg), columns)
     try:
         meta = paths["meta"].read_text(encoding="utf-8").splitlines()
         if meta[:1] != [key]:
             log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
             return None
         states = read_matrix(paths["states"])
-        energies = read_matrix(paths["energies"])[:, 0]
+        energies = read_matrix(paths["energies"])
         max_iters = int(meta[1]) if len(meta) > 1 else 0
-    # undecodable meta text, a truncated file (FormatError), a bad count line
+        if states.shape != shape or energies.shape != (columns, 1):
+            raise ValueError(
+                f"states {states.shape} and energies {energies.shape}, "
+                f"expected {shape} and {(columns, 1)}"
+            )
+    # undecodable meta text, a truncated file (FormatError), a bad count line,
+    # a well-formed file of the wrong shape
     except ValueError as exc:
         log.warning("unreadable cache for %s (%s): recomputing", paths["meta"].name, exc)
         return None
     return Trajectory(
         times=cfg.dt * np.arange(states.shape[1]),
         states=states,
-        energies=energies,
-        steps_total=energies.size - 1,
+        energies=energies[:, 0],
+        steps_total=columns - 1,
         dt=cfg.dt,
         max_picard_iterations=max_iters,
     )
@@ -314,7 +329,7 @@ def _references(cfg: ExperimentConfig) -> _Reference:
     dense = fom_trajectory(cfg, stride=1)
     flow, _, _ = build_system(cfg)
     return _Reference(flow=flow, dense=dense, snap=_subsample(dense, cfg.stride),
-                      fields=2 if cfg.system == "wave" else 1)
+                      fields=_fields(cfg))
 
 
 def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
@@ -452,13 +467,22 @@ def tail_bound_check(
     singular-value tail of the snapshot spectrum; the ratio column is reported
     without asserting any bound (the theoretical constant is not computable
     from the inputs).  For two-field systems the tail sums both per-field
-    spectra.
+    spectra.  As in :func:`mu_sweep`, a solver or rank failure at one basis
+    size is logged and recorded as a NaN row, and the check continues.
     """
+    specs = [RomSpec(variant=RomVariant.SP0, r=r) for r in r_list]
     ref = _references(cfg)
     rows = []
-    for r in r_list:
-        model = _build_rom(ref, RomSpec(variant=RomVariant.SP0, r=r))
-        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
+    for spec in specs:
+        r = spec.r
+        try:
+            model = _build_rom(ref, spec)
+            rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
+        except (StepFailure, NumericalError) as exc:
+            log.warning("tail check r=%d failed: %s", r, exc)
+            nan = float("nan")
+            rows.append((int(r), nan, nan, nan))
+            continue
         integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
         tail = sum(sigma_tail(basis, r) for basis in model.bases)
         ratio = integrated / tail if tail > 0 else float("inf")

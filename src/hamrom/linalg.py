@@ -51,7 +51,12 @@ def as_dense(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def thin_svd_snapshots(Y, max_rank: int | None = None, rank_tol: float = 1e-12):
+# relative cutoff of the numerical rank: singular values below
+# RANK_TOL * sigma_1 are treated as zero
+RANK_TOL = 1e-12
+
+
+def thin_svd_snapshots(Y):
     """Thin SVD of a tall snapshot matrix (LAPACK ``gesdd``).
 
     Works on ``Y`` itself rather than on the Gram matrix ``Y.T @ Y``, whose
@@ -65,40 +70,27 @@ def thin_svd_snapshots(Y, max_rank: int | None = None, rank_tol: float = 1e-12):
     ----------
     Y : (n, m) array
         Snapshot columns, typically with n >> m.
-    max_rank : int, optional
-        Maximum number of basis columns to return (default: full rank).
-    rank_tol : float
-        Relative cutoff; singular values below ``rank_tol * sigma_1`` are
-        treated as numerically zero and dropped.
 
     Returns
     -------
-    phi : (n, k) array
-        Left singular vectors, ``k = min(max_rank, numerical rank)``, with
-        ``max |phi.T phi - I| <= 1e-12``.
+    phi : (n, d) array
+        Left singular vectors of the ``d`` singular values at or above
+        :data:`RANK_TOL` times ``sigma_1`` (the numerical rank), with
+        ``max |phi.T phi - I| <= 1e-12``; callers take the leading columns.
     sigma : (d,) array
-        The full retained spectrum (all ``d`` numerical-rank singular
-        values), not just the first ``k``.
+        The retained spectrum.
     """
     Y = as_dense(Y, "snapshot matrix")
-    n, m = Y.shape
-    limit = min(n, m)
-    if max_rank is None:
-        max_rank = limit
-    if not 1 <= max_rank <= limit:
-        raise ValueError(f"max_rank must be in [1, {limit}], got {max_rank}")
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be non-negative")
     if not np.any(Y):
         warnings.warn("all-zero snapshot matrix: returning an empty basis")
-        return np.zeros((n, 0)), np.zeros(0)
+        return np.zeros((Y.shape[0], 0)), np.zeros(0)
     try:
         U, sigma, _ = np.linalg.svd(Y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    keep = (sigma > 0.0) & (sigma >= rank_tol * sigma[0])
+    keep = (sigma > 0.0) & (sigma >= RANK_TOL * sigma[0])
     d = int(np.count_nonzero(keep))  # descending spectrum: keep is a prefix
-    return U[:, : min(max_rank, d)], sigma[:d]
+    return U[:, :d], sigma[:d]
 
 
 class LuFactorization:

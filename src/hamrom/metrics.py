@@ -119,13 +119,11 @@ class EnergyReport:
     """Drift of the reduced energy plus its offset from the benchmark.
 
     ``drift`` is ``max_k |H_r(t_k) - H_r(t_0)|`` over every step; ``offset``
-    is the initial discrepancy ``H_r(t_0) - H(t_0)`` and ``offset_mean`` the
-    time-averaged one (they coincide when both series are flat).
+    is the initial discrepancy ``H_r(t_0) - H(t_0)``.
     """
 
     drift: float
     offset: float
-    offset_mean: float
 
 
 def energy_report(rom_traj: Trajectory, fom_traj: Trajectory) -> EnergyReport:
@@ -136,9 +134,4 @@ def energy_report(rom_traj: Trajectory, fom_traj: Trajectory) -> EnergyReport:
         raise ValueError("energy series are empty")
     if hr.size != h.size:
         raise ValueError("energy series have different lengths")
-    drift = float(np.abs(hr - hr[0]).max())
-    return EnergyReport(
-        drift=drift,
-        offset=float(hr[0] - h[0]),
-        offset_mean=float(np.mean(hr - h)),
-    )
+    return EnergyReport(drift=float(np.abs(hr - hr[0]).max()), offset=float(hr[0] - h[0]))

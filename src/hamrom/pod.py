@@ -45,31 +45,20 @@ __all__ = [
 class SnapshotSet:
     """Snapshot columns for one field, optionally gradient-augmented/shifted.
 
-    The first ``n_state`` columns are (possibly shifted) states; when
-    ``mu > 0`` another ``n_state`` columns of ``mu``-weighted gradients follow.
-    Gradient columns are always evaluated at the unshifted states.  With a
-    ``frame`` (orthonormal columns, see :class:`SnapshotFrame`) ``data``
-    holds the coordinates of those columns in it: the snapshots are
+    The state columns come first; a gradient-augmented set appends as many
+    ``mu``-weighted gradient columns, always evaluated at the unshifted
+    states (see :func:`collect_snapshots`).  ``reference`` is set exactly
+    when the state columns are shifted: it is the subtracted initial state.
+    With a ``frame`` (orthonormal columns, see :class:`SnapshotFrame`)
+    ``data`` holds the coordinates of the columns in it: the snapshots are
     ``frame @ data``.
     """
 
     data: np.ndarray
-    mu: float = 0.0
-    shifted: bool = False
     reference: Optional[np.ndarray] = None
-    n_state: int = 0
     frame: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
-        if self.shifted and self.reference is None:
-            raise ValueError("shifted snapshot sets must carry their reference state")
-        expected = self.n_state * (2 if self.mu > 0 else 1)
-        if self.data.shape[1] != expected:
-            raise ValueError(
-                f"snapshot set has {self.data.shape[1]} columns, expected {expected}"
-            )
         if self.frame is not None and self.frame.shape[1] != self.data.shape[0]:
             raise ValueError(
                 f"frame has {self.frame.shape[1]} columns for {self.data.shape[0]} coordinates"
@@ -102,18 +91,18 @@ class PodBasis:
     ``shifted_reference`` is the state subtracted from the snapshots, when the
     basis came from a shifted set.  ``enriched`` records that the basis has
     been processed by :func:`enrich_with_ic_residual` and therefore represents
-    the corresponding initial state exactly.
+    the corresponding initial state exactly.  The basis size ``r`` is the
+    number of columns of ``phi``.
     """
 
     phi: np.ndarray
     sigma: np.ndarray
-    r: int
     shifted_reference: Optional[np.ndarray] = None
     enriched: bool = False
 
     def __post_init__(self):
-        if self.phi.ndim != 2 or self.phi.shape[1] != self.r:
-            raise ValueError(f"basis must have r={self.r} columns, got {self.phi.shape}")
+        if self.phi.ndim != 2:
+            raise ValueError(f"basis must be 2-D, got shape {self.phi.shape}")
         if np.any(self.sigma <= 0) or np.any(np.diff(self.sigma) > 0):
             raise ValueError("sigma must be positive and sorted descending")
         if not self.enriched and self.r > self.sigma.size:
@@ -121,6 +110,10 @@ class PodBasis:
         defect = np.abs(self.phi.T @ self.phi - np.eye(self.r)).max()
         if defect > 1e-10:
             raise ValueError(f"basis columns are not orthonormal (defect {defect:.2e})")
+
+    @property
+    def r(self) -> int:
+        return self.phi.shape[1]
 
 
 def _assemble(traj: Trajectory, flow: PolyGradFlow, mu: float, shifted: bool):
@@ -165,10 +158,7 @@ def _from_frame(frame: SnapshotFrame, mu: float, shifted: bool) -> SnapshotSet:
     states = frame.states - frame.states[:, :1] if shifted else frame.states
     return SnapshotSet(
         data=np.hstack([states, mu * frame.grads]),
-        mu=mu,
-        shifted=shifted,
         reference=frame.reference if shifted else None,
-        n_state=states.shape[1],
         frame=frame.basis,
     )
 
@@ -188,13 +178,7 @@ def collect_snapshots(
     if mu > 0 and frame is not None:
         return _from_frame(frame, mu, shifted)
     data, ref = _assemble(traj, flow, mu, shifted)
-    return SnapshotSet(
-        data=data,
-        mu=mu,
-        shifted=shifted,
-        reference=ref if shifted else None,
-        n_state=traj.states.shape[1],
-    )
+    return SnapshotSet(data=data, reference=ref if shifted else None)
 
 
 def collect_wave_snapshots(
@@ -215,13 +199,7 @@ def collect_wave_snapshots(
         return tuple(_from_frame(frame, mu, shifted) for frame in frames)
     data, ref = _assemble(traj, flow, mu, shifted)
     return tuple(
-        SnapshotSet(
-            data=rows,
-            mu=mu,
-            shifted=shifted,
-            reference=field_ref if shifted else None,
-            n_state=traj.states.shape[1],
-        )
+        SnapshotSet(data=rows, reference=field_ref if shifted else None)
         for rows, field_ref in zip(np.split(data, 2), np.split(ref, 2))
     )
 
@@ -241,7 +219,6 @@ def compute_basis(snaps: SnapshotSet, r: int) -> PodBasis:
     return PodBasis(
         phi=np.ascontiguousarray(w[:, :r] if snaps.frame is None else snaps.frame @ w[:, :r]),
         sigma=sigma,
-        r=r,
         shifted_reference=snaps.reference,
         enriched=False,
     )
@@ -267,21 +244,23 @@ def sigma_tail(basis: PodBasis, r: int) -> float:
     return float(np.sum(basis.sigma[r:] ** 2))
 
 
-def enrich_with_ic_residual(
-    basis: PodBasis, u0, residual_tol: float = 1e-10
-) -> PodBasis:
+# relative residual norm below which enrichment treats u0 as captured
+RESIDUAL_TOL = 1e-10
+
+
+def enrich_with_ic_residual(basis: PodBasis, u0) -> PodBasis:
     """Append the normalized projection residual of ``u0`` to the basis.
 
-    When the residual norm is below ``residual_tol`` times the norm of ``u0``
-    the state is already captured and the columns are left untouched; either
-    way the returned basis is flagged ``enriched`` (the guarantee "u0 is
-    representable" holds in both branches).
+    When the residual norm is below :data:`RESIDUAL_TOL` times the norm of
+    ``u0`` the state is already captured and the columns are left untouched;
+    either way the returned basis is flagged ``enriched`` (the guarantee "u0
+    is representable" holds in both branches).
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (basis.phi.shape[0],):
         raise ValueError("initial state dimension does not match the basis")
     res = u0 - basis.phi @ (basis.phi.T @ u0)
-    if np.linalg.norm(res) <= residual_tol * np.linalg.norm(u0):
+    if np.linalg.norm(res) <= RESIDUAL_TOL * np.linalg.norm(u0):
         return replace(basis, enriched=True)
     psi = res / np.linalg.norm(res)
     # one more projection sweep keeps the appended column orthogonal to 1e-10
@@ -290,7 +269,6 @@ def enrich_with_ic_residual(
     return PodBasis(
         phi=np.column_stack([basis.phi, psi]),
         sigma=basis.sigma,
-        r=basis.r + 1,
         shifted_reference=basis.shifted_reference,
         enriched=True,
     )

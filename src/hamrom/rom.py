@@ -61,15 +61,14 @@ class RomVariant(enum.Enum):
 class ReducedModel:
     """A reduced flow plus the maps between full and reduced coordinates.
 
-    ``basis_matrix`` is the (block-diagonal) stack of the basis columns;
-    ``decode_offset`` is the affine shift of the ansatz (the initial state for
-    shifted-basis models, absent otherwise).
+    ``bases`` are the per-field bases the model was reduced on (their
+    spectra give the projection-error tails); ``basis_matrix`` is their
+    (block-diagonal) stack; ``decode_offset`` is the affine shift of the
+    ansatz (the initial state for shifted-basis models, absent otherwise).
     """
 
     flow: PolyGradFlow
     bases: tuple[PodBasis, ...]
-    variant: RomVariant
-    fom: PolyGradFlow
     basis_matrix: np.ndarray
     decode_offset: Optional[np.ndarray] = None
 
@@ -228,8 +227,6 @@ def reduce_operators(
     return ReducedModel(
         flow=flow,
         bases=bases,
-        variant=variant,
-        fom=fom,
         basis_matrix=phi,
         decode_offset=offset,
     )

@@ -5,9 +5,10 @@ linear wave and KdV test systems, packaged as polynomial-gradient flows
 
     du/dt = S (g0 + G1 u + G2(u, u)),
 
-the single representation shared by full-order and reduced-order models; it
-carries the energy too, as a polynomial of the same terms.  Full-order operators are sparse periodic stencils (``scipy.sparse`` CSR
-arrays); reduced operators are dense r x r arrays.
+the single representation shared by full-order and reduced-order models.  It
+carries the energy too, as a polynomial of the same terms.  Full-order
+operators are sparse periodic stencils (``scipy.sparse`` CSR arrays); reduced
+operators are dense r x r arrays.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Shared fixtures: the two benchmark systems and their reduced-model runs.
 
-The full-order trajectories and the benchmark ROM sweeps are expensive (the
-KdV full-order run takes about a minute), so everything paper-scale is
-computed once per session and reused by the module and acceptance tests.
+The full-order trajectories and the benchmark ROM sweeps are the costly part
+of the suite (the KdV full-order run takes about 1.5 s on 2 vCPUs), so
+everything paper-scale is computed once per session and reused by the module
+and acceptance tests.
 """
 
 from dataclasses import replace

@@ -89,7 +89,7 @@ def test_criterion_02_projection_error_identity():
         rng = np.random.default_rng(200 + seed)
         n, m = int(rng.integers(8, 30)), int(rng.integers(4, 10))
         r = int(rng.integers(1, m))
-        snaps = SnapshotSet(data=rng.standard_normal((n, m)), n_state=m)
+        snaps = SnapshotSet(data=rng.standard_normal((n, m)))
         basis = compute_basis(snaps, r)
         gap = abs(projection_error(snaps, basis) - sigma_tail(basis, r))
         worst_plain = max(worst_plain, gap / (1.0 + sigma_tail(basis, 0)))
@@ -150,7 +150,7 @@ def test_criterion_04_full_basis_recovery():
     u0 = wave_initial(grid)
     scheme = AvfScheme(dt=0.01, t_end=1.0, snapshot_stride=10)
     fom_traj = integrate(flow, u0, scheme)
-    full = PodBasis(phi=np.eye(16), sigma=np.ones(16), r=16)
+    full = PodBasis(phi=np.eye(16), sigma=np.ones(16))
     model = reduce_operators(flow, (full, full), RomVariant.SP0)
     rom_traj = run_rom(model, scheme, initial_state=u0)
     gap = np.abs(decode(model, rom_traj.states) - fom_traj.states).max()
@@ -243,7 +243,7 @@ def _pair_rotated_basis(basis: PodBasis, r: int, theta: float) -> PodBasis:
     """First ``r`` modes of ``basis`` with mode r turned by ``theta`` toward mode r+1."""
     phi = basis.phi[:, :r].copy()
     phi[:, r - 1] = np.cos(theta) * basis.phi[:, r - 1] + np.sin(theta) * basis.phi[:, r]
-    return PodBasis(phi=phi, sigma=basis.sigma, r=r)
+    return PodBasis(phi=phi, sigma=basis.sigma)
 
 
 def test_criterion_10_kdv_table_r40(kdv_table2, kdv_cfg, kdv_system, kdv_dense, kdv_snap):

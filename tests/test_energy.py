@@ -86,7 +86,7 @@ def _field_basis(rng, n, r, variant, u0):
     """Random orthonormal basis of one field, prepared for ``variant``."""
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
     shifted = u0 if variant is RomVariant.SP2 else None
-    basis = PodBasis(phi=q, sigma=np.ones(r), r=r, shifted_reference=shifted)
+    basis = PodBasis(phi=q, sigma=np.ones(r), shifted_reference=shifted)
     return enrich_with_ic_residual(basis, u0) if variant is RomVariant.SP1 else basis
 
 

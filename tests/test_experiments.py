@@ -18,6 +18,7 @@ from hamrom.experiments import (
     table_preset,
     tail_bound_check,
 )
+from hamrom.fileio import write_matrix
 from hamrom.linalg import NumericalError, RankError
 from hamrom.rom import RomVariant, run_rom
 
@@ -227,6 +228,15 @@ class TestRunExperiment:
             again = run_experiment(cfg)
         assert "unreadable cache" in caplog.text
         assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        # well-formed files of the wrong shape: states, then energies
+        (energies,) = cache_dir.glob("*.energies.hrom")
+        for path, wrong in ((states, np.ones((7, 3))), (energies, np.ones(5))):
+            write_matrix(path, wrong)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hamrom"):
+                again = run_experiment(cfg)
+            assert "unreadable cache" in caplog.text
+            assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
 
     @pytest.mark.parametrize("stride", [1, 3, 10, 20])
     def test_stride_views(self, tmp_path, stride):
@@ -345,6 +355,17 @@ class TestSweep:
             with pytest.raises(ValueError, match="finite"):
                 RomSpec.parse(text)
 
+    def test_non_positive_r_rejected(self, tmp_path):
+        for text in ("SP0:0", "SP0:-3"):
+            with pytest.raises(ValueError, match="at least 1"):
+                RomSpec.parse(text)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        with pytest.raises(ValueError, match="at least 1"):
+            mu_sweep(cfg, mu_grid=[0.0], variant=RomVariant.SP0, r=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            tail_bound_check(cfg, [2, 0])
+        assert not (tmp_path / "out").exists()  # rejected before the full-order run
+
     def test_sweep_csv(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
         mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2, write_outputs=True)
@@ -362,6 +383,24 @@ class TestTailCheck:
         assert np.all(np.diff(errs) < 0)
         assert np.all(np.diff(tails) < 0)
         assert (tmp_path / "out" / "tail_check.csv").exists()
+
+    def test_failed_size_is_a_nan_row(self, tmp_path, caplog):
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        # r=50 exceeds the rank of the tiny snapshot sets
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            rows = tail_bound_check(cfg, [2, 50], write_outputs=True)
+        assert "r=50 failed" in caplog.text
+        assert rows[0][0] == 2 and all(np.isfinite(rows[0][1:]))
+        assert rows[1][0] == 50 and all(np.isnan(rows[1][1:]))
+        assert (tmp_path / "out" / "tail_check.csv").read_text().count("nan") == 3
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(flow, bases, variant):
+            raise ValueError("broken reduction")
+
+        monkeypatch.setattr(experiments, "reduce_operators", broken)
+        with pytest.raises(ValueError, match="broken reduction"):
+            tail_bound_check(tiny_wave_cfg(tmp_path / "out", roms=()), [2])
 
 
 class TestCli:
@@ -425,6 +464,11 @@ class TestCli:
     def test_tail_command(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         assert main(["tail-check", "--config", str(cfg), "--r", "1,2"]) == 0
+        assert (tmp_path / "out" / "tail_check.csv").exists()
+
+    def test_tail_command_fails_on_a_failed_size(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["tail-check", "--config", str(cfg), "--r", "1,50"]) == 1
         assert (tmp_path / "out" / "tail_check.csv").exists()
 
     def test_table_command(self, tmp_path, capsys, monkeypatch):

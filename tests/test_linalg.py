@@ -31,7 +31,7 @@ def _full_svd_oracle(Y):
 
 class TestThinSvd:
     def test_single_column(self):
-        phi, sigma = thin_svd_snapshots(np.array([[1.0], [0.0], [0.0]]), max_rank=1)
+        phi, sigma = thin_svd_snapshots(np.array([[1.0], [0.0], [0.0]]))
         assert np.allclose(sigma, [1.0])
         assert np.allclose(np.abs(phi[:, 0]), [1.0, 0.0, 0.0])
 
@@ -44,7 +44,7 @@ class TestThinSvd:
     def test_matches_full_svd_oracle(self):
         rng = np.random.default_rng(21)
         Y = rng.standard_normal((8, 4))
-        phi, sigma = thin_svd_snapshots(Y, max_rank=4)
+        phi, sigma = thin_svd_snapshots(Y)
         U, sig_oracle, V = _full_svd_oracle(Y)
         assert np.allclose(sigma, sig_oracle[: sigma.size], rtol=1e-12, atol=1e-12)
         # columns agree up to sign
@@ -109,17 +109,6 @@ class TestThinSvd:
             phi, sigma = thin_svd_snapshots(np.zeros((4, 3)))
         assert phi.shape == (4, 0)
         assert sigma.size == 0
-
-    def test_max_rank_validation(self):
-        with pytest.raises(ValueError, match="max_rank"):
-            thin_svd_snapshots(np.eye(3), max_rank=5)
-
-    def test_max_rank_truncates_columns_not_spectrum(self):
-        rng = np.random.default_rng(25)
-        Y = rng.standard_normal((9, 5))
-        phi, sigma = thin_svd_snapshots(Y, max_rank=2)
-        assert phi.shape == (9, 2)
-        assert sigma.size == 5
 
 
 class TestLu:

@@ -190,7 +190,6 @@ class TestEnergyReport:
         rep = energy_report(rom, fom)
         assert rep.drift == 0.0
         assert rep.offset == pytest.approx(0.3)
-        assert rep.offset_mean == pytest.approx(0.3)
 
     def test_drift_is_max_excursion(self):
         rom = make_traj(np.zeros((4, 2)), energies=[1.0, 1.4, 0.9])

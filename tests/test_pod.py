@@ -48,7 +48,6 @@ class TestCollect:
         flow, traj = kdv_toy()
         snaps = collect_snapshots(traj, flow)
         assert snaps.data.shape == traj.states.shape
-        assert snaps.n_state == traj.times.size
         assert snaps.reference is None
 
     def test_augmented_column_count(self):
@@ -60,7 +59,7 @@ class TestCollect:
         flow, traj = kdv_toy()
         mu = 0.7
         snaps = collect_snapshots(traj, flow, mu=mu)
-        m = snaps.n_state
+        m = traj.times.size
         for j in range(m):
             expected = mu * eval_grad(flow, traj.states[:, j])
             assert np.array_equal(snaps.data[:, m + j], expected)
@@ -76,7 +75,7 @@ class TestCollect:
         flow, traj = kdv_toy()
         mu = 0.3
         snaps = collect_snapshots(traj, flow, mu=mu, shifted=True)
-        m = snaps.n_state
+        m = traj.times.size
         expected = mu * eval_grad(flow, traj.states[:, 1])
         assert np.array_equal(snaps.data[:, m + 1], expected)
 
@@ -124,21 +123,21 @@ class TestCollect:
 
 class TestComputeBasis:
     def test_single_snapshot(self):
-        snaps = SnapshotSet(data=np.array([[3.0], [4.0]]), n_state=1)
+        snaps = SnapshotSet(data=np.array([[3.0], [4.0]]))
         basis = compute_basis(snaps, 1)
         assert np.allclose(np.abs(basis.phi[:, 0]), [0.6, 0.8])
         assert basis.sigma[0] == pytest.approx(5.0)
 
     def test_full_rank_zero_projection_error(self):
         rng = np.random.default_rng(1)
-        snaps = SnapshotSet(data=rng.standard_normal((4, 3)), n_state=3)
+        snaps = SnapshotSet(data=rng.standard_normal((4, 3)))
         basis = compute_basis(snaps, 3)
         assert projection_error(snaps, basis) <= 1e-18
 
     def test_matches_direct_svd(self):
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((4, 3))
-        basis = compute_basis(SnapshotSet(data=Y, n_state=3), 2)
+        basis = compute_basis(SnapshotSet(data=Y), 2)
         U = scipy.linalg.svd(Y, full_matrices=False)[0]
         for j in range(2):
             assert min(
@@ -150,7 +149,7 @@ class TestComputeBasis:
         rng = np.random.default_rng(3)
         Y = rng.standard_normal((6, 4))
         with pytest.raises(ValueError, match="rank 4"):
-            compute_basis(SnapshotSet(data=Y, n_state=4), 5)
+            compute_basis(SnapshotSet(data=Y), 5)
 
     def test_carries_shift_reference(self):
         flow, traj = kdv_toy()
@@ -178,7 +177,7 @@ class TestComputeBasis:
 class TestProjectionError:
     def test_discarded_column_energy(self):
         Y = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        snaps = SnapshotSet(data=Y, n_state=2)
+        snaps = SnapshotSet(data=Y)
         basis = compute_basis(snaps, 1)
         assert projection_error(snaps, basis) == pytest.approx(1.0, rel=1e-12)
 
@@ -187,7 +186,7 @@ class TestProjectionError:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             Y = rng.standard_normal((10, 6))
-            snaps = SnapshotSet(data=Y, n_state=6)
+            snaps = SnapshotSet(data=Y)
             basis = compute_basis(snaps, 3)
             err = projection_error(snaps, basis)
             tail = sigma_tail(basis, 3)
@@ -198,7 +197,7 @@ class TestProjectionError:
         flow, traj = kdv_toy()
         mu = 0.6
         snaps = collect_snapshots(traj, flow, mu=mu)
-        m = snaps.n_state
+        m = traj.times.size
         r = 3
         basis = compute_basis(snaps, r)
         P = basis.phi @ basis.phi.T
@@ -212,41 +211,41 @@ class TestProjectionError:
 
 class TestSigmaTail:
     def test_zero_at_full_rank(self):
-        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]), r=2)
+        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]))
         assert sigma_tail(basis, 2) == 0.0
 
     def test_two_values(self):
-        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]), r=2)
+        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]))
         assert sigma_tail(basis, 1) == pytest.approx(1.0)
 
     def test_monotone_in_r(self):
         rng = np.random.default_rng(4)
         sigma = np.sort(rng.uniform(0.1, 3.0, size=8))[::-1]
-        basis = PodBasis(phi=np.eye(8), sigma=sigma, r=8)
+        basis = PodBasis(phi=np.eye(8), sigma=sigma)
         tails = [sigma_tail(basis, r) for r in range(9)]
         assert np.all(np.diff(tails) <= 0)
 
     def test_range_validation(self):
-        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]), r=2)
+        basis = PodBasis(phi=np.eye(2), sigma=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             sigma_tail(basis, 3)
 
 
 class TestEnrichment:
     def test_captured_state_leaves_columns_unchanged(self):
-        basis = PodBasis(phi=np.eye(3)[:, :2], sigma=np.array([1.0, 1.0]), r=2)
+        basis = PodBasis(phi=np.eye(3)[:, :2], sigma=np.array([1.0, 1.0]))
         out = enrich_with_ic_residual(basis, np.array([0.5, -0.25, 0.0]))
         assert out.r == 2
         assert np.array_equal(out.phi, basis.phi)
         assert out.enriched
 
     def test_zero_state_is_captured(self):
-        basis = PodBasis(phi=np.eye(3)[:, :1], sigma=np.array([1.0]), r=1)
+        basis = PodBasis(phi=np.eye(3)[:, :1], sigma=np.array([1.0]))
         out = enrich_with_ic_residual(basis, np.zeros(3))
         assert out.r == 1 and out.enriched
 
     def test_orthogonal_complement(self):
-        basis = PodBasis(phi=np.eye(3)[:, :1], sigma=np.array([1.0]), r=1)
+        basis = PodBasis(phi=np.eye(3)[:, :1], sigma=np.array([1.0]))
         out = enrich_with_ic_residual(basis, np.array([1.0, 1.0, 0.0]))
         assert out.r == 2
         assert np.allclose(np.abs(out.phi[:, 1]), [0.0, 1.0, 0.0], atol=1e-14)
@@ -254,7 +253,7 @@ class TestEnrichment:
     def test_completeness_and_orthonormality(self):
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((20, 6))
-        basis = compute_basis(SnapshotSet(data=Y, n_state=6), 3)
+        basis = compute_basis(SnapshotSet(data=Y), 3)
         u0 = rng.standard_normal(20)
         out = enrich_with_ic_residual(basis, u0)
         assert np.abs(out.phi.T @ out.phi - np.eye(out.r)).max() <= 1e-10
@@ -264,7 +263,7 @@ class TestEnrichment:
     def test_never_degrades_projection(self):
         rng = np.random.default_rng(6)
         Y = rng.standard_normal((15, 5))
-        snaps = SnapshotSet(data=Y, n_state=5)
+        snaps = SnapshotSet(data=Y)
         basis = compute_basis(snaps, 2)
         out = enrich_with_ic_residual(basis, rng.standard_normal(15))
         assert projection_error(snaps, out) <= projection_error(snaps, basis) + 1e-12
@@ -273,14 +272,12 @@ class TestEnrichment:
 class TestValidation:
     def test_basis_requires_orthonormal_columns(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            PodBasis(phi=np.ones((3, 2)), sigma=np.array([1.0, 0.5]), r=2)
+            PodBasis(phi=np.ones((3, 2)), sigma=np.array([1.0, 0.5]))
 
     def test_basis_rank_bound(self):
         with pytest.raises(ValueError, match="spectrum"):
-            PodBasis(phi=np.eye(3), sigma=np.array([1.0]), r=3)
+            PodBasis(phi=np.eye(3), sigma=np.array([1.0]))
 
-    def test_snapshot_set_column_bookkeeping(self):
-        with pytest.raises(ValueError, match="columns"):
-            SnapshotSet(data=np.ones((4, 3)), mu=0.5, n_state=2)
-        with pytest.raises(ValueError, match="reference"):
-            SnapshotSet(data=np.ones((4, 2)), shifted=True, n_state=2)
+    def test_snapshot_set_frame_matches_coordinates(self):
+        with pytest.raises(ValueError, match="frame"):
+            SnapshotSet(data=np.ones((4, 3)), frame=np.eye(5)[:, :3])

@@ -21,19 +21,20 @@ from hamrom.systems import (
 
 
 def identity_basis(n):
-    return PodBasis(phi=np.eye(n), sigma=np.ones(n), r=n)
+    return PodBasis(phi=np.eye(n), sigma=np.ones(n))
 
 
 def random_orthonormal(n, r, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return PodBasis(phi=Q, sigma=np.ones(r), r=r)
+    return PodBasis(phi=Q, sigma=np.ones(r))
 
 
-def on_the_fly(model):
-    """The SP model with its reduced tensor replaced by the on-the-fly term."""
+def on_the_fly(model, fom):
+    """The SP model of ``fom`` with its reduced tensor replaced by the
+    on-the-fly term."""
     phi = model.basis_matrix
-    quad = ProjectedQuadratic(left=phi.T, basis=phi, coeff=model.fom.quadratic.coeff)
+    quad = ProjectedQuadratic(left=phi.T, basis=phi, coeff=fom.quadratic.coeff)
     return dataclasses.replace(model, flow=dataclasses.replace(model.flow, quadratic=quad))
 
 
@@ -63,7 +64,7 @@ class TestReduceAlgebra:
     def test_coordinate_projection_takes_leading_block(self):
         flow, _ = small_kdv()
         r = 4
-        basis = PodBasis(phi=np.eye(20)[:, :r], sigma=np.ones(r), r=r)
+        basis = PodBasis(phi=np.eye(20)[:, :r], sigma=np.ones(r))
         model = reduce_operators(flow, basis, RomVariant.SP0)
         assert np.allclose(model.flow.structure, flow.structure.toarray()[:r, :r], atol=1e-14)
 
@@ -96,7 +97,7 @@ class TestReduceAlgebra:
         flow, u0 = small_kdv()
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        basis = PodBasis(phi=Q, sigma=np.ones(3), r=3, shifted_reference=u0)
+        basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
         model = reduce_operators(flow, basis, RomVariant.SP2)
         for _ in range(5):
             a = rng.standard_normal(3)
@@ -116,7 +117,7 @@ class TestReduceAlgebra:
         flow, _ = small_kdv()
         basis = random_orthonormal(20, 4, seed=6)
         dense = reduce_operators(flow, basis, RomVariant.SP0)
-        lazy = on_the_fly(dense)
+        lazy = on_the_fly(dense, flow)
         rng = np.random.default_rng(7)
         for _ in range(5):
             a, b = rng.standard_normal(4), rng.standard_normal(4)
@@ -175,7 +176,7 @@ class TestEncodeDecode:
         flow, u0 = small_kdv()
         rng = np.random.default_rng(14)
         Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        basis = PodBasis(phi=Q, sigma=np.ones(3), r=3, shifted_reference=u0)
+        basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
         model = reduce_operators(flow, basis, RomVariant.SP2)
         assert np.abs(encode(model, u0)).max() <= 1e-14
         assert np.allclose(decode(model, np.zeros(3)), u0, atol=1e-14)
@@ -193,7 +194,7 @@ class TestEncodeDecode:
         flow, u0 = small_kdv()
         rng = np.random.default_rng(22)
         Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        basis = PodBasis(phi=Q, sigma=np.ones(3), r=3, shifted_reference=u0)
+        basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
         model = reduce_operators(flow, basis, RomVariant.SP2)
         A = rng.standard_normal((3, 5))
         expected = np.column_stack([decode(model, a) for a in A.T])
@@ -265,7 +266,7 @@ class TestRunRom:
         traj = integrate(flow, u0, scheme)
         basis = compute_basis(collect_snapshots(traj, flow), 4)
         dense = reduce_operators(flow, basis, RomVariant.SP0)
-        lazy = on_the_fly(dense)
+        lazy = on_the_fly(dense, flow)
         t_dense = run_rom(dense, scheme, initial_state=u0)
         t_lazy = run_rom(lazy, scheme, initial_state=u0)
         assert np.abs(decode(dense, t_dense.states) - decode(lazy, t_lazy.states)).max() <= 1e-10
@@ -304,7 +305,7 @@ class TestVariantGuards:
         flow, u0 = small_kdv()
         rng = np.random.default_rng(20)
         Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        basis = PodBasis(phi=Q, sigma=np.ones(3), r=3, shifted_reference=u0)
+        basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
         with pytest.raises(ValueError, match="shifted"):
             reduce_operators(flow, basis, RomVariant.SP0)
 
