@@ -15,7 +15,7 @@ from hamrom import RomVariant, mu_sweep, table_preset
 cfg = replace(table_preset(1), out_dir="out/demo_sweep")
 grid = np.linspace(0.0, 0.2, 11)  # coarse demo grid; the benchmark uses 51 points
 print("sweeping the gradient snapshot weight on the wave benchmark (r = 5) ...\n")
-rows = mu_sweep(cfg, mu_grid=grid, variant=RomVariant.SP0, r=5, write_outputs=True)
+rows = mu_sweep(cfg, mu_grid=grid, variant=RomVariant.SP0, r=5)
 
 print(f"{'mu':>6s} {'E_inf':>10s}")
 for mu, err in rows:

@@ -69,12 +69,10 @@ class StepFailure(RuntimeError):
     """The nonlinear solve of one step failed: Picard or Newton iteration
     did not converge, diverged, or (Newton) met a singular Jacobian."""
 
-    def __init__(self, message: str, step_index: int = 0, iterations: int = 0,
-                 increment: float = float("nan")):
+    def __init__(self, message: str, step_index: int = 0, iterations: int = 0):
         super().__init__(message)
         self.step_index = step_index
         self.iterations = iterations
-        self.increment = increment
 
 
 @dataclass
@@ -183,7 +181,7 @@ class AvfStepper:
         if sparse and flow.quadratic is None:
             self._advance = AvfStepper._solve_linear
         elif sparse:
-            self._advance = AvfStepper._picard
+            self._advance, self._update = AvfStepper._iterate, AvfStepper._picard
         elif flow.quadratic is None:
             # NumPy's LAPACK, not the SciPy one of the factorization: SciPy's
             # multi-column solve wakes SciPy's OpenBLAS threads, which keep
@@ -194,7 +192,7 @@ class AvfStepper:
             self._advance = AvfStepper._propagate
         else:
             self._dtS3 = self._dtS / 3.0
-            self._advance = AvfStepper._newton
+            self._advance, self._update = AvfStepper._iterate, AvfStepper._newton
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
@@ -228,81 +226,73 @@ class AvfStepper:
         x = self._propagator @ u
         return x if self._offset is None else x + self._offset
 
-    def _picard(self, u: np.ndarray, step_index: int) -> np.ndarray:
+    def _iterate(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        """The nonlinear solve of one step; ``_update`` gives Picard's or
+        Newton's next iterate, or None when its residual overflowed."""
         # overflow inside a diverging iteration is expected and reported as
         # StepFailure, hence the suppressed floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            quad = self.flow.quadratic
-            base = self._rhs(u)
-            q_kk = quad.eval(u, u)
-            guess = self._predict(u)
-            increment = np.inf
-            for m in range(1, self.picard_max_iter + 1):
-                q_avg = (q_kk + quad.eval(u, guess) + quad.eval(guess, guess)) / 3.0
-                new = self._lhs.solve(base + self._dtS @ q_avg)
-                if not np.all(np.isfinite(new)):
-                    raise _diverged("Picard", step_index, m)
-                increment = np.abs(new - guess).max()
-                if increment <= self.picard_tol * (1.0 + np.abs(guess).max()):
-                    return self._accept(u, new, m)
-                guess = new
-        raise _stalled("Picard", step_index, self.picard_max_iter, increment)
-
-    def _newton(self, u: np.ndarray, step_index: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = self.flow.quadratic
-            k_u = self._dtS3 @ quad.jacobian(u)  # dt S J2(u) / 3
-            base = self._rhs(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
-            fixed = self._lhs_mat - k_u  # the Jacobian's part that x leaves fixed
+            solver, update = self._update(self, u, step_index)
             x = self._predict(u)
             increment = np.inf
             for m in range(1, self.picard_max_iter + 1):
-                k_x = self._dtS3 @ quad.jacobian(x)
-                # residual of (I - A) x = base + dt S (G2(u,x) + G2(x,x)) / 3;
-                # an overflow in k_x leaves it non-finite too
-                residual = (fixed - k_x) @ x - base
-                if not np.isfinite(residual).all():
-                    raise _diverged("Newton", step_index, m)
-                try:
-                    self._lhs.factor(fixed - 2.0 * k_x)
-                except SingularMatrixError as exc:
+                new = update(x, m)
+                increment = np.inf if new is None else np.abs(new - x).max()
+                if not np.isfinite(increment):  # the maximum propagates NaN and inf
                     raise StepFailure(
-                        f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
+                        f"{solver} iteration diverged (overflow after {m} iterations)",
                         step_index=step_index,
                         iterations=m,
-                    ) from exc
-                new = x - self._lhs.solve(residual)
-                increment = np.abs(new - x).max()
-                if not np.isfinite(increment):  # the maximum propagates NaN and inf
-                    raise _diverged("Newton", step_index, m)
+                    )
                 if increment <= self.picard_tol * (1.0 + np.abs(x).max()):
-                    return self._accept(u, new, m)
+                    self.last_iterations = m
+                    self._deltas = (self._deltas + [new - u])[-3:]
+                    return new
                 x = new
-        raise _stalled("Newton", step_index, self.picard_max_iter, increment)
+        raise StepFailure(
+            f"{solver} iteration stalled after {self.picard_max_iter} iterations "
+            f"(last increment {increment:.3e})",
+            step_index=step_index,
+            iterations=self.picard_max_iter,
+        )
 
-    def _accept(self, u: np.ndarray, new: np.ndarray, iterations: int) -> np.ndarray:
-        self.last_iterations = iterations
-        self._deltas = (self._deltas + [new - u])[-3:]
-        return new
+    def _picard(self, u: np.ndarray, step_index: int):
+        """Picard update: the averaged quadratic term and one LU solve."""
+        quad = self.flow.quadratic
+        base = self._rhs(u)
+        q_kk = quad.eval(u, u)
 
+        def update(x: np.ndarray, m: int) -> np.ndarray:
+            q_avg = (q_kk + quad.eval(u, x) + quad.eval(x, x)) / 3.0
+            return self._lhs.solve(base + self._dtS @ q_avg)
 
-def _diverged(solver: str, step_index: int, iterations: int) -> StepFailure:
-    return StepFailure(
-        f"{solver} iteration diverged (overflow after {iterations} iterations)",
-        step_index=step_index,
-        iterations=iterations,
-        increment=float("inf"),
-    )
+        return "Picard", update
 
+    def _newton(self, u: np.ndarray, step_index: int):
+        """Newton update: the residual, then one factor and one solve of the Jacobian."""
+        quad = self.flow.quadratic
+        k_u = self._dtS3 @ quad.jacobian(u)  # dt S J2(u) / 3
+        base = self._rhs(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
+        fixed = self._lhs_mat - k_u  # the Jacobian's part that x leaves fixed
 
-def _stalled(solver: str, step_index: int, iterations: int, increment: float) -> StepFailure:
-    return StepFailure(
-        f"{solver} iteration stalled after {iterations} iterations "
-        f"(last increment {increment:.3e})",
-        step_index=step_index,
-        iterations=iterations,
-        increment=float(increment),
-    )
+        def update(x: np.ndarray, m: int) -> Optional[np.ndarray]:
+            k_x = self._dtS3 @ quad.jacobian(x)
+            # residual of (I - A) x = base + dt S (G2(u,x) + G2(x,x)) / 3;
+            # an overflow in k_x leaves it non-finite too
+            residual = (fixed - k_x) @ x - base
+            if not np.isfinite(residual).all():
+                return None
+            try:
+                self._lhs.factor(fixed - 2.0 * k_x)
+            except SingularMatrixError as exc:
+                raise StepFailure(
+                    f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
+                    step_index=step_index,
+                    iterations=m,
+                ) from exc
+            return x - self._lhs.solve(residual)
+
+        return "Newton", update
 
 
 # one eval_energy call in integrate covers up to 256 consecutive states and

@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,12 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _print_reports(reports) -> None:
-    header = f"{'variant':10s} {'r':>4s} {'mu':>8s} {'E_inf':>12s} {'H(0)':>12s} {'drift':>10s} {'offset':>12s}"
-    print(header)
+def _run_reports(cfg: ExperimentConfig, title: str = "") -> int:
+    """Run the configured ROMs and print one row each; 1 if any row failed."""
+    reports = run_experiment(cfg)
+    if title:
+        print(title)
+    print(f"{'variant':10s} {'r':>4s} {'mu':>8s} {'E_inf':>12s} {'H(0)':>12s} {'drift':>10s} {'offset':>12s}")
     for rep in reports:
         status = "  FAILED" if rep.failed else ""
         print(
@@ -53,10 +57,11 @@ def _print_reports(reports) -> None:
             f"{rep.energy_initial:12.6g} {rep.max_energy_drift:10.3g} "
             f"{rep.energy_offset_vs_fom:12.5g}{status}"
         )
+    print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
+    return 1 if any(rep.failed for rep in reports) else 0
 
 
-def _cmd_fom(args) -> int:
-    cfg = _load_config(args)
+def _run_fom(cfg: ExperimentConfig) -> int:
     traj = fom_trajectory(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,55 +77,61 @@ def _cmd_fom(args) -> int:
     return 0
 
 
-def _cmd_rom(args) -> int:
-    cfg = _load_config(args)
-    if args.variant is not None or args.r is not None:
-        if args.variant is None or args.r is None:
-            raise SystemExit("--variant and --r must be given together")
-        spec = RomSpec(variant=RomVariant.parse(args.variant), r=args.r, mu=args.mu or 0.0)
-        cfg = replace(cfg, roms=(spec,))
-    if not cfg.roms:
-        raise SystemExit("no ROMs requested: set 'roms' in the configuration or pass --variant/--r")
-    reports = run_experiment(cfg)
-    _print_reports(reports)
-    print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
-    return 1 if any(rep.failed for rep in reports) else 0
-
-
-def _cmd_sweep_mu(args) -> int:
-    cfg = _load_config(args)
-    variant = RomVariant.parse(args.variant) if args.variant else RomVariant.SP0
-    if args.r is None:
-        raise SystemExit("sweep-mu requires --r")
-    rows = mu_sweep(cfg, variant=variant, r=args.r, write_outputs=True)
+def _run_sweep(cfg: ExperimentConfig, spec: RomSpec) -> int:
+    rows = mu_sweep(cfg, variant=spec.variant, r=spec.r)
     finite = [row for row in rows if np.isfinite(row[1])]
     if finite:
         best = min(finite, key=lambda row: row[1])
         print(f"{len(rows)} sweep points; min E_inf = {best[1]:.6g} at mu = {best[0]:g}")
-    print(f"wrote {Path(cfg.out_dir) / f'sweep_mu_{variant.name.lower()}_r{args.r}.csv'}")
+    print(f"wrote {Path(cfg.out_dir) / f'sweep_mu_{spec.variant.name.lower()}_r{spec.r}.csv'}")
     return 0 if len(finite) == len(rows) else 1
 
 
-def _cmd_table(args) -> int:
-    cfg = table_preset(args.table_id)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    reports = run_experiment(cfg)
-    print(f"benchmark table {args.table_id} ({cfg.system}):")
-    _print_reports(reports)
-    print(f"wrote {Path(cfg.out_dir) / 'report.csv'}")
-    return 1 if any(rep.failed for rep in reports) else 0
-
-
-def _cmd_tail_check(args) -> int:
-    cfg = _load_config(args)
-    r_list = [int(part) for part in args.r.split(",")] if args.r else [5, 10, 15, 20]
-    rows = tail_bound_check(cfg, r_list, write_outputs=True)
+def _run_tail(cfg: ExperimentConfig, r_list: list[int]) -> int:
+    rows = tail_bound_check(cfg, r_list)
     print(f"{'r':>4s} {'integrated_error':>18s} {'sigma_tail':>14s} {'ratio':>10s}")
     for r, err, tail, ratio in rows:
         print(f"{r:4d} {err:18.6e} {tail:14.6e} {ratio:10.4g}")
     print(f"wrote {Path(cfg.out_dir) / 'tail_check.csv'}")
     return 0 if all(np.isfinite(row[1]) for row in rows) else 1
+
+
+# Each command reads its options and configuration into the run it returns;
+# a ValueError or OSError there is a usage error (see main).
+
+
+def _cmd_fom(args):
+    return partial(_run_fom, _load_config(args))
+
+
+def _cmd_rom(args):
+    cfg = _load_config(args)
+    if args.variant is not None or args.r is not None:
+        if args.variant is None or args.r is None:
+            raise ValueError("--variant and --r must be given together")
+        spec = RomSpec(variant=RomVariant.parse(args.variant), r=args.r, mu=args.mu or 0.0)
+        cfg = replace(cfg, roms=(spec,))
+    if not cfg.roms:
+        raise ValueError("no ROMs requested: set 'roms' in the configuration or pass --variant/--r")
+    return partial(_run_reports, cfg)
+
+
+def _cmd_sweep_mu(args):
+    spec = RomSpec(variant=RomVariant.parse(args.variant), r=args.r)
+    return partial(_run_sweep, _load_config(args), spec)
+
+
+def _cmd_table(args):
+    cfg = table_preset(args.table_id)
+    if args.out:
+        cfg = replace(cfg, out_dir=args.out)
+    return partial(_run_reports, cfg, f"benchmark table {args.table_id} ({cfg.system}):")
+
+
+def _cmd_tail_check(args):
+    cfg = _load_config(args)
+    r_list = [RomSpec(RomVariant.SP0, int(part)).r for part in args.r.split(",")]
+    return partial(_run_tail, cfg, r_list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-mu", help="sweep the gradient snapshot weight")
     _add_common(p_sweep)
     p_sweep.add_argument("--variant", default="SP0", help="ROM variant to sweep (default SP0)")
-    p_sweep.add_argument("--r", type=int, default=None, help="reduced dimension")
+    p_sweep.add_argument("--r", type=int, required=True, help="reduced dimension")
     p_sweep.set_defaults(func=_cmd_sweep_mu)
 
     p_table = sub.add_parser("table", help="reproduce a benchmark comparison table")
@@ -154,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tail = sub.add_parser("tail-check", help="integrated error vs singular-value tail")
     _add_common(p_tail)
-    p_tail.add_argument("--r", default=None, help="comma-separated basis sizes (default 5,10,15,20)")
+    p_tail.add_argument("--r", default="5,10,15,20",
+                        help="comma-separated basis sizes (default 5,10,15,20)")
     p_tail.set_defaults(func=_cmd_tail_check)
 
     return parser
@@ -162,8 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        run = args.func(args)
+    except (ValueError, OSError) as exc:  # a bad option, config value or config file
+        parser.error(str(exc))
+    return run()
 
 
 if __name__ == "__main__":

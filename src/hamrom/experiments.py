@@ -64,12 +64,20 @@ log = logging.getLogger("hamrom")
 
 SYSTEMS = ("wave", "kdv")
 
-# Names the full-order stepper and its linear solver (AVF with a SuperLU
-# factorization of the sparse stencil operators) and the energy evaluation
-# (the polynomial, over blocks of states) in every cache key.  Change it
-# whenever a change of the solver or the energy evaluation moves the cached
-# trajectories or energies, so an old algorithm's cache is never served.
-FOM_SOLVER = "avf-splu-polyenergy-blocks"
+
+def _solver_tag(directory: Path) -> str:
+    """16 hex digits of the sha256 of the stepper, system and linear-algebra
+    sources in ``directory``."""
+    digest = hashlib.sha256()
+    for name in ("avf.py", "systems.py", "linalg.py"):
+        digest.update((directory / name).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+# Names the code of the full-order run (the AVF stepper, its linear solver and
+# the energy evaluation) in every cache key, so a trajectory cached by other
+# code is never served.
+FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 
 @dataclass(frozen=True)
@@ -346,6 +354,20 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     return reduce_operators(ref.flow, tuple(bases), spec.variant)
 
 
+def _attempt(cfg: ExperimentConfig, ref: _Reference,
+             spec: RomSpec) -> Optional[tuple[ReducedModel, Trajectory, float]]:
+    """Build and run one ROM: the model, its run and the run's wall time in ms,
+    or None after a logged solver or rank failure.  Other errors propagate."""
+    try:
+        model = _build_rom(ref, spec)
+        start = time.perf_counter()
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
+        return model, rom_traj, 1e3 * (time.perf_counter() - start)
+    except (StepFailure, NumericalError) as exc:
+        log.warning("%s r=%d failed at mu=%g: %s", spec.variant.value, spec.r, spec.mu, exc)
+        return None
+
+
 def _run_one(cfg: ExperimentConfig, ref: _Reference,
              spec: RomSpec) -> tuple[RomReport, Optional[Trajectory]]:
     """Build and run one ROM; compare against the benchmark at every step.
@@ -354,39 +376,22 @@ def _run_one(cfg: ExperimentConfig, ref: _Reference,
     the densely recorded one.  On the wave benchmark at r=5, stride-50
     sampling understates the maximum by 1.4-8.8% across the four variants;
     the Table 1 values reproduce to <= 0.02% only with dense recording.
+    A failed attempt is a NaN row.
     """
-    dense_traj = ref.dense
-    e_inf = e_inf_wave if cfg.system == "wave" else e_inf_scalar
-    # only a solver or rank failure of the model build or the run fails the
-    # row; any other error, there or in the comparison, is a programming error
-    # and propagates
-    try:
-        model = _build_rom(ref, spec)
-        start = time.perf_counter()
-        rom_traj = run_rom(model, cfg.scheme(), initial_state=dense_traj.states[:, 0])
-        wall_ms = 1e3 * (time.perf_counter() - start)
-    except (StepFailure, NumericalError) as exc:
-        log.warning("%s r=%d mu=%g failed: %s", spec.variant.value, spec.r, spec.mu, exc)
+    attempt = _attempt(cfg, ref, spec)
+    if attempt is None:
         nan = float("nan")
-        return (
-            RomReport(
-                variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=nan,
-                energy_initial=nan, energy_final=nan, max_energy_drift=nan,
-                energy_offset_vs_fom=nan, wall_ms=0.0, failed=True,
-            ),
-            None,
-        )
-    energy = energy_report(rom_traj, dense_traj)
+        report = RomReport(variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=nan,
+                           energy_initial=nan, energy_final=nan, max_energy_drift=nan,
+                           energy_offset_vs_fom=nan, wall_ms=0.0, failed=True)
+        return report, None
+    _, rom_traj, wall_ms = attempt
+    e_inf = e_inf_wave if cfg.system == "wave" else e_inf_scalar
+    energy = energy_report(rom_traj, ref.dense)
     report = RomReport(
-        variant=spec.variant.value,
-        r=spec.r,
-        mu=spec.mu,
-        e_inf=e_inf(dense_traj, rom_traj),
-        energy_initial=float(rom_traj.energies[0]),
-        energy_final=float(rom_traj.energies[-1]),
-        max_energy_drift=energy.drift,
-        energy_offset_vs_fom=energy.offset,
-        wall_ms=wall_ms,
+        variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=e_inf(ref.dense, rom_traj),
+        energy_initial=float(rom_traj.energies[0]), energy_final=float(rom_traj.energies[-1]),
+        max_energy_drift=energy.drift, energy_offset_vs_fom=energy.offset, wall_ms=wall_ms,
     )
     return report, rom_traj
 
@@ -432,33 +437,28 @@ def mu_sweep(
     mu_grid: Optional[Sequence[float]] = None,
     variant: RomVariant = RomVariant.SP0,
     r: int = 5,
-    write_outputs: bool = False,
 ) -> list[tuple[float, float]]:
     """Error of one ROM variant across gradient weights, FOM reused throughout.
 
     The snapshot gradients and each field's frame of ``[U, F]`` are built
     once; every weight then costs one small SVD per field (see
     :mod:`hamrom.pod`).  Per-point solver failures are recorded as NaN and
-    the sweep continues.  Rows come back
-    sorted by weight.  A negative or non-finite weight is rejected before
-    anything runs.
+    the sweep continues.  Rows come back sorted by weight and are written to
+    ``sweep_mu_<variant>_r<r>.csv`` in ``cfg.out_dir``.  A negative or
+    non-finite weight is rejected before anything runs.
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
     ref = _references(cfg)
     rows = [(spec.mu, _run_one(cfg, ref, spec)[0].e_inf) for spec in specs]
     rows.sort(key=lambda row: row[0])
-    if write_outputs:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(out / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
+    write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
     return rows
 
 
 def tail_bound_check(
     cfg: ExperimentConfig,
     r_list: Sequence[int],
-    write_outputs: bool = False,
 ) -> list[tuple[int, float, float, float]]:
     """Empirical tail comparison: integrated squared SP0 error vs sigma-tail.
 
@@ -468,27 +468,22 @@ def tail_bound_check(
     without asserting any bound (the theoretical constant is not computable
     from the inputs).  For two-field systems the tail sums both per-field
     spectra.  As in :func:`mu_sweep`, a solver or rank failure at one basis
-    size is logged and recorded as a NaN row, and the check continues.
+    size is logged and recorded as a NaN row, and the check continues.  The
+    rows are written to ``tail_check.csv`` in ``cfg.out_dir``.
     """
     specs = [RomSpec(variant=RomVariant.SP0, r=r) for r in r_list]
     ref = _references(cfg)
     rows = []
     for spec in specs:
-        r = spec.r
-        try:
-            model = _build_rom(ref, spec)
-            rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
-        except (StepFailure, NumericalError) as exc:
-            log.warning("tail check r=%d failed: %s", r, exc)
+        attempt = _attempt(cfg, ref, spec)
+        if attempt is None:
             nan = float("nan")
-            rows.append((int(r), nan, nan, nan))
+            rows.append((int(spec.r), nan, nan, nan))
             continue
+        model, rom_traj, _ = attempt
         integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
-        tail = sum(sigma_tail(basis, r) for basis in model.bases)
+        tail = sum(sigma_tail(basis, spec.r) for basis in model.bases)
         ratio = integrated / tail if tail > 0 else float("inf")
-        rows.append((int(r), integrated, float(tail), float(ratio)))
-    if write_outputs:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_tail_csv(out / "tail_check.csv", rows)
+        rows.append((int(spec.r), integrated, float(tail), float(ratio)))
+    write_tail_csv(Path(cfg.out_dir) / "tail_check.csv", rows)
     return rows

@@ -157,27 +157,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_report_csv(path, reports) -> None:
-    """Write comparison rows: one line per ROM variant."""
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of fields."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["variant", "r", "mu", "e_inf", "H0", "Hfinal", "max_drift", "offset", "wall_ms"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.variant,
-                    rep.r,
-                    _fmt(rep.mu),
-                    _fmt(rep.e_inf),
-                    _fmt(rep.energy_initial),
-                    _fmt(rep.energy_final),
-                    _fmt(rep.max_energy_drift),
-                    _fmt(rep.energy_offset_vs_fom),
-                    _fmt(rep.wall_ms),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report_csv(path, reports) -> None:
+    """Write comparison rows: one line per ROM variant."""
+    _write_csv(
+        path,
+        ["variant", "r", "mu", "e_inf", "H0", "Hfinal", "max_drift", "offset", "wall_ms"],
+        (
+            [rep.variant, rep.r] + [_fmt(x) for x in (
+                rep.mu, rep.e_inf, rep.energy_initial, rep.energy_final,
+                rep.max_energy_drift, rep.energy_offset_vs_fom, rep.wall_ms,
+            )]
+            for rep in reports
+        ),
+    )
 
 
 def write_energy_csv(path, times, energies) -> None:
@@ -186,26 +186,18 @@ def write_energy_csv(path, times, energies) -> None:
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape:
         raise ValueError("times and energies must have matching lengths")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "H"])
-        for t, h in zip(times, energies):
-            writer.writerow([_fmt(t), _fmt(h)])
+    _write_csv(path, ["t", "H"], ([_fmt(t), _fmt(h)] for t, h in zip(times, energies)))
 
 
 def write_sweep_csv(path, rows) -> None:
     """Write gradient-weight sweep results as ``mu,e_inf`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "e_inf"])
-        for mu, err in rows:
-            writer.writerow([_fmt(mu), _fmt(err)])
+    _write_csv(path, ["mu", "e_inf"], ([_fmt(mu), _fmt(err)] for mu, err in rows))
 
 
 def write_tail_csv(path, rows) -> None:
     """Write tail-bound check rows: ``r,integrated_error,sigma_tail,ratio``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "integrated_error", "sigma_tail", "ratio"])
-        for r, err, tail, ratio in rows:
-            writer.writerow([r, _fmt(err), _fmt(tail), _fmt(ratio)])
+    _write_csv(
+        path,
+        ["r", "integrated_error", "sigma_tail", "ratio"],
+        ([r, _fmt(err), _fmt(tail), _fmt(ratio)] for r, err, tail, ratio in rows),
+    )

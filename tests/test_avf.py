@@ -98,6 +98,43 @@ class TestStep:
             AvfStepper(flow, dt=10.0, picard_max_iter=8).step(np.array([1e100]))
 
 
+class TestIteration:
+    """The nonlinear iteration shared by Picard and Newton, driven by a
+    scripted update from a prediction of 0."""
+
+    @staticmethod
+    def _scripted(iterates, picard_tol=1e-12, picard_max_iter=10):
+        flow = PolyGradFlow(
+            structure=np.eye(1),
+            linear=np.zeros((1, 1)),
+            quadratic=DiagonalQuadratic(1.0),
+            structure_tag="none",
+        )
+        stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol,
+                             picard_max_iter=picard_max_iter)
+        script = iter(iterates)
+        stepper._predict = lambda u: np.zeros(1)
+        stepper._update = lambda self, u, step_index: ("Newton", lambda x, m: next(script))
+        return stepper
+
+    def test_stopping_rule_is_relative_to_the_previous_iterate(self):
+        # 0 -> 2 moves by 2 > 0.9 (1 + |0|), though 2 <= 0.9 (1 + |2|); 2 -> 2 stops
+        stepper = self._scripted([np.array([2.0]), np.array([2.0])], picard_tol=0.9)
+        assert stepper.step(np.array([1.0])) == 2.0
+        assert stepper.last_iterations == 2
+        assert np.array_equal(stepper._deltas[-1], [1.0])  # the step increment
+
+    def test_stall_and_divergence(self):
+        stepper = self._scripted([np.array([float(m)]) for m in range(1, 4)], picard_max_iter=3)
+        with pytest.raises(StepFailure, match="Newton iteration stalled after 3") as info:
+            stepper.step(np.array([1.0]), step_index=5)
+        assert (info.value.step_index, info.value.iterations) == (5, 3)
+        stepper = self._scripted([np.array([1.0]), None])
+        with pytest.raises(StepFailure, match="diverged .overflow after 2") as info:
+            stepper.step(np.array([1.0]), step_index=6)
+        assert (info.value.step_index, info.value.iterations) == (6, 2)
+
+
 class TestEnergyBehavior:
     def test_skew_quadratic_conservation(self):
         flow = random_skew_quadratic_flow(seed=6)

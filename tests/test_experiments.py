@@ -1,5 +1,7 @@
 import logging
+import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,20 @@ class TestRunExperiment:
         assert calls == ["avf-other", experiments.FOM_SOLVER]
         assert not list((tmp_path / "out" / "cache").glob("*.tmp"))
 
+    def test_solver_tag_is_a_digest_of_the_solver_code(self, tmp_path):
+        names = ("avf.py", "systems.py", "linalg.py")
+        for name in names:
+            shutil.copy(Path(experiments.__file__).with_name(name), tmp_path / name)
+        assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
+        assert len(experiments.FOM_SOLVER) == 16
+        int(experiments.FOM_SOLVER, 16)
+        for name in names:
+            path = tmp_path / name
+            data = path.read_bytes()
+            path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # one byte changed
+            assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
+            path.write_bytes(data)
+
     def test_corrupt_cache_recomputes(self, tmp_path, caplog):
         cfg = tiny_wave_cfg(tmp_path / "out")
         fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
@@ -368,14 +384,14 @@ class TestSweep:
 
     def test_sweep_csv(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
-        mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2, write_outputs=True)
+        mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2)
         assert (tmp_path / "out" / "sweep_mu_sp0_r2.csv").exists()
 
 
 class TestTailCheck:
     def test_columns_and_csv(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
-        rows = tail_bound_check(cfg, [1, 2, 3], write_outputs=True)
+        rows = tail_bound_check(cfg, [1, 2, 3])
         assert [r for r, *_ in rows] == [1, 2, 3]
         errs = [row[1] for row in rows]
         tails = [row[2] for row in rows]
@@ -388,7 +404,7 @@ class TestTailCheck:
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
         # r=50 exceeds the rank of the tiny snapshot sets
         with caplog.at_level(logging.WARNING, logger="hamrom"):
-            rows = tail_bound_check(cfg, [2, 50], write_outputs=True)
+            rows = tail_bound_check(cfg, [2, 50])
         assert "r=50 failed" in caplog.text
         assert rows[0][0] == 2 and all(np.isfinite(rows[0][1:]))
         assert rows[1][0] == 50 and all(np.isnan(rows[1][1:]))
@@ -489,3 +505,38 @@ class TestCli:
         )
         with pytest.raises(SystemExit):
             main(["rom", "--config", str(path)])
+
+    @pytest.mark.parametrize("argv, roms, message", [
+        (["rom", "--variant", "SP0", "--r", "0"], "", "at least 1"),
+        (["rom", "--variant", "SP0", "--r", "2", "--mu", "-1"], "", "non-negative"),
+        (["rom", "--variant", "XX", "--r", "2"], "", "unknown ROM variant"),
+        (["rom", "--variant", "SP0"], "", "given together"),
+        (["sweep-mu", "--variant", "XX", "--r", "2"], "", "unknown ROM variant"),
+        (["sweep-mu"], "", "required: --r"),
+        (["tail-check", "--r", "2,x"], "", "invalid literal"),
+        (["tail-check", "--r", "2,0"], "", "at least 1"),
+        (["fom"], None, "No such file"),
+        (["rom"], "roms = SP0:0", "at least 1"),
+        (["fom"], "colour = red", "unknown configuration keys"),
+    ])
+    def test_input_errors_are_usage_errors(self, tmp_path, capsys, argv, roms, message):
+        # ``roms`` replaces the configuration's roms line; None writes no file
+        path = tmp_path / "cfg.txt"
+        if roms is not None:
+            text = CONFIG_TEXT.format(out=tmp_path / "out")
+            path.write_text(text.replace("roms = SP0:2, GROM:2:0.0", roms) if roms else text)
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--config", str(path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_errors_propagate(self, tmp_path, monkeypatch):
+        # an error inside the run is a programming error, not a usage error
+        def broken(flow, bases, variant):
+            raise ValueError("broken reduction")
+
+        monkeypatch.setattr(experiments, "reduce_operators", broken)
+        with pytest.raises(ValueError, match="broken reduction"):
+            main(["rom", "--config", str(self.write_cfg(tmp_path))])
