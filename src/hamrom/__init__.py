@@ -48,7 +48,7 @@ from .pod import (
     sigma_tail,
     snapshot_frames,
 )
-from .rom import ReducedModel, RomVariant, decode, encode, reduce_operators, run_rom
+from .rom import ReducedModel, RomVariant, encode, reduce_operators, run_rom
 from .systems import (
     DiagonalQuadratic,
     EnergyPolynomial,
@@ -97,7 +97,6 @@ __all__ = [
     "collect_snapshots",
     "collect_wave_snapshots",
     "compute_basis",
-    "decode",
     "default_mu_grid",
     "e_inf_scalar",
     "e_inf_wave",

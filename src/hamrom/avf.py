@@ -22,23 +22,24 @@ from .systems import PolyGradFlow, _as_state, _grad, eval_energy
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
+# iteration cap of the nonlinear solve of one step (Picard or Newton)
+MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class AvfScheme:
     """Time-integration parameters: step size, horizon, nonlinear solve knobs.
 
-    ``picard_tol`` and ``picard_max_iter`` are the stopping tolerance and the
-    iteration cap of whichever nonlinear solver the flow's storage selects
-    (see :class:`AvfStepper`): Picard iteration on sparse full-order flows,
-    Newton iteration on dense reduced ones.  ``snapshot_stride`` controls
-    recording: every ``stride``-th state (plus the initial one) is kept in
-    the trajectory.
+    ``picard_tol`` is the stopping tolerance of whichever nonlinear solver
+    the flow's storage selects (see :class:`AvfStepper`): Picard iteration
+    on sparse full-order flows, Newton iteration on dense reduced ones.
+    ``snapshot_stride`` controls recording: every ``stride``-th state (plus
+    the initial one) is kept in the trajectory.
     """
 
     dt: float
     t_end: float
     picard_tol: float = 1e-12
-    picard_max_iter: int = 100
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -48,8 +49,6 @@ class AvfScheme:
             raise ValueError("t_end must be positive")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
 
@@ -150,21 +149,19 @@ class AvfStepper:
 
     Both iterations stop when the increment drops to ``picard_tol`` relative
     to ``1 + max|x|`` and fail with :class:`StepFailure` after
-    ``picard_max_iter`` iterations; ``last_iterations`` is the count of the
+    :data:`MAX_ITERATIONS` iterations; ``last_iterations`` is the count of the
     last step (0 for linear flows).  They start from a cubic extrapolation
     of the step history (an explicit RK4 prediction while the history is
     short).  The predictor only changes the iteration count, never the
     converged step.
     """
 
-    def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12,
-                 picard_max_iter: int = 100):
+    def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
         if dt == 0:
             raise ValueError("dt must be nonzero")
         self.flow = flow
         self.dt = dt
         self.picard_tol = picard_tol
-        self.picard_max_iter = picard_max_iter
         half = 0.5 * dt * (flow.structure @ flow.linear)
         sparse = scipy.sparse.issparse(half)
         eye = scipy.sparse.eye_array(flow.dim, format="csr") if sparse else np.eye(flow.dim)
@@ -235,7 +232,7 @@ class AvfStepper:
             solver, update = self._update(self, u, step_index)
             x = self._predict(u)
             increment = np.inf
-            for m in range(1, self.picard_max_iter + 1):
+            for m in range(1, MAX_ITERATIONS + 1):
                 new = update(x, m)
                 increment = np.inf if new is None else np.abs(new - x).max()
                 if not np.isfinite(increment):  # the maximum propagates NaN and inf
@@ -250,10 +247,10 @@ class AvfStepper:
                     return new
                 x = new
         raise StepFailure(
-            f"{solver} iteration stalled after {self.picard_max_iter} iterations "
+            f"{solver} iteration stalled after {MAX_ITERATIONS} iterations "
             f"(last increment {increment:.3e})",
             step_index=step_index,
-            iterations=self.picard_max_iter,
+            iterations=MAX_ITERATIONS,
         )
 
     def _picard(self, u: np.ndarray, step_index: int):
@@ -344,7 +341,7 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
     stride = scheme.snapshot_stride
-    stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol, scheme.picard_max_iter)
+    stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol)
     dim = flow.dim
     states = np.empty((dim, steps // stride + 1), order="F")
     energies = np.empty(steps + 1)

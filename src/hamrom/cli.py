@@ -32,8 +32,8 @@ from .rom import RomVariant
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="configuration file path")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="configuration file path")
     parser.add_argument("--out", default=None, help="output directory (overrides the configuration)")
 
 

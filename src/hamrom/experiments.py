@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .avf import AvfScheme, StepFailure, Trajectory, integrate
 from .fileio import (
@@ -67,16 +68,18 @@ SYSTEMS = ("wave", "kdv")
 
 def _solver_tag(directory: Path) -> str:
     """16 hex digits of the sha256 of the stepper, system and linear-algebra
-    sources in ``directory``."""
+    sources in ``directory`` and of the NumPy and SciPy versions."""
     digest = hashlib.sha256()
     for name in ("avf.py", "systems.py", "linalg.py"):
         digest.update((directory / name).read_bytes())
+    digest.update(f"numpy={np.__version__};scipy={scipy.__version__}".encode())
     return digest.hexdigest()[:16]
 
 
 # Names the code of the full-order run (the AVF stepper, its linear solver and
-# the energy evaluation) in every cache key, so a trajectory cached by other
-# code is never served.
+# the energy evaluation) and the NumPy and SciPy releases it ran on in every
+# cache key, so a trajectory cached by other code is never served.  The BLAS
+# build is not in the key.
 FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
 from .avf import AvfScheme, Trajectory, integrate
 from .pod import PodBasis
@@ -37,7 +38,7 @@ from .systems import (
     eval_grad,
 )
 
-__all__ = ["ReducedModel", "RomVariant", "decode", "encode", "reduce_operators", "run_rom"]
+__all__ = ["ReducedModel", "RomVariant", "encode", "reduce_operators", "run_rom"]
 
 
 class RomVariant(enum.Enum):
@@ -72,52 +73,16 @@ class ReducedModel:
     basis_matrix: np.ndarray
     decode_offset: Optional[np.ndarray] = None
 
-    @property
-    def fom_dim(self) -> int:
-        return self.basis_matrix.shape[0]
-
-    @property
-    def reduced_dim(self) -> int:
-        return self.basis_matrix.shape[1]
-
 
 def encode(model: ReducedModel, u) -> np.ndarray:
     """Reduced coefficients of a full state: ``Phi^T (u - offset)``."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (model.fom_dim,):
-        raise ValueError(f"state must have shape ({model.fom_dim},), got {u.shape}")
+    n = model.basis_matrix.shape[0]
+    if u.shape != (n,):
+        raise ValueError(f"state must have shape ({n},), got {u.shape}")
     if model.decode_offset is not None:
         u = u - model.decode_offset
     return model.basis_matrix.T @ u
-
-
-def decode(model: ReducedModel, a) -> np.ndarray:
-    """Full states of reduced coefficients: ``offset + Phi a``, for one
-    coefficient vector of shape (r,) or an (r, m) block of columns."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[0] != model.reduced_dim:
-        raise ValueError(
-            f"coefficients must have shape ({model.reduced_dim},) or ({model.reduced_dim}, m), "
-            f"got {a.shape}"
-        )
-    u = model.basis_matrix @ a
-    if model.decode_offset is not None:
-        u += model.decode_offset if a.ndim == 1 else model.decode_offset[:, None]
-    return u
-
-
-def _block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Blocks placed along the diagonal of one zero matrix, in order."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    i = j = 0
-    for b in blocks:
-        out[i : i + b.shape[0], j : j + b.shape[1]] = b
-        i, j = i + b.shape[0], j + b.shape[1]
-    return out
-
-
-def _symmetrized(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
 
 
 def _reduced_tensors(lefts, phi: np.ndarray, coeff: float) -> list[TensorQuadratic]:
@@ -146,9 +111,14 @@ def reduce_operators(
     """Assemble the reduced operators of ``fom`` for the requested variant.
 
     ``basis`` is a single basis or a per-field pair (stacked two-field
-    systems).  The reduced energy is ``H(offset + Phi a)`` as a polynomial in
-    ``a``, with the full model's weight (and ``H(u0)`` as SP-ROM-2's shift);
-    G-ROM carries the SP-ROM-0 terms as its ``energy_terms``.
+    systems).  Every variant projects the gradient terms of
+    ``H(offset + Phi a)`` by ``Phi^T``: the constant ``g`` (``grad H(u0)``
+    for SP-ROM-2, ``g0`` otherwise), the linear ``G1 Phi`` (plus SP-ROM-2's
+    linearization ``2 coeff diag(u0) Phi`` of the quadratic term) and the
+    entrywise quadratic term.  They give the reduced energy, with the full
+    model's weight (and ``H(u0)`` as SP-ROM-2's shift).  The SP variants
+    step them with ``S_r = Phi^T S Phi``; G-ROM keeps them as its
+    ``energy_terms`` and steps the same terms projected by ``Phi^T S``.
 
     Raises ``ValueError`` on variant/basis mismatches: SP1 needs
     enrichment-processed bases, SP2 needs shifted-snapshot bases, and shifted
@@ -165,7 +135,7 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = bases[0].phi if len(bases) == 1 else _block_diagonal([b.phi for b in bases])
+    phi = bases[0].phi if len(bases) == 1 else scipy.linalg.block_diag(*(b.phi for b in bases))
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"
@@ -176,79 +146,58 @@ def reduce_operators(
         raise ValueError("only entrywise (diagonal) quadratic terms can be reduced")
     coeff = quad.coeff if quad is not None else 0.0
 
-    offset = None
-    shift = fom.energy_shift
+    # the unprojected gradient terms of H(offset + Phi a) / weight
+    offset, shift, g = None, fom.energy_shift, fom.constant
+    linear_phi = fom.linear @ phi
     if variant is RomVariant.SP2:
         offset = np.concatenate([b.shifted_reference for b in bases])
-        shift = eval_energy(fom, offset)
-        constant = phi.T @ eval_grad(fom, offset)
-        linear_phi = fom.linear @ phi
-        if coeff:
-            # the quadratic term linearized at the offset: diag(2 coeff offset)
+        shift, g = eval_energy(fom, offset), eval_grad(fom, offset)
+        if coeff:  # the quadratic term linearized at the offset: diag(2 coeff offset)
             linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
-        linear = _symmetrized(phi.T @ linear_phi)
-    else:
-        constant = phi.T @ fom.constant if fom.constant is not None else None
-        linear = _symmetrized(phi.T @ (fom.linear @ phi))
 
-    # constant and linear are the gradient terms of H(offset + Phi a) / weight;
-    # G-ROM keeps them for its energy and builds its own flow terms
+    # G-ROM's flow projects the same terms by Phi^T S as well
+    lefts = [phi.T, phi.T @ fom.structure] if variant is RomVariant.GROM else [phi.T]
+    quadratics = _reduced_tensors(lefts, phi, coeff) if coeff else [None] * len(lefts)
+    constant = phi.T @ g if g is not None else None
+    linear = phi.T @ linear_phi
+    linear = 0.5 * (linear + linear.T)
     energy_terms = None
     if variant is RomVariant.GROM:
-        left = phi.T @ fom.structure
-        quadratic, energy_quadratic = (
-            _reduced_tensors((left, phi.T), phi, coeff) if coeff else (None, None)
-        )
-        energy_terms = EnergyPolynomial(
-            linear=linear, constant=constant, quadratic=energy_quadratic
-        )
-        structure = np.eye(phi.shape[1])
-        linear = left @ (fom.linear @ phi)
-        constant = left @ fom.constant if fom.constant is not None else None
-        tag = "none"
+        energy_terms = EnergyPolynomial(linear=linear, constant=constant, quadratic=quadratics[0])
+        left = lefts[1]
+        structure, tag = np.eye(phi.shape[1]), "none"
+        constant = left @ g if g is not None else None
+        linear = left @ linear_phi
     else:
-        s_r = phi.T @ (fom.structure @ phi)
-        if fom.structure_tag == "skew":
-            s_r = 0.5 * (s_r - s_r.T)  # make the inherited skew-symmetry exact
-        structure = s_r
-        tag = fom.structure_tag
-        quadratic = _reduced_tensors((phi.T,), phi, coeff)[0] if coeff else None
+        structure, tag = phi.T @ (fom.structure @ phi), fom.structure_tag
+        if tag == "skew":
+            structure = 0.5 * (structure - structure.T)  # make the inherited skew-symmetry exact
 
     flow = PolyGradFlow(
         structure=structure,
         linear=linear,
         constant=constant,
-        quadratic=quadratic,
+        quadratic=quadratics[-1],  # projected by the last left factor
         structure_tag=tag,
         energy_weight=fom.energy_weight,
         energy_shift=shift,
         energy_terms=energy_terms,
     )
-    return ReducedModel(
-        flow=flow,
-        bases=bases,
-        basis_matrix=phi,
-        decode_offset=offset,
-    )
+    return ReducedModel(flow=flow, bases=bases, basis_matrix=phi, decode_offset=offset)
 
 
-def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state=None) -> Trajectory:
-    """Integrate the reduced flow; the trajectory stays in reduced coordinates.
+def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory:
+    """Integrate the reduced flow from ``encode(model, initial_state)``; the
+    trajectory stays in reduced coordinates.
 
-    ``initial_state`` is the full-order start state; it may be omitted for
-    shifted-basis models, whose reduced start is the zero coefficient vector.
+    ``initial_state`` is the full-order start state (for shifted-basis
+    models, whose offset is that state, it encodes to zero coefficients).
     The result's ``states`` are the r x m reduced coefficients at the
     recording times, and it carries the decode map (``basis`` and
-    ``offset``): the error metrics decode it block-wise, and :func:`decode`
-    gives full states to callers that want them.  The energy series is the
-    reduced energy polynomial at every step, equal to the full-order energy
-    of the decoded state up to rounding.
+    ``offset``): :meth:`Trajectory.full_states` decodes a block of columns,
+    as the error metrics do.  The energy series is the reduced energy
+    polynomial at every step, equal to the full-order energy of the decoded
+    state up to rounding.
     """
-    if initial_state is None:
-        if model.decode_offset is None:
-            raise ValueError("initial_state is required for non-shifted models")
-        a0 = np.zeros(model.reduced_dim)
-    else:
-        a0 = encode(model, initial_state)
-    reduced = integrate(model.flow, a0, scheme)
+    reduced = integrate(model.flow, encode(model, initial_state), scheme)
     return replace(reduced, basis=model.basis_matrix, offset=model.decode_offset)

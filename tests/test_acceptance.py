@@ -22,7 +22,7 @@ from hamrom.pod import (
     sigma_tail,
 )
 from hamrom.avf import Trajectory
-from hamrom.rom import RomVariant, decode, reduce_operators, run_rom
+from hamrom.rom import RomVariant, reduce_operators, run_rom
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
@@ -153,7 +153,7 @@ def test_criterion_04_full_basis_recovery():
     full = PodBasis(phi=np.eye(16), sigma=np.ones(16))
     model = reduce_operators(flow, (full, full), RomVariant.SP0)
     rom_traj = run_rom(model, scheme, initial_state=u0)
-    gap = np.abs(decode(model, rom_traj.states) - fom_traj.states).max()
+    gap = np.abs(rom_traj.full_states(0, rom_traj.states.shape[1]) - fom_traj.states).max()
     assert gap <= 1e-9
     _report(4, f"16-point wave, 100 steps, full-basis gap {gap:.2e} <= 1e-9")
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
 from hamrom.systems import (
     DiagonalQuadratic,
@@ -33,6 +35,20 @@ def random_skew_quadratic_flow(dim=6, seed=0, coeff=0.3):
         quadratic=DiagonalQuadratic(coeff),
         structure_tag="skew",
     )
+
+
+def blowup_flow(storage):
+    """Scalar ``du/dt = u^2``: dense operators step by Newton iteration,
+    sparse ones by Picard iteration."""
+    S, G1 = np.array([[1.0]]), np.zeros((1, 1))
+    if storage == "sparse":
+        S, G1 = scipy.sparse.csr_array(S), scipy.sparse.csr_array(G1)
+    return PolyGradFlow(
+        structure=S, linear=G1, quadratic=DiagonalQuadratic(1.0), structure_tag="none"
+    )
+
+
+STORAGES = (("dense", "Newton"), ("sparse", "Picard"))
 
 
 class TestStep:
@@ -73,29 +89,22 @@ class TestStep:
         back = AvfStepper(flow, dt=-0.05).step(forward)
         assert np.abs(back - u).max() <= 1e-10 * np.abs(u).max()
 
-    def test_picard_divergence_raises(self):
-        flow = PolyGradFlow(
-            structure=np.array([[1.0]]),
-            linear=np.zeros((1, 1)),
-            quadratic=DiagonalQuadratic(1.0),
-            structure_tag="none",
-        )
-        with pytest.raises(StepFailure) as info:
-            AvfStepper(flow, dt=10.0, picard_max_iter=8).step(np.array([1.0]))
-        assert 1 <= info.value.iterations <= 8
+    def test_picard_divergence_raises(self, monkeypatch):
+        # both storages: Newton stalls (dense), Picard diverges (sparse)
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 8)
+        for storage, solver in STORAGES:
+            with pytest.raises(StepFailure, match=f"{solver} iteration (stalled|diverged)") as info:
+                AvfStepper(blowup_flow(storage), dt=10.0).step(np.array([1.0]))
+            assert 1 <= info.value.iterations <= 8
 
-
-    def test_overflowing_prediction_fails_as_a_step(self):
+    def test_overflowing_prediction_fails_as_a_step(self, monkeypatch):
         # the RK4 stages of the start guess overflow; that is a solver
         # failure of the step, not an invalid state
-        flow = PolyGradFlow(
-            structure=np.array([[1.0]]),
-            linear=np.zeros((1, 1)),
-            quadratic=DiagonalQuadratic(1.0),
-            structure_tag="none",
-        )
-        with pytest.raises(StepFailure):
-            AvfStepper(flow, dt=10.0, picard_max_iter=8).step(np.array([1e100]))
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 8)
+        for storage, solver in STORAGES:
+            with pytest.raises(StepFailure, match=f"{solver} iteration (stalled|diverged)") as info:
+                AvfStepper(blowup_flow(storage), dt=10.0).step(np.array([1e100]))
+            assert 1 <= info.value.iterations <= 8
 
 
 class TestIteration:
@@ -103,15 +112,14 @@ class TestIteration:
     scripted update from a prediction of 0."""
 
     @staticmethod
-    def _scripted(iterates, picard_tol=1e-12, picard_max_iter=10):
+    def _scripted(iterates, picard_tol=1e-12):
         flow = PolyGradFlow(
             structure=np.eye(1),
             linear=np.zeros((1, 1)),
             quadratic=DiagonalQuadratic(1.0),
             structure_tag="none",
         )
-        stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol,
-                             picard_max_iter=picard_max_iter)
+        stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol)
         script = iter(iterates)
         stepper._predict = lambda u: np.zeros(1)
         stepper._update = lambda self, u, step_index: ("Newton", lambda x, m: next(script))
@@ -124,8 +132,9 @@ class TestIteration:
         assert stepper.last_iterations == 2
         assert np.array_equal(stepper._deltas[-1], [1.0])  # the step increment
 
-    def test_stall_and_divergence(self):
-        stepper = self._scripted([np.array([float(m)]) for m in range(1, 4)], picard_max_iter=3)
+    def test_stall_and_divergence(self, monkeypatch):
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 3)
+        stepper = self._scripted([np.array([float(m)]) for m in range(1, 4)])
         with pytest.raises(StepFailure, match="Newton iteration stalled after 3") as info:
             stepper.step(np.array([1.0]), step_index=5)
         assert (info.value.step_index, info.value.iterations) == (5, 3)
@@ -200,16 +209,11 @@ class TestIntegrate:
         assert AvfScheme(dt=0.01, t_end=50.0).steps() == 5000
         assert AvfScheme(dt=0.02, t_end=20.0).steps() == 1000
 
-    def test_step_failure_carries_index(self):
-        flow = PolyGradFlow(
-            structure=np.array([[1.0]]),
-            linear=np.zeros((1, 1)),
-            quadratic=DiagonalQuadratic(1.0),
-            structure_tag="none",
-        )
+    def test_step_failure_carries_index(self, monkeypatch):
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 30)
         # blows up in finite time; the failing step index must be reported
         with pytest.raises(StepFailure) as info:
-            integrate(flow, np.array([1.0]), AvfScheme(dt=0.9, t_end=9.0, picard_max_iter=30))
+            integrate(blowup_flow("dense"), np.array([1.0]), AvfScheme(dt=0.9, t_end=9.0))
         assert info.value.step_index >= 1
 
     def test_deterministic(self):

@@ -204,7 +204,7 @@ class TestRunExperiment:
         assert calls == ["avf-other", experiments.FOM_SOLVER]
         assert not list((tmp_path / "out" / "cache").glob("*.tmp"))
 
-    def test_solver_tag_is_a_digest_of_the_solver_code(self, tmp_path):
+    def test_solver_tag_is_a_digest_of_the_solver_code(self, tmp_path, monkeypatch):
         names = ("avf.py", "systems.py", "linalg.py")
         for name in names:
             shutil.copy(Path(experiments.__file__).with_name(name), tmp_path / name)
@@ -217,6 +217,11 @@ class TestRunExperiment:
             path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # one byte changed
             assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
             path.write_bytes(data)
+        for package in (experiments.np, experiments.scipy):
+            with monkeypatch.context() as patched:
+                patched.setattr(package, "__version__", package.__version__ + "+other")
+                assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
+        assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
 
     def test_corrupt_cache_recomputes(self, tmp_path, caplog):
         cfg = tiny_wave_cfg(tmp_path / "out")

@@ -5,7 +5,7 @@ import pytest
 
 from hamrom.avf import AvfScheme, integrate
 from hamrom.pod import PodBasis, collect_snapshots, compute_basis, enrich_with_ic_residual
-from hamrom.rom import RomVariant, decode, encode, reduce_operators, run_rom
+from hamrom.rom import RomVariant, encode, reduce_operators, run_rom
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
@@ -168,7 +168,7 @@ class TestEncodeDecode:
         model = reduce_operators(flow, basis, RomVariant.SP0)
         rng = np.random.default_rng(13)
         u = rng.standard_normal(20)
-        roundtrip = decode(model, encode(model, u))
+        roundtrip = model.basis_matrix @ encode(model, u)
         proj = basis.phi @ (basis.phi.T @ u)
         assert np.allclose(roundtrip, proj, atol=1e-13)
 
@@ -179,29 +179,15 @@ class TestEncodeDecode:
         basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
         model = reduce_operators(flow, basis, RomVariant.SP2)
         assert np.abs(encode(model, u0)).max() <= 1e-14
-        assert np.allclose(decode(model, np.zeros(3)), u0, atol=1e-14)
+        assert np.array_equal(model.decode_offset, u0)
 
     def test_enriched_basis_captures_initial_state(self):
         flow, u0 = small_kdv()
         traj = integrate(flow, u0, AvfScheme(dt=0.01, t_end=0.1, snapshot_stride=2))
         basis = enrich_with_ic_residual(compute_basis(collect_snapshots(traj, flow), 2), u0)
         model = reduce_operators(flow, basis, RomVariant.SP1)
-        roundtrip = decode(model, encode(model, u0))
+        roundtrip = model.basis_matrix @ encode(model, u0)
         assert np.linalg.norm(roundtrip - u0) <= 1e-10 * np.linalg.norm(u0)
-
-
-    def test_block_decode_is_columnwise(self):
-        flow, u0 = small_kdv()
-        rng = np.random.default_rng(22)
-        Q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        basis = PodBasis(phi=Q, sigma=np.ones(3), shifted_reference=u0)
-        model = reduce_operators(flow, basis, RomVariant.SP2)
-        A = rng.standard_normal((3, 5))
-        expected = np.column_stack([decode(model, a) for a in A.T])
-        assert np.allclose(decode(model, A), expected, rtol=0, atol=1e-14)
-        for bad in (np.zeros(4), np.zeros((4, 2)), np.zeros((3, 2, 2))):
-            with pytest.raises(ValueError, match="coefficients"):
-                decode(model, bad)
 
 
 class TestRunRom:
@@ -214,7 +200,8 @@ class TestRunRom:
         for variant in (RomVariant.SP0, RomVariant.GROM):
             model = reduce_operators(flow, (identity_basis(8), identity_basis(8)), variant)
             rom_traj = run_rom(model, scheme, initial_state=u0)
-            assert np.abs(decode(model, rom_traj.states) - fom_traj.states).max() <= 1e-9
+            decoded = rom_traj.full_states(0, rom_traj.states.shape[1])
+            assert np.abs(decoded - fom_traj.states).max() <= 1e-9
 
     def test_trajectory_stays_reduced(self):
         flow, u0 = small_kdv()
@@ -222,13 +209,15 @@ class TestRunRom:
         traj = integrate(flow, u0, scheme)
         basis = compute_basis(collect_snapshots(traj, flow, shifted=True), 3)
         model = reduce_operators(flow, basis, RomVariant.SP2)
-        rom_traj = run_rom(model, scheme)
+        rom_traj = run_rom(model, scheme, initial_state=u0)
         assert rom_traj.states.shape == (3, traj.times.size)
         assert rom_traj.basis is model.basis_matrix
         assert rom_traj.offset is model.decode_offset
         assert rom_traj.dim == 20
         block = np.empty((20, 2), order="F")
-        expected = decode(model, rom_traj.states[:, 1:3])
+        expected = np.column_stack(
+            [model.decode_offset + model.basis_matrix @ a for a in rom_traj.states[:, 1:3].T]
+        )
         assert np.allclose(rom_traj.full_states(1, 3, block), expected, rtol=0, atol=1e-14)
 
     def test_sp_variants_conserve_energy(self):
@@ -269,7 +258,8 @@ class TestRunRom:
         lazy = on_the_fly(dense, flow)
         t_dense = run_rom(dense, scheme, initial_state=u0)
         t_lazy = run_rom(lazy, scheme, initial_state=u0)
-        assert np.abs(decode(dense, t_dense.states) - decode(lazy, t_lazy.states)).max() <= 1e-10
+        m = t_dense.states.shape[1]
+        assert np.abs(t_dense.full_states(0, m) - t_lazy.full_states(0, m)).max() <= 1e-10
 
     def test_decoded_states_carry_offset(self):
         flow, u0 = small_kdv()
@@ -277,15 +267,9 @@ class TestRunRom:
         traj = integrate(flow, u0, scheme)
         basis = compute_basis(collect_snapshots(traj, flow, shifted=True), 3)
         model = reduce_operators(flow, basis, RomVariant.SP2)
-        rom_traj = run_rom(model, scheme)  # no initial state needed
-        assert np.allclose(decode(model, rom_traj.states[:, 0]), u0, atol=1e-12)
-
-    def test_initial_state_required_without_shift(self):
-        flow, u0 = small_kdv()
-        basis = random_orthonormal(20, 3, seed=17)
-        model = reduce_operators(flow, basis, RomVariant.SP0)
-        with pytest.raises(ValueError, match="initial_state"):
-            run_rom(model, AvfScheme(dt=0.02, t_end=0.1))
+        rom_traj = run_rom(model, scheme, initial_state=u0)
+        assert not rom_traj.states[:, 0].any()  # the offset start encodes to exactly 0
+        assert np.allclose(rom_traj.full_states(0, 1)[:, 0], u0, atol=1e-12)
 
 
 class TestVariantGuards:
