@@ -12,13 +12,14 @@ nonlinear-solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
 from .linalg import LuFactorization, SingularMatrixError
-from .systems import PolyGradFlow, _as_state, _grad, eval_energy
+from .systems import PolyGradFlow, TensorQuadratic, _as_state, _grad, eval_energy
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
@@ -136,16 +137,23 @@ class AvfStepper:
     With ``A = dt/2 S G1``, every step solves
     ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``.
 
-    * Sparse operators (full-order stencils): ``I - A`` is LU-factored once
-      and reused for every step; a quadratic flow iterates on the average
-      quadratic term by Picard iteration, one solve per iteration.
+    * Sparse operators (full-order stencils): a quadratic flow iterates on
+      the average quadratic term by Picard iteration.  When every n x n
+      block of S and G1 is a periodic stencil on one or two equal fields,
+      each block is diagonal in Fourier modes, and a step or an iteration
+      is one transform pair (:class:`_FourierMaps`); otherwise ``I - A`` is
+      LU-factored once and each is one solve (:class:`_LuMaps`).
     * Dense linear flows (reduced models): the step is the precomputed
       propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
-      ``c = (I - A)^-1 dt S g0`` (:func:`integrate` applies its powers to
-      whole blocks of steps instead).
+      ``c = (I - A)^-1 dt S g0``.
     * Dense quadratic flows (reduced models): Newton iteration with the
       r x r Jacobian ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)``
-      is the matrix of ``v -> G2(a, v)``, factored every iteration.
+      is the matrix of ``v -> G2(a, v)``, factored every iteration.  A
+      tensor term folds ``dt S / 3`` into its tensor once, so ``dt S J2(x) / 3``
+      is one contraction with ``x``.
+
+    :func:`integrate` fills whole blocks of steps of a linear flow from the
+    stacked powers of its propagator (per mode on block-circulant stencils).
 
     Both iterations stop when the increment drops to ``picard_tol`` relative
     to ``1 + max|x|`` and fail with :class:`StepFailure` after
@@ -162,33 +170,30 @@ class AvfStepper:
         self.flow = flow
         self.dt = dt
         self.picard_tol = picard_tol
-        half = 0.5 * dt * (flow.structure @ flow.linear)
-        sparse = scipy.sparse.issparse(half)
-        eye = scipy.sparse.eye_array(flow.dim, format="csr") if sparse else np.eye(flow.dim)
-        self._lhs_mat = eye - half
-        self._lhs = LuFactorization(self._lhs_mat)  # Newton refactors it per iteration
-        self._rhs_mat = eye + half
-        self._dtS = dt * flow.structure
-        self._const = self._dtS @ flow.constant if flow.constant is not None else None
         self._deltas: list[np.ndarray] = []  # last three step increments
         self.last_iterations = 0
+        sparse = scipy.sparse.issparse(flow.structure) and scipy.sparse.issparse(flow.linear)
+        maps = _FourierMaps.of(flow, dt) if sparse else None
+        if maps is None:
+            maps = _LuMaps(flow, dt)
+            if not sparse and flow.quadratic is None:
+                maps = _PropagatorMaps(maps)
+        self._maps = maps
         # plain functions, not bound methods: a bound method stored on the
         # instance is a reference cycle that would keep the stepper, its
         # flow and its factors alive until the cyclic garbage collector runs
-        if sparse and flow.quadratic is None:
-            self._advance = AvfStepper._solve_linear
+        quad = flow.quadratic
+        if quad is None:
+            self._advance = AvfStepper._linear
         elif sparse:
             self._advance, self._update = AvfStepper._iterate, AvfStepper._picard
-        elif flow.quadratic is None:
-            # NumPy's LAPACK, not the SciPy one of the factorization: SciPy's
-            # multi-column solve wakes SciPy's OpenBLAS threads, which keep
-            # spinning afterwards and, on 2 cores, doubled the time of the
-            # NumPy SVD that follows a short reduced run in a sweep
-            self._propagator = np.linalg.solve(self._lhs_mat, self._rhs_mat)
-            self._offset = self._lhs.solve(self._const) if self._const is not None else None
-            self._advance = AvfStepper._propagate
         else:
-            self._dtS3 = self._dtS / 3.0
+            # the map x -> dt S J2(x) / 3; a tensor term takes dt S / 3 in once
+            dtS3 = maps.dtS / 3.0
+            if isinstance(quad, TensorQuadratic):
+                self._jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
+            else:
+                self._jacobian = lambda x: dtS3 @ quad.jacobian(x)
             self._advance, self._update = AvfStepper._iterate, AvfStepper._newton
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
@@ -212,16 +217,8 @@ class AvfStepper:
         solve fails (``step_index`` is reported with it)."""
         return self._advance(self, u, step_index)
 
-    def _rhs(self, u: np.ndarray) -> np.ndarray:
-        base = self._rhs_mat @ u
-        return base if self._const is None else base + self._const
-
-    def _solve_linear(self, u: np.ndarray, step_index: int) -> np.ndarray:
-        return self._lhs.solve(self._rhs(u))
-
-    def _propagate(self, u: np.ndarray, step_index: int) -> np.ndarray:
-        x = self._propagator @ u
-        return x if self._offset is None else x + self._offset
+    def _linear(self, u: np.ndarray, step_index: int) -> np.ndarray:
+        return self._maps.solve(self._maps.base(u))
 
     def _iterate(self, u: np.ndarray, step_index: int) -> np.ndarray:
         """The nonlinear solve of one step; ``_update`` gives Picard's or
@@ -254,42 +251,234 @@ class AvfStepper:
         )
 
     def _picard(self, u: np.ndarray, step_index: int):
-        """Picard update: the averaged quadratic term and one LU solve."""
-        quad = self.flow.quadratic
-        base = self._rhs(u)
-        q_kk = quad.eval(u, u)
+        """Picard update: one ``solve`` of the averaged quadratic term."""
+        quad, maps = self.flow.quadratic, self._maps
+        base = maps.base(u)
+        q_uu = quad.eval(u, u)
 
         def update(x: np.ndarray, m: int) -> np.ndarray:
-            q_avg = (q_kk + quad.eval(u, x) + quad.eval(x, x)) / 3.0
-            return self._lhs.solve(base + self._dtS @ q_avg)
+            return maps.solve(base, q_uu + quad.eval(u, x) + quad.eval(x, x))
 
         return "Picard", update
 
     def _newton(self, u: np.ndarray, step_index: int):
         """Newton update: the residual, then one factor and one solve of the Jacobian."""
-        quad = self.flow.quadratic
-        k_u = self._dtS3 @ quad.jacobian(u)  # dt S J2(u) / 3
-        base = self._rhs(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
-        fixed = self._lhs_mat - k_u  # the Jacobian's part that x leaves fixed
+        maps, jacobian = self._maps, self._jacobian
+        k_u = jacobian(u)  # dt S J2(u) / 3
+        base = maps.base(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
+        fixed = maps.lhs_mat - k_u  # the Jacobian's part that x leaves fixed
 
         def update(x: np.ndarray, m: int) -> Optional[np.ndarray]:
-            k_x = self._dtS3 @ quad.jacobian(x)
+            k_x = jacobian(x)
             # residual of (I - A) x = base + dt S (G2(u,x) + G2(x,x)) / 3;
             # an overflow in k_x leaves it non-finite too
             residual = (fixed - k_x) @ x - base
             if not np.isfinite(residual).all():
                 return None
             try:
-                self._lhs.factor(fixed - 2.0 * k_x)
+                maps.lhs.factor(fixed - 2.0 * k_x)
             except SingularMatrixError as exc:
                 raise StepFailure(
                     f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
                     step_index=step_index,
                     iterations=m,
                 ) from exc
-            return x - self._lhs.solve(residual)
+            return x - maps.lhs.solve(residual)
 
         return "Newton", update
+
+
+# The linear algebra of one step comes from one of three kinds of maps, each
+# with ``base(u)``, the part of the step that u fixes, and ``solve(base, q)``,
+# the step for the quadratic term q (the sum of the three G2 evaluations; a
+# linear flow passes none), and with ``stacked(width)``, the fill of whole
+# blocks of a linear flow's steps (None: one step at a time).
+
+
+class _LuMaps:
+    """One LU factorization of ``I - A``: SuperLU for sparse operators, LAPACK
+    for dense ones, whose Newton iteration refactors ``lhs`` every iteration."""
+
+    def __init__(self, flow: PolyGradFlow, dt: float):
+        half = 0.5 * dt * (flow.structure @ flow.linear)
+        sparse = scipy.sparse.issparse(half)
+        eye = scipy.sparse.eye_array(flow.dim, format="csr") if sparse else np.eye(flow.dim)
+        self.lhs_mat = eye - half
+        self.lhs = LuFactorization(self.lhs_mat)
+        self.rhs_mat = eye + half
+        self.dtS = dt * flow.structure
+        self.const = self.dtS @ flow.constant if flow.constant is not None else None
+
+    def base(self, u: np.ndarray) -> np.ndarray:
+        """``(I + A) u + dt S g0``."""
+        base = self.rhs_mat @ u
+        return base if self.const is None else base + self.const
+
+    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x`` with ``(I - A) x = base + dt S q / 3``."""
+        return self.lhs.solve(base if q is None else base + self.dtS @ (q / 3.0))
+
+    def stacked(self, width: int):
+        """None: every step is one solve."""
+        return None
+
+
+class _PropagatorMaps:
+    """A dense linear step as its propagator: ``base(u) = M u + c`` is the step."""
+
+    def __init__(self, lu: _LuMaps):
+        # NumPy's LAPACK, not the SciPy one of the factorization: SciPy's
+        # multi-column solve wakes SciPy's OpenBLAS threads, which keep
+        # spinning afterwards and, on 2 cores, doubled the time of the
+        # NumPy SVD that follows a short reduced run in a sweep
+        self._M = np.linalg.solve(lu.lhs_mat, lu.rhs_mat)
+        self._c = lu.lhs.solve(lu.const) if lu.const is not None else None
+
+    def base(self, u: np.ndarray) -> np.ndarray:
+        x = self._M @ u
+        return x if self._c is None else x + self._c
+
+    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """``base``, already the step: a dense linear flow has no quadratic term."""
+        return base
+
+    def stacked(self, width: int):
+        """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
+        as rows, from one matvec of the stacked powers (at most
+        ``_ENERGY_BLOCK_ENTRIES`` entries of them)."""
+        dim = self._M.shape[0]
+        count = max(1, min(width, _ENERGY_BLOCK_ENTRIES // (dim * dim)))
+        powers, offsets = _stacked_powers(self._M, self._c, count)
+        powers = powers.reshape(count * dim, dim)
+        offsets = None if offsets is None else offsets.ravel()
+
+        def run(u: np.ndarray, k: int) -> np.ndarray:
+            x = powers[: k * dim] @ u
+            if offsets is not None:
+                x += offsets[: k * dim]
+            return x.reshape(k, dim)
+
+        return run, count
+
+
+def _stencil_columns(op, fields: int) -> Optional[np.ndarray]:
+    """The first columns of the n x n blocks of the sparse ``op`` on
+    ``fields`` equal fields, as a (fields, fields, n) array; None unless
+    every block is a periodic stencil: each stored entry equals its block's
+    first-column entry at offset ``(i - j) mod n``, and each nonzero offset
+    is stored in all n rows."""
+    dim = op.shape[0]
+    if dim % fields:
+        return None
+    n = dim // fields
+    coo = op.tocoo(copy=True)
+    coo.sum_duplicates()
+    row, col = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    index = ((row // n) * fields + col // n) * n + (row - col) % n
+    columns = np.zeros(fields * fields * n)
+    columns[index] = coo.data
+    stored = np.bincount(index, minlength=columns.size)
+    if not np.array_equal(columns[index], coo.data) or np.any(stored[columns != 0] != n):
+        return None
+    return columns.reshape(fields, fields, n)
+
+
+def _apply(symbols: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Per-mode products of (..., b, b, modes) symbols with (b, modes) spectra."""
+    out = symbols[..., 0, :] * spectra[0]
+    for c in range(1, spectra.shape[0]):
+        out += symbols[..., c, :] * spectra[c]
+    return out
+
+
+class _FourierMaps:
+    """The step of block-circulant operators, one b x b matrix per Fourier mode.
+
+    A periodic stencil is diagonalized by the discrete Fourier transform, so
+    on b fields whose every block is one, ``I - A``, ``I + A`` and ``dt S``
+    are b x b symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``,
+    ``K = (I - A)^-1 dt S / 3`` and the offset ``(I - A)^-1 dt S g0`` are
+    formed once; ``base`` is the linear step and ``solve`` adds the
+    quadratic term, one transform pair each.  A mode whose pivot is at or
+    below 1e-14 of the largest symbol entry of ``I - A`` raises
+    :class:`SingularMatrixError`, as :class:`LuFactorization` does.
+    Symbols are stored (b, b, modes) and spectra (b, modes), so every
+    product runs along the contiguous mode axis.
+    """
+
+    def __init__(self, structure: np.ndarray, linear: np.ndarray,
+                 constant: Optional[np.ndarray], dt: float):
+        fields, _, self._n = structure.shape
+        # per-mode matrices (modes, b, b) while the symbols are formed
+        S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (structure, linear))
+        half = 0.5 * dt * (S @ G1)
+        eye = np.eye(fields)
+        lhs = eye - half
+        first = np.abs(lhs[:, :, 0]).max(axis=1)  # the first pivot of partial pivoting
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pivots = first if fields == 1 else np.minimum(first, np.abs(np.linalg.det(lhs)) / first)
+        if not np.all(pivots > 1e-14 * np.abs(lhs).max()):  # NaN fails too
+            raise SingularMatrixError("Fourier-mode pivot below 1e-14 of the symbol scale")
+        self._P_modes = np.linalg.solve(lhs, eye + half)
+        self._P = _modes_last(self._P_modes)
+        self._K = _modes_last(np.linalg.solve(lhs, (dt / 3.0) * S))
+        self._c = self._offset = None  # the offset per mode (modes, b, 1) and in space
+        if constant is not None:
+            self._c = np.linalg.solve(lhs, dt * (S @ self._modes(constant).T[:, :, None]))
+            self._offset = self._space(self._c[:, :, 0].T)
+
+    @classmethod
+    def of(cls, flow: PolyGradFlow, dt: float) -> Optional["_FourierMaps"]:
+        """The maps of a sparse flow on one or two equal fields whose S and
+        G1 are periodic stencils block by block; None for any other."""
+        for fields in (1, 2):
+            structure = _stencil_columns(flow.structure, fields)
+            linear = None if structure is None else _stencil_columns(flow.linear, fields)
+            if linear is not None:
+                return cls(structure, linear, flow.constant, dt)
+        return None
+
+    def _modes(self, u: np.ndarray) -> np.ndarray:
+        """The (b, modes) spectra of the b fields of a state."""
+        return np.fft.rfft(u.reshape(-1, self._n))
+
+    def _space(self, spectra: np.ndarray) -> np.ndarray:
+        """The states (..., dim) of (..., b, modes) spectra."""
+        x = np.fft.irfft(spectra, self._n)
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    def base(self, u: np.ndarray) -> np.ndarray:
+        """``P u + (I - A)^-1 dt S g0``: the step without the quadratic term."""
+        x = self._space(_apply(self._P, self._modes(u)))
+        return x if self._offset is None else x + self._offset
+
+    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """``base + K q``."""
+        return base if q is None else base + self._space(_apply(self._K, self._modes(q)))
+
+    def stacked(self, width: int):
+        """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
+        as rows, from the stacked per-mode powers of ``P`` (at most
+        ``_ENERGY_BLOCK_ENTRIES`` entries of them) and one batched inverse
+        transform."""
+        count = max(1, min(width, _ENERGY_BLOCK_ENTRIES // self._P.size))
+        powers, offsets = _stacked_powers(self._P_modes, self._c, count)
+        powers = _modes_last(powers)
+        if offsets is not None:  # (count, modes, b, 1) -> (count, b, modes)
+            offsets = np.ascontiguousarray(np.swapaxes(offsets[..., 0], -1, -2))
+
+        def run(u: np.ndarray, k: int) -> np.ndarray:
+            spectra = _apply(powers[:k], self._modes(u))
+            if offsets is not None:
+                spectra += offsets[:k]
+            return self._space(spectra)
+
+        return run, count
+
+
+def _modes_last(matrices: np.ndarray) -> np.ndarray:
+    """(..., b, b, modes) contiguous symbols of (..., modes, b, b) matrices."""
+    return np.ascontiguousarray(np.moveaxis(matrices, -3, -1))
 
 
 # one eval_energy call in integrate covers up to 256 consecutive states and
@@ -304,15 +493,16 @@ _ENERGY_BLOCK_ENTRIES = 32768
 
 
 def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
-    """``[M; M^2; ...; M^count]`` and the matching offsets, stacked row-wise.
+    """``M, M^2, ..., M^count`` and the matching offsets, stacked on a new
+    leading axis.
 
-    Row block j (from 0) maps a state to the state ``j + 1`` steps of
-    ``u -> M u + c`` later: ``M^(j+1) u + (M^j + ... + I) c``.  The offsets
-    are None without ``c``.
+    Entry j (from 0) maps a state to the state ``j + 1`` steps of
+    ``u -> M u + c`` later: ``M^(j+1) u + (M^j + ... + I) c``.  ``M`` may be
+    a stack of matrices (one per Fourier mode) and ``c`` the matching stack
+    of columns.  The offsets are None without ``c``.
     """
-    dim = M.shape[0]
-    powers = np.empty((count, dim, dim))
-    offsets = None if c is None else np.empty((count, dim))
+    powers = np.empty((count,) + M.shape, dtype=M.dtype)
+    offsets = None if c is None else np.empty((count,) + c.shape, dtype=c.dtype)
     powers[0] = M
     if offsets is not None:
         offsets[0] = c
@@ -320,7 +510,7 @@ def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
         np.matmul(M, powers[j - 1], out=powers[j])
         if offsets is not None:
             offsets[j] = M @ offsets[j - 1] + c
-    return powers.reshape(count * dim, dim), None if offsets is None else offsets.ravel()
+    return powers, offsets
 
 
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
@@ -332,11 +522,13 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     at full resolution even when states are recorded sparsely.
 
     The steps fill blocks of consecutive states, and each block gives its
-    energies in one evaluation and its recorded states in one copy.  A dense
-    linear flow (a linear reduced model) fills a block without stepping: up
-    to B states at a time come from one matvec of the stacked propagator
-    powers ``[M; M^2; ...; M^B]`` with the block's start state.  Every other
-    flow takes :meth:`AvfStepper.step` once per step.
+    energies in one evaluation and its recorded states in one copy.  A
+    linear flow with a propagator (a dense one, a linear reduced model, or a
+    block-circulant sparse one, the wave full-order model) fills a block
+    without stepping: up to B states at a time come from the stacked
+    propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
+    state, for a circulant flow per Fourier mode with one batched inverse
+    transform.  Every other flow takes :meth:`AvfStepper.step` once per step.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
@@ -348,27 +540,23 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // dim, steps + 1))
     block = np.empty((dim, width))  # column j holds step k0 + j
     block[:, 0] = u
-    powers = None
-    if stepper._advance is AvfStepper._propagate:
-        chunk = max(1, min(width, _ENERGY_BLOCK_ENTRIES // (dim * dim)))
-        powers, offsets = _stacked_powers(stepper._propagator, stepper._offset, chunk)
+    stacked = stepper._maps.stacked(width) if flow.quadratic is None else None
     max_iters = 0
     for k0 in range(0, steps + 1, width):
         w = min(width, steps + 1 - k0)
         start = 1 if k0 == 0 else 0  # column 0 of the first block is the initial state
-        if powers is None:
+        if stacked is None:
             for j in range(start, w):
                 u = stepper.step(u, step_index=k0 + j)
                 max_iters = max(max_iters, stepper.last_iterations)
                 block[:, j] = u
         else:
+            run, chunk = stacked
             for j in range(start, w, chunk):
                 count = min(chunk, w - j)
-                x = powers[: count * dim] @ u
-                if offsets is not None:
-                    x += offsets[: count * dim]
-                block[:, j : j + count] = x.reshape(count, dim).T
-                u = x[-dim:]
+                x = run(u, count)
+                block[:, j : j + count] = x.T
+                u = x[-1]
         energies[k0 : k0 + w] = eval_energy(flow, block[:, :w])
         first = -(-k0 // stride)  # index of the first recorded state in the block
         last = (k0 + w - 1) // stride + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,6 +37,7 @@ from .fileio import (
 from .linalg import NumericalError
 from .metrics import RomReport, e_inf_scalar, e_inf_wave, energy_report, squared_errors
 from .pod import (
+    PodBasis,
     SnapshotFrame,
     SnapshotSet,
     collect_snapshots,
@@ -313,13 +314,15 @@ def _subsample(traj: Trajectory, stride: int) -> Trajectory:
 class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
     full-order flow, the every-step reference trajectory, its snapshot view
-    and the number of field row blocks (two for the wave, one for KdV)."""
+    and the number of field row blocks (two for the wave, one for KdV).
+    ``bases`` memoizes the per-field POD bases by (mu, shifted, r)."""
 
     flow: PolyGradFlow
     dense: Trajectory
     snap: Trajectory
     fields: int
     frames: Optional[tuple[SnapshotFrame, ...]] = None
+    bases: dict[tuple[float, bool, int], tuple[PodBasis, ...]] = field(default_factory=dict)
 
     def snapshot_sets(self, mu: float, shifted: bool) -> tuple[SnapshotSet, ...]:
         """One snapshot set per field.  Gradient-augmented sets (``mu > 0``)
@@ -334,6 +337,14 @@ class _Reference:
         frame = self.frames[0] if self.frames else None
         return (collect_snapshots(self.snap, self.flow, mu=mu, shifted=shifted, frame=frame),)
 
+    def pod_bases(self, mu: float, shifted: bool, r: int) -> tuple[PodBasis, ...]:
+        """One basis of ``r`` vectors per field, decomposed once per key:
+        G-ROM, SP-ROM-0 and SP-ROM-1 share theirs."""
+        key = (mu, shifted, r)
+        if key not in self.bases:
+            self.bases[key] = tuple(compute_basis(s, r) for s in self.snapshot_sets(mu, shifted))
+        return self.bases[key]
+
 
 def _references(cfg: ExperimentConfig) -> _Reference:
     """The shared prelude: the cached (or integrated) full-order reference."""
@@ -347,14 +358,11 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     """Reduced model for one ROM spec, snapshots taken from the reference's
     snapshot view.  One basis per field row block: a single block for KdV,
     two for the wave."""
-    sets = ref.snapshot_sets(spec.mu, shifted=spec.variant is RomVariant.SP2)
-    bases = []
-    for snaps, u0 in zip(sets, np.split(ref.snap.states[:, 0], len(sets))):
-        basis = compute_basis(snaps, spec.r)
-        if spec.variant is RomVariant.SP1:
-            basis = enrich_with_ic_residual(basis, u0)
-        bases.append(basis)
-    return reduce_operators(ref.flow, tuple(bases), spec.variant)
+    bases = ref.pod_bases(spec.mu, spec.variant is RomVariant.SP2, spec.r)
+    if spec.variant is RomVariant.SP1:
+        starts = np.split(ref.snap.states[:, 0], len(bases))
+        bases = tuple(enrich_with_ic_residual(b, u0) for b, u0 in zip(bases, starts))
+    return reduce_operators(ref.flow, bases, spec.variant)
 
 
 def _attempt(cfg: ExperimentConfig, ref: _Reference,
@@ -453,7 +461,10 @@ def mu_sweep(
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
     ref = _references(cfg)
-    rows = [(spec.mu, _run_one(cfg, ref, spec)[0].e_inf) for spec in specs]
+    rows = []
+    for spec in specs:
+        rows.append((spec.mu, _run_one(cfg, ref, spec)[0].e_inf))
+        ref.bases.clear()  # every weight is its own key: keep no basis past its point
     rows.sort(key=lambda row: row[0])
     write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
     return rows

@@ -1,8 +1,9 @@
 """Dense and sparse linear-algebra kernels used throughout the package.
 
 Thin SVD of dense snapshot matrices and reusable LU factorizations of either
-a dense array (reduced models) or a ``scipy.sparse`` array (the full-order
-stencil operators).
+a dense array (reduced models) or a ``scipy.sparse`` array (sparse operators
+that are not periodic stencils; the full-order stencils step in Fourier
+modes, see :mod:`hamrom.avf`).
 """
 
 from __future__ import annotations

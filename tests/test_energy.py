@@ -3,7 +3,7 @@
 import pickle
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamrom.avf import AvfScheme, integrate
@@ -19,7 +19,7 @@ from hamrom.systems import (
     kdv_initial,
 )
 
-PROPERTY = settings(max_examples=25, deadline=None)
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _forward_diff(u, dx):
@@ -112,6 +112,9 @@ class TestReducedEnergy:
         r=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
+    # SP-ROM-2 on KdV: the only case whose energy needs the linearization of
+    # the quadratic term at the offset
+    @example(system="kdv", variant=RomVariant.SP2, n=16, r=3, seed=0)
     def test_reduced_polynomial_is_energy_of_decoded_state(self, system, variant, n, r, seed):
         fom, model, rng = _random_model(system, n, r, variant, seed)
         for _ in range(3):
