@@ -44,12 +44,10 @@ class AvfScheme:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+        for name in ("dt", "t_end", "picard_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
 
@@ -139,10 +137,11 @@ class AvfStepper:
 
     * Sparse operators (full-order stencils): a quadratic flow iterates on
       the average quadratic term by Picard iteration.  When every n x n
-      block of S and G1 is a periodic stencil on one or two equal fields,
-      each block is diagonal in Fourier modes, and a step or an iteration
-      is one transform pair (:class:`_FourierMaps`); otherwise ``I - A`` is
-      LU-factored once and each is one solve (:class:`_LuMaps`).
+      block of S and G1 is a periodic stencil on one or two equal fields
+      and there is no g0, each block is diagonal in Fourier modes, and a
+      step or an iteration is one transform pair (:class:`_FourierMaps`);
+      otherwise ``I - A`` is LU-factored once and each is one solve
+      (:class:`_LuMaps`).
     * Dense linear flows (reduced models): the step is the precomputed
       propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
       ``c = (I - A)^-1 dt S g0``.
@@ -179,22 +178,16 @@ class AvfStepper:
             if not sparse and flow.quadratic is None:
                 maps = _PropagatorMaps(maps)
         self._maps = maps
-        # plain functions, not bound methods: a bound method stored on the
-        # instance is a reference cycle that would keep the stepper, its
-        # flow and its factors alive until the cyclic garbage collector runs
+        # dense quadratic flows iterate by Newton on the map x -> dt S J2(x) / 3
+        # (a tensor term takes dt S / 3 in once); sparse ones by Picard
+        self._jacobian = None
         quad = flow.quadratic
-        if quad is None:
-            self._advance = AvfStepper._linear
-        elif sparse:
-            self._advance, self._update = AvfStepper._iterate, AvfStepper._picard
-        else:
-            # the map x -> dt S J2(x) / 3; a tensor term takes dt S / 3 in once
+        if quad is not None and not sparse:
             dtS3 = maps.dtS / 3.0
             if isinstance(quad, TensorQuadratic):
                 self._jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
             else:
                 self._jacobian = lambda x: dtS3 @ quad.jacobian(x)
-            self._advance, self._update = AvfStepper._iterate, AvfStepper._newton
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
@@ -215,18 +208,15 @@ class AvfStepper:
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
         """Advance one step from ``u``; raises StepFailure when the nonlinear
         solve fails (``step_index`` is reported with it)."""
-        return self._advance(self, u, step_index)
-
-    def _linear(self, u: np.ndarray, step_index: int) -> np.ndarray:
-        return self._maps.solve(self._maps.base(u))
-
-    def _iterate(self, u: np.ndarray, step_index: int) -> np.ndarray:
-        """The nonlinear solve of one step; ``_update`` gives Picard's or
-        Newton's next iterate, or None when its residual overflowed."""
+        if self.flow.quadratic is None:
+            return self._maps.solve(self._maps.base(u))
         # overflow inside a diverging iteration is expected and reported as
         # StepFailure, hence the suppressed floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            solver, update = self._update(self, u, step_index)
+            if self._jacobian is None:
+                solver, update = self._picard(u)
+            else:
+                solver, update = self._newton(u, step_index)
             x = self._predict(u)
             increment = np.inf
             for m in range(1, MAX_ITERATIONS + 1):
@@ -250,8 +240,9 @@ class AvfStepper:
             iterations=MAX_ITERATIONS,
         )
 
-    def _picard(self, u: np.ndarray, step_index: int):
-        """Picard update: one ``solve`` of the averaged quadratic term."""
+    def _picard(self, u: np.ndarray):
+        """``(solver, update)`` of Picard iteration: ``update(x, m)`` is the
+        next iterate, one ``solve`` of the averaged quadratic term."""
         quad, maps = self.flow.quadratic, self._maps
         base = maps.base(u)
         q_uu = quad.eval(u, u)
@@ -262,7 +253,9 @@ class AvfStepper:
         return "Picard", update
 
     def _newton(self, u: np.ndarray, step_index: int):
-        """Newton update: the residual, then one factor and one solve of the Jacobian."""
+        """``(solver, update)`` of Newton iteration: ``update(x, m)`` is the
+        residual, then one factor and one solve of the Jacobian, or None
+        when the residual overflowed."""
         maps, jacobian = self._maps, self._jacobian
         k_u = jacobian(u)  # dt S J2(u) / 3
         base = maps.base(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
@@ -396,18 +389,16 @@ class _FourierMaps:
 
     A periodic stencil is diagonalized by the discrete Fourier transform, so
     on b fields whose every block is one, ``I - A``, ``I + A`` and ``dt S``
-    are b x b symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``,
-    ``K = (I - A)^-1 dt S / 3`` and the offset ``(I - A)^-1 dt S g0`` are
-    formed once; ``base`` is the linear step and ``solve`` adds the
-    quadratic term, one transform pair each.  A mode whose pivot is at or
-    below 1e-14 of the largest symbol entry of ``I - A`` raises
-    :class:`SingularMatrixError`, as :class:`LuFactorization` does.
-    Symbols are stored (b, b, modes) and spectra (b, modes), so every
+    are b x b symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``
+    and ``K = (I - A)^-1 dt S / 3`` are formed once; ``base`` is the linear
+    step and ``solve`` adds the quadratic term, one transform pair each.  A
+    mode whose pivot is at or below 1e-14 of the largest symbol entry of
+    ``I - A`` raises :class:`SingularMatrixError`, as :class:`LuFactorization`
+    does.  Symbols are stored (b, b, modes) and spectra (b, modes), so every
     product runs along the contiguous mode axis.
     """
 
-    def __init__(self, structure: np.ndarray, linear: np.ndarray,
-                 constant: Optional[np.ndarray], dt: float):
+    def __init__(self, structure: np.ndarray, linear: np.ndarray, dt: float):
         fields, _, self._n = structure.shape
         # per-mode matrices (modes, b, b) while the symbols are formed
         S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (structure, linear))
@@ -422,20 +413,19 @@ class _FourierMaps:
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
         self._K = _modes_last(np.linalg.solve(lhs, (dt / 3.0) * S))
-        self._c = self._offset = None  # the offset per mode (modes, b, 1) and in space
-        if constant is not None:
-            self._c = np.linalg.solve(lhs, dt * (S @ self._modes(constant).T[:, :, None]))
-            self._offset = self._space(self._c[:, :, 0].T)
 
     @classmethod
     def of(cls, flow: PolyGradFlow, dt: float) -> Optional["_FourierMaps"]:
         """The maps of a sparse flow on one or two equal fields whose S and
-        G1 are periodic stencils block by block; None for any other."""
+        G1 are periodic stencils block by block; None for any other, and for
+        one with a constant term g0."""
+        if flow.constant is not None:
+            return None
         for fields in (1, 2):
             structure = _stencil_columns(flow.structure, fields)
             linear = None if structure is None else _stencil_columns(flow.linear, fields)
             if linear is not None:
-                return cls(structure, linear, flow.constant, dt)
+                return cls(structure, linear, dt)
         return None
 
     def _modes(self, u: np.ndarray) -> np.ndarray:
@@ -448,9 +438,8 @@ class _FourierMaps:
         return x.reshape(x.shape[:-2] + (-1,))
 
     def base(self, u: np.ndarray) -> np.ndarray:
-        """``P u + (I - A)^-1 dt S g0``: the step without the quadratic term."""
-        x = self._space(_apply(self._P, self._modes(u)))
-        return x if self._offset is None else x + self._offset
+        """``P u``: the step without the quadratic term."""
+        return self._space(_apply(self._P, self._modes(u)))
 
     def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
         """``base + K q``."""
@@ -462,16 +451,10 @@ class _FourierMaps:
         ``_ENERGY_BLOCK_ENTRIES`` entries of them) and one batched inverse
         transform."""
         count = max(1, min(width, _ENERGY_BLOCK_ENTRIES // self._P.size))
-        powers, offsets = _stacked_powers(self._P_modes, self._c, count)
-        powers = _modes_last(powers)
-        if offsets is not None:  # (count, modes, b, 1) -> (count, b, modes)
-            offsets = np.ascontiguousarray(np.swapaxes(offsets[..., 0], -1, -2))
+        powers = _modes_last(_stacked_powers(self._P_modes, None, count)[0])
 
         def run(u: np.ndarray, k: int) -> np.ndarray:
-            spectra = _apply(powers[:k], self._modes(u))
-            if offsets is not None:
-                spectra += offsets[:k]
-            return self._space(spectra)
+            return self._space(_apply(powers[:k], self._modes(u)))
 
         return run, count
 
@@ -498,8 +481,8 @@ def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
 
     Entry j (from 0) maps a state to the state ``j + 1`` steps of
     ``u -> M u + c`` later: ``M^(j+1) u + (M^j + ... + I) c``.  ``M`` may be
-    a stack of matrices (one per Fourier mode) and ``c`` the matching stack
-    of columns.  The offsets are None without ``c``.
+    a stack of matrices (one per Fourier mode), which has no ``c``.  The
+    offsets are None without ``c``.
     """
     powers = np.empty((count,) + M.shape, dtype=M.dtype)
     offsets = None if c is None else np.empty((count,) + c.shape, dtype=c.dtype)

@@ -20,6 +20,7 @@ import numpy as np
 from .experiments import (
     ExperimentConfig,
     RomSpec,
+    build_system,
     fom_trajectory,
     mu_sweep,
     run_experiment,
@@ -41,6 +42,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
+    build_system(cfg)  # the system's own rules (wave speed, unit interval), about 2 ms
     return cfg
 
 

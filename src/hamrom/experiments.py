@@ -134,6 +134,8 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("float", "Optional[float]") and value is not None:
+                if not np.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
                 object.__setattr__(self, f.name, float(value))
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}, got {self.system!r}")
@@ -141,9 +143,11 @@ class ExperimentConfig:
             raise ValueError("wave runs require the wave speed 'c'")
         if self.system == "kdv" and None in (self.alpha, self.rho, self.nu):
             raise ValueError("kdv runs require 'alpha', 'rho' and 'nu'")
-        for name in ("n", "stride", "dt", "t_end", "length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride!r}")
+        # the grid and the time stepping check their own values
+        self.grid()
+        self.scheme().steps()
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
@@ -259,8 +263,8 @@ def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Opti
                 f"expected {shape} and {(columns, 1)}"
             )
     # undecodable meta text, a truncated file (FormatError), a bad count line,
-    # a well-formed file of the wrong shape
-    except ValueError as exc:
+    # a well-formed file of the wrong shape, a file that cannot be read
+    except (ValueError, OSError) as exc:
         log.warning("unreadable cache for %s (%s): recomputing", paths["meta"].name, exc)
         return None
     return Trajectory(
@@ -281,7 +285,8 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     and cached; the result is its strided view.  The cache is keyed on
     :meth:`ExperimentConfig.cache_key`: every trajectory-determining field
     plus the on-disk format version and the solver tag :data:`FOM_SOLVER`.
-    A mismatch or an unreadable cache file triggers a logged recompute.
+    A mismatch or an unreadable cache file triggers a logged recompute, and
+    a cache that cannot be written is logged and the run goes on uncached.
     """
     cache_dir = Path(cfg.out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -291,9 +296,13 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     if dense is None:
         flow, u0, _ = build_system(cfg)
         dense = integrate(flow, u0, cfg.scheme())
-        write_matrix(paths["states"], dense.states)
-        write_matrix(paths["energies"], dense.energies)
-        atomic_write_bytes(paths["meta"], f"{key}\n{dense.max_picard_iterations}\n".encode())
+        try:  # the meta file last: it vouches for the two payloads
+            write_matrix(paths["states"], dense.states)
+            write_matrix(paths["energies"], dense.energies)
+            atomic_write_bytes(paths["meta"], f"{key}\n{dense.max_picard_iterations}\n".encode())
+        except OSError as exc:
+            log.warning("could not write cache for %s (%s): continuing uncached",
+                        paths["meta"].name, exc)
     return _subsample(dense, cfg.stride if stride is None else stride)
 
 

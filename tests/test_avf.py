@@ -1,16 +1,24 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
+from hamrom.pod import collect_snapshots, collect_wave_snapshots, compute_basis
+from hamrom.rom import RomVariant, reduce_operators
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
     PolyGradFlow,
+    ProjectedQuadratic,
     build_kdv_fom,
     build_wave_fom,
     eval_energy,
+    kdv_initial,
     wave_initial,
 )
 
@@ -122,7 +130,7 @@ class TestIteration:
         stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol)
         script = iter(iterates)
         stepper._predict = lambda u: np.zeros(1)
-        stepper._update = lambda self, u, step_index: ("Newton", lambda x, m: next(script))
+        stepper._newton = lambda u, step_index: ("Newton", lambda x, m: next(script))
         return stepper
 
     def test_stopping_rule_is_relative_to_the_previous_iterate(self):
@@ -234,6 +242,10 @@ class TestValidation:
             AvfScheme(dt=0.1, t_end=1.0, picard_tol=0.0)
         with pytest.raises(ValueError):
             AvfScheme(dt=0.1, t_end=1.0, snapshot_stride=0)
+        for name in ("dt", "t_end", "picard_tol"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    AvfScheme(**{"dt": 0.1, "t_end": 1.0, name: value})
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="match"):
@@ -279,3 +291,53 @@ class TestBenchmarkRuns:
     def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_dense):
         _, u0, _ = kdv_system
         assert np.array_equal(kdv_dense.states[:, 0], u0)
+
+
+def _stepping_paths():
+    """One small flow per stepping path: (flow, start state, maps class,
+    whether it iterates by Newton)."""
+    kdv_grid = Grid1D(n=64, length=40.0, origin=-20.0)
+    kdv, kdv_u0 = build_kdv_fom(-6.0, 0.0, -1.0, kdv_grid), kdv_initial(kdv_grid)
+    wave_grid = Grid1D(n=32, length=1.0)
+    wave, wave_u0 = build_wave_fom(0.1, wave_grid), wave_initial(wave_grid)
+    # a varying diagonal keeps G1 symmetric but no longer a stencil
+    ramp = scipy.sparse.diags_array(np.linspace(0.0, 1e-3, kdv.dim), format="csr")
+    scheme = AvfScheme(dt=0.01, t_end=0.2)
+    kdv_basis = compute_basis(collect_snapshots(integrate(kdv, kdv_u0, scheme), kdv), 4)
+    wave_bases = [compute_basis(s, 3)
+                  for s in collect_wave_snapshots(integrate(wave, wave_u0, scheme), wave)]
+    kdv_rom = reduce_operators(kdv, kdv_basis, RomVariant.SP0).flow
+    wave_rom = reduce_operators(wave, wave_bases, RomVariant.SP0).flow
+    phi = kdv_basis.phi
+    lazy = ProjectedQuadratic(left=phi.T, basis=phi, coeff=kdv.quadratic.coeff)
+    return {
+        "kdv fom (Fourier Picard)": (kdv, kdv_u0, avf._FourierMaps, False),
+        "wave fom (Fourier linear)": (wave, wave_u0, avf._FourierMaps, False),
+        "perturbed kdv fom (SuperLU Picard)": (replace(kdv, linear=kdv.linear + ramp), kdv_u0,
+                                               avf._LuMaps, False),
+        "wave SP-ROM (propagator)": (wave_rom, np.zeros(wave_rom.dim), avf._PropagatorMaps,
+                                     False),
+        "kdv SP-ROM (tensor Newton)": (kdv_rom, phi.T @ kdv_u0, avf._LuMaps, True),
+        "kdv SP-ROM (lazy Newton)": (replace(kdv_rom, quadratic=lazy), phi.T @ kdv_u0,
+                                     avf._LuMaps, True),
+    }
+
+
+def test_every_stepping_path_is_freed_without_the_cycle_collector():
+    # nothing a stepper holds may refer back to it (a bound method stored on
+    # the instance would): reference counting alone must free it, with its
+    # flow and factorizations, as soon as the last reference goes
+    paths = _stepping_paths()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, (flow, u, maps, newton) in paths.items():
+            stepper = AvfStepper(flow, dt=0.01)
+            assert type(stepper._maps) is maps and (stepper._jacobian is not None) == newton, name
+            for k in range(1, 6):
+                u = stepper.step(u, step_index=k)
+            released = weakref.ref(stepper)
+            del stepper
+            assert released() is None, name
+    finally:
+        gc.enable()

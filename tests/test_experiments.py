@@ -223,6 +223,24 @@ class TestRunExperiment:
                 assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
         assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
 
+    def test_cache_entry_that_cannot_be_read_or_written(self, tmp_path, caplog):
+        # a directory in place of the states file: the read fails and the
+        # rewrite fails; both are logged and the run goes on uncached
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        run_experiment(cfg)
+        (states,) = (tmp_path / "out" / "cache").glob("*.states.hrom")
+        states.unlink()
+        states.mkdir()
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            again = run_experiment(cfg)
+        assert "unreadable cache" in caplog.text and "could not write cache" in caplog.text
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
+        assert main(["fom", "--config", str(path)]) == 0
+        assert states.is_dir()
+
     def test_corrupt_cache_recomputes(self, tmp_path, caplog):
         cfg = tiny_wave_cfg(tmp_path / "out")
         fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
@@ -511,7 +529,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["rom", "--config", str(path)])
 
-    @pytest.mark.parametrize("argv, roms, message", [
+    @pytest.mark.parametrize("argv, line, message", [
         (["rom", "--variant", "SP0", "--r", "0"], "", "at least 1"),
         (["rom", "--variant", "SP0", "--r", "2", "--mu", "-1"], "", "non-negative"),
         (["rom", "--variant", "XX", "--r", "2"], "", "unknown ROM variant"),
@@ -523,13 +541,25 @@ class TestCli:
         (["fom"], None, "No such file"),
         (["rom"], "roms = SP0:0", "at least 1"),
         (["fom"], "colour = red", "unknown configuration keys"),
+        (["fom"], "dt = nan", "dt must be finite"),
+        (["fom"], "c = inf", "c must be finite"),
+        (["fom"], "picard_tol = nan", "picard_tol must be finite"),
+        (["fom"], "c = -1", "wave speed must be positive"),
+        (["fom"], "dt = 0.03", "not an integer step count"),
+        (["fom"], "n = 2", "at least 3 points"),
+        (["fom"], "origin = 0.5", "unit interval"),
     ])
-    def test_input_errors_are_usage_errors(self, tmp_path, capsys, argv, roms, message):
-        # ``roms`` replaces the configuration's roms line; None writes no file
+    def test_input_errors_are_usage_errors(self, tmp_path, capsys, argv, line, message):
+        # ``line`` replaces the configuration's line of its key, or the roms
+        # line for a key the configuration does not set; None writes no file
         path = tmp_path / "cfg.txt"
-        if roms is not None:
-            text = CONFIG_TEXT.format(out=tmp_path / "out")
-            path.write_text(text.replace("roms = SP0:2, GROM:2:0.0", roms) if roms else text)
+        if line is not None:
+            lines = CONFIG_TEXT.format(out=tmp_path / "out").splitlines()
+            if line:
+                key = line.split("=")[0].strip()
+                match = [i for i, old in enumerate(lines) if old.startswith(f"{key} =")]
+                lines[match[0] if match else lines.index("roms = SP0:2, GROM:2:0.0")] = line
+            path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SystemExit) as info:
             main(argv + ["--config", str(path)])
         assert info.value.code == 2

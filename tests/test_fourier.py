@@ -1,8 +1,8 @@
 """The Fourier-mode path of block-circulant sparse flows and the basis memo.
 
-Sparse flows whose S and G1 are periodic stencils on one or two equal fields
-step per Fourier mode; every other sparse flow keeps the SuperLU path, and
-its steps are bitwise those of a factorization formed by hand.
+Sparse flows whose S and G1 are periodic stencils on one or two equal fields,
+with no g0, step per Fourier mode; every other sparse flow keeps the SuperLU
+path, and its steps are bitwise those of a factorization formed by hand.
 """
 
 from dataclasses import replace
@@ -30,9 +30,9 @@ from hamrom.systems import (
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
-def _circulant_flow(fields, n, seed, constant=True):
+def _circulant_flow(fields, n, seed, constant=False):
     """A linear flow on ``fields`` periodic fields: the KdV stencils on one,
-    the wave's on two, with a random g0."""
+    the wave's on two, with a random g0 if ``constant``."""
     rng = np.random.default_rng(seed)
     if fields == 1:
         flow = build_kdv_fom(0.0, rng.uniform(-1, 1), rng.uniform(-1.5, 1.5),
@@ -127,8 +127,18 @@ class TestDetection:
         q_avg = (quad.eval(u, u) + quad.eval(u, x) + quad.eval(x, x)) / 3.0
         expected = LuFactorization(eye - half).solve((eye + half) @ u + dt * flow.structure @ q_avg)
         stepper = AvfStepper(flow, dt)
-        _, update = stepper._update(stepper, u, 0)
+        _, update = stepper._picard(u)
         assert np.array_equal(update(x, 1), expected)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    def test_circulant_flow_with_g0_keeps_superlu(self, fields):
+        # a constant term g0 leaves the stencil detection out; the LU step
+        # still matches the dense copy
+        flow = _circulant_flow(fields, 11, seed=fields, constant=True)
+        assert isinstance(AvfStepper(flow, 0.01)._maps, avf._LuMaps)
+        u0 = np.random.default_rng(4).standard_normal(flow.dim)
+        sparse, dense = _steps(flow, u0, 0.01, 10), _steps(_densified(flow), u0, 0.01, 10)
+        assert np.abs(sparse - dense).max() <= 1e-11 * np.abs(dense).max()
 
     @pytest.mark.parametrize("name", ["perturbed kdv", "perturbed wave", "non-periodic kdv"])
     def test_negatives_match_dense_copies(self, name):
@@ -144,13 +154,13 @@ class TestModeSteps:
         fields=st.sampled_from([1, 2]),
         n=st.integers(3, 48),
         dt=st.floats(1e-3, 0.1),
-        constant=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(fields=1, n=9, dt=0.01, constant=True, seed=0)  # odd n
-    @example(fields=2, n=11, dt=0.01, constant=True, seed=1)
-    def test_linear_steps_match_dense_copies(self, fields, n, dt, constant, seed):
-        flow = _circulant_flow(fields, n, seed, constant)
+    @example(fields=1, n=9, dt=0.01, seed=0)  # odd n
+    @example(fields=2, n=11, dt=0.01, seed=1)
+    def test_linear_steps_match_dense_copies(self, fields, n, dt, seed):
+        flow = _circulant_flow(fields, n, seed)
+        assert isinstance(AvfStepper(flow, dt)._maps, avf._FourierMaps)
         u0 = np.random.default_rng(seed + 1).standard_normal(flow.dim)
         modes, dense = _steps(flow, u0, dt, 10), _steps(_densified(flow), u0, dt, 10)
         assert np.abs(modes - dense).max() <= 1e-11 * np.abs(dense).max()

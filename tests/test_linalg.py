@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -164,3 +169,16 @@ class TestLu:
         fac = LuFactorization(np.eye(3))
         with pytest.raises(ValueError):
             fac.solve(np.ones(4))
+
+
+def test_cli_import_leaves_the_sparse_solvers_unimported():
+    # LuFactorization imports splu on first use: the sparse solver package
+    # would add about 20 ms to the start of every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, hamrom.cli; print('scipy.sparse.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
