@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse
@@ -496,7 +496,8 @@ def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
     return powers, offsets
 
 
-def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
+def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
+              consumer: Optional[Callable[[np.ndarray], None]] = None) -> Trajectory:
     """March ``flow`` from ``u0`` to ``t_end``, recording every stride-th state.
 
     Column 0 of the result is the initial state; each recorded state is one
@@ -505,7 +506,10 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
     at full resolution even when states are recorded sparsely.
 
     The steps fill blocks of consecutive states, and each block gives its
-    energies in one evaluation and its recorded states in one copy.  A
+    energies in one evaluation and its recorded states in one copy.  Each
+    filled block, steps ``k0`` to ``k0 + w - 1`` as a ``(dim, w)`` view, also
+    goes to ``consumer`` when one is given (in order, starting at step 0),
+    which must copy what it keeps: the next block overwrites it.  A
     linear flow with a propagator (a dense one, a linear reduced model, or a
     block-circulant sparse one, the wave full-order model) fills a block
     without stepping: up to B states at a time come from the stacked
@@ -541,6 +545,8 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme) -> Trajectory:
                 block[:, j : j + count] = x.T
                 u = x[-1]
         energies[k0 : k0 + w] = eval_energy(flow, block[:, :w])
+        if consumer is not None:
+            consumer(block[:, :w])
         first = -(-k0 // stride)  # index of the first recorded state in the block
         last = (k0 + w - 1) // stride + 1
         states[:, first:last] = block[:, first * stride - k0 : w : stride]

@@ -6,8 +6,9 @@ trajectory), extract bases, run the requested reduced models, and emit CSV
 reports.  Named presets reproduce the two benchmark comparison tables.
 
 A configuration has one full-order reference: the run recorded at every
-step, which is all the cache stores.  The snapshot stride only selects a
-strided view of it (:func:`_subsample`).
+step, which is all the cache stores.  It lives only in its cache file (or,
+when the cache cannot be written, in an anonymous temporary file): runs read
+its snapshot-strided columns, and the comparisons read it block by block.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,6 +27,8 @@ import scipy
 from .avf import AvfScheme, StepFailure, Trajectory, integrate
 from .fileio import (
     FORMAT_VERSION,
+    MatrixReader,
+    MatrixWriter,
     atomic_write_bytes,
     read_config,
     read_matrix,
@@ -245,36 +249,114 @@ def _cache_paths(key: str, system: str, cache_dir: Path) -> dict[str, Path]:
     }
 
 
-def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Optional[Trajectory]:
-    """The cached every-step trajectory, or None (logged) when it cannot be served."""
+class _StoredRun:
+    """The full-order run recorded at every step, read from the open HROM file
+    it was validated in or streamed into.
+
+    It has the ``Trajectory`` fields the comparisons use (``times``,
+    ``energies``, ``dim``, ``basis`` None) and a ``full_states`` that reads a
+    column block into ``out``, so no every-step array is held.  Owning the
+    file handle, it keeps reading that run when another process replaces the
+    cache entry.  :meth:`close` releases the file.
+    """
+
+    basis = None
+
+    def __init__(self, reader: MatrixReader, dt: float, energies: np.ndarray,
+                 max_picard_iterations: int):
+        self._reader = reader
+        self.dt, self.energies = dt, energies
+        self.max_picard_iterations = max_picard_iterations
+        self.times = dt * np.arange(reader.cols)
+
+    @property
+    def dim(self) -> int:
+        return self._reader.rows
+
+    def full_states(self, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._reader.read(start, stop, out)
+
+    def view(self, stride: int) -> Trajectory:
+        """The run recorded every ``stride`` steps, read column by column:
+        what an integration recorded at that stride gives."""
+        reader = self._reader
+        if stride == 1:
+            states = reader.read(0, reader.cols)
+        else:
+            states = np.empty((reader.rows, -(-reader.cols // stride)), order="F")
+            for j in range(states.shape[1]):
+                reader.read(j * stride, j * stride + 1, states[:, j : j + 1])
+        return Trajectory(
+            times=self.dt * (stride * np.arange(states.shape[1])),
+            states=states,
+            energies=self.energies,
+            steps_total=reader.cols - 1,
+            dt=self.dt,
+            max_picard_iterations=self.max_picard_iterations,
+        )
+
+    def close(self) -> None:
+        self._reader.close()
+
+
+def _cache_entry(cfg: ExperimentConfig) -> tuple[str, dict[str, Path]]:
+    """The cache key of a configuration and the paths of its cache files."""
+    cache_dir = Path(cfg.out_dir) / "cache"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    key = cfg.cache_key()
+    return key, _cache_paths(key, cfg.system, cache_dir)
+
+
+def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Optional[_StoredRun]:
+    """The cached every-step run, or None (logged when a cache entry exists
+    but cannot be served)."""
+    if not all(p.exists() for p in paths.values()):
+        return None
     columns = cfg.scheme().steps() + 1
     shape = (cfg.n * _fields(cfg), columns)
+    reader = None
     try:
         meta = paths["meta"].read_text(encoding="utf-8").splitlines()
         if meta[:1] != [key]:
             log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
             return None
-        states = read_matrix(paths["states"])
         energies = read_matrix(paths["energies"])
         max_iters = int(meta[1]) if len(meta) > 1 else 0
-        if states.shape != shape or energies.shape != (columns, 1):
+        reader = MatrixReader.open(paths["states"])
+        if (reader.rows, reader.cols) != shape or energies.shape != (columns, 1):
             raise ValueError(
-                f"states {states.shape} and energies {energies.shape}, "
+                f"states {(reader.rows, reader.cols)} and energies {energies.shape}, "
                 f"expected {shape} and {(columns, 1)}"
             )
     # undecodable meta text, a truncated file (FormatError), a bad count line,
     # a well-formed file of the wrong shape, a file that cannot be read
     except (ValueError, OSError) as exc:
+        if reader is not None:
+            reader.close()
         log.warning("unreadable cache for %s (%s): recomputing", paths["meta"].name, exc)
         return None
-    return Trajectory(
-        times=cfg.dt * np.arange(states.shape[1]),
-        states=states,
-        energies=energies[:, 0],
-        steps_total=columns - 1,
-        dt=cfg.dt,
-        max_picard_iterations=max_iters,
-    )
+    return _StoredRun(reader, cfg.dt, energies[:, 0], max_iters)
+
+
+def _integrate_into_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path],
+                          stride: int) -> Trajectory:
+    """Integrate the full-order model, recording every ``stride``-th state and
+    streaming every step into the cache.  A cache that cannot be written is
+    logged and the run goes on uncached."""
+    flow, u0, _ = build_system(cfg)
+    scheme = replace(cfg.scheme(), snapshot_stride=stride)
+    traj = None
+    try:
+        with MatrixWriter(paths["states"], flow.dim, scheme.steps() + 1) as writer:
+            traj = integrate(flow, u0, scheme, consumer=writer.write)
+            writer.publish()
+        # the meta file last: it vouches for the two payloads
+        write_matrix(paths["energies"], traj.energies)
+        atomic_write_bytes(paths["meta"], f"{key}\n{traj.max_picard_iterations}\n".encode())
+    except OSError as exc:
+        log.warning("could not write cache for %s (%s): continuing uncached",
+                    paths["meta"].name, exc)
+    return traj if traj is not None else integrate(flow, u0, scheme)
 
 
 def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Trajectory:
@@ -282,52 +364,48 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     steps (default: the configured snapshot stride).
 
     The run recorded at every step is loaded from the cache or integrated
-    and cached; the result is its strided view.  The cache is keyed on
+    into it; the result is its strided view, and only the strided columns
+    are read or kept.  The cache is keyed on
     :meth:`ExperimentConfig.cache_key`: every trajectory-determining field
     plus the on-disk format version and the solver tag :data:`FOM_SOLVER`.
     A mismatch or an unreadable cache file triggers a logged recompute, and
     a cache that cannot be written is logged and the run goes on uncached.
     """
-    cache_dir = Path(cfg.out_dir) / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = cfg.cache_key()
-    paths = _cache_paths(key, cfg.system, cache_dir)
-    dense = _read_cache(cfg, key, paths) if all(p.exists() for p in paths.values()) else None
-    if dense is None:
-        flow, u0, _ = build_system(cfg)
-        dense = integrate(flow, u0, cfg.scheme())
-        try:  # the meta file last: it vouches for the two payloads
-            write_matrix(paths["states"], dense.states)
-            write_matrix(paths["energies"], dense.energies)
-            atomic_write_bytes(paths["meta"], f"{key}\n{dense.max_picard_iterations}\n".encode())
-        except OSError as exc:
-            log.warning("could not write cache for %s (%s): continuing uncached",
-                        paths["meta"].name, exc)
-    return _subsample(dense, cfg.stride if stride is None else stride)
-
-
-def _subsample(traj: Trajectory, stride: int) -> Trajectory:
-    """Stride-sampled view of a densely recorded trajectory.
-
-    Column k of the result is the state after ``k * stride`` steps, exactly
-    what an integration recorded at that stride would have produced.
-    """
+    stride = cfg.stride if stride is None else stride
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    if stride == 1:
-        return traj
-    return replace(traj, times=traj.times[::stride].copy(), states=traj.states[:, ::stride].copy())
+    key, paths = _cache_entry(cfg)
+    stored = _read_cache(cfg, key, paths)
+    if stored is None:
+        return _integrate_into_cache(cfg, key, paths, stride)
+    with closing(stored):
+        return stored.view(stride)
+
+
+def _stored_run(cfg: ExperimentConfig) -> _StoredRun:
+    """The cached every-step run or, when the cache holds none (it could not
+    be written), the run integrated into an anonymous temporary file."""
+    stored = _read_cache(cfg, *_cache_entry(cfg))
+    if stored is None:
+        flow, u0, _ = build_system(cfg)
+        scheme = cfg.scheme()
+        with MatrixWriter(None, flow.dim, scheme.steps() + 1) as writer:
+            traj = integrate(flow, u0, scheme, consumer=writer.write)
+            stored = _StoredRun(writer.reader(), cfg.dt, traj.energies,
+                                traj.max_picard_iterations)
+    return stored
 
 
 @dataclass
 class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
-    full-order flow, the every-step reference trajectory, its snapshot view
-    and the number of field row blocks (two for the wave, one for KdV).
-    ``bases`` memoizes the per-field POD bases by (mu, shifted, r)."""
+    full-order flow, the every-step reference run, its snapshot view and the
+    number of field row blocks (two for the wave, one for KdV).  ``bases``
+    memoizes the per-field POD bases by (mu, shifted, r).  As a context
+    manager it closes the stored reference when the block ends."""
 
     flow: PolyGradFlow
-    dense: Trajectory
+    dense: _StoredRun
     snap: Trajectory
     fields: int
     frames: Optional[tuple[SnapshotFrame, ...]] = None
@@ -354,13 +432,23 @@ class _Reference:
             self.bases[key] = tuple(compute_basis(s, r) for s in self.snapshot_sets(mu, shifted))
         return self.bases[key]
 
+    def __enter__(self) -> "_Reference":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.dense.close()
+
 
 def _references(cfg: ExperimentConfig) -> _Reference:
-    """The shared prelude: the cached (or integrated) full-order reference."""
-    dense = fom_trajectory(cfg, stride=1)
+    """The shared prelude: the cached (or integrated) full-order reference.
+
+    :func:`fom_trajectory` is the cache lookup, which integrates the run
+    into the cache on a miss.  The snapshot view is then read again from
+    the handle the stored run keeps, so both come from one file."""
+    fom_trajectory(cfg)
+    dense = _stored_run(cfg)
     flow, _, _ = build_system(cfg)
-    return _Reference(flow=flow, dense=dense, snap=_subsample(dense, cfg.stride),
-                      fields=_fields(cfg))
+    return _Reference(flow=flow, dense=dense, snap=dense.view(cfg.stride), fields=_fields(cfg))
 
 
 def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
@@ -381,7 +469,7 @@ def _attempt(cfg: ExperimentConfig, ref: _Reference,
     try:
         model = _build_rom(ref, spec)
         start = time.perf_counter()
-        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.dense.states[:, 0])
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.snap.states[:, 0])
         return model, rom_traj, 1e3 * (time.perf_counter() - start)
     except (StepFailure, NumericalError) as exc:
         log.warning("%s r=%d failed at mu=%g: %s", spec.variant.value, spec.r, spec.mu, exc)
@@ -425,19 +513,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     still run.  Deterministic: identical configurations produce identical
     numbers.
     """
-    ref = _references(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_energy_csv(out / "fom_energy.csv", ref.dense.energy_times, ref.dense.energies)
-    if not cfg.roms:
-        return []
     reports = []
-    for spec in cfg.roms:
-        report, rom_traj = _run_one(cfg, ref, spec)
-        if rom_traj is not None:
-            name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
-            write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
-        reports.append(report)
+    with _references(cfg) as ref:
+        out.mkdir(parents=True, exist_ok=True)
+        write_energy_csv(out / "fom_energy.csv", ref.snap.energy_times, ref.snap.energies)
+        if not cfg.roms:
+            return []
+        for spec in cfg.roms:
+            report, rom_traj = _run_one(cfg, ref, spec)
+            if rom_traj is not None:
+                name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
+                write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
+            reports.append(report)
     write_report_csv(out / "report.csv", reports)
     return reports
 
@@ -469,11 +557,11 @@ def mu_sweep(
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
-    ref = _references(cfg)
     rows = []
-    for spec in specs:
-        rows.append((spec.mu, _run_one(cfg, ref, spec)[0].e_inf))
-        ref.bases.clear()  # every weight is its own key: keep no basis past its point
+    with _references(cfg) as ref:
+        for spec in specs:
+            rows.append((spec.mu, _run_one(cfg, ref, spec)[0].e_inf))
+            ref.bases.clear()  # every weight is its own key: keep no basis past its point
     rows.sort(key=lambda row: row[0])
     write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
     return rows
@@ -495,18 +583,18 @@ def tail_bound_check(
     rows are written to ``tail_check.csv`` in ``cfg.out_dir``.
     """
     specs = [RomSpec(variant=RomVariant.SP0, r=r) for r in r_list]
-    ref = _references(cfg)
     rows = []
-    for spec in specs:
-        attempt = _attempt(cfg, ref, spec)
-        if attempt is None:
-            nan = float("nan")
-            rows.append((int(spec.r), nan, nan, nan))
-            continue
-        model, rom_traj, _ = attempt
-        integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
-        tail = sum(sigma_tail(basis, spec.r) for basis in model.bases)
-        ratio = integrated / tail if tail > 0 else float("inf")
-        rows.append((int(spec.r), integrated, float(tail), float(ratio)))
+    with _references(cfg) as ref:
+        for spec in specs:
+            attempt = _attempt(cfg, ref, spec)
+            if attempt is None:
+                nan = float("nan")
+                rows.append((int(spec.r), nan, nan, nan))
+                continue
+            model, rom_traj, _ = attempt
+            integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
+            tail = sum(sigma_tail(basis, spec.r) for basis in model.bases)
+            ratio = integrated / tail if tail > 0 else float("inf")
+            rows.append((int(spec.r), integrated, float(tail), float(ratio)))
     write_tail_csv(Path(cfg.out_dir) / "tail_check.csv", rows)
     return rows

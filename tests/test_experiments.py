@@ -1,12 +1,16 @@
 import logging
+import os
 import shutil
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamrom.avf as avf
 import hamrom.experiments as experiments
+import hamrom.metrics as metrics
 from hamrom.avf import integrate
 from hamrom.cli import main
 from hamrom.experiments import (
@@ -20,7 +24,7 @@ from hamrom.experiments import (
     table_preset,
     tail_bound_check,
 )
-from hamrom.fileio import write_matrix
+from hamrom.fileio import read_matrix, write_matrix
 from hamrom.linalg import NumericalError, RankError
 from hamrom.rom import RomVariant, run_rom
 
@@ -236,10 +240,102 @@ class TestRunExperiment:
             again = run_experiment(cfg)
         assert "unreadable cache" in caplog.text and "could not write cache" in caplog.text
         assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        assert not list(states.parent.glob("*.tmp"))  # the streamed file went with the run
         path = tmp_path / "cfg.txt"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
         assert main(["fom", "--config", str(path)]) == 0
         assert states.is_dir()
+
+    def test_cache_that_cannot_be_written_streams_to_a_temporary_file(self, tmp_path, caplog,
+                                                                       monkeypatch):
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        calls = []
+
+        class Unwritable(experiments.MatrixWriter):
+            """No file beside the cache entry can be made; the anonymous one can."""
+
+            def __init__(self, path, rows, cols):
+                calls.append(path)
+                if path is not None:
+                    raise PermissionError("read-only cache")
+                super().__init__(path, rows, cols)
+
+        monkeypatch.setattr(experiments, "MatrixWriter", Unwritable)
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            again = run_experiment(cfg)
+        assert "could not write cache" in caplog.text and "read-only cache" in caplog.text
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        assert calls[1] is None and len(calls) == 2
+        assert list((tmp_path / "out" / "cache").iterdir()) == []
+
+    def test_stream_that_fails_midway_runs_again_into_a_temporary_file(self, tmp_path, caplog,
+                                                                       monkeypatch):
+        monkeypatch.setattr(avf, "_ENERGY_BLOCK_ENTRIES", 64)  # several blocks
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
+
+        class DiskFull(experiments.MatrixWriter):
+            def write(self, block):
+                if self.path is not None and self.written:
+                    raise OSError("disk full")
+                super().write(block)
+
+        monkeypatch.setattr(experiments, "MatrixWriter", DiskFull)
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            again = run_experiment(cfg)
+        assert "could not write cache" in caplog.text and "disk full" in caplog.text
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        fresh_view = fom_trajectory(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        assert np.array_equal(fom_trajectory(cfg).states, fresh_view.states)
+        assert list((tmp_path / "out" / "cache").iterdir()) == []
+
+    def test_reference_outlives_a_replaced_cache_entry(self, tmp_path):
+        # another process may replace the cache entry while a run reads it
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        run_experiment(cfg)
+        (states,) = (tmp_path / "out" / "cache").glob("*.states.hrom")
+        with experiments._references(cfg) as ref:
+            other = tmp_path / "other.hrom"
+            write_matrix(other, 2.0 * read_matrix(states))
+            os.replace(other, states)
+            again = [experiments._run_one(cfg, ref, spec)[0] for spec in cfg.roms]
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+
+    @pytest.mark.parametrize("system", ["wave", "kdv"])
+    def test_stored_reference_compares_as_the_in_memory_run(self, tmp_path, system):
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=("SP0:3",))
+        if system == "kdv":
+            cfg = replace(cfg, system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, length=40.0,
+                          origin=-20.0, n=32)
+        dense = fom_trajectory(cfg, stride=1)
+        with experiments._references(cfg) as ref:
+            _, rom, _ = experiments._attempt(cfg, ref, cfg.roms[0])
+            assert isinstance(ref.dense, experiments._StoredRun)
+            assert np.array_equal(ref.dense.times, dense.times)
+            assert np.array_equal(ref.dense.energies, dense.energies)
+            compare = metrics.e_inf_wave if system == "wave" else metrics.e_inf_scalar
+            assert compare(ref.dense, rom) == compare(dense, rom)
+            assert np.array_equal(metrics.squared_errors(ref.dense, rom),
+                                  metrics.squared_errors(dense, rom))
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_no_run_holds_the_every_step_reference(self, tmp_path, cache):
+        # 5000 steps of 256 unknowns: a 10.2 MB every-step reference
+        cfg = replace(tiny_wave_cfg(tmp_path / "out", roms=("SP0:4", "GROM:4", "SP2:4")),
+                      n=128, dt=0.001, t_end=5.0, stride=50)
+        every_step = 8 * 2 * cfg.n * (cfg.scheme().steps() + 1)
+        if cache == "warm":
+            fom_trajectory(cfg)
+        tracemalloc.start()
+        try:
+            reports = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(r.failed for r in reports)
+        assert peak < every_step / 2, f"peak {peak} B for a {every_step} B reference"
 
     def test_corrupt_cache_recomputes(self, tmp_path, caplog):
         cfg = tiny_wave_cfg(tmp_path / "out")
@@ -484,6 +580,26 @@ class TestCli:
         code = main(["sweep-mu", "--config", str(cfg), "--r", "50"])
         assert code == 1
         assert (tmp_path / "out" / "sweep_mu_sp0_r50.csv").exists()
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_fom_export_holds_only_the_strided_columns(self, tmp_path, capsys, cache):
+        # 5000 steps of 256 unknowns: a 10.2 MB every-step reference, exported
+        # at stride 10
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "out").replace("n = 16", "n = 128")
+                        .replace("dt = 0.05", "dt = 0.001").replace("t_end = 1.0", "t_end = 5.0")
+                        .replace("stride = 5", "stride = 10"))
+        every_step = 8 * 256 * 5001
+        if cache == "warm":
+            assert main(["fom", "--config", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["fom", "--config", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_matrix(tmp_path / "out" / "fom_states.hrom").shape == (256, 501)
+        assert peak < every_step / 2, f"peak {peak} B for a {every_step} B reference"
 
     def test_fom_then_rom_integrate_once(self, tmp_path, monkeypatch):
         calls = []

@@ -1,12 +1,17 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamrom import fileio
 from hamrom.fileio import (
     FORMAT_VERSION,
     FormatError,
+    MatrixReader,
+    MatrixWriter,
     parse_config_text,
     read_matrix,
     write_energy_csv,
@@ -158,6 +163,104 @@ class TestStreamedContainer:
         assert [p.name for p in tmp_path.iterdir()] == ["m.hrom"]
 
 
+class TestColumnBlocks:
+    """The column-block writer and reader are the container of write_matrix
+    and read_matrix, written and read a block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(0, 9),
+        cols=st.integers(0, 40),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+        reads=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, tmp_path_factory, rows, cols, cuts, reads, seed):
+        tmp = tmp_path_factory.mktemp("blocks")
+        M = np.random.default_rng(seed).standard_normal((rows, cols))
+        write_matrix(tmp / "whole.hrom", M)
+        bounds = sorted({0, cols, *(c for c in cuts if c <= cols)})
+        with MatrixWriter(tmp / "blocks.hrom", rows, cols) as writer:
+            for start, stop in zip(bounds, bounds[1:]):
+                writer.write(M[:, start:stop])
+            writer.publish()
+        assert (tmp / "blocks.hrom").read_bytes() == (tmp / "whole.hrom").read_bytes()
+        whole = read_matrix(tmp / "blocks.hrom")
+        with MatrixReader.open(tmp / "blocks.hrom") as reader:
+            assert (reader.rows, reader.cols) == (rows, cols)
+            for a, b in reads:
+                start, stop = sorted((min(a, cols), min(b, cols)))
+                block = reader.read(start, stop)
+                assert block.flags.f_contiguous
+                assert np.array_equal(block, whole[:, start:stop])
+                out = np.empty((rows, stop - start), order="F")
+                assert reader.read(start, stop, out) is out
+                assert np.array_equal(out, M[:, start:stop])
+            for start, stop in ((0, cols + 1), (-1, 0), (cols, cols - 1) if cols else (1, 0)):
+                with pytest.raises(ValueError, match="outside"):
+                    reader.read(start, stop)
+
+    def test_writer_holds_to_the_declared_columns(self, tmp_path):
+        path = tmp_path / "m.hrom"
+        with MatrixWriter(path, 2, 3) as writer:
+            writer.write(np.ones((2, 2)))
+            with pytest.raises(ValueError, match="declares 3"):
+                writer.write(np.ones((2, 2)))
+            with pytest.raises(ValueError, match="rows"):
+                writer.write(np.ones((3, 1)))
+            with pytest.raises(ValueError, match="2 of 3 columns"):
+                writer.publish()
+        assert list(tmp_path.iterdir()) == []  # nothing published, no temporary left
+
+    def test_read_into_a_wrong_buffer(self, tmp_path):
+        write_matrix(tmp_path / "m.hrom", np.ones((3, 4)))
+        with MatrixReader.open(tmp_path / "m.hrom") as reader:
+            for out in (np.empty((3, 2)), np.empty((3, 3), order="F"),
+                        np.empty((3, 2), dtype=np.float32, order="F")):
+                with pytest.raises(ValueError, match="column-major"):
+                    reader.read(0, 2, out)
+
+    def test_truncated_payload(self, tmp_path):
+        # 2000 x 5 entries: more than one read buffer
+        path = tmp_path / "m.hrom"
+        write_matrix(path, np.ones((2000, 5)))
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(FormatError, match="payload"):
+            MatrixReader.open(path)
+        # cut after the header was checked: the block read comes up short
+        path.write_bytes(data)
+        with MatrixReader.open(path) as reader:
+            with open(path, "r+b") as fh:
+                fh.truncate(len(data) - 8)
+            assert np.array_equal(reader.read(0, 4), np.ones((2000, 4)))
+            with pytest.raises(FormatError, match="ends after"):
+                reader.read(3, 5)
+
+    def test_anonymous_file_reads_back(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        M = np.arange(12.0).reshape(3, 4)
+        with MatrixWriter(None, 3, 4) as writer:
+            writer.write(M[:, :1])
+            writer.write(M[:, 1:])
+            with writer.reader() as reader:
+                assert np.array_equal(reader.read(0, 4), M)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_published_file_reads_back_after_replacement(self, tmp_path):
+        # the reader keeps the file it was handed when another one takes its name
+        path = tmp_path / "m.hrom"
+        with MatrixWriter(path, 2, 2) as writer:
+            writer.write(np.ones((2, 2)))
+            writer.publish()
+            reader = writer.reader()
+        with reader:
+            write_matrix(path, np.zeros((2, 2)))
+            assert np.array_equal(reader.read(0, 2), np.ones((2, 2)))
+        assert np.array_equal(read_matrix(path), np.zeros((2, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.hrom"]
+
+
 class TestConfigParsing:
     def test_basic(self):
         text = """
@@ -207,6 +310,19 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,H"
         assert float(lines[2].split(",")[1]) == 1.0 + 1e-15
+
+    def test_energy_series_bytes_match_the_csv_writer(self, tmp_path):
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 0.1 + 0.2, 5e-324,
+                  1.7976931348623157e308, -1.5, 3.0]
+        path = tmp_path / "energy.csv"
+        write_energy_csv(path, values, values[::-1])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "H"])
+            writer.writerows([format(t, ".17g"), format(h, ".17g")]
+                             for t, h in zip(values, values[::-1]))
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_energy_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

@@ -249,8 +249,8 @@ class TestBasisMemo:
         assert len(svd_count) == 3
         fresh = []
         for spec in cfg.roms:
-            ref = experiments._references(cfg)  # a new memo per spec
-            fresh.append(experiments._run_one(cfg, ref, spec)[0].e_inf)
+            with experiments._references(cfg) as ref:  # a new memo per spec
+                fresh.append(experiments._run_one(cfg, ref, spec)[0].e_inf)
         assert memo == fresh
 
     @pytest.mark.parametrize("system, fields", [("wave", 2), ("kdv", 1)])
