@@ -53,6 +53,7 @@ from .systems import (
     DiagonalQuadratic,
     EnergyPolynomial,
     Grid1D,
+    PeriodicStencil,
     PolyGradFlow,
     ProjectedQuadratic,
     TensorQuadratic,
@@ -76,6 +77,7 @@ __all__ = [
     "Grid1D",
     "LuFactorization",
     "NumericalError",
+    "PeriodicStencil",
     "PodBasis",
     "PolyGradFlow",
     "ProjectedQuadratic",

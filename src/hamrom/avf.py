@@ -6,7 +6,8 @@ closed form: the linear part becomes a midpoint, the quadratic part the
 three-term mean ``(G2(u_k,u_k) + G2(u_k,u_{k+1}) + G2(u_{k+1},u_{k+1})) / 3``.
 As a discrete-gradient method the step conserves the energy of skew-structured
 flows (and never increases it for negative-semidefinite ones) up to the
-nonlinear-solver tolerance.
+nonlinear-solver tolerance.  Full-order flows, whose operators are periodic
+stencils, step per Fourier mode; reduced ones by dense linear algebra.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import LuFactorization, SingularMatrixError
-from .systems import PolyGradFlow, TensorQuadratic, _as_state, _grad, eval_energy
+from .systems import PeriodicStencil, PolyGradFlow, TensorQuadratic, _as_state, _grad, eval_energy
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
@@ -33,7 +33,8 @@ class AvfScheme:
 
     ``picard_tol`` is the stopping tolerance of whichever nonlinear solver
     the flow's storage selects (see :class:`AvfStepper`): Picard iteration
-    on sparse full-order flows, Newton iteration on dense reduced ones.
+    on periodic-stencil full-order flows, Newton iteration on dense reduced
+    ones.
     ``snapshot_stride`` controls recording: every ``stride``-th state (plus
     the initial one) is kept in the trajectory.
     """
@@ -135,13 +136,11 @@ class AvfStepper:
     With ``A = dt/2 S G1``, every step solves
     ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``.
 
-    * Sparse operators (full-order stencils): a quadratic flow iterates on
-      the average quadratic term by Picard iteration.  When every n x n
-      block of S and G1 is a periodic stencil on one or two equal fields
-      and there is no g0, each block is diagonal in Fourier modes, and a
-      step or an iteration is one transform pair (:class:`_FourierMaps`);
-      otherwise ``I - A`` is LU-factored once and each is one solve
-      (:class:`_LuMaps`).
+    * Periodic stencils (full-order models, :class:`PeriodicStencil`): every
+      block of S and G1 is diagonal in Fourier modes, so a step is one
+      transform pair (:class:`_FourierMaps`), and a quadratic flow iterates
+      on the average quadratic term by Picard iteration, one transform pair
+      per iteration.  Such a flow may have no g0 (no command builds one).
     * Dense linear flows (reduced models): the step is the precomputed
       propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
       ``c = (I - A)^-1 dt S g0``.
@@ -171,18 +170,21 @@ class AvfStepper:
         self.picard_tol = picard_tol
         self._deltas: list[np.ndarray] = []  # last three step increments
         self.last_iterations = 0
-        sparse = scipy.sparse.issparse(flow.structure) and scipy.sparse.issparse(flow.linear)
-        maps = _FourierMaps.of(flow, dt) if sparse else None
-        if maps is None:
+        stencil = isinstance(flow.structure, PeriodicStencil)
+        if stencil:
+            if flow.constant is not None:
+                raise ValueError("a periodic-stencil flow cannot have a constant term g0")
+            maps = _FourierMaps(flow.structure.columns, flow.linear.columns, dt)
+        else:
             maps = _LuMaps(flow, dt)
-            if not sparse and flow.quadratic is None:
+            if flow.quadratic is None:
                 maps = _PropagatorMaps(maps)
         self._maps = maps
         # dense quadratic flows iterate by Newton on the map x -> dt S J2(x) / 3
-        # (a tensor term takes dt S / 3 in once); sparse ones by Picard
+        # (a tensor term takes dt S / 3 in once); stencil ones by Picard
         self._jacobian = None
         quad = flow.quadratic
-        if quad is not None and not sparse:
+        if quad is not None and not stencil:
             dtS3 = maps.dtS / 3.0
             if isinstance(quad, TensorQuadratic):
                 self._jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
@@ -281,21 +283,20 @@ class AvfStepper:
         return "Newton", update
 
 
-# The linear algebra of one step comes from one of three kinds of maps, each
-# with ``base(u)``, the part of the step that u fixes, and ``solve(base, q)``,
-# the step for the quadratic term q (the sum of the three G2 evaluations; a
-# linear flow passes none), and with ``stacked(width)``, the fill of whole
-# blocks of a linear flow's steps (None: one step at a time).
+# The linear algebra of one step comes from maps with ``base(u)``, the part
+# of the step that u fixes.  The Fourier and propagator maps also take the
+# step, ``solve(base, q)`` for the quadratic term q (the sum of the three G2
+# evaluations; a linear flow passes none), and fill whole blocks of a linear
+# flow's steps, ``stacked(width)``.
 
 
 class _LuMaps:
-    """One LU factorization of ``I - A``: SuperLU for sparse operators, LAPACK
-    for dense ones, whose Newton iteration refactors ``lhs`` every iteration."""
+    """One LU factorization of the dense ``I - A``: the start of a propagator,
+    or of a Newton iteration, which refactors ``lhs`` every iteration."""
 
     def __init__(self, flow: PolyGradFlow, dt: float):
         half = 0.5 * dt * (flow.structure @ flow.linear)
-        sparse = scipy.sparse.issparse(half)
-        eye = scipy.sparse.eye_array(flow.dim, format="csr") if sparse else np.eye(flow.dim)
+        eye = np.eye(flow.dim)
         self.lhs_mat = eye - half
         self.lhs = LuFactorization(self.lhs_mat)
         self.rhs_mat = eye + half
@@ -306,14 +307,6 @@ class _LuMaps:
         """``(I + A) u + dt S g0``."""
         base = self.rhs_mat @ u
         return base if self.const is None else base + self.const
-
-    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
-        """``x`` with ``(I - A) x = base + dt S q / 3``."""
-        return self.lhs.solve(base if q is None else base + self.dtS @ (q / 3.0))
-
-    def stacked(self, width: int):
-        """None: every step is one solve."""
-        return None
 
 
 class _PropagatorMaps:
@@ -354,28 +347,6 @@ class _PropagatorMaps:
         return run, count
 
 
-def _stencil_columns(op, fields: int) -> Optional[np.ndarray]:
-    """The first columns of the n x n blocks of the sparse ``op`` on
-    ``fields`` equal fields, as a (fields, fields, n) array; None unless
-    every block is a periodic stencil: each stored entry equals its block's
-    first-column entry at offset ``(i - j) mod n``, and each nonzero offset
-    is stored in all n rows."""
-    dim = op.shape[0]
-    if dim % fields:
-        return None
-    n = dim // fields
-    coo = op.tocoo(copy=True)
-    coo.sum_duplicates()
-    row, col = coo.row.astype(np.int64), coo.col.astype(np.int64)
-    index = ((row // n) * fields + col // n) * n + (row - col) % n
-    columns = np.zeros(fields * fields * n)
-    columns[index] = coo.data
-    stored = np.bincount(index, minlength=columns.size)
-    if not np.array_equal(columns[index], coo.data) or np.any(stored[columns != 0] != n):
-        return None
-    return columns.reshape(fields, fields, n)
-
-
 def _apply(symbols: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Per-mode products of (..., b, b, modes) symbols with (b, modes) spectra."""
     out = symbols[..., 0, :] * spectra[0]
@@ -388,8 +359,9 @@ class _FourierMaps:
     """The step of block-circulant operators, one b x b matrix per Fourier mode.
 
     A periodic stencil is diagonalized by the discrete Fourier transform, so
-    on b fields whose every block is one, ``I - A``, ``I + A`` and ``dt S``
-    are b x b symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``
+    on b fields whose every block is one (the ``columns`` of a
+    :class:`PeriodicStencil`), ``I - A``, ``I + A`` and ``dt S`` are b x b
+    symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``
     and ``K = (I - A)^-1 dt S / 3`` are formed once; ``base`` is the linear
     step and ``solve`` adds the quadratic term, one transform pair each.  A
     mode whose pivot is at or below 1e-14 of the largest symbol entry of
@@ -413,20 +385,6 @@ class _FourierMaps:
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
         self._K = _modes_last(np.linalg.solve(lhs, (dt / 3.0) * S))
-
-    @classmethod
-    def of(cls, flow: PolyGradFlow, dt: float) -> Optional["_FourierMaps"]:
-        """The maps of a sparse flow on one or two equal fields whose S and
-        G1 are periodic stencils block by block; None for any other, and for
-        one with a constant term g0."""
-        if flow.constant is not None:
-            return None
-        for fields in (1, 2):
-            structure = _stencil_columns(flow.structure, fields)
-            linear = None if structure is None else _stencil_columns(flow.linear, fields)
-            if linear is not None:
-                return cls(structure, linear, dt)
-        return None
 
     def _modes(self, u: np.ndarray) -> np.ndarray:
         """The (b, modes) spectra of the b fields of a state."""
@@ -511,7 +469,7 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     goes to ``consumer`` when one is given (in order, starting at step 0),
     which must copy what it keeps: the next block overwrites it.  A
     linear flow with a propagator (a dense one, a linear reduced model, or a
-    block-circulant sparse one, the wave full-order model) fills a block
+    periodic-stencil one, the wave full-order model) fills a block
     without stepping: up to B states at a time come from the stacked
     propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
     state, for a circulant flow per Fourier mode with one batched inverse

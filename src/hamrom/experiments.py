@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -338,25 +337,23 @@ def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Opti
     return _StoredRun(reader, cfg.dt, energies[:, 0], max_iters)
 
 
-def _integrate_into_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path],
-                          stride: int) -> Trajectory:
-    """Integrate the full-order model, recording every ``stride``-th state and
-    streaming every step into the cache.  A cache that cannot be written is
-    logged and the run goes on uncached."""
-    flow, u0, _ = build_system(cfg)
-    scheme = replace(cfg.scheme(), snapshot_stride=stride)
-    traj = None
-    try:
-        with MatrixWriter(paths["states"], flow.dim, scheme.steps() + 1) as writer:
-            traj = integrate(flow, u0, scheme, consumer=writer.write)
+def _stream(flow: PolyGradFlow, u0: np.ndarray, scheme: AvfScheme,
+            path: Optional[Path]) -> tuple[_StoredRun, Trajectory]:
+    """Integrate ``flow``, streaming every step into the HROM file ``path``
+    (published when complete) or, with ``path`` None, into an anonymous
+    temporary file.  Returns the open every-step run and the integration."""
+    with MatrixWriter(path, flow.dim, scheme.steps() + 1) as writer:
+        traj = integrate(flow, u0, scheme, consumer=writer.write)
+        if path is not None:
             writer.publish()
-        # the meta file last: it vouches for the two payloads
-        write_matrix(paths["energies"], traj.energies)
-        atomic_write_bytes(paths["meta"], f"{key}\n{traj.max_picard_iterations}\n".encode())
-    except OSError as exc:
-        log.warning("could not write cache for %s (%s): continuing uncached",
-                    paths["meta"].name, exc)
-    return traj if traj is not None else integrate(flow, u0, scheme)
+        reader = writer.reader()
+    return _StoredRun(reader, scheme.dt, traj.energies, traj.max_picard_iterations), traj
+
+
+# While _references looks its run up, fom_trajectory hands the open run over
+# here instead of closing it.  The lookup goes through fom_trajectory because
+# perfbench/tracer.py counts fom_trajectory calls as cache hits and misses.
+_kept_runs: Optional[list[_StoredRun]] = None
 
 
 def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Trajectory:
@@ -364,36 +361,44 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     steps (default: the configured snapshot stride).
 
     The run recorded at every step is loaded from the cache or integrated
-    into it; the result is its strided view, and only the strided columns
-    are read or kept.  The cache is keyed on
-    :meth:`ExperimentConfig.cache_key`: every trajectory-determining field
-    plus the on-disk format version and the solver tag :data:`FOM_SOLVER`.
-    A mismatch or an unreadable cache file triggers a logged recompute, and
-    a cache that cannot be written is logged and the run goes on uncached.
+    once, streaming into it; the result is its strided view (on a miss the
+    integration's own record), and only the strided columns are read or
+    kept.  The cache is keyed on :meth:`ExperimentConfig.cache_key`: every
+    trajectory-determining field plus the on-disk format version and the
+    solver tag :data:`FOM_SOLVER`.  A mismatch or an unreadable cache file
+    triggers a logged recompute.  A cache that cannot be written is logged
+    and the run streams into an anonymous temporary file instead; only a
+    stream that fails midway integrates a second time.
     """
     stride = cfg.stride if stride is None else stride
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     key, paths = _cache_entry(cfg)
     stored = _read_cache(cfg, key, paths)
-    if stored is None:
-        return _integrate_into_cache(cfg, key, paths, stride)
-    with closing(stored):
-        return stored.view(stride)
-
-
-def _stored_run(cfg: ExperimentConfig) -> _StoredRun:
-    """The cached every-step run or, when the cache holds none (it could not
-    be written), the run integrated into an anonymous temporary file."""
-    stored = _read_cache(cfg, *_cache_entry(cfg))
-    if stored is None:
+    if stored is not None:
+        try:
+            traj = stored.view(stride)
+        except BaseException:
+            stored.close()
+            raise
+    else:
         flow, u0, _ = build_system(cfg)
-        scheme = cfg.scheme()
-        with MatrixWriter(None, flow.dim, scheme.steps() + 1) as writer:
-            traj = integrate(flow, u0, scheme, consumer=writer.write)
-            stored = _StoredRun(writer.reader(), cfg.dt, traj.energies,
-                                traj.max_picard_iterations)
-    return stored
+        scheme = replace(cfg.scheme(), snapshot_stride=stride)
+        try:
+            stored, traj = _stream(flow, u0, scheme, paths["states"])
+            # the meta file last: it vouches for the two payloads
+            write_matrix(paths["energies"], traj.energies)
+            atomic_write_bytes(paths["meta"], f"{key}\n{traj.max_picard_iterations}\n".encode())
+        except OSError as exc:
+            log.warning("could not write cache for %s (%s): continuing uncached",
+                        paths["meta"].name, exc)
+            if stored is None:
+                stored, traj = _stream(flow, u0, scheme, None)
+    if _kept_runs is None:
+        stored.close()
+    else:
+        _kept_runs.append(stored)
+    return traj
 
 
 @dataclass
@@ -442,13 +447,17 @@ class _Reference:
 def _references(cfg: ExperimentConfig) -> _Reference:
     """The shared prelude: the cached (or integrated) full-order reference.
 
-    :func:`fom_trajectory` is the cache lookup, which integrates the run
-    into the cache on a miss.  The snapshot view is then read again from
-    the handle the stored run keeps, so both come from one file."""
-    fom_trajectory(cfg)
-    dense = _stored_run(cfg)
+    One :func:`fom_trajectory` lookup gives the snapshot view and keeps the
+    every-step run it came from open for the comparisons."""
+    global _kept_runs
+    _kept_runs = []
+    try:
+        snap = fom_trajectory(cfg)
+        (dense,) = _kept_runs
+    finally:
+        _kept_runs = None
     flow, _, _ = build_system(cfg)
-    return _Reference(flow=flow, dense=dense, snap=dense.view(cfg.stride), fields=_fields(cfg))
+    return _Reference(flow=flow, dense=dense, snap=snap, fields=_fields(cfg))
 
 
 def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:

@@ -1,19 +1,16 @@
-"""Dense and sparse linear-algebra kernels used throughout the package.
+"""Dense linear-algebra kernels used throughout the package.
 
-Thin SVD of dense snapshot matrices and reusable LU factorizations of either
-a dense array (reduced models) or a ``scipy.sparse`` array (sparse operators
-that are not periodic stencils; the full-order stencils step in Fourier
-modes, see :mod:`hamrom.avf`).
+Thin SVD of dense snapshot matrices and reusable LU factorizations of dense
+arrays (the reduced models; the full-order stencils step in Fourier modes,
+see :mod:`hamrom.avf`).
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 __all__ = [
     "LuFactorization",
@@ -95,17 +92,15 @@ def thin_svd_snapshots(Y):
 
 
 class LuFactorization:
-    """Reusable partial-pivoting LU factorization of a square matrix.
+    """Reusable partial-pivoting LU factorization of a dense square matrix.
 
     Factor once, then call :meth:`solve` for any number of right-hand sides;
     constant-coefficient time stepping reuses one factorization for thousands
-    of solves.  A dense ``A`` is factored by LAPACK (``getrf``), a
-    ``scipy.sparse`` one by SuperLU (``splu``, fill-reducing column order) in
-    its own storage.  Both reject a pivot at or below ``1e-14`` of the
-    largest entry of ``A`` (so an all-zero matrix is singular too).
-    :meth:`factor` replaces the factors in place, for a Newton iteration
-    that factors a new Jacobian every iteration; a rejected matrix leaves the
-    previous factors in place.
+    of solves.  ``A`` is factored by LAPACK (``getrf``), which rejects a
+    pivot at or below ``1e-14`` of the largest entry of ``A`` (so an
+    all-zero matrix is singular too).  :meth:`factor` replaces the factors
+    in place, for a Newton iteration that factors a new Jacobian every
+    iteration; a rejected matrix leaves the previous factors in place.
     """
 
     def __init__(self, A):
@@ -115,34 +110,18 @@ class LuFactorization:
         """Factor ``A``, replacing any previous factors; raises
         :class:`SingularMatrixError` on a small pivot and then keeps the
         previous factors."""
-        sparse = scipy.sparse.issparse(A)
-        A = scipy.sparse.csc_array(A, dtype=float) if sparse else np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
-        scale = abs(A).max()
+        scale = np.abs(A).max()
         if not np.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
-        if sparse:
-            # imported here: the sparse solver package adds about 20 ms to
-            # start-up (2 cores), and runs that factor no sparse matrix (a
-            # sweep on a cached trajectory) never use it
-            from scipy.sparse.linalg import splu
-
-            try:
-                lu = splu(A)
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise SingularMatrixError(str(exc)) from exc
-            pivots = lu.U.diagonal()
-            solve = lu.solve
-        else:
-            # the LAPACK routines themselves: the scipy.linalg wrappers cost
-            # more than the work at reduced sizes (r <= 60)
-            lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
-            pivots = lu.diagonal()
-            solve = partial(_getrs, lu, piv)
-        if np.abs(pivots).min() <= 1e-14 * scale:
+        # the LAPACK routines themselves: the scipy.linalg wrappers cost more
+        # than the work at reduced sizes (r <= 60)
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
+        if np.abs(lu.diagonal()).min() <= 1e-14 * scale:
             raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
-        self._solve = solve
+        self._lu, self._piv = lu, piv
         self.shape = A.shape
 
     def solve(self, rhs) -> np.ndarray:
@@ -154,8 +133,4 @@ class LuFactorization:
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.shape[0]}")
-        return self._solve(b)
-
-
-def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
+        return scipy.linalg.lapack.dgetrs(self._lu, self._piv, b)[0]

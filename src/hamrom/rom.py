@@ -155,8 +155,8 @@ def reduce_operators(
         if coeff:  # the quadratic term linearized at the offset: diag(2 coeff offset)
             linear_phi = linear_phi + (2.0 * coeff * offset)[:, None] * phi
 
-    # G-ROM's flow projects the same terms by Phi^T S as well
-    lefts = [phi.T, phi.T @ fom.structure] if variant is RomVariant.GROM else [phi.T]
+    # G-ROM's flow projects the same terms by Phi^T S = (S^T Phi)^T as well
+    lefts = [phi.T, (fom.structure.T @ phi).T] if variant is RomVariant.GROM else [phi.T]
     quadratics = _reduced_tensors(lefts, phi, coeff) if coeff else [None] * len(lefts)
     constant = phi.T @ g if g is not None else None
     linear = phi.T @ linear_phi

@@ -7,8 +7,9 @@ linear wave and KdV test systems, packaged as polynomial-gradient flows
 
 the single representation shared by full-order and reduced-order models.  It
 carries the energy too, as a polynomial of the same terms.  Full-order
-operators are sparse periodic stencils (``scipy.sparse`` CSR arrays); reduced
-operators are dense r x r arrays.
+operators are block-circulant periodic stencils (:class:`PeriodicStencil`,
+stored as the first column of each block); reduced operators are dense r x r
+arrays.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "DiagonalQuadratic",
     "EnergyPolynomial",
     "Grid1D",
+    "PeriodicStencil",
     "PolyGradFlow",
     "ProjectedQuadratic",
     "TensorQuadratic",
@@ -129,8 +130,49 @@ class ProjectedQuadratic:
         return self.left @ ((self.coeff * (self.basis @ a))[:, None] * self.basis)
 
 
+class PeriodicStencil:
+    """Block-circulant operator on ``b`` equal periodic fields of ``n`` points.
+
+    ``columns`` is a (b, b, n) array: ``columns[i, j]`` is the first column of
+    the n x n block that maps field j to field i, whose entry (p, q) is
+    ``columns[i, j, (p - q) mod n]``.  ``@`` applies the operator to a state
+    of shape (b n,) or a (b n, k) block as a sum of cyclic shifts (what
+    ``np.roll`` gives, added as two slices) over the nonzero entries of
+    ``columns``; ``.T`` is the transpose.
+    """
+
+    ndim = 2
+
+    def __init__(self, columns):
+        columns = np.asarray(columns, dtype=float)
+        if columns.ndim != 3 or columns.shape[0] != columns.shape[1] or columns.shape[2] < 1:
+            raise ValueError(f"stencil columns must be (b, b, n), got {columns.shape}")
+        fields, _, n = columns.shape
+        self.columns = columns
+        self.shape = (fields * n, fields * n)
+        self._terms = [(int(i), int(j), int(k), float(columns[i, j, k]))
+                       for i, j, k in zip(*np.nonzero(columns))]
+
+    @property
+    def T(self) -> "PeriodicStencil":
+        # block (i, j) of the transpose is block (j, i) transposed, whose
+        # first column holds the entries at offsets -k mod n
+        return PeriodicStencil(np.roll(self.columns.transpose(1, 0, 2)[..., ::-1], 1, axis=-1))
+
+    def __matmul__(self, x):
+        fields, _, n = self.columns.shape
+        x = np.asarray(x)
+        by_field = x.reshape((fields, n) + x.shape[1:])
+        out = np.zeros(by_field.shape)
+        for i, j, k, w in self._terms:  # out[i] += w * np.roll(by_field[j], k, axis=0)
+            out[i, k:] += w * by_field[j, : n - k]
+            if k:
+                out[i, :k] += w * by_field[j, n - k :]
+        return out.reshape(x.shape)
+
+
 QuadraticTerm = Union[DiagonalQuadratic, TensorQuadratic, ProjectedQuadratic]
-Operator = Union[np.ndarray, scipy.sparse.sparray]
+Operator = Union[np.ndarray, PeriodicStencil]
 
 
 @dataclass(frozen=True)
@@ -148,9 +190,9 @@ class PolyGradFlow:
     """Finite-dimensional flow ``du/dt = S (g0 + G1 u + G2(u, u))``.
 
     ``structure`` is S, ``linear`` the symmetric operator G1, ``constant`` the
-    optional g0 and ``quadratic`` the optional degree-2 term.  S and G1 may
-    be dense arrays or ``scipy.sparse`` arrays; only ``@``, ``.T`` and
-    ``abs`` are used on them.
+    optional g0 and ``quadratic`` the optional degree-2 term.  S and G1 are
+    both dense arrays or both :class:`PeriodicStencil` on the same fields;
+    only ``@`` and ``.T`` are used on them.
 
     The energy is the polynomial of these terms (or of ``energy_terms``)
     with ``energy_weight`` and ``energy_shift``, see :func:`eval_energy`.  A
@@ -174,6 +216,12 @@ class PolyGradFlow:
 
     def __post_init__(self):
         S, G1 = self.structure, self.linear
+        if isinstance(S, PeriodicStencil) and isinstance(G1, PeriodicStencil):
+            if S.columns.shape[0] != G1.columns.shape[0]:
+                raise ValueError("structure and linear stencils act on different field counts")
+        elif not (isinstance(S, np.ndarray) and isinstance(G1, np.ndarray)):
+            raise ValueError("structure and linear operators must both be dense arrays "
+                             "or both periodic stencils")
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"structure operator must be square, got {S.shape}")
         n = S.shape[0]
@@ -183,14 +231,10 @@ class PolyGradFlow:
             raise ValueError("constant term has the wrong length")
         if self.structure_tag not in STRUCTURE_TAGS:
             raise ValueError(f"unknown structure_tag {self.structure_tag!r}")
-        s_scale = abs(S).max()
-        if self.structure_tag == "skew" and s_scale > 0:
-            if abs(S + S.T).max() > 1e-13 * s_scale:
-                raise ValueError("structure operator is not skew-symmetric")
-        if self.structure_tag != "none":
-            g_scale = abs(G1).max()
-            if g_scale > 0 and abs(G1 - G1.T).max() > 1e-13 * g_scale:
-                raise ValueError("linear gradient operator is not symmetric")
+        if self.structure_tag == "skew" and _asymmetric(S, 1.0):
+            raise ValueError("structure operator is not skew-symmetric")
+        if self.structure_tag != "none" and _asymmetric(G1, -1.0):
+            raise ValueError("linear gradient operator is not symmetric")
         if isinstance(self.quadratic, TensorQuadratic):
             if self.quadratic.tensor.shape[0] != n:
                 raise ValueError("quadratic tensor dimension mismatch")
@@ -200,6 +244,14 @@ class PolyGradFlow:
     @property
     def dim(self) -> int:
         return self.structure.shape[0]
+
+
+def _asymmetric(op: Operator, sign: float) -> bool:
+    """Whether ``op + sign op^T`` exceeds 1e-13 of the largest entry of ``op``,
+    entry by entry: a dense array's entries, a stencil's columns."""
+    a, a_t = (x.columns if isinstance(x, PeriodicStencil) else x for x in (op, op.T))
+    scale = np.abs(a).max()
+    return scale > 0 and np.abs(a + sign * a_t).max() > 1e-13 * scale
 
 
 def _as_state(u, dim: int, block: bool = False) -> np.ndarray:
@@ -252,32 +304,25 @@ def eval_energy(flow: PolyGradFlow, u):
     return float(h[0]) if u.ndim == 1 else h
 
 
-def _periodic_stencil(n: int, weights: dict[int, float]) -> scipy.sparse.csr_array:
-    """Sparse n x n periodic stencil: row i holds ``weights[k]`` in column
-    ``(i + k) mod n``.  The offsets must stay distinct modulo n."""
-    i = np.arange(n)
-    rows = np.tile(i, len(weights))
-    cols = np.concatenate([(i + k) % n for k in weights])
-    vals = np.repeat(np.array(list(weights.values()), dtype=float), n)
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+def central_diff_matrix(grid: Grid1D) -> PeriodicStencil:
+    """Periodic central first-derivative stencil ``(u[p+1] - u[p-1]) / (2 dx)``,
+    exactly skew-symmetric with zero row sums."""
+    column = np.zeros(grid.n)
+    column[1], column[-1] = -1.0 / (2.0 * grid.dx), 1.0 / (2.0 * grid.dx)
+    return PeriodicStencil(column[None, None])
 
 
-def central_diff_matrix(grid: Grid1D) -> scipy.sparse.csr_array:
-    """Periodic central first-derivative matrix (entries ±1/(2 dx)), exactly
-    skew-symmetric with zero row sums."""
-    h = grid.dx
-    return _periodic_stencil(grid.n, {1: 1.0 / (2.0 * h), -1: -1.0 / (2.0 * h)})
-
-
-def laplacian_matrix(grid: Grid1D, scale: float = 1.0) -> scipy.sparse.csr_array:
-    """Periodic three-point second-derivative matrix times ``scale``.
+def laplacian_matrix(grid: Grid1D, scale: float = 1.0) -> PeriodicStencil:
+    """Periodic three-point second-derivative stencil times ``scale``.
 
     Exactly symmetric, negative semidefinite for positive ``scale``, with
     zero row sums (constants are annihilated).
     """
     h = grid.dx
-    off = scale / h**2
-    return _periodic_stencil(grid.n, {0: -2.0 * scale / h**2, 1: off, -1: off})
+    column = np.zeros(grid.n)
+    column[0] = -2.0 * scale / h**2
+    column[1] = column[-1] = scale / h**2
+    return PeriodicStencil(column[None, None])
 
 
 def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
@@ -291,28 +336,29 @@ def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
     """
     if c <= 0:
         raise ValueError("wave speed must be positive")
-    n = grid.n
-    eye = scipy.sparse.eye_array(n, format="csr")
-    S = scipy.sparse.block_array([[None, eye], [-eye, None]], format="csr")
-    G1 = scipy.sparse.block_diag((-laplacian_matrix(grid, c * c), eye), format="csr")
-    return PolyGradFlow(structure=S, linear=G1, structure_tag="skew", energy_weight=grid.dx)
+    S, G1 = np.zeros((2, 2, grid.n)), np.zeros((2, 2, grid.n))
+    S[0, 1, 0], S[1, 0, 0] = 1.0, -1.0  # [[0, I], [-I, 0]]
+    G1[0, 0] = laplacian_matrix(grid, -c * c).columns[0, 0]  # [[-c^2 B, 0], [0, I]]
+    G1[1, 1, 0] = 1.0
+    return PolyGradFlow(structure=PeriodicStencil(S), linear=PeriodicStencil(G1),
+                        structure_tag="skew", energy_weight=grid.dx)
 
 
 def build_kdv_fom(alpha: float, rho: float, nu: float, grid: Grid1D) -> PolyGradFlow:
     """KdV benchmark ``u_t = alpha u u_x + rho u_x + nu u_xxx`` in flow form.
 
-    The structure operator is the central first-derivative matrix; the
+    The structure operator is the central first-derivative stencil; the
     gradient splits into ``G1 = rho I + nu B`` (B the periodic Laplacian) and
     the entrywise quadratic ``(alpha/2) u^2``.  The energy is the flow's
     polynomial with weight dx, which equals the dx-weighted sum of
     ``alpha/6 u^3 + rho/2 u^2 - nu/2 (forward-difference u)^2``.
     """
-    n = grid.n
-    S = central_diff_matrix(grid)
-    G1 = rho * scipy.sparse.eye_array(n, format="csr") + nu * laplacian_matrix(grid)
+    G1 = nu * laplacian_matrix(grid).columns
+    G1[..., 0] += rho
     quad = DiagonalQuadratic(alpha / 2.0) if alpha != 0.0 else None
     return PolyGradFlow(
-        structure=S, linear=G1, quadratic=quad, structure_tag="skew", energy_weight=grid.dx
+        structure=central_diff_matrix(grid), linear=PeriodicStencil(G1), quadratic=quad,
+        structure_tag="skew", energy_weight=grid.dx,
     )
 
 

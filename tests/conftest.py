@@ -8,6 +8,7 @@ and acceptance tests.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hamrom.experiments import (
@@ -21,6 +22,24 @@ from hamrom.experiments import (
     tail_bound_check,
 )
 from hamrom.rom import RomVariant
+from hamrom.systems import PeriodicStencil
+
+
+def dense(op):
+    """A dense copy of an operator: a stencil's matrix built entry by entry
+    from its block columns, not by its own ``@``; a dense array as it is."""
+    if not isinstance(op, PeriodicStencil):
+        return op
+    columns = op.columns
+    fields, _, n = columns.shape
+    p = np.arange(n)
+    offsets = (p[:, None] - p[None, :]) % n  # entry (p, q) is column entry (p - q) mod n
+    return np.block([[columns[i, j][offsets] for j in range(fields)] for i in range(fields)])
+
+
+def densified(flow):
+    """``flow`` with dense copies of its structure and linear operators."""
+    return replace(flow, structure=dense(flow.structure), linear=dense(flow.linear))
 
 
 @pytest.fixture(scope="session")

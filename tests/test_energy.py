@@ -3,6 +3,7 @@
 import pickle
 
 import numpy as np
+from conftest import dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +45,7 @@ def _magnitude(fom, u):
     """Sum of the absolute values of the energy's terms at ``u``: the scale
     its rounding errors are relative to."""
     au = np.abs(u)
-    m = 0.5 * (au @ (abs(fom.linear) @ au))
+    m = 0.5 * (au @ (np.abs(dense(fom.linear)) @ au))
     if fom.quadratic is not None:
         m += abs(fom.quadratic.coeff) / 3.0 * np.sum(au**3)
     return abs(fom.energy_weight) * m

@@ -58,6 +58,19 @@ out_dir = {out}
 """
 
 
+def _count_integrations(monkeypatch) -> list:
+    """The full-order integrations from here on (the reduced runs integrate
+    through hamrom.rom)."""
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", counting_integrate)
+    return calls
+
+
 class TestConfig:
     def test_from_mapping_roundtrip(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
@@ -250,6 +263,7 @@ class TestRunExperiment:
                                                                        monkeypatch):
         cfg = tiny_wave_cfg(tmp_path / "out")
         fresh = run_experiment(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        integrations = _count_integrations(monkeypatch)
         calls = []
 
         class Unwritable(experiments.MatrixWriter):
@@ -267,7 +281,27 @@ class TestRunExperiment:
         assert "could not write cache" in caplog.text and "read-only cache" in caplog.text
         assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
         assert calls[1] is None and len(calls) == 2
+        assert len(integrations) == 1  # the full-order model, straight into the temporary file
         assert list((tmp_path / "out" / "cache").iterdir()) == []
+
+    def test_warm_run_opens_the_cache_once(self, tmp_path, monkeypatch):
+        # one lookup validates the entry and serves both the snapshot view and
+        # the every-step reference from one open file
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = run_experiment(cfg)
+        integrations = _count_integrations(monkeypatch)
+        opened = []
+
+        class Counted(experiments.MatrixReader):
+            @classmethod
+            def open(cls, path):
+                opened.append(path)
+                return super().open(path)
+
+        monkeypatch.setattr(experiments, "MatrixReader", Counted)
+        again = run_experiment(cfg)
+        assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
+        assert integrations == [] and len(opened) == 1
 
     def test_stream_that_fails_midway_runs_again_into_a_temporary_file(self, tmp_path, caplog,
                                                                        monkeypatch):
@@ -602,14 +636,7 @@ class TestCli:
         assert peak < every_step / 2, f"peak {peak} B for a {every_step} B reference"
 
     def test_fom_then_rom_integrate_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting_integrate(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-
-        # the full-order integration; the reduced runs integrate through hamrom.rom
-        monkeypatch.setattr(experiments, "integrate", counting_integrate)
+        calls = _count_integrations(monkeypatch)
         cfg = self.write_cfg(tmp_path)
         assert main(["fom", "--config", str(cfg)]) == 0
         assert main(["rom", "--config", str(cfg)]) == 0

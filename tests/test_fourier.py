@@ -1,29 +1,28 @@
-"""The Fourier-mode path of block-circulant sparse flows and the basis memo.
+"""The Fourier-mode path of periodic-stencil flows and the basis memo.
 
-Sparse flows whose S and G1 are periodic stencils on one or two equal fields,
-with no g0, step per Fourier mode; every other sparse flow keeps the SuperLU
-path, and its steps are bitwise those of a factorization formed by hand.
+Flows whose S and G1 are periodic stencils step per Fourier mode; such a flow
+with a constant term g0 is rejected.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse
+from conftest import densified
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamrom import avf, experiments, pod
 from hamrom.avf import AvfScheme, AvfStepper, integrate
 from hamrom.experiments import ExperimentConfig, RomSpec, mu_sweep, run_experiment
-from hamrom.linalg import LuFactorization, SingularMatrixError
+from hamrom.linalg import SingularMatrixError
 from hamrom.rom import RomVariant
 from hamrom.systems import (
     Grid1D,
+    PeriodicStencil,
     PolyGradFlow,
     build_kdv_fom,
     build_wave_fom,
-    central_diff_matrix,
     laplacian_matrix,
 )
 
@@ -43,10 +42,6 @@ def _circulant_flow(fields, n, seed, constant=False):
     return replace(flow, constant=g0)
 
 
-def _densified(flow):
-    return replace(flow, structure=flow.structure.toarray(), linear=flow.linear.toarray())
-
-
 def _steps(flow, u, dt, count):
     stepper = AvfStepper(flow, dt)
     for k in range(1, count + 1):
@@ -54,46 +49,9 @@ def _steps(flow, u, dt, count):
     return u
 
 
-def _perturbed(op, row, col, factor=1.0 + 1e-9):
-    """``op`` with the entries (row, col) and (col, row) scaled by ``factor``."""
-    op = op.tolil()
-    op[row, col] *= factor
-    if col != row:
-        op[col, row] *= factor
-    return scipy.sparse.csr_array(op)
-
-
-def _non_periodic(op):
-    """``op`` without its wrap-around entries (those more than one column
-    from the diagonal)."""
-    coo = op.tocoo()
-    keep = np.abs(coo.row - coo.col) <= 1
-    return scipy.sparse.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=op.shape)
-
-
-def _three_fields(n):
-    """A skew stencil flow on three equal fields: ``[[0, D, 0], [D, 0, D], [0, D, 0]]``."""
-    D = central_diff_matrix(Grid1D(n=n, length=1.0))
-    S = scipy.sparse.block_array([[None, D, None], [D, None, D], [None, D, None]], format="csr")
-    return PolyGradFlow(structure=S, linear=scipy.sparse.eye_array(3 * n, format="csr"),
-                        structure_tag="skew")
-
-
-def _negatives(n):
-    """Sparse flows that are not block-circulant on one or two fields."""
-    grid = Grid1D(n=n, length=40.0, origin=-20.0)
-    kdv = build_kdv_fom(-6.0, 0.3, -1.0, grid)
-    wave = build_wave_fom(0.5, Grid1D(n=n, length=1.0))
-    return {
-        "perturbed kdv": replace(kdv, linear=_perturbed(kdv.linear, 3, 4)),
-        "perturbed wave": replace(wave, linear=_perturbed(wave.linear, n + 2, n + 2)),
-        "non-periodic kdv": replace(kdv, structure=_non_periodic(kdv.structure),
-                                    linear=_non_periodic(kdv.linear)),
-        "three fields": _three_fields(n),
-    }
-
-
 class TestDetection:
+    """Which periodic-stencil flows step in Fourier modes."""
+
     @pytest.mark.parametrize("n", [8, 9, 40])
     def test_benchmark_flows_step_in_modes(self, n):
         kdv = build_kdv_fom(-6.0, 0.0, -1.0, Grid1D(n=n, length=40.0, origin=-20.0))
@@ -101,51 +59,13 @@ class TestDetection:
         for flow in (kdv, wave):
             assert isinstance(AvfStepper(flow, 0.01)._maps, avf._FourierMaps)
 
-    @pytest.mark.parametrize("name", ["perturbed kdv", "perturbed wave", "non-periodic kdv",
-                                      "three fields"])
-    def test_negatives_keep_superlu(self, name):
-        assert isinstance(AvfStepper(_negatives(12)[name], 0.01)._maps, avf._LuMaps)
-
-    @pytest.mark.parametrize("name", ["perturbed wave", "three fields"])
-    def test_linear_negatives_are_the_lu_step(self, name):
-        # bitwise: the solve of (I - A) x = (I + A) u by one SuperLU factorization
-        flow, dt = _negatives(12)[name], 0.01
-        u = np.random.default_rng(1).standard_normal(flow.dim)
-        half = 0.5 * dt * (flow.structure @ flow.linear)
-        eye = scipy.sparse.eye_array(flow.dim, format="csr")
-        expected = LuFactorization(eye - half).solve((eye + half) @ u)
-        assert np.array_equal(AvfStepper(flow, dt).step(u), expected)
-
-    def test_quadratic_negatives_are_the_lu_picard_iteration(self):
-        # bitwise: one Picard update is the solve of the averaged quadratic term
-        flow, dt = _negatives(12)["perturbed kdv"], 0.01
-        rng = np.random.default_rng(2)
-        u, x = rng.standard_normal(flow.dim), rng.standard_normal(flow.dim)
-        half = 0.5 * dt * (flow.structure @ flow.linear)
-        eye = scipy.sparse.eye_array(flow.dim, format="csr")
-        quad = flow.quadratic
-        q_avg = (quad.eval(u, u) + quad.eval(u, x) + quad.eval(x, x)) / 3.0
-        expected = LuFactorization(eye - half).solve((eye + half) @ u + dt * flow.structure @ q_avg)
-        stepper = AvfStepper(flow, dt)
-        _, update = stepper._picard(u)
-        assert np.array_equal(update(x, 1), expected)
-
     @pytest.mark.parametrize("fields", [1, 2])
-    def test_circulant_flow_with_g0_keeps_superlu(self, fields):
-        # a constant term g0 leaves the stencil detection out; the LU step
-        # still matches the dense copy
+    def test_circulant_flow_with_g0_is_rejected(self, fields):
+        # no command builds one; its dense copy steps
         flow = _circulant_flow(fields, 11, seed=fields, constant=True)
-        assert isinstance(AvfStepper(flow, 0.01)._maps, avf._LuMaps)
-        u0 = np.random.default_rng(4).standard_normal(flow.dim)
-        sparse, dense = _steps(flow, u0, 0.01, 10), _steps(_densified(flow), u0, 0.01, 10)
-        assert np.abs(sparse - dense).max() <= 1e-11 * np.abs(dense).max()
-
-    @pytest.mark.parametrize("name", ["perturbed kdv", "perturbed wave", "non-periodic kdv"])
-    def test_negatives_match_dense_copies(self, name):
-        flow = _negatives(12)[name]
-        u0 = 0.5 * np.random.default_rng(3).standard_normal(flow.dim)
-        sparse, dense = _steps(flow, u0, 0.01, 5), _steps(_densified(flow), u0, 0.01, 5)
-        assert np.abs(sparse - dense).max() <= 1e-11 * np.abs(dense).max()
+        with pytest.raises(ValueError, match="constant term"):
+            AvfStepper(flow, 0.01)
+        AvfStepper(densified(flow), 0.01)
 
 
 class TestModeSteps:
@@ -162,7 +82,7 @@ class TestModeSteps:
         flow = _circulant_flow(fields, n, seed)
         assert isinstance(AvfStepper(flow, dt)._maps, avf._FourierMaps)
         u0 = np.random.default_rng(seed + 1).standard_normal(flow.dim)
-        modes, dense = _steps(flow, u0, dt, 10), _steps(_densified(flow), u0, dt, 10)
+        modes, dense = _steps(flow, u0, dt, 10), _steps(densified(flow), u0, dt, 10)
         assert np.abs(modes - dense).max() <= 1e-11 * np.abs(dense).max()
 
     @PROPERTY
@@ -204,7 +124,7 @@ class TestModeSteps:
         # mode; L's Nyquist symbol is -4/h^2, so dt = h^2/2 zeroes that mode
         grid = Grid1D(n=16, length=1.0)
         flow = PolyGradFlow(structure=laplacian_matrix(grid),
-                            linear=-scipy.sparse.eye_array(16, format="csr"))
+                            linear=PeriodicStencil(-np.eye(1, 16)[None]))
         with pytest.raises(SingularMatrixError, match="Fourier"):
             AvfStepper(flow, dt=0.5 * grid.dx**2)
         AvfStepper(flow, dt=0.4 * grid.dx**2)  # no mode is singular

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
+from conftest import dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamrom.linalg import (
     LuFactorization,
     SingularMatrixError,
     thin_svd_snapshots,
 )
+from hamrom.systems import Grid1D, laplacian_matrix
 
 
 def _full_svd_oracle(Y):
@@ -151,13 +154,18 @@ class TestLu:
         with pytest.raises(SingularMatrixError):
             LuFactorization(A)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_rejected_refactor_keeps_previous_factors(self, sparse):
-        A = np.diag([2.0, 4.0, 5.0])
-        fac = LuFactorization(scipy.sparse.csc_array(A) if sparse else A)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 64), scale=st.floats(1e-3, 1e3))
+    def test_periodic_laplacian_is_singular(self, n, scale):
+        # constants span the kernel: the last pivot is rounding noise
+        with pytest.raises(SingularMatrixError):
+            LuFactorization(dense(laplacian_matrix(Grid1D(n=n, length=1.0), scale)))
+
+    def test_rejected_refactor_keeps_previous_factors(self):
+        fac = LuFactorization(np.diag([2.0, 4.0, 5.0]))
         singular = np.diag([1e20, 1.0])  # factors, then fails the pivot check
         with pytest.raises(SingularMatrixError):
-            fac.factor(scipy.sparse.csc_array(singular) if sparse else singular)
+            fac.factor(singular)
         assert fac.shape == (3, 3)
         np.testing.assert_allclose(fac.solve(np.array([2.0, 4.0, 5.0])), np.ones(3), rtol=1e-15)
 
@@ -165,20 +173,43 @@ class TestLu:
         with pytest.raises(ValueError):
             LuFactorization(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError):
+            LuFactorization(A)
+
     def test_rhs_dimension_mismatch(self):
         fac = LuFactorization(np.eye(3))
         with pytest.raises(ValueError):
             fac.solve(np.ones(4))
 
 
-def test_cli_import_leaves_the_sparse_solvers_unimported():
-    # LuFactorization imports splu on first use: the sparse solver package
-    # would add about 20 ms to the start of every command
+def test_cli_import_leaves_the_sparse_solvers_unimported(tmp_path):
+    # no code path needs scipy.sparse: importing the command line or running
+    # a tiny wave and a tiny KdV experiment must not load any of it
     src = Path(__file__).resolve().parent.parent / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    code = "import sys, hamrom.cli; print('scipy.sparse.linalg' in sys.modules)"
+    code = f"""
+import sys
+import hamrom.cli
+from hamrom.experiments import ExperimentConfig, RomSpec, run_experiment
+
+def sparse():
+    return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+print(sparse())
+roms = tuple(RomSpec.parse(r) for r in ("SP0:3", "GROM:3", "SP1:3", "SP2:3"))
+run_experiment(ExperimentConfig(system="wave", c=0.1, n=16, length=1.0, dt=0.05, t_end=1.0,
+                                stride=5, roms=roms, out_dir={str(tmp_path / "wave")!r}))
+run_experiment(ExperimentConfig(system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, n=32,
+                                length=40.0, origin=-20.0, dt=0.02, t_end=0.4, stride=2,
+                                roms=roms, out_dir={str(tmp_path / "kdv")!r}))
+print(sparse())
+"""
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from hamrom.avf import AvfScheme, integrate
 from hamrom.pod import PodBasis, collect_snapshots, compute_basis, enrich_with_ic_residual
@@ -58,15 +59,15 @@ class TestReduceAlgebra:
     def test_full_identity_basis_recovers_structure(self):
         flow, _ = small_kdv()
         model = reduce_operators(flow, identity_basis(20), RomVariant.SP0)
-        assert np.allclose(model.flow.structure, flow.structure.toarray(), atol=1e-14)
-        assert np.allclose(model.flow.linear, flow.linear.toarray(), atol=1e-14)
+        assert np.allclose(model.flow.structure, dense(flow.structure), atol=1e-14)
+        assert np.allclose(model.flow.linear, dense(flow.linear), atol=1e-14)
 
     def test_coordinate_projection_takes_leading_block(self):
         flow, _ = small_kdv()
         r = 4
         basis = PodBasis(phi=np.eye(20)[:, :r], sigma=np.ones(r))
         model = reduce_operators(flow, basis, RomVariant.SP0)
-        assert np.allclose(model.flow.structure, flow.structure.toarray()[:r, :r], atol=1e-14)
+        assert np.allclose(model.flow.structure, dense(flow.structure)[:r, :r], atol=1e-14)
 
     def test_reduced_rhs_matches_full_arithmetic(self):
         # SP0 right-hand side == Phi^T S Phi Phi^T grad(Phi a) done in full space
@@ -78,7 +79,7 @@ class TestReduceAlgebra:
             a = rng.standard_normal(3)
             rhs = model.flow.structure @ eval_grad(model.flow, a)
             phi = basis.phi
-            oracle = phi.T @ flow.structure @ phi @ (phi.T @ eval_grad(flow, phi @ a))
+            oracle = phi.T @ dense(flow.structure) @ phi @ (phi.T @ eval_grad(flow, phi @ a))
             assert np.abs(rhs - oracle).max() <= 1e-10 * (1 + np.abs(oracle).max())
 
     def test_grom_rhs_matches_full_arithmetic(self):
@@ -89,7 +90,7 @@ class TestReduceAlgebra:
         for _ in range(5):
             a = rng.standard_normal(4)
             rhs = model.flow.structure @ eval_grad(model.flow, a)
-            oracle = basis.phi.T @ flow.structure @ eval_grad(flow, basis.phi @ a)
+            oracle = basis.phi.T @ dense(flow.structure) @ eval_grad(flow, basis.phi @ a)
             assert np.abs(rhs - oracle).max() <= 1e-10 * (1 + np.abs(oracle).max())
 
     def test_sp2_rhs_matches_full_arithmetic(self):
@@ -102,7 +103,7 @@ class TestReduceAlgebra:
         for _ in range(5):
             a = rng.standard_normal(3)
             rhs = model.flow.structure @ eval_grad(model.flow, a)
-            oracle = Q.T @ flow.structure @ Q @ (Q.T @ eval_grad(flow, u0 + Q @ a))
+            oracle = Q.T @ dense(flow.structure) @ Q @ (Q.T @ eval_grad(flow, u0 + Q @ a))
             assert np.abs(rhs - oracle).max() <= 1e-10 * (1 + np.abs(oracle).max())
 
     def test_skew_preserved_exactly(self):
@@ -139,7 +140,7 @@ class TestReduceAlgebra:
         assert np.allclose(S_r[:3, 3:], P, atol=1e-13)
         assert np.allclose(S_r[3:, :3], -P.T, atol=1e-13)
         assert np.abs(S_r[:3, :3]).max() == 0.0
-        lap = laplacian_matrix(grid, c * c)
+        lap = dense(laplacian_matrix(grid, c * c))
         G1_r = model.flow.linear
         assert np.allclose(G1_r[:3, :3], -bu.phi.T @ lap @ bu.phi, atol=1e-13)
         assert np.allclose(G1_r[3:, 3:], np.eye(2), atol=1e-13)
@@ -153,7 +154,7 @@ class TestReduceAlgebra:
         bu = random_orthonormal(10, 3, seed=10)
         bv = random_orthonormal(10, 3, seed=11)
         model = reduce_operators(flow, (bu, bv), RomVariant.GROM)
-        lap = laplacian_matrix(grid, c * c)
+        lap = dense(laplacian_matrix(grid, c * c))
         L = model.flow.linear
         assert np.allclose(L[:3, 3:], bu.phi.T @ bv.phi, atol=1e-13)
         assert np.allclose(L[3:, :3], bv.phi.T @ lap @ bu.phi, atol=1e-13)

@@ -1,28 +1,25 @@
-"""The sparse full-order path against dense copies of the same operators."""
-
-from dataclasses import replace
+"""The periodic-stencil full-order operators and their Fourier-mode steps
+against dense copies of the same operators."""
 
 import numpy as np
 import pytest
 import scipy.sparse
+from conftest import dense, densified
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamrom.avf import AvfStepper
-from hamrom.linalg import LuFactorization, SingularMatrixError
 from hamrom.systems import (
     Grid1D,
+    PeriodicStencil,
+    PolyGradFlow,
     build_kdv_fom,
     build_wave_fom,
+    central_diff_matrix,
     kdv_initial,
-    laplacian_matrix,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-def _densified(flow):
-    return replace(flow, structure=flow.structure.toarray(), linear=flow.linear.toarray())
 
 
 def _five_steps(flow, u, dt):
@@ -33,9 +30,9 @@ def _five_steps(flow, u, dt):
 
 
 def _assert_paths_agree(flow, u0, dt):
-    sparse = _five_steps(flow, u0, dt)
-    dense = _five_steps(_densified(flow), u0, dt)
-    assert np.abs(sparse - dense).max() <= 1e-11 * np.abs(dense).max()
+    modes = _five_steps(flow, u0, dt)
+    reference = _five_steps(densified(flow), u0, dt)
+    assert np.abs(modes - reference).max() <= 1e-11 * np.abs(reference).max()
 
 
 class TestStepperPaths:
@@ -63,46 +60,45 @@ class TestStepperPaths:
         _assert_paths_agree(build_wave_fom(c, Grid1D(n=n, length=1.0)), u0, dt)
 
 
-class TestSparseLu:
+class TestPeriodicStencil:
     @PROPERTY
     @given(
+        fields=st.sampled_from([1, 2]),
         n=st.integers(1, 40),
-        density=st.floats(0.0, 0.5),
+        width=st.sampled_from([None, 1, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_sparse_matches_dense(self, n, density, seed):
-        # strictly diagonally dominant, hence well conditioned
+    def test_products_match_the_dense_copy(self, fields, n, width, seed):
+        # random columns with some zero entries; a vector or a (dim, k) block
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-        np.fill_diagonal(A, 0.0)
-        A += np.diag(1.0 + np.abs(A).sum(axis=1))
-        rhs = rng.standard_normal((n, 2))
-        x_sparse = LuFactorization(scipy.sparse.csr_array(A)).solve(rhs)
-        x_dense = LuFactorization(A).solve(rhs)
-        assert np.abs(x_sparse - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
+        columns = rng.standard_normal((fields, fields, n)) * (rng.random((fields, fields, n)) < 0.6)
+        op = PeriodicStencil(columns)
+        x = rng.standard_normal(fields * n if width is None else (fields * n, width))
+        for stencil, matrix in ((op, dense(op)), (op.T, dense(op).T)):
+            expected = matrix @ x
+            scale = max(np.abs(expected).max(), 1e-300)
+            assert (stencil @ x).shape == expected.shape
+            assert np.abs(stencil @ x - expected).max() <= 1e-14 * scale
+        assert np.array_equal(dense(op.T), dense(op).T)
 
-    @PROPERTY
-    @given(n=st.integers(3, 64), scale=st.floats(1e-3, 1e3))
-    def test_periodic_laplacian_is_singular(self, n, scale):
-        # constants span the kernel: the last pivot is rounding noise
-        with pytest.raises(SingularMatrixError):
-            LuFactorization(laplacian_matrix(Grid1D(n=n, length=1.0), scale))
+    @pytest.mark.parametrize("shape", [(2, 8), (1, 2, 8), (2, 1, 8), (1, 1, 0)])
+    def test_rejects_columns_that_are_not_square_blocks(self, shape):
+        with pytest.raises(ValueError, match="columns"):
+            PeriodicStencil(np.zeros(shape))
 
-    def test_exactly_singular_raises(self):
-        A = scipy.sparse.csr_array(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        with pytest.raises(SingularMatrixError):
-            LuFactorization(A)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            LuFactorization(scipy.sparse.csr_array(np.ones((2, 3))))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_nonfinite(self, bad):
-        A = np.eye(3)
-        A[1, 2] = bad
-        with pytest.raises(ValueError):
-            LuFactorization(scipy.sparse.csr_array(A))
+    def test_flow_rejects_mixed_and_foreign_operators(self):
+        grid = Grid1D(n=8, length=1.0)
+        D = central_diff_matrix(grid)
+        with pytest.raises(ValueError, match="both"):
+            PolyGradFlow(structure=scipy.sparse.csr_array(dense(D)),
+                         linear=scipy.sparse.eye_array(8, format="csr"))
+        with pytest.raises(ValueError, match="both"):
+            PolyGradFlow(structure=D, linear=np.eye(8))
+        # both (16, 16): D on two fields of 8 against an identity on one of 16
+        two_fields = PeriodicStencil(np.stack([np.stack([D.columns[0, 0]] * 2)] * 2))
+        one_field = PeriodicStencil(np.eye(1, 16)[None])
+        with pytest.raises(ValueError, match="field counts"):
+            PolyGradFlow(structure=two_fields, linear=one_field)
 
 
 class TestStorage:
@@ -110,11 +106,11 @@ class TestStorage:
     def test_kdv_operators_are_stencils(self, rho, nu):
         flow = build_kdv_fom(-6.0, rho, nu, Grid1D(n=50, length=40.0, origin=-20.0))
         for op in (flow.structure, flow.linear):
-            assert scipy.sparse.issparse(op)
-            assert np.diff(op.tocsr().indptr).max() <= 3
+            assert isinstance(op, PeriodicStencil) and op.columns.shape == (1, 1, 50)
+            assert np.count_nonzero(op.columns) <= 3
 
     def test_wave_operators_are_stencils(self):
         flow = build_wave_fom(0.1, Grid1D(n=50, length=1.0))
         for op in (flow.structure, flow.linear):
-            assert scipy.sparse.issparse(op)
-            assert np.diff(op.tocsr().indptr).max() <= 3
+            assert isinstance(op, PeriodicStencil) and op.columns.shape == (2, 2, 50)
+            assert np.count_nonzero(op.columns, axis=-1).max() <= 3

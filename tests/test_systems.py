@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense
 
 from hamrom.systems import (
     DiagonalQuadratic,
@@ -42,10 +43,10 @@ class TestOperators:
 
     def test_central_diff_first_row(self):
         A = central_diff_matrix(Grid1D(n=4, length=4.0))
-        assert np.array_equal(A.toarray()[0], [0.0, 0.5, 0.0, -0.5])
+        assert np.array_equal(dense(A)[0], [0.0, 0.5, 0.0, -0.5])
 
     def test_central_diff_exactly_skew(self):
-        A = central_diff_matrix(Grid1D(n=9, length=1.0))
+        A = dense(central_diff_matrix(Grid1D(n=9, length=1.0)))
         assert np.abs(A + A.T).max() == 0.0
 
     def test_central_diff_second_order(self):
@@ -64,24 +65,24 @@ class TestOperators:
 
     def test_laplacian_first_row(self):
         B = laplacian_matrix(Grid1D(n=4, length=4.0), scale=1.0)
-        assert np.array_equal(B.toarray()[0], [-2.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(dense(B)[0], [-2.0, 1.0, 0.0, 1.0])
 
     def test_laplacian_exactly_symmetric(self):
         B = laplacian_matrix(Grid1D(n=11, length=2.0), scale=0.3)
-        assert np.array_equal(B.toarray(), B.T.toarray())
+        assert np.array_equal(dense(B), dense(B.T))
 
     def test_laplacian_spectrum_bounds(self):
         g = Grid1D(n=16, length=1.0)
         scale = 0.7
-        w = np.linalg.eigvalsh(laplacian_matrix(g, scale).toarray())
+        w = np.linalg.eigvalsh(dense(laplacian_matrix(g, scale)))
         assert w.max() <= 1e-12
         assert w.min() >= -4.0 * scale / g.dx**2 * (1 + 1e-12)
 
 
 class TestWaveSystem:
     def test_structure_exactly_skew(self):
-        flow = build_wave_fom(0.1, Grid1D(n=8, length=1.0))
-        assert np.abs(flow.structure + flow.structure.T).max() == 0.0
+        S = dense(build_wave_fom(0.1, Grid1D(n=8, length=1.0)).structure)
+        assert np.abs(S + S.T).max() == 0.0
 
     def test_zero_state_energy(self):
         flow = build_wave_fom(0.1, Grid1D(n=8, length=1.0))
@@ -114,7 +115,7 @@ class TestWaveSystem:
         u, v = rng.standard_normal(16), rng.standard_normal(16)
         g = eval_grad(flow, np.concatenate([u, v]))
         lap = laplacian_matrix(grid, c * c)
-        assert np.allclose(g[:16], -lap @ u, rtol=1e-13, atol=1e-13)
+        assert np.allclose(g[:16], -(lap @ u), rtol=1e-13, atol=1e-13)
         assert np.allclose(g[16:], v, rtol=0, atol=0)
 
     def test_rejects_nonpositive_speed(self):
@@ -129,8 +130,8 @@ class TestKdvSystem:
         assert eval_energy(flow, np.zeros(16)) == 0.0
 
     def test_structure_exactly_skew(self):
-        flow = build_kdv_fom(-6.0, 0.0, -1.0, Grid1D(n=16, length=40.0, origin=-20.0))
-        assert np.abs(flow.structure + flow.structure.T).max() == 0.0
+        S = dense(build_kdv_fom(-6.0, 0.0, -1.0, Grid1D(n=16, length=40.0, origin=-20.0)).structure)
+        assert np.abs(S + S.T).max() == 0.0
 
     def test_benchmark_energy(self, kdv_system):
         flow, u0, _ = kdv_system
@@ -231,7 +232,7 @@ class TestPolyGradFlow:
             quadratic=DiagonalQuadratic(0.8),
             structure_tag="skew",
         )
-        # sparse operators give the same bits column by column; a dense
+        # stencil operators give the same bits column by column; a dense
         # matrix product may round differently from a matrix-vector product
         for flow, rtol in ((wave, 0.0), (kdv, 0.0), (dense, 1e-14)):
             U = rng.standard_normal((flow.dim, 7))
