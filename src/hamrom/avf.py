@@ -31,10 +31,9 @@ MAX_ITERATIONS = 100
 class AvfScheme:
     """Time-integration parameters: step size, horizon, nonlinear solve knobs.
 
-    ``picard_tol`` is the stopping tolerance of whichever nonlinear solver
-    the flow's storage selects (see :class:`AvfStepper`): Picard iteration
-    on periodic-stencil full-order flows, Newton iteration on dense reduced
-    ones.
+    ``picard_tol`` is the stopping tolerance of the nonlinear iteration of
+    the flow's maps: Picard in :class:`_FourierMaps`, Newton in
+    :class:`_DenseMaps`.
     ``snapshot_stride`` controls recording: every ``stride``-th state (plus
     the initial one) is kept in the trajectory.
     """
@@ -131,32 +130,19 @@ class Trajectory:
 
 
 class AvfStepper:
-    """One-step AVF integrator; the storage of the flow's operators picks the solver.
+    """One-step AVF integrator; the storage of the flow's operators picks its maps.
 
     With ``A = dt/2 S G1``, every step solves
     ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``.
+    :class:`_FourierMaps` take the step of periodic stencils (full-order
+    models) and :class:`_DenseMaps` that of dense operators (reduced models):
+    a linear flow's step is one linear solve, a quadratic flow's the
+    nonlinear iteration of its maps (Picard or Newton).
 
-    * Periodic stencils (full-order models, :class:`PeriodicStencil`): every
-      block of S and G1 is diagonal in Fourier modes, so a step is one
-      transform pair (:class:`_FourierMaps`), and a quadratic flow iterates
-      on the average quadratic term by Picard iteration, one transform pair
-      per iteration.  Such a flow may have no g0 (no command builds one).
-    * Dense linear flows (reduced models): the step is the precomputed
-      propagator ``x = M u + c`` with ``M = (I - A)^-1 (I + A)`` and
-      ``c = (I - A)^-1 dt S g0``.
-    * Dense quadratic flows (reduced models): Newton iteration with the
-      r x r Jacobian ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)``
-      is the matrix of ``v -> G2(a, v)``, factored every iteration.  A
-      tensor term folds ``dt S / 3`` into its tensor once, so ``dt S J2(x) / 3``
-      is one contraction with ``x``.
-
-    :func:`integrate` fills whole blocks of steps of a linear flow from the
-    stacked powers of its propagator (per mode on block-circulant stencils).
-
-    Both iterations stop when the increment drops to ``picard_tol`` relative
-    to ``1 + max|x|`` and fail with :class:`StepFailure` after
+    The iteration stops when the increment drops to ``picard_tol`` relative
+    to ``1 + max|x|`` and fails with :class:`StepFailure` after
     :data:`MAX_ITERATIONS` iterations; ``last_iterations`` is the count of the
-    last step (0 for linear flows).  They start from a cubic extrapolation
+    last step (0 for linear flows).  It starts from a cubic extrapolation
     of the step history (an explicit RK4 prediction while the history is
     short).  The predictor only changes the iteration count, never the
     converged step.
@@ -170,26 +156,8 @@ class AvfStepper:
         self.picard_tol = picard_tol
         self._deltas: list[np.ndarray] = []  # last three step increments
         self.last_iterations = 0
-        stencil = isinstance(flow.structure, PeriodicStencil)
-        if stencil:
-            if flow.constant is not None:
-                raise ValueError("a periodic-stencil flow cannot have a constant term g0")
-            maps = _FourierMaps(flow.structure.columns, flow.linear.columns, dt)
-        else:
-            maps = _LuMaps(flow, dt)
-            if flow.quadratic is None:
-                maps = _PropagatorMaps(maps)
-        self._maps = maps
-        # dense quadratic flows iterate by Newton on the map x -> dt S J2(x) / 3
-        # (a tensor term takes dt S / 3 in once); stencil ones by Picard
-        self._jacobian = None
-        quad = flow.quadratic
-        if quad is not None and not stencil:
-            dtS3 = maps.dtS / 3.0
-            if isinstance(quad, TensorQuadratic):
-                self._jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
-            else:
-                self._jacobian = lambda x: dtS3 @ quad.jacobian(x)
+        maps = _FourierMaps if isinstance(flow.structure, PeriodicStencil) else _DenseMaps
+        self._maps = maps(flow, dt)
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
@@ -215,10 +183,7 @@ class AvfStepper:
         # overflow inside a diverging iteration is expected and reported as
         # StepFailure, hence the suppressed floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._jacobian is None:
-                solver, update = self._picard(u)
-            else:
-                solver, update = self._newton(u, step_index)
+            solver, update = self._maps.iteration(u, step_index)
             x = self._predict(u)
             increment = np.inf
             for m in range(1, MAX_ITERATIONS + 1):
@@ -242,26 +207,59 @@ class AvfStepper:
             iterations=MAX_ITERATIONS,
         )
 
-    def _picard(self, u: np.ndarray):
-        """``(solver, update)`` of Picard iteration: ``update(x, m)`` is the
-        next iterate, one ``solve`` of the averaged quadratic term."""
-        quad, maps = self.flow.quadratic, self._maps
-        base = maps.base(u)
-        q_uu = quad.eval(u, u)
 
-        def update(x: np.ndarray, m: int) -> np.ndarray:
-            return maps.solve(base, q_uu + quad.eval(u, x) + quad.eval(x, x))
+# The maps of a flow's operator storage, built from ``(flow, dt)``, own the
+# linear algebra of a step: ``base(u)``, the part of the step that u fixes;
+# ``solve(base)``, the step of a linear flow; ``iteration(u, step_index)``,
+# the ``(solver, update)`` pair of a quadratic flow's nonlinear solve, where
+# ``update(x, m)`` gives the next iterate (None when it overflowed); and
+# ``stacked(width)``, whole blocks of a linear flow's steps.
 
-        return "Picard", update
 
-    def _newton(self, u: np.ndarray, step_index: int):
-        """``(solver, update)`` of Newton iteration: ``update(x, m)`` is the
-        residual, then one factor and one solve of the Jacobian, or None
-        when the residual overflowed."""
-        maps, jacobian = self._maps, self._jacobian
+class _DenseMaps:
+    """Dense operators (reduced models): one LU factorization of ``I - A``.
+
+    A linear step is one LU solve; :meth:`stacked` forms the propagator
+    ``x = M u + c``, ``M = (I - A)^-1 (I + A)``, ``c = (I - A)^-1 dt S g0``.
+    A quadratic flow iterates by Newton with the r x r Jacobian
+    ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)`` is the matrix of
+    ``v -> G2(a, v)``, refactoring ``lhs`` every iteration.  A tensor term
+    folds ``dt S / 3`` into its tensor once, so ``dt S J2(x) / 3`` is one
+    contraction with ``x``.
+    """
+
+    def __init__(self, flow: PolyGradFlow, dt: float):
+        half = 0.5 * dt * (flow.structure @ flow.linear)
+        eye = np.eye(flow.dim)
+        self.lhs_mat = eye - half
+        self.lhs = LuFactorization(self.lhs_mat)
+        self.rhs_mat = eye + half
+        dtS = dt * flow.structure
+        self.const = dtS @ flow.constant if flow.constant is not None else None
+        # x -> dt S J2(x) / 3, closed over locals only: the maps hold no cycle
+        quad, dtS3 = flow.quadratic, dtS / 3.0
+        if isinstance(quad, TensorQuadratic):
+            self.jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
+        elif quad is not None:
+            self.jacobian = lambda x: dtS3 @ quad.jacobian(x)
+
+    def base(self, u: np.ndarray) -> np.ndarray:
+        """``(I + A) u + dt S g0``."""
+        base = self.rhs_mat @ u
+        return base if self.const is None else base + self.const
+
+    def solve(self, base: np.ndarray) -> np.ndarray:
+        """The step of a linear flow: ``(I - A)^-1 base``."""
+        return self.lhs.solve(base)
+
+    def iteration(self, u: np.ndarray, step_index: int):
+        """Newton iteration: ``update(x, m)`` is the residual, then one
+        factor and one solve of the Jacobian, or None when the residual
+        overflowed."""
+        jacobian, lhs = self.jacobian, self.lhs
         k_u = jacobian(u)  # dt S J2(u) / 3
-        base = maps.base(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
-        fixed = maps.lhs_mat - k_u  # the Jacobian's part that x leaves fixed
+        base = self.base(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
+        fixed = self.lhs_mat - k_u  # the Jacobian's part that x leaves fixed
 
         def update(x: np.ndarray, m: int) -> Optional[np.ndarray]:
             k_x = jacobian(x)
@@ -271,70 +269,30 @@ class AvfStepper:
             if not np.isfinite(residual).all():
                 return None
             try:
-                maps.lhs.factor(fixed - 2.0 * k_x)
+                lhs.factor(fixed - 2.0 * k_x)
             except SingularMatrixError as exc:
                 raise StepFailure(
                     f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
                     step_index=step_index,
                     iterations=m,
                 ) from exc
-            return x - maps.lhs.solve(residual)
+            return x - lhs.solve(residual)
 
         return "Newton", update
 
-
-# The linear algebra of one step comes from maps with ``base(u)``, the part
-# of the step that u fixes.  The Fourier and propagator maps also take the
-# step, ``solve(base, q)`` for the quadratic term q (the sum of the three G2
-# evaluations; a linear flow passes none), and fill whole blocks of a linear
-# flow's steps, ``stacked(width)``.
-
-
-class _LuMaps:
-    """One LU factorization of the dense ``I - A``: the start of a propagator,
-    or of a Newton iteration, which refactors ``lhs`` every iteration."""
-
-    def __init__(self, flow: PolyGradFlow, dt: float):
-        half = 0.5 * dt * (flow.structure @ flow.linear)
-        eye = np.eye(flow.dim)
-        self.lhs_mat = eye - half
-        self.lhs = LuFactorization(self.lhs_mat)
-        self.rhs_mat = eye + half
-        self.dtS = dt * flow.structure
-        self.const = self.dtS @ flow.constant if flow.constant is not None else None
-
-    def base(self, u: np.ndarray) -> np.ndarray:
-        """``(I + A) u + dt S g0``."""
-        base = self.rhs_mat @ u
-        return base if self.const is None else base + self.const
-
-
-class _PropagatorMaps:
-    """A dense linear step as its propagator: ``base(u) = M u + c`` is the step."""
-
-    def __init__(self, lu: _LuMaps):
+    def stacked(self, width: int):
+        """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
+        as rows, from one matvec of the stacked propagator powers (at most
+        ``_ENERGY_BLOCK_ENTRIES`` entries of them)."""
         # NumPy's LAPACK, not the SciPy one of the factorization: SciPy's
         # multi-column solve wakes SciPy's OpenBLAS threads, which keep
         # spinning afterwards and, on 2 cores, doubled the time of the
         # NumPy SVD that follows a short reduced run in a sweep
-        self._M = np.linalg.solve(lu.lhs_mat, lu.rhs_mat)
-        self._c = lu.lhs.solve(lu.const) if lu.const is not None else None
-
-    def base(self, u: np.ndarray) -> np.ndarray:
-        x = self._M @ u
-        return x if self._c is None else x + self._c
-
-    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
-        """``base``, already the step: a dense linear flow has no quadratic term."""
-        return base
-
-    def stacked(self, width: int):
-        """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
-        as rows, from one matvec of the stacked powers (at most
-        ``_ENERGY_BLOCK_ENTRIES`` entries of them)."""
-        dim = self._M.shape[0]
+        M = np.linalg.solve(self.lhs_mat, self.rhs_mat)
+        c = self.lhs.solve(self.const) if self.const is not None else None
+        dim = M.shape[0]
         count = max(1, min(width, _ENERGY_BLOCK_ENTRIES // (dim * dim)))
-        powers, offsets = _stacked_powers(self._M, self._c, count)
+        powers, offsets = _stacked_powers(M, c, count)
         powers = powers.reshape(count * dim, dim)
         offsets = None if offsets is None else offsets.ravel()
 
@@ -356,21 +314,27 @@ def _apply(symbols: np.ndarray, spectra: np.ndarray) -> np.ndarray:
 
 
 class _FourierMaps:
-    """The step of block-circulant operators, one b x b matrix per Fourier mode.
+    """Periodic stencils (full-order models): one b x b matrix per Fourier mode.
 
     A periodic stencil is diagonalized by the discrete Fourier transform, so
     on b fields whose every block is one (the ``columns`` of a
     :class:`PeriodicStencil`), ``I - A``, ``I + A`` and ``dt S`` are b x b
     symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``
     and ``K = (I - A)^-1 dt S / 3`` are formed once; ``base`` is the linear
-    step and ``solve`` adds the quadratic term, one transform pair each.  A
+    step and ``solve`` adds the quadratic term, one transform pair each, so
+    a quadratic flow iterates by Picard on the averaged quadratic term.  A
     mode whose pivot is at or below 1e-14 of the largest symbol entry of
     ``I - A`` raises :class:`SingularMatrixError`, as :class:`LuFactorization`
-    does.  Symbols are stored (b, b, modes) and spectra (b, modes), so every
+    does, and a flow with a g0 (no command builds one) raises ValueError.
+    Symbols are stored (b, b, modes) and spectra (b, modes), so every
     product runs along the contiguous mode axis.
     """
 
-    def __init__(self, structure: np.ndarray, linear: np.ndarray, dt: float):
+    def __init__(self, flow: PolyGradFlow, dt: float):
+        if flow.constant is not None:
+            raise ValueError("a periodic-stencil flow cannot have a constant term g0")
+        self._quad = flow.quadratic
+        structure, linear = flow.structure.columns, flow.linear.columns
         fields, _, self._n = structure.shape
         # per-mode matrices (modes, b, b) while the symbols are formed
         S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (structure, linear))
@@ -402,6 +366,18 @@ class _FourierMaps:
     def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
         """``base + K q``."""
         return base if q is None else base + self._space(_apply(self._K, self._modes(q)))
+
+    def iteration(self, u: np.ndarray, step_index: int):
+        """Picard iteration: ``update(x, m)`` is one ``solve`` of the
+        averaged quadratic term."""
+        quad = self._quad
+        base = self.base(u)
+        q_uu = quad.eval(u, u)
+
+        def update(x: np.ndarray, m: int) -> np.ndarray:
+            return self.solve(base, q_uu + quad.eval(u, x) + quad.eval(x, x))
+
+        return "Picard", update
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
@@ -468,12 +444,11 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     filled block, steps ``k0`` to ``k0 + w - 1`` as a ``(dim, w)`` view, also
     goes to ``consumer`` when one is given (in order, starting at step 0),
     which must copy what it keeps: the next block overwrites it.  A
-    linear flow with a propagator (a dense one, a linear reduced model, or a
-    periodic-stencil one, the wave full-order model) fills a block
-    without stepping: up to B states at a time come from the stacked
+    linear flow (a linear reduced model, or the wave full-order model) fills
+    a block without stepping: up to B states at a time come from the stacked
     propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
     state, for a circulant flow per Fourier mode with one batched inverse
-    transform.  Every other flow takes :meth:`AvfStepper.step` once per step.
+    transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()

@@ -319,16 +319,19 @@ def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Opti
         if meta[:1] != [key]:
             log.warning("cache key mismatch for %s: recomputing", paths["meta"].name)
             return None
+        if len(meta) != 2:
+            raise ValueError(f"meta has {len(meta)} lines, expected the key and a count")
+        max_iters = int(meta[1])
         energies = read_matrix(paths["energies"])
-        max_iters = int(meta[1]) if len(meta) > 1 else 0
         reader = MatrixReader.open(paths["states"])
         if (reader.rows, reader.cols) != shape or energies.shape != (columns, 1):
             raise ValueError(
                 f"states {(reader.rows, reader.cols)} and energies {energies.shape}, "
                 f"expected {shape} and {(columns, 1)}"
             )
-    # undecodable meta text, a truncated file (FormatError), a bad count line,
-    # a well-formed file of the wrong shape, a file that cannot be read
+    # undecodable meta text, a missing or bad count line, a truncated file
+    # (FormatError), a well-formed file of the wrong shape, a file that
+    # cannot be read
     except (ValueError, OSError) as exc:
         if reader is not None:
             reader.close()

@@ -9,7 +9,7 @@ reported values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,21 +63,11 @@ _BLOCK_COLUMNS = 256
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _column_major(traj: Trajectory) -> Trajectory:
-    """``traj`` with a column-major decode basis.  Decoding a column block of
-    the wave benchmark's r=5 model took 2.6 ms per comparison through it
-    against 4.5 ms through the row-major basis, with the same bits."""
-    if traj.basis is None or traj.basis.flags.f_contiguous:
-        return traj
-    return replace(traj, basis=np.asfortranarray(traj.basis))
-
-
 def _differences(fom: Trajectory, rom: Trajectory, first: int = 0):
     """Full-state differences ``rom - fom`` of the recorded columns from
     ``first`` on, one column block at a time (reduced trajectories are
     decoded block-wise, a stored reference is read block-wise).  Each block
     is overwritten by the next one; the caller checks compatibility first."""
-    fom, rom = _column_major(fom), _column_major(rom)
     width = max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // fom.dim))
     diff = np.empty((fom.dim, width), order="F")
     spare = np.empty_like(diff)  # the first trajectory's block, when it is not a view

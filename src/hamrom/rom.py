@@ -200,4 +200,8 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory
     state up to rounding.
     """
     reduced = integrate(model.flow, encode(model, initial_state), scheme)
-    return replace(reduced, basis=model.basis_matrix, offset=model.decode_offset)
+    # a column-major copy: decoding a column block of the wave benchmark's
+    # r=5 model took 2.6 ms per comparison through it against 4.5 ms through
+    # the row-major basis, with the same bits
+    return replace(reduced, basis=np.asfortranarray(model.basis_matrix),
+                   offset=model.decode_offset)

@@ -104,10 +104,6 @@ class TensorQuadratic:
         tb = self.tensor @ b
         return tb @ a if a.ndim == 1 else np.einsum("pik,ik->pk", tb, a)
 
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of ``v -> G2(a, v)``: ``T a``, by the (i, j) symmetry."""
-        return self.tensor @ a
-
 
 @dataclass(frozen=True)
 class ProjectedQuadratic:

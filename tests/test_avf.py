@@ -130,7 +130,7 @@ class TestIteration:
         stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol)
         script = iter(iterates)
         stepper._predict = lambda u: np.zeros(1)
-        stepper._newton = lambda u, step_index: ("Newton", lambda x, m: next(script))
+        stepper._maps.iteration = lambda u, step_index: ("Newton", lambda x, m: next(script))
         return stepper
 
     def test_stopping_rule_is_relative_to_the_previous_iterate(self):
@@ -294,8 +294,7 @@ class TestBenchmarkRuns:
 
 
 def _stepping_paths():
-    """One small flow per stepping path: (flow, start state, maps class,
-    whether it iterates by Newton)."""
+    """One small flow per stepping path: (flow, start state, maps class)."""
     kdv_grid = Grid1D(n=64, length=40.0, origin=-20.0)
     kdv, kdv_u0 = build_kdv_fom(-6.0, 0.0, -1.0, kdv_grid), kdv_initial(kdv_grid)
     wave_grid = Grid1D(n=32, length=1.0)
@@ -309,31 +308,31 @@ def _stepping_paths():
     phi = kdv_basis.phi
     lazy = ProjectedQuadratic(left=phi.T, basis=phi, coeff=kdv.quadratic.coeff)
     return {
-        "kdv fom (Fourier Picard)": (kdv, kdv_u0, avf._FourierMaps, False),
-        "wave fom (Fourier linear)": (wave, wave_u0, avf._FourierMaps, False),
-        "wave SP-ROM (propagator)": (wave_rom, np.zeros(wave_rom.dim), avf._PropagatorMaps,
-                                     False),
-        "kdv SP-ROM (tensor Newton)": (kdv_rom, phi.T @ kdv_u0, avf._LuMaps, True),
+        "kdv fom (Fourier Picard)": (kdv, kdv_u0, avf._FourierMaps),
+        "wave fom (Fourier linear)": (wave, wave_u0, avf._FourierMaps),
+        "wave SP-ROM (LU step)": (wave_rom, np.zeros(wave_rom.dim), avf._DenseMaps),
+        "kdv SP-ROM (tensor Newton)": (kdv_rom, phi.T @ kdv_u0, avf._DenseMaps),
         "kdv SP-ROM (lazy Newton)": (replace(kdv_rom, quadratic=lazy), phi.T @ kdv_u0,
-                                     avf._LuMaps, True),
+                                     avf._DenseMaps),
     }
 
 
 def test_every_stepping_path_is_freed_without_the_cycle_collector():
-    # nothing a stepper holds may refer back to it (a bound method stored on
-    # the instance would): reference counting alone must free it, with its
-    # flow and factorizations, as soon as the last reference goes
+    # nothing a stepper or its maps hold may refer back to them (a bound
+    # method, or a Jacobian closure over the maps, stored on them would):
+    # reference counting alone must free both, with the flow and
+    # factorizations, as soon as the last reference goes
     paths = _stepping_paths()
     gc.collect()
     gc.disable()
     try:
-        for name, (flow, u, maps, newton) in paths.items():
+        for name, (flow, u, maps) in paths.items():
             stepper = AvfStepper(flow, dt=0.01)
-            assert type(stepper._maps) is maps and (stepper._jacobian is not None) == newton, name
+            assert type(stepper._maps) is maps, name
             for k in range(1, 6):
                 u = stepper.step(u, step_index=k)
-            released = weakref.ref(stepper)
+            released = weakref.ref(stepper), weakref.ref(stepper._maps)
             del stepper
-            assert released() is None, name
+            assert [ref() for ref in released] == [None, None], name
     finally:
         gc.enable()

@@ -407,6 +407,21 @@ class TestRunExperiment:
             assert "unreadable cache" in caplog.text
             assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
 
+    def test_meta_without_its_count_line_recomputes(self, tmp_path, caplog, monkeypatch):
+        # a KdV reference, whose Picard iteration count is not 0
+        cfg = replace(tiny_wave_cfg(tmp_path / "out", roms=()), system="kdv", alpha=-6.0,
+                      rho=0.0, nu=-1.0, n=64, length=40.0, origin=-20.0, dt=0.02, t_end=0.4)
+        fresh = fom_trajectory(cfg)
+        assert fresh.max_picard_iterations > 0
+        (meta,) = (tmp_path / "out" / "cache").glob("*.meta")
+        meta.write_text(meta.read_text().splitlines()[0] + "\n")
+        calls = _count_integrations(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            again = fom_trajectory(cfg)
+        assert "unreadable cache" in caplog.text
+        assert len(calls) == 1
+        assert again.max_picard_iterations == fresh.max_picard_iterations
+
     @pytest.mark.parametrize("stride", [1, 3, 10, 20])
     def test_stride_views(self, tmp_path, stride):
         # 10 steps; strides 3 and 20 do not divide the step count

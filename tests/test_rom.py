@@ -212,7 +212,8 @@ class TestRunRom:
         model = reduce_operators(flow, basis, RomVariant.SP2)
         rom_traj = run_rom(model, scheme, initial_state=u0)
         assert rom_traj.states.shape == (3, traj.times.size)
-        assert rom_traj.basis is model.basis_matrix
+        assert np.array_equal(rom_traj.basis, model.basis_matrix)
+        assert rom_traj.basis.flags.f_contiguous
         assert rom_traj.offset is model.decode_offset
         assert rom_traj.dim == 20
         block = np.empty((20, 2), order="F")
