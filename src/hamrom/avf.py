@@ -12,14 +12,22 @@ stencils, step per Fourier mode; reduced ones by dense linear algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .linalg import LuFactorization, SingularMatrixError
-from .systems import PeriodicStencil, PolyGradFlow, TensorQuadratic, _as_state, _grad, eval_energy
+from .systems import (
+    DiagonalQuadratic,
+    PeriodicStencil,
+    PolyGradFlow,
+    TensorQuadratic,
+    _as_state,
+    _grad,
+    eval_energy,
+)
 
 __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 
@@ -32,8 +40,9 @@ class AvfScheme:
     """Time-integration parameters: step size, horizon, nonlinear solve knobs.
 
     ``picard_tol`` is the stopping tolerance of the nonlinear iteration of
-    the flow's maps: Picard in :class:`_FourierMaps`, Newton in
-    :class:`_DenseMaps`.
+    the flow's maps, relative to ``1 + max|x|``: Picard in
+    :class:`_FourierMaps` stops when an increment drops to it, chord Newton
+    in :class:`_DenseMaps` also when its predicted remaining error does.
     ``snapshot_stride`` controls recording: every ``stride``-th state (plus
     the initial one) is kept in the trajectory.
     """
@@ -137,12 +146,15 @@ class AvfStepper:
     :class:`_FourierMaps` take the step of periodic stencils (full-order
     models) and :class:`_DenseMaps` that of dense operators (reduced models):
     a linear flow's step is one linear solve, a quadratic flow's the
-    nonlinear iteration of its maps (Picard or Newton).
+    nonlinear iteration of its maps, each in its own loop: Picard on
+    Fourier modes, chord Newton on dense operators.
 
-    The iteration stops when the increment drops to ``picard_tol`` relative
-    to ``1 + max|x|`` and fails with :class:`StepFailure` after
-    :data:`MAX_ITERATIONS` iterations; ``last_iterations`` is the count of the
-    last step (0 for linear flows).  It starts from a cubic extrapolation
+    Both iterations stop when an increment drops to ``picard_tol`` relative
+    to ``1 + max|x|``, ``x`` the iterate it updates; Newton also stops when
+    its predicted remaining error does (see :class:`_DenseMaps`).  Either
+    fails with :class:`StepFailure` on overflow or after
+    :data:`MAX_ITERATIONS` iterations; ``last_iterations`` is the count of
+    the last step (0 for linear flows).  It starts from a cubic extrapolation
     of the step history (an explicit RK4 prediction while the history is
     short).  The predictor only changes the iteration count, never the
     converged step.
@@ -179,41 +191,36 @@ class AvfStepper:
         """Advance one step from ``u``; raises StepFailure when the nonlinear
         solve fails (``step_index`` is reported with it)."""
         if self.flow.quadratic is None:
-            return self._maps.solve(self._maps.base(u))
+            return self._maps.linear_step(u)
         # overflow inside a diverging iteration is expected and reported as
         # StepFailure, hence the suppressed floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            solver, update = self._maps.iteration(u, step_index)
-            x = self._predict(u)
-            increment = np.inf
-            for m in range(1, MAX_ITERATIONS + 1):
-                new = update(x, m)
-                increment = np.inf if new is None else np.abs(new - x).max()
-                if not np.isfinite(increment):  # the maximum propagates NaN and inf
-                    raise StepFailure(
-                        f"{solver} iteration diverged (overflow after {m} iterations)",
-                        step_index=step_index,
-                        iterations=m,
-                    )
-                if increment <= self.picard_tol * (1.0 + np.abs(x).max()):
-                    self.last_iterations = m
-                    self._deltas = (self._deltas + [new - u])[-3:]
-                    return new
-                x = new
-        raise StepFailure(
-            f"{solver} iteration stalled after {MAX_ITERATIONS} iterations "
-            f"(last increment {increment:.3e})",
-            step_index=step_index,
-            iterations=MAX_ITERATIONS,
-        )
+            new, self.last_iterations = self._maps.iterate(
+                u, self._predict(u), self.picard_tol, step_index)
+            self._deltas = (self._deltas + [new - u])[-3:]
+        return new
 
 
 # The maps of a flow's operator storage, built from ``(flow, dt)``, own the
-# linear algebra of a step: ``base(u)``, the part of the step that u fixes;
-# ``solve(base)``, the step of a linear flow; ``iteration(u, step_index)``,
-# the ``(solver, update)`` pair of a quadratic flow's nonlinear solve, where
-# ``update(x, m)`` gives the next iterate (None when it overflowed); and
-# ``stacked(width)``, whole blocks of a linear flow's steps.
+# linear algebra of a step and its nonlinear solve: ``linear_step(u)``, the
+# step of a linear flow; ``iterate(u, x, tol, step_index)``, the step of a
+# quadratic flow iterated from the prediction ``x`` to the tolerance ``tol``,
+# as ``(state, iterations)``, or a StepFailure; and ``stacked(width)``, whole
+# blocks of a linear flow's steps.
+
+
+def _diverged(solver: str, m: int, step_index: int) -> StepFailure:
+    return StepFailure(f"{solver} iteration diverged (overflow after {m} iterations)",
+                       step_index=step_index, iterations=m)
+
+
+def _stalled(solver: str, increment: float, step_index: int) -> StepFailure:
+    return StepFailure(
+        f"{solver} iteration stalled after {MAX_ITERATIONS} iterations "
+        f"(last increment {increment:.3e})",
+        step_index=step_index,
+        iterations=MAX_ITERATIONS,
+    )
 
 
 class _DenseMaps:
@@ -221,11 +228,18 @@ class _DenseMaps:
 
     A linear step is one LU solve; :meth:`stacked` forms the propagator
     ``x = M u + c``, ``M = (I - A)^-1 (I + A)``, ``c = (I - A)^-1 dt S g0``.
-    A quadratic flow iterates by Newton with the r x r Jacobian
-    ``I - A - dt S (J2(u) + 2 J2(x)) / 3``, where ``J2(a)`` is the matrix of
-    ``v -> G2(a, v)``, refactoring ``lhs`` every iteration.  A tensor term
-    folds ``dt S / 3`` into its tensor once, so ``dt S J2(x) / 3`` is one
-    contraction with ``x``.
+    A quadratic flow iterates by chord Newton on the residual
+    ``(I - A - K(u) - K(x)) x - b``, where ``K(a) = dt S J2(a) / 3``, ``J2(a)``
+    is the matrix of ``v -> G2(a, v)`` and ``b = (I + A) u + dt S g0 + K(u) u``.
+    The Jacobian ``I - A - K(u) - 2 K(x)`` is factored (into ``lhs``) at the
+    first iteration and again only after an increment that did not shrink
+    by at least half, so a step that converges at once takes one
+    factorization and a hard step still converges like Newton.  Besides the
+    increment rule, from the second update on the iteration stops when the
+    predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of the increments
+    ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.  A tensor term
+    folds ``dt S / 3`` into its tensor once, stored (r r, r), so ``K(x)`` is
+    one matrix-vector product.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
@@ -236,49 +250,57 @@ class _DenseMaps:
         self.rhs_mat = eye + half
         dtS = dt * flow.structure
         self.const = dtS @ flow.constant if flow.constant is not None else None
-        # x -> dt S J2(x) / 3, closed over locals only: the maps hold no cycle
-        quad, dtS3 = flow.quadratic, dtS / 3.0
+        # x -> K(x), closed over locals only: the maps hold no cycle
+        quad, dtS3, r = flow.quadratic, dtS / 3.0, flow.dim
         if isinstance(quad, TensorQuadratic):
-            self.jacobian = partial(np.matmul, np.tensordot(dtS3, quad.tensor, axes=1))
+            folded = np.tensordot(dtS3, quad.tensor, axes=1).reshape(r * r, r)
+            self.jacobian = lambda x: (folded @ x).reshape(r, r)
         elif quad is not None:
             self.jacobian = lambda x: dtS3 @ quad.jacobian(x)
 
-    def base(self, u: np.ndarray) -> np.ndarray:
+    def _base(self, u: np.ndarray) -> np.ndarray:
         """``(I + A) u + dt S g0``."""
         base = self.rhs_mat @ u
         return base if self.const is None else base + self.const
 
-    def solve(self, base: np.ndarray) -> np.ndarray:
-        """The step of a linear flow: ``(I - A)^-1 base``."""
-        return self.lhs.solve(base)
+    def linear_step(self, u: np.ndarray) -> np.ndarray:
+        """The step of a linear flow: ``(I - A)^-1 ((I + A) u + dt S g0)``."""
+        return self.lhs.solve(self._base(u))
 
-    def iteration(self, u: np.ndarray, step_index: int):
-        """Newton iteration: ``update(x, m)`` is the residual, then one
-        factor and one solve of the Jacobian, or None when the residual
-        overflowed."""
+    def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
+        """Chord Newton iteration from ``x``: ``(state, iterations)``."""
         jacobian, lhs = self.jacobian, self.lhs
-        k_u = jacobian(u)  # dt S J2(u) / 3
-        base = self.base(u) + k_u @ u  # (I + A) u + dt S (g0 + G2(u,u) / 3)
+        k_u = jacobian(u)
+        base = self._base(u) + k_u @ u
         fixed = self.lhs_mat - k_u  # the Jacobian's part that x leaves fixed
-
-        def update(x: np.ndarray, m: int) -> Optional[np.ndarray]:
+        refactor, last = True, np.inf  # last: the previous increment
+        for m in range(1, MAX_ITERATIONS + 1):
             k_x = jacobian(x)
-            # residual of (I - A) x = base + dt S (G2(u,x) + G2(x,x)) / 3;
-            # an overflow in k_x leaves it non-finite too
-            residual = (fixed - k_x) @ x - base
-            if not np.isfinite(residual).all():
-                return None
-            try:
-                lhs.factor(fixed - 2.0 * k_x)
-            except SingularMatrixError as exc:
-                raise StepFailure(
-                    f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
-                    step_index=step_index,
-                    iterations=m,
-                ) from exc
-            return x - lhs.solve(residual)
-
-        return "Newton", update
+            mat = fixed - k_x
+            residual = mat @ x - base
+            if refactor:
+                mat -= k_x  # the Jacobian
+                try:
+                    lhs.factor(mat)
+                except SingularMatrixError as exc:
+                    raise StepFailure(
+                        f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
+                        step_index=step_index,
+                        iterations=m,
+                    ) from exc
+                except ValueError:  # a non-finite Jacobian: K(x) overflowed
+                    raise _diverged("Newton", m, step_index) from None
+            dx = lhs.solve(residual)
+            increment = np.abs(dx).max()
+            if not math.isfinite(increment):  # the maximum propagates NaN and inf
+                raise _diverged("Newton", m, step_index)
+            bound = tol * (1.0 + np.abs(x).max())
+            x = x - dx
+            if increment <= bound or (m > 1 and increment < last
+                                      and increment * increment <= bound * (last - increment)):
+                return x, m
+            refactor, last = increment > 0.5 * last, increment
+        raise _stalled("Newton", increment, step_index)
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
@@ -319,23 +341,29 @@ class _FourierMaps:
     A periodic stencil is diagonalized by the discrete Fourier transform, so
     on b fields whose every block is one (the ``columns`` of a
     :class:`PeriodicStencil`), ``I - A``, ``I + A`` and ``dt S`` are b x b
-    symbols per mode of ``numpy.fft.rfft``.  ``P = (I - A)^-1 (I + A)``
-    and ``K = (I - A)^-1 dt S / 3`` are formed once; ``base`` is the linear
-    step and ``solve`` adds the quadratic term, one transform pair each, so
-    a quadratic flow iterates by Picard on the averaged quadratic term.  A
-    mode whose pivot is at or below 1e-14 of the largest symbol entry of
-    ``I - A`` raises :class:`SingularMatrixError`, as :class:`LuFactorization`
-    does, and a flow with a g0 (no command builds one) raises ValueError.
-    Symbols are stored (b, b, modes) and spectra (b, modes), so every
-    product runs along the contiguous mode axis.
+    symbols per mode of ``numpy.fft.rfft``, and ``P = (I - A)^-1 (I + A)``
+    is formed once: a linear step is one transform pair.  A quadratic flow
+    must be one field with an entrywise quadratic term (the KdV full-order
+    model); it iterates by Picard on the averaged quadratic term,
+    ``x <- P u + K (G2(u,u) + G2(u,x) + G2(x,x))`` with
+    ``K = (I - A)^-1 dt S / 3``, one 1-D transform pair per iteration, and
+    stops by the increment rule alone.  A mode whose pivot is at or below
+    1e-14 of the largest symbol entry of ``I - A`` raises
+    :class:`SingularMatrixError`, as :class:`LuFactorization` does, and a
+    flow with a g0 (no command builds one) raises ValueError.  Symbols are
+    stored (b, b, modes) and spectra (b, modes), so every product runs along
+    the contiguous mode axis.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
         if flow.constant is not None:
             raise ValueError("a periodic-stencil flow cannot have a constant term g0")
-        self._quad = flow.quadratic
+        quad = flow.quadratic
         structure, linear = flow.structure.columns, flow.linear.columns
         fields, _, self._n = structure.shape
+        if quad is not None and (fields != 1 or not isinstance(quad, DiagonalQuadratic)):
+            raise ValueError("a quadratic periodic-stencil flow must be one field "
+                             "with an entrywise quadratic term")
         # per-mode matrices (modes, b, b) while the symbols are formed
         S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (structure, linear))
         half = 0.5 * dt * (S @ G1)
@@ -348,7 +376,9 @@ class _FourierMaps:
             raise SingularMatrixError("Fourier-mode pivot below 1e-14 of the symbol scale")
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
-        self._K = _modes_last(np.linalg.solve(lhs, (dt / 3.0) * S))
+        if quad is not None:  # the (modes,) symbol of K and the coefficient of G2
+            self._K = np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
+            self._coeff = quad.coeff
 
     def _modes(self, u: np.ndarray) -> np.ndarray:
         """The (b, modes) spectra of the b fields of a state."""
@@ -359,25 +389,36 @@ class _FourierMaps:
         x = np.fft.irfft(spectra, self._n)
         return x.reshape(x.shape[:-2] + (-1,))
 
-    def base(self, u: np.ndarray) -> np.ndarray:
-        """``P u``: the step without the quadratic term."""
+    def linear_step(self, u: np.ndarray) -> np.ndarray:
+        """``P u``: the step of a linear flow."""
         return self._space(_apply(self._P, self._modes(u)))
 
-    def solve(self, base: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
-        """``base + K q``."""
-        return base if q is None else base + self._space(_apply(self._K, self._modes(q)))
-
-    def iteration(self, u: np.ndarray, step_index: int):
-        """Picard iteration: ``update(x, m)`` is one ``solve`` of the
-        averaged quadratic term."""
-        quad = self._quad
-        base = self.base(u)
-        q_uu = quad.eval(u, u)
-
-        def update(x: np.ndarray, m: int) -> np.ndarray:
-            return self.solve(base, q_uu + quad.eval(u, x) + quad.eval(x, x))
-
-        return "Picard", update
+    def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
+        """Picard iteration from ``x``: ``(state, iterations)``."""
+        n, coeff, kernel = self._n, self._coeff, self._K
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        base = self.linear_step(u)  # P u
+        cu = coeff * u
+        q_uu = cu * u  # G2(u, u)
+        for m in range(1, MAX_ITERATIONS + 1):
+            # (G2(u,u) + G2(u,x)) + G2(x,x) and K q with K the left operand:
+            # the roundings of the sum of three quad.eval terms, bit for bit
+            q = cu * x
+            q += q_uu
+            xx = coeff * x
+            xx *= x
+            q += xx
+            spectrum = rfft(q)
+            np.multiply(kernel, spectrum, out=spectrum)
+            new = irfft(spectrum, n)
+            new += base
+            increment = np.abs(new - x).max()
+            if not math.isfinite(increment):  # the maximum propagates NaN and inf
+                raise _diverged("Picard", m, step_index)
+            if increment <= tol * (1.0 + np.abs(x).max()):
+                return new, m
+            x = new
+        raise _stalled("Picard", increment, step_index)
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states

@@ -70,20 +70,28 @@ log = logging.getLogger("hamrom")
 SYSTEMS = ("wave", "kdv")
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS that NumPy was built against."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _solver_tag(directory: Path) -> str:
     """16 hex digits of the sha256 of the stepper, system and linear-algebra
-    sources in ``directory`` and of the NumPy and SciPy versions."""
+    sources in ``directory``, of the NumPy and SciPy versions and of NumPy's
+    BLAS build."""
     digest = hashlib.sha256()
     for name in ("avf.py", "systems.py", "linalg.py"):
         digest.update((directory / name).read_bytes())
-    digest.update(f"numpy={np.__version__};scipy={scipy.__version__}".encode())
+    digest.update(f"numpy={np.__version__};scipy={scipy.__version__};"
+                  f"blas={_blas_build()}".encode())
     return digest.hexdigest()[:16]
 
 
 # Names the code of the full-order run (the AVF stepper, its linear solver and
-# the energy evaluation) and the NumPy and SciPy releases it ran on in every
-# cache key, so a trajectory cached by other code is never served.  The BLAS
-# build is not in the key.
+# the energy evaluation), the NumPy and SciPy releases and NumPy's BLAS build
+# it ran on in every cache key, so a trajectory cached by other code, or
+# rounded by another BLAS, is never served.
 FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 

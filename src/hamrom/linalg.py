@@ -7,6 +7,7 @@ see :mod:`hamrom.avf`).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -99,22 +100,28 @@ class LuFactorization:
     of solves.  ``A`` is factored by LAPACK (``getrf``), which rejects a
     pivot at or below ``1e-14`` of the largest entry of ``A`` (so an
     all-zero matrix is singular too).  :meth:`factor` replaces the factors
-    in place, for a Newton iteration that factors a new Jacobian every
-    iteration; a rejected matrix leaves the previous factors in place.
+    in place, for a Newton iteration that refactors its Jacobian; a
+    rejected matrix leaves the previous factors in place.
     """
 
     def __init__(self, A):
-        self.factor(A)
-
-    def factor(self, A) -> None:
-        """Factor ``A``, replacing any previous factors; raises
-        :class:`SingularMatrixError` on a small pivot and then keeps the
-        previous factors."""
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
+        self.factor(A)
+
+    def factor(self, A: np.ndarray) -> None:
+        """Factor ``A``, replacing any previous factors.
+
+        ``A`` must be a non-empty square float array: unlike the
+        constructor, this converts and checks nothing but the entries, so
+        that a Newton iteration refactors without per-call validation.  The
+        one scan of ``|A|`` serves both checks: a non-finite entry raises
+        ValueError and a pivot at or below 1e-14 of the largest entry
+        :class:`SingularMatrixError`; either keeps the previous factors.
+        """
         scale = np.abs(A).max()
-        if not np.isfinite(scale):  # the maximum propagates NaN and inf
+        if not math.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
         # the LAPACK routines themselves: the scipy.linalg wrappers cost more
         # than the work at reduced sizes (r <= 60)

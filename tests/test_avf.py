@@ -7,6 +7,7 @@ import pytest
 
 from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
+from hamrom.linalg import SingularMatrixError
 from hamrom.pod import collect_snapshots, collect_wave_snapshots, compute_basis
 from hamrom.rom import RomVariant, reduce_operators
 from hamrom.systems import (
@@ -18,6 +19,7 @@ from hamrom.systems import (
     build_kdv_fom,
     build_wave_fom,
     eval_energy,
+    eval_grad,
     kdv_initial,
     wave_initial,
 )
@@ -116,40 +118,114 @@ class TestStep:
 
 
 class TestIteration:
-    """The nonlinear iteration shared by Picard and Newton, driven by a
-    scripted update from a prediction of 0."""
+    """Both nonlinear iterations on the scalar flow ``du/dt = u^2`` from
+    ``u = 1``, where the AVF step solves ``x - 1 = k (1 + x + x^2)`` with
+    ``k = dt/3``, from a prediction the test sets."""
 
     @staticmethod
-    def _scripted(iterates, picard_tol=1e-12):
-        flow = PolyGradFlow(
-            structure=np.eye(1),
-            linear=np.zeros((1, 1)),
-            quadratic=DiagonalQuadratic(1.0),
-            structure_tag="none",
-        )
-        stepper = AvfStepper(flow, dt=0.1, picard_tol=picard_tol)
-        script = iter(iterates)
-        stepper._predict = lambda u: np.zeros(1)
-        stepper._maps.iteration = lambda u, step_index: ("Newton", lambda x, m: next(script))
+    def _stepper(storage, x0, dt=0.3, picard_tol=1e-12):
+        stepper = AvfStepper(blowup_flow(storage), dt=dt, picard_tol=picard_tol)
+        stepper._predict = lambda u: np.array([x0])
         return stepper
 
     def test_stopping_rule_is_relative_to_the_previous_iterate(self):
-        # 0 -> 2 moves by 2 > 0.9 (1 + |0|), though 2 <= 0.9 (1 + |2|); 2 -> 2 stops
-        stepper = self._scripted([np.array([2.0]), np.array([2.0])], picard_tol=0.9)
-        assert stepper.step(np.array([1.0])) == 2.0
-        assert stepper.last_iterations == 2
-        assert np.array_equal(stepper._deltas[-1], [1.0])  # the step increment
+        # from 0 the first update moves by more than 0.9 (1 + |0|), though by
+        # less than 0.9 (1 + |x_1|); the second update stops
+        k = 0.1
+        x1 = 1.1 / 0.9  # Newton from 0: R(0) = -1 - k, R'(0) = 1 - k
+        newton = x1 - (x1 - 1.0 - k * (1.0 + x1 + x1 * x1)) / 0.9  # the chord reuses R'(0)
+        picard = 1.0 + k * (1.0 + 1.1 + 1.1 * 1.1)  # x_1 = 1 + k
+        for (storage, _), expected in zip(STORAGES, (newton, picard)):
+            stepper = self._stepper(storage, 0.0, picard_tol=0.9)
+            assert stepper.step(np.array([1.0]))[0] == pytest.approx(expected, rel=1e-14)
+            assert stepper.last_iterations == 2
+            assert stepper._deltas[-1][0] == pytest.approx(expected - 1.0, rel=1e-14)
+
+    def test_newton_stops_on_its_predicted_error(self):
+        # from 0 the Newton increments are d_1 = 1.22 and d_2 = 0.166: d_2 is
+        # above 0.03 (1 + |x_1|) = 0.067, the predicted remaining error
+        # d_2^2 / (d_1 - d_2) = 0.026 is not; Picard has the increment rule alone
+        newton = self._stepper("dense", 0.0, picard_tol=0.03)
+        newton.step(np.array([1.0]))
+        assert newton.last_iterations == 2
+        picard = self._stepper("stencil", 0.0, picard_tol=0.03)
+        picard.step(np.array([1.0]))
+        assert picard.last_iterations > 2
 
     def test_stall_and_divergence(self, monkeypatch):
         monkeypatch.setattr(avf, "MAX_ITERATIONS", 3)
-        stepper = self._scripted([np.array([float(m)]) for m in range(1, 4)])
-        with pytest.raises(StepFailure, match="Newton iteration stalled after 3") as info:
-            stepper.step(np.array([1.0]), step_index=5)
-        assert (info.value.step_index, info.value.iterations) == (5, 3)
-        stepper = self._scripted([np.array([1.0]), None])
-        with pytest.raises(StepFailure, match="diverged .overflow after 2") as info:
-            stepper.step(np.array([1.0]), step_index=6)
-        assert (info.value.step_index, info.value.iterations) == (6, 2)
+        for storage, solver in STORAGES:
+            with pytest.raises(StepFailure, match=f"{solver} iteration stalled after 3") as info:
+                self._stepper(storage, 0.0).step(np.array([1.0]), step_index=5)
+            assert (info.value.step_index, info.value.iterations) == (5, 3)
+        # at dt = 10 the step has no real solution: the Picard iterates from 0
+        # square at every update and overflow at the ninth
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 100)
+        with pytest.raises(StepFailure, match="Picard iteration diverged .overflow after 9") as info:
+            self._stepper("stencil", 0.0, dt=10.0).step(np.array([1.0]), step_index=6)
+        assert (info.value.step_index, info.value.iterations) == (6, 9)
+
+
+class TestNewtonFailures:
+    """Failures of the chord Newton iteration, each reported with its step
+    and iteration.  From x_0 = 4.4, next to the fold x = 4.5 of the step's
+    residual at dt = 0.3, the first update jumps to x_1 = -41.8 and the
+    chord update to x_2 = 10628; that increment grew, so iteration 3
+    refactors."""
+
+    @staticmethod
+    def _hard_step():
+        return TestIteration._stepper("dense", 4.4)
+
+    def test_a_hard_step_refactors_and_converges(self):
+        stepper = self._hard_step()
+        factored = []
+        factor = stepper._maps.lhs.factor
+        stepper._maps.lhs.factor = lambda A: factored.append(A[0, 0]) or factor(A)
+        x = stepper.step(np.array([1.0]))[0]
+        assert x == pytest.approx((9.0 + np.sqrt(37.0)) / 2.0, rel=1e-12)  # a root of R
+        assert factored[0] == pytest.approx(0.02)  # R'(4.4)
+        assert factored[1] == pytest.approx(1.0 - 0.1 * (1.0 + 2.0 * 10628.0), rel=1e-3)
+
+    def test_singular_jacobian_at_a_refactor(self):
+        stepper = self._hard_step()
+        factor = stepper._maps.lhs.factor
+        calls = []
+
+        def singular_refactor(A):  # the second factorization meets a zero Jacobian
+            calls.append(A)
+            return factor(A if len(calls) == 1 else 0.0 * A)
+
+        stepper._maps.lhs.factor = singular_refactor
+        with pytest.raises(StepFailure, match="Newton.*singular Jacobian at iteration 3") as info:
+            stepper.step(np.array([1.0]), step_index=4)
+        assert (info.value.step_index, info.value.iterations) == (4, 3)
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    @pytest.mark.parametrize("m", [2, 3])  # a chord update, then a refactor
+    def test_overflow_in_the_middle_of_an_iteration(self, m):
+        # K(x_{m-1}) overflows: in the residual of a chord update, in the
+        # Jacobian of a refactor
+        stepper = self._hard_step()
+        jacobian = stepper._maps.jacobian
+        calls = []
+
+        def overflowing(x):  # call 0 is K(u), call j is K(x_{j-1})
+            calls.append(x)
+            return np.full((1, 1), np.inf) if len(calls) == m + 1 else jacobian(x)
+
+        stepper._maps.jacobian = overflowing
+        with pytest.raises(StepFailure, match=f"Newton iteration diverged .overflow after {m} it"
+                           ) as info:
+            stepper.step(np.array([1.0]), step_index=8)
+        assert (info.value.step_index, info.value.iterations) == (8, m)
+
+    def test_stall_at_the_iteration_cap(self):
+        # at dt = 10 the step has no real solution: Newton wanders
+        with pytest.raises(StepFailure, match=f"Newton iteration stalled after {avf.MAX_ITERATIONS}"
+                           ) as info:
+            TestIteration._stepper("dense", 0.0, dt=10.0).step(np.array([1.0]), step_index=9)
+        assert (info.value.step_index, info.value.iterations) == (9, avf.MAX_ITERATIONS)
 
 
 class TestEnergyBehavior:
@@ -291,6 +367,132 @@ class TestBenchmarkRuns:
     def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_dense):
         _, u0, _ = kdv_system
         assert np.array_equal(kdv_dense.states[:, 0], u0)
+
+
+def _reference_predictor(flow, dt):
+    """``(predict, deltas)``: the stepper's start guess, RK4 while fewer than
+    three step increments are appended to ``deltas``, then their cubic
+    extrapolation, in the stepper's arithmetic."""
+    deltas = []
+
+    def rhs(v):
+        return flow.structure @ eval_grad(flow, v)
+
+    def predict(u):
+        if len(deltas) >= 3:
+            d1, d2, d3 = deltas[-3:]
+            return u + 3.0 * d3 - 3.0 * d2 + d1
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return predict, deltas
+
+
+def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
+    """States (one row per step) and Picard counts of the one-field Fourier
+    iteration as it stood before the loop was flattened: (b, b, modes)
+    symbols, (b, modes) spectra, and per iteration the three quadratic
+    evaluations and the transform pair of ``base + K q``."""
+    n = flow.dim
+    S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (flow.structure.columns,
+                                                          flow.linear.columns))
+    half = 0.5 * dt * (S @ G1)
+    eye = np.eye(1)
+    lhs = eye - half
+    P, K = (np.ascontiguousarray(np.moveaxis(np.linalg.solve(lhs, m), -3, -1))
+            for m in (eye + half, (dt / 3.0) * S))
+
+    def apply(symbols, v):
+        spectra = np.fft.rfft(v.reshape(-1, n))
+        return np.fft.irfft(symbols[..., 0, :] * spectra[0], n).reshape(-1)
+
+    quad = flow.quadratic
+    predict, deltas = _reference_predictor(flow, dt)
+    states, counts = [], []
+    for _ in range(steps):
+        base, q_uu, x = apply(P, u), quad.eval(u, u), predict(u)
+        for m in range(1, avf.MAX_ITERATIONS + 1):
+            new = base + apply(K, q_uu + quad.eval(u, x) + quad.eval(x, x))
+            if np.abs(new - x).max() <= tol * (1.0 + np.abs(x).max()):
+                break
+            x = new
+        deltas.append(new - u)
+        counts.append(m)
+        states.append(new)
+        u = new
+    return np.array(states), counts
+
+
+def _full_newton_march(flow, u, dt, steps, tol=1e-12):
+    """States (one row per step) and Newton counts of a dense quadratic
+    flow's AVF steps by full Newton: the Jacobian factored at every
+    iteration (``np.linalg.solve``), stopping on the increment rule alone."""
+    S, T = flow.structure, flow.quadratic.tensor
+    half = 0.5 * dt * (S @ flow.linear)
+    lhs, rhs = np.eye(flow.dim) - half, np.eye(flow.dim) + half
+    dtS3 = dt * S / 3.0
+
+    def G2(a, b):
+        return np.einsum("pij,i,j->p", T, a, b)
+
+    def J2(a):  # the matrix of v -> G2(a, v)
+        return np.einsum("pij,i->pj", T, a)
+
+    predict, deltas = _reference_predictor(flow, dt)
+    states, counts = [], []
+    for _ in range(steps):
+        x, base = predict(u), rhs @ u + dtS3 @ G2(u, u)
+        for m in range(1, avf.MAX_ITERATIONS + 1):
+            residual = lhs @ x - base - dtS3 @ (G2(u, x) + G2(x, x))
+            new = x - np.linalg.solve(lhs - dtS3 @ (J2(u) + 2.0 * J2(x)), residual)
+            if np.abs(new - x).max() <= tol * (1.0 + np.abs(x).max()):
+                break
+            x = new
+        deltas.append(new - u)
+        counts.append(m)
+        states.append(new)
+        u = new
+    return np.array(states), counts
+
+
+def _stepper_march(flow, u, dt, steps):
+    stepper = AvfStepper(flow, dt)
+    states, counts = [], []
+    for k in range(1, steps + 1):
+        u = stepper.step(u, step_index=k)
+        states.append(u)
+        counts.append(stepper.last_iterations)
+    return np.array(states), counts
+
+
+class TestReferencePaths:
+    """The flattened Picard loop and the chord Newton loop against the
+    iterations they replaced, on a tiny KdV model (n = 64, 50 steps)."""
+
+    GRID = Grid1D(n=64, length=40.0, origin=-20.0)
+    DT, STEPS = 0.02, 50
+
+    def test_fourier_picard_is_bit_identical(self):
+        flow, u0 = build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
+        states, counts = _stepper_march(flow, u0, self.DT, self.STEPS)
+        ref_states, ref_counts = _fourier_picard_march(flow, u0, self.DT, self.STEPS)
+        assert np.array_equal(states, ref_states)
+        assert counts == ref_counts
+
+    @pytest.mark.parametrize("variant", [RomVariant.SP0, RomVariant.GROM])
+    def test_chord_newton_matches_full_newton(self, variant):
+        fom, u0 = build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
+        scheme = AvfScheme(dt=self.DT, t_end=self.DT * self.STEPS)
+        basis = compute_basis(collect_snapshots(integrate(fom, u0, scheme), fom), 8)
+        rom = reduce_operators(fom, basis, variant).flow
+        a0 = basis.phi.T @ u0
+        states, counts = _stepper_march(rom, a0, self.DT, self.STEPS)
+        ref_states, ref_counts = _full_newton_march(rom, a0, self.DT, self.STEPS)
+        assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
+        assert sum(counts) <= sum(ref_counts)
 
 
 def _stepping_paths():

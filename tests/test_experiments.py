@@ -240,6 +240,20 @@ class TestRunExperiment:
                 assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
         assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
 
+    def test_solver_tag_names_the_blas_build(self, tmp_path, monkeypatch):
+        for name in ("avf.py", "systems.py", "linalg.py"):
+            shutil.copy(Path(experiments.__file__).with_name(name), tmp_path / name)
+        config = experiments.np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        assert blas["name"] in experiments._blas_build()
+        for key in ("name", "version"):
+            other = {**config, "Build Dependencies": {
+                **config["Build Dependencies"], "blas": {**blas, key: f"{blas[key]}+other"}}}
+            with monkeypatch.context() as patched:
+                patched.setattr(experiments.np, "show_config", lambda mode: other)
+                assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
+        assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
+
     def test_cache_entry_that_cannot_be_read_or_written(self, tmp_path, caplog):
         # a directory in place of the states file: the read fails and the
         # rewrite fails; both are logged and the run goes on uncached

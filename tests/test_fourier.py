@@ -21,6 +21,7 @@ from hamrom.systems import (
     Grid1D,
     PeriodicStencil,
     PolyGradFlow,
+    TensorQuadratic,
     build_kdv_fom,
     build_wave_fom,
     laplacian_matrix,
@@ -66,6 +67,16 @@ class TestDetection:
         with pytest.raises(ValueError, match="constant term"):
             AvfStepper(flow, 0.01)
         AvfStepper(densified(flow), 0.01)
+
+    def test_quadratic_flow_must_be_one_entrywise_field(self):
+        # the Picard loop transforms one field and forms coeff u once per step
+        kdv = build_kdv_fom(-6.0, 0.0, -1.0, Grid1D(n=8, length=40.0, origin=-20.0))
+        wave = _circulant_flow(2, 8, seed=0)
+        tensor = TensorQuadratic(np.zeros((8, 8, 8)))
+        for flow in (replace(wave, quadratic=kdv.quadratic), replace(kdv, quadratic=tensor)):
+            with pytest.raises(ValueError, match="one field with an entrywise quadratic"):
+                AvfStepper(flow, 0.01)
+            AvfStepper(densified(flow), 0.01)
 
 
 class TestModeSteps:
