@@ -496,42 +496,59 @@ def _attempt(cfg: ExperimentConfig, ref: _Reference,
         return None
 
 
-def _run_one(cfg: ExperimentConfig, ref: _Reference,
-             spec: RomSpec) -> tuple[RomReport, Optional[Trajectory]]:
-    """Build and run one ROM; compare against the benchmark at every step.
+def _e_inf(cfg: ExperimentConfig, ref: _Reference,
+           runs: Sequence[Optional[Trajectory]]) -> list[float]:
+    """Maximum error of every run against the every-step reference, all runs
+    compared in one pass over it; NaN for a failed run (None)."""
+    compare = e_inf_wave if cfg.system == "wave" else e_inf_scalar
+    values = iter(compare(ref.dense, [run for run in runs if run is not None]))
+    return [float("nan") if run is None else float(next(values)) for run in runs]
+
+
+def _run_all(cfg: ExperimentConfig, ref: _Reference,
+             specs: Sequence[RomSpec]) -> list[tuple[RomReport, Optional[Trajectory]]]:
+    """Build and run every ROM, then compare all of them against the benchmark
+    at every step, in one pass over it.
 
     Snapshots come from the stride-sampled trajectory, the maximum error from
     the densely recorded one.  On the wave benchmark at r=5, stride-50
     sampling understates the maximum by 1.4-8.8% across the four variants;
     the Table 1 values reproduce to <= 0.02% only with dense recording.
-    A failed attempt is a NaN row.
+    A failed attempt is a NaN row without a run.
     """
-    attempt = _attempt(cfg, ref, spec)
-    if attempt is None:
-        nan = float("nan")
-        report = RomReport(variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=nan,
-                           energy_initial=nan, energy_final=nan, max_energy_drift=nan,
-                           energy_offset_vs_fom=nan, wall_ms=0.0, failed=True)
-        return report, None
-    _, rom_traj, wall_ms = attempt
-    e_inf = e_inf_wave if cfg.system == "wave" else e_inf_scalar
-    energy = energy_report(rom_traj, ref.dense)
-    report = RomReport(
-        variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=e_inf(ref.dense, rom_traj),
-        energy_initial=float(rom_traj.energies[0]), energy_final=float(rom_traj.energies[-1]),
-        max_energy_drift=energy.drift, energy_offset_vs_fom=energy.offset, wall_ms=wall_ms,
-    )
-    return report, rom_traj
+    runs = []  # each attempt's run and its wall time in ms, None when it failed
+    for spec in specs:
+        attempt = _attempt(cfg, ref, spec)
+        runs.append(None if attempt is None else attempt[1:])
+    errors = _e_inf(cfg, ref, [None if run is None else run[0] for run in runs])
+    out = []
+    for spec, run, e_inf in zip(specs, runs, errors):
+        if run is None:
+            nan = float("nan")
+            out.append((RomReport(variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=nan,
+                                  energy_initial=nan, energy_final=nan, max_energy_drift=nan,
+                                  energy_offset_vs_fom=nan, wall_ms=0.0, failed=True), None))
+            continue
+        rom_traj, wall_ms = run
+        energy = energy_report(rom_traj, ref.dense)
+        report = RomReport(
+            variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=e_inf,
+            energy_initial=float(rom_traj.energies[0]),
+            energy_final=float(rom_traj.energies[-1]),
+            max_energy_drift=energy.drift, energy_offset_vs_fom=energy.offset, wall_ms=wall_ms,
+        )
+        out.append((report, rom_traj))
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     """Run the full-order benchmark and every requested reduced model.
 
     Emits ``report.csv``, the full-order energy series, and one energy series
-    per ROM into ``cfg.out_dir``; each ROM's series is written as soon as it
-    has run.  A solver failure marks that row failed and the remaining ROMs
-    still run.  Deterministic: identical configurations produce identical
-    numbers.
+    per ROM into ``cfg.out_dir``.  Every ROM runs first; then all of them are
+    compared against the reference in one pass over it.  A solver failure
+    marks that row failed and the remaining ROMs still run.  Deterministic:
+    identical configurations produce identical numbers.
     """
     out = Path(cfg.out_dir)
     reports = []
@@ -540,8 +557,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
         write_energy_csv(out / "fom_energy.csv", ref.snap.energy_times, ref.snap.energies)
         if not cfg.roms:
             return []
-        for spec in cfg.roms:
-            report, rom_traj = _run_one(cfg, ref, spec)
+        for spec, (report, rom_traj) in zip(cfg.roms, _run_all(cfg, ref, cfg.roms)):
             if rom_traj is not None:
                 name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
                 write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)
@@ -570,19 +586,23 @@ def mu_sweep(
 
     The snapshot gradients and each field's frame of ``[U, F]`` are built
     once; every weight then costs one small SVD per field (see
-    :mod:`hamrom.pod`).  Per-point solver failures are recorded as NaN and
-    the sweep continues.  Rows come back sorted by weight and are written to
+    :mod:`hamrom.pod`).  Every point runs first, keeping its reduced run;
+    then all of them are compared against the reference in one pass over it.
+    Per-point solver failures are recorded as NaN and the sweep continues.
+    Rows come back sorted by weight and are written to
     ``sweep_mu_<variant>_r<r>.csv`` in ``cfg.out_dir``.  A negative or
     non-finite weight is rejected before anything runs.
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
-    rows = []
+    runs = []
     with _references(cfg) as ref:
         for spec in specs:
-            rows.append((spec.mu, _run_one(cfg, ref, spec)[0].e_inf))
+            attempt = _attempt(cfg, ref, spec)
+            runs.append(None if attempt is None else attempt[1])
             ref.bases.clear()  # every weight is its own key: keep no basis past its point
-    rows.sort(key=lambda row: row[0])
+        rows = sorted(zip([spec.mu for spec in specs], _e_inf(cfg, ref, runs)),
+                      key=lambda row: row[0])
     write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
     return rows
 
@@ -598,23 +618,33 @@ def tail_bound_check(
     singular-value tail of the snapshot spectrum; the ratio column is reported
     without asserting any bound (the theoretical constant is not computable
     from the inputs).  For two-field systems the tail sums both per-field
-    spectra.  As in :func:`mu_sweep`, a solver or rank failure at one basis
-    size is logged and recorded as a NaN row, and the check continues.  The
-    rows are written to ``tail_check.csv`` in ``cfg.out_dir``.
+    spectra.  Every size runs first; then all runs are compared against the
+    reference in one pass over it.  As in :func:`mu_sweep`, a solver or rank
+    failure at one basis size is logged and recorded as a NaN row, and the
+    check continues.  The rows are written to ``tail_check.csv`` in ``cfg.out_dir``.
     """
     specs = [RomSpec(variant=RomVariant.SP0, r=r) for r in r_list]
-    rows = []
+    runs, tails = [], []
     with _references(cfg) as ref:
         for spec in specs:
             attempt = _attempt(cfg, ref, spec)
-            if attempt is None:
-                nan = float("nan")
-                rows.append((int(spec.r), nan, nan, nan))
-                continue
-            model, rom_traj, _ = attempt
-            integrated = float(np.trapezoid(squared_errors(ref.dense, rom_traj), ref.dense.times))
-            tail = sum(sigma_tail(basis, spec.r) for basis in model.bases)
-            ratio = integrated / tail if tail > 0 else float("inf")
-            rows.append((int(spec.r), integrated, float(tail), float(ratio)))
+            if attempt is not None:
+                model, rom_traj, _ = attempt
+                runs.append(rom_traj)
+                tails.append(sum(sigma_tail(basis, spec.r) for basis in model.bases))
+            else:
+                runs.append(None)
+                tails.append(None)
+        errors = iter(squared_errors(ref.dense, [run for run in runs if run is not None]))
+        times = ref.dense.times
+    rows = []
+    for spec, run, tail in zip(specs, runs, tails):
+        if run is None:
+            nan = float("nan")
+            rows.append((int(spec.r), nan, nan, nan))
+            continue
+        integrated = float(np.trapezoid(next(errors), times))
+        ratio = integrated / tail if tail > 0 else float("inf")
+        rows.append((int(spec.r), integrated, float(tail), float(ratio)))
     write_tail_csv(Path(cfg.out_dir) / "tail_check.csv", rows)
     return rows

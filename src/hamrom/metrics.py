@@ -4,12 +4,14 @@ Two maximum-error flavors: the stacked two-field error used by the wave tests
 (per-point Euclidean norm over both fields, all recorded times including the
 initial one) and the scalar-field error used by the KdV tests (absolute
 entrywise difference, initial time excluded - exactly the conventions of the
-reported values).
+reported values).  Each error takes the reference and a sequence of runs and
+returns one value per run, reading the reference once for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,33 +43,42 @@ class RomReport:
     failed: bool = False
 
 
-def _check_compatible(fom: Trajectory, rom: Trajectory) -> None:
-    if fom.dim != rom.dim:
-        raise ValueError(
-            f"trajectories live on different grids: {fom.dim} vs {rom.dim} unknowns"
-        )
-    if fom.times.size != rom.times.size or not np.allclose(
-        fom.times, rom.times, rtol=0.0, atol=1e-10
-    ):
-        raise ValueError("trajectories were recorded at different times")
+def _check_compatible(fom: Trajectory, runs: Sequence[Trajectory]) -> None:
+    for run in runs:
+        if fom.dim != run.dim:
+            raise ValueError(
+                f"trajectories live on different grids: {fom.dim} vs {run.dim} unknowns"
+            )
+        if fom.times.size != run.times.size or not np.allclose(
+            fom.times, run.times, rtol=0.0, atol=1e-10
+        ):
+            raise ValueError("trajectories were recorded at different times")
 
 
-# the comparison holds one (dim, width) difference block and one block of the
-# first trajectory at a time: up to 256 recorded times and 2^16 entries
+# the comparison holds one (dim, width) block of the first trajectory and one
+# difference block at a time: up to 256 recorded times and 2^16 entries
 # (512 KB) each, so it never forms a full-size array, whether the
-# trajectories are full, reduced or read from a file.  Against the stored
-# Table 1 reference (dim 1000, SP-ROM-0) one comparison took 20.7 ms at 2^15
-# entries, 22.1 ms at 2^16 and 28-37 ms at 2^17-2^19; against Table 2 (dim
-# 2000) 9.8 ms at 2^16 and 10.3-11.4 ms at 2^14-2^19 (medians of 15, 2 cores).
+# trajectories are full, reduced or read from a file, and every run meets a
+# block of the reference while that block is in cache.  One call comparing
+# every run against the stored reference (medians of 9, 2 cores): the
+# 51-point Table 1 sweep took 377 ms at 2^16 entries, 408 ms at 2^15, 487 ms
+# at 2^14 and 583-615 ms at 2^17-2^18; Table 1's four runs 36.7 ms at 2^16
+# and 38.7-59.4 ms at the others; Table 2's four runs (dim 2000) 22.4-23.7 ms
+# at 2^16-2^18 and 25.7-34.8 ms at 2^14-2^15.
 _BLOCK_COLUMNS = 256
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _differences(fom: Trajectory, rom: Trajectory, first: int = 0):
-    """Full-state differences ``rom - fom`` of the recorded columns from
-    ``first`` on, one column block at a time (reduced trajectories are
-    decoded block-wise, a stored reference is read block-wise).  Each block
-    is overwritten by the next one; the caller checks compatibility first."""
+def _blockwise(fom: Trajectory, runs: Sequence[Trajectory], reduce, first: int = 0) -> list[list]:
+    """``reduce(run - fom)`` of every column block of the full states from
+    column ``first`` on, in one pass over ``fom``: each of its blocks is read
+    (or decoded) once, and every run is decoded and subtracted against it
+    while it is in cache.  Returns one list of block results per run.  The
+    difference block handed to ``reduce`` is overwritten by the next one;
+    the caller checks compatibility first."""
+    results = [[] for _ in runs]
+    if not runs:
+        return results
     width = max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // fom.dim))
     diff = np.empty((fom.dim, width), order="F")
     spare = np.empty_like(diff)  # the first trajectory's block, when it is not a view
@@ -75,46 +86,54 @@ def _differences(fom: Trajectory, rom: Trajectory, first: int = 0):
         stop = min(start + width, fom.times.size)
         out = diff[:, : stop - start]
         b = fom.full_states(start, stop, spare[:, : stop - start])
-        yield np.subtract(rom.full_states(start, stop, out), b, out=out)
+        for run, blocks in zip(runs, results):
+            blocks.append(reduce(np.subtract(run.full_states(start, stop, out), b, out=out)))
+    return results
 
 
-def e_inf_wave(fom: Trajectory, rom: Trajectory) -> float:
-    """Maximum two-field pointwise error over the recorded space-time grid.
+def e_inf_wave(fom: Trajectory, runs: Sequence[Trajectory]) -> np.ndarray:
+    """Maximum two-field pointwise error of each run over the recorded
+    space-time grid of ``fom``, all runs compared in one pass over it.
 
     States must stack the two fields; the error at a grid point is the
     Euclidean norm of the per-field differences.  All recorded times count,
     including the initial one.
     """
-    _check_compatible(fom, rom)
+    _check_compatible(fom, runs)
     if fom.dim % 2:
         raise ValueError("two-field error needs an even (stacked) state dimension")
     n = fom.dim // 2
-    worst = []
-    for diff in _differences(fom, rom):
+
+    def worst(diff):
         pairs = diff.reshape(n, 2, -1, order="F")  # pairs[i, f, j]: field f, point i, time j
-        worst.append(np.einsum("ifj,ifj->ij", pairs, pairs).max())
-    return float(np.sqrt(np.max(worst)))  # sqrt is monotone: the root of the max is the max root
+        return np.einsum("ifj,ifj->ij", pairs, pairs).max()
+
+    # sqrt is monotone: the root of the max is the max root
+    return np.sqrt(np.array([np.max(w) for w in _blockwise(fom, runs, worst)]))
 
 
-def e_inf_scalar(fom: Trajectory, rom: Trajectory) -> float:
-    """Maximum absolute entrywise error over recorded times after the start.
+def e_inf_scalar(fom: Trajectory, runs: Sequence[Trajectory]) -> np.ndarray:
+    """Maximum absolute entrywise error of each run over recorded times after
+    the start, all runs compared in one pass over ``fom``.
 
     The initial column is excluded (the scalar-field benchmark convention);
     identical initial data would otherwise always contribute a zero.
     """
-    _check_compatible(fom, rom)
+    _check_compatible(fom, runs)
     if fom.times.size < 2:
         raise ValueError("need at least one recorded time after the start")
-    blocks = _differences(fom, rom, first=1)
-    return float(np.max([np.abs(diff, out=diff).max() for diff in blocks]))
+    blocks = _blockwise(fom, runs, lambda diff: np.abs(diff, out=diff).max(), first=1)
+    return np.array([np.max(w) for w in blocks])
 
 
-def squared_errors(fom: Trajectory, rom: Trajectory) -> np.ndarray:
-    """Squared Euclidean norm of the full-state error at each recorded time."""
-    _check_compatible(fom, rom)
-    return np.concatenate(
-        [np.einsum("ij,ij->j", diff, diff) for diff in _differences(fom, rom)]
-    )
+def squared_errors(fom: Trajectory, runs: Sequence[Trajectory]) -> np.ndarray:
+    """Squared Euclidean norm of the full-state error at each recorded time:
+    one row per run, all runs compared in one pass over ``fom``."""
+    _check_compatible(fom, runs)
+    rows = np.empty((len(runs), fom.times.size))
+    for row, blocks in zip(rows, _blockwise(fom, runs, lambda d: np.einsum("ij,ij->j", d, d))):
+        np.concatenate(blocks, out=row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from hamrom.experiments import (
     RomSpec,
     _Reference,
-    _run_one,
+    _run_all,
     build_system,
     fom_trajectory,
     mu_sweep,
@@ -94,13 +94,13 @@ def _reference(cfg, system, dense, snap):
                       fields=2 if cfg.system == "wave" else 1)
 
 
-def _variant_runs(cfg, system, dense, snap, r):
+def _variant_runs(cfg, system, dense, snap, r, variants=tuple(RomVariant)):
     ref = _reference(cfg, system, dense, snap)
+    specs = [RomSpec(variant=variant, r=r) for variant in variants]
     out = {}
-    for variant in RomVariant:
-        report, traj = _run_one(cfg, ref, RomSpec(variant=variant, r=r))
-        assert not report.failed, f"{variant.value} r={r} failed to run"
-        out[variant] = (report, traj)
+    for spec, (report, traj) in zip(specs, _run_all(cfg, ref, specs)):
+        assert not report.failed, f"{spec.variant.value} r={r} failed to run"
+        out[spec.variant] = (report, traj)
     return out
 
 
@@ -112,13 +112,8 @@ def wave_table1(wave_cfg, wave_system, wave_dense, wave_snap):
 
 @pytest.fixture(scope="session")
 def wave_r20(wave_cfg, wave_system, wave_dense, wave_snap):
-    ref = _reference(wave_cfg, wave_system, wave_dense, wave_snap)
-    out = {}
-    for variant in (RomVariant.GROM, RomVariant.SP0):
-        report, traj = _run_one(wave_cfg, ref, RomSpec(variant=variant, r=20))
-        assert not report.failed
-        out[variant] = (report, traj)
-    return out
+    return _variant_runs(wave_cfg, wave_system, wave_dense, wave_snap, r=20,
+                         variants=(RomVariant.GROM, RomVariant.SP0))
 
 
 @pytest.fixture(scope="session")
@@ -129,13 +124,8 @@ def kdv_table2(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
 
 @pytest.fixture(scope="session")
 def kdv_r60(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
-    ref = _reference(kdv_cfg, kdv_system, kdv_dense, kdv_snap)
-    out = {}
-    for variant in (RomVariant.GROM, RomVariant.SP0):
-        report, traj = _run_one(kdv_cfg, ref, RomSpec(variant=variant, r=60))
-        assert not report.failed
-        out[variant] = (report, traj)
-    return out
+    return _variant_runs(kdv_cfg, kdv_system, kdv_dense, kdv_snap, r=60,
+                         variants=(RomVariant.GROM, RomVariant.SP0))
 
 
 @pytest.fixture(scope="session")

@@ -296,10 +296,11 @@ def test_criterion_10_kdv_table_r40(kdv_table2, kdv_cfg, kdv_system, kdv_dense, 
     grom = kdv_table2[RomVariant.GROM][0]
     dense_scheme = replace(kdv_cfg.scheme(), snapshot_stride=1)
     thetas = np.pi * np.arange(6) / 6
-    sweep = []
+    runs = []
     for theta in thetas:
         model = reduce_operators(flow, _pair_rotated_basis(pair, r, theta), RomVariant.GROM)
-        sweep.append(e_inf_scalar(kdv_dense, run_rom(model, dense_scheme, initial_state=u0)))
+        runs.append(run_rom(model, dense_scheme, initial_state=u0))
+    sweep = list(e_inf_scalar(kdv_dense, runs))
     target = E_INF_TARGETS_KDV_R40[RomVariant.GROM]
     print(f"  criterion 10: G-ROM E_inf over {thetas.size} pair orientations "
           f"[{min(sweep):.6f}, {max(sweep):.6f}] (must contain {target}), "

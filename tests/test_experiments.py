@@ -11,7 +11,7 @@ import pytest
 import hamrom.avf as avf
 import hamrom.experiments as experiments
 import hamrom.metrics as metrics
-from hamrom.avf import integrate
+from hamrom.avf import StepFailure, integrate
 from hamrom.cli import main
 from hamrom.experiments import (
     ExperimentConfig,
@@ -348,7 +348,7 @@ class TestRunExperiment:
             other = tmp_path / "other.hrom"
             write_matrix(other, 2.0 * read_matrix(states))
             os.replace(other, states)
-            again = [experiments._run_one(cfg, ref, spec)[0] for spec in cfg.roms]
+            again = [report for report, _ in experiments._run_all(cfg, ref, cfg.roms)]
         assert [_comparable(r) for r in again] == [_comparable(r) for r in fresh]
 
     @pytest.mark.parametrize("system", ["wave", "kdv"])
@@ -364,9 +364,9 @@ class TestRunExperiment:
             assert np.array_equal(ref.dense.times, dense.times)
             assert np.array_equal(ref.dense.energies, dense.energies)
             compare = metrics.e_inf_wave if system == "wave" else metrics.e_inf_scalar
-            assert compare(ref.dense, rom) == compare(dense, rom)
-            assert np.array_equal(metrics.squared_errors(ref.dense, rom),
-                                  metrics.squared_errors(dense, rom))
+            assert compare(ref.dense, [rom]) == compare(dense, [rom])
+            assert np.array_equal(metrics.squared_errors(ref.dense, [rom]),
+                                  metrics.squared_errors(dense, [rom]))
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_no_run_holds_the_every_step_reference(self, tmp_path, cache):
@@ -568,6 +568,48 @@ class TestSweep:
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
         mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2)
         assert (tmp_path / "out" / "sweep_mu_sp0_r2.csv").exists()
+
+    def test_failed_point_is_a_nan_row(self, tmp_path, caplog, monkeypatch):
+        grid = [0.2, 0.0, 0.1, 0.05]
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        clean = mu_sweep(replace(cfg, out_dir=str(tmp_path / "clean")), mu_grid=grid,
+                         variant=RomVariant.SP0, r=2)
+        calls = []
+
+        def third_point_fails(model, scheme, initial_state=None):
+            calls.append(model)
+            if len(calls) == 3:  # the points run in grid order: mu = 0.1
+                raise StepFailure("forced failure", step_index=7, iterations=3)
+            return run_rom(model, scheme, initial_state=initial_state)
+
+        monkeypatch.setattr(experiments, "run_rom", third_point_fails)
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            rows = mu_sweep(cfg, mu_grid=grid, variant=RomVariant.SP0, r=2)
+        assert "SP-ROM-0 r=2 failed at mu=0.1: forced failure" in caplog.text
+        assert len(calls) == len(grid)
+        assert [mu for mu, _ in rows] == [mu for mu, _ in clean] == [0.0, 0.05, 0.1, 0.2]
+        assert np.isnan(rows[2][1]) and np.isfinite(clean[2][1])
+        assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+        assert (tmp_path / "out" / "sweep_mu_sp0_r2.csv").read_text().count("nan") == 1
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_sweep_holds_no_every_step_reference(self, tmp_path, cache):
+        # 5000 steps of 256 unknowns: a 10.2 MB every-step reference; each of
+        # the five points keeps its 8 x 5001 reduced run (0.3 MB) for the one
+        # comparison at the end
+        cfg = replace(tiny_wave_cfg(tmp_path / "out", roms=()),
+                      n=128, dt=0.001, t_end=5.0, stride=50)
+        every_step = 8 * 2 * cfg.n * (cfg.scheme().steps() + 1)
+        if cache == "warm":
+            fom_trajectory(cfg)
+        tracemalloc.start()
+        try:
+            rows = mu_sweep(cfg, mu_grid=[0.0, 0.05, 0.1, 0.15, 0.2], variant=RomVariant.SP0, r=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.isfinite(e) for _, e in rows)
+        assert peak < every_step / 2, f"peak {peak} B for a {every_step} B reference"
 
 
 class TestTailCheck:

@@ -181,7 +181,8 @@ class TestBasisMemo:
         fresh = []
         for spec in cfg.roms:
             with experiments._references(cfg) as ref:  # a new memo per spec
-                fresh.append(experiments._run_one(cfg, ref, spec)[0].e_inf)
+                ((report, _),) = experiments._run_all(cfg, ref, [spec])
+                fresh.append(report.e_inf)
         assert memo == fresh
 
     @pytest.mark.parametrize("system, fields", [("wave", 2), ("kdv", 1)])

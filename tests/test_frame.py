@@ -155,7 +155,8 @@ def _direct_row(cfg, mu, r):
     else:
         sets, e_inf = (collect_snapshots(snap, flow, mu=mu),), e_inf_scalar
     model = reduce_operators(flow, tuple(compute_basis(s, r) for s in sets), RomVariant.SP0)
-    return e_inf(dense, run_rom(model, cfg.scheme(), initial_state=dense.states[:, 0]))
+    (err,) = e_inf(dense, [run_rom(model, cfg.scheme(), initial_state=dense.states[:, 0])])
+    return err
 
 
 @pytest.fixture

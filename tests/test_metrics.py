@@ -24,51 +24,51 @@ class TestWaveError:
     def test_identical(self):
         rng = np.random.default_rng(0)
         t = make_traj(rng.standard_normal((8, 4)))
-        assert e_inf_wave(t, t) == 0.0
+        assert e_inf_wave(t, [t]).tolist() == [0.0]
 
     def test_constant_offset_on_one_field(self):
         rng = np.random.default_rng(1)
         base = rng.standard_normal((8, 4))
         shifted = base.copy()
         shifted[:4] += 0.1  # first field only
-        assert e_inf_wave(make_traj(base), make_traj(shifted)) == pytest.approx(0.1)
+        assert e_inf_wave(make_traj(base), [make_traj(shifted)]) == pytest.approx([0.1])
 
     def test_two_field_euclidean_combination(self):
         base = np.zeros((4, 2))
         other = np.zeros((4, 2))
         other[0, 1] = 3.0  # field one, point 0
         other[2, 1] = 4.0  # field two, same point
-        assert e_inf_wave(make_traj(base), make_traj(other)) == pytest.approx(5.0)
+        assert e_inf_wave(make_traj(base), [make_traj(other)]) == pytest.approx([5.0])
 
     def test_includes_initial_time(self):
         base = np.zeros((4, 3))
         other = np.zeros((4, 3))
         other[1, 0] = 0.7  # only the first recorded column differs
-        assert e_inf_wave(make_traj(base), make_traj(other)) == pytest.approx(0.7)
+        assert e_inf_wave(make_traj(base), [make_traj(other)]) == pytest.approx([0.7])
 
     def test_requires_even_dimension(self):
         t = make_traj(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="even"):
-            e_inf_wave(t, t)
+            e_inf_wave(t, [t])
 
 
 class TestScalarError:
     def test_identical(self):
         rng = np.random.default_rng(2)
         t = make_traj(rng.standard_normal((6, 4)))
-        assert e_inf_scalar(t, t) == 0.0
+        assert e_inf_scalar(t, [t]).tolist() == [0.0]
 
     def test_single_perturbed_entry(self):
         base = np.zeros((6, 4))
         other = base.copy()
         other[3, 2] = 0.2
-        assert e_inf_scalar(make_traj(base), make_traj(other)) == pytest.approx(0.2)
+        assert e_inf_scalar(make_traj(base), [make_traj(other)]) == pytest.approx([0.2])
 
     def test_excludes_initial_time(self):
         base = np.zeros((6, 4))
         other = base.copy()
         other[3, 0] = 5.0  # difference only at the initial column
-        assert e_inf_scalar(make_traj(base), make_traj(other)) == 0.0
+        assert e_inf_scalar(make_traj(base), [make_traj(other)]).tolist() == [0.0]
 
 
 class TestMetricProperties:
@@ -76,8 +76,8 @@ class TestMetricProperties:
         rng = np.random.default_rng(3)
         a = make_traj(rng.standard_normal((8, 5)))
         b = make_traj(rng.standard_normal((8, 5)))
-        assert e_inf_wave(a, b) == e_inf_wave(b, a)
-        assert e_inf_scalar(a, b) == e_inf_scalar(b, a)
+        assert e_inf_wave(a, [b]) == e_inf_wave(b, [a])
+        assert e_inf_scalar(a, [b]) == e_inf_scalar(b, [a])
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
@@ -85,13 +85,15 @@ class TestMetricProperties:
         b = make_traj(rng.standard_normal((8, 5)))
         c = make_traj(rng.standard_normal((8, 5)))
         for metric in (e_inf_wave, e_inf_scalar):
-            assert metric(a, c) <= metric(a, b) + metric(b, c) + 1e-12
+            ac, ab = metric(a, [c, b])
+            (bc,) = metric(b, [c])
+            assert ac <= ab + bc + 1e-12
 
     def test_mismatched_grids(self):
         a = make_traj(np.zeros((8, 4)))
         b = make_traj(np.zeros((6, 4)))
         with pytest.raises(ValueError, match="grids"):
-            e_inf_scalar(a, b)
+            e_inf_scalar(a, [b])
 
     def test_mismatched_times(self):
         a = make_traj(np.zeros((6, 4)))
@@ -103,67 +105,84 @@ class TestMetricProperties:
             dt=2.0,
         )
         with pytest.raises(ValueError, match="times"):
-            e_inf_scalar(a, b)
+            e_inf_scalar(a, [b])
 
 
 B = metrics._BLOCK_COLUMNS  # columns per difference block at these dimensions
 
 
 class TestBlockwiseMatchesDecoded:
-    """The block-wise errors of a reduced trajectory equal the formulas on
-    the fully decoded state matrix."""
+    """One comparison of several reduced and full runs equals, run by run,
+    the formulas on the fully decoded state matrices and a one-run call."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         half=st.integers(1, 12),
-        r_share=st.floats(0.0, 1.0),
+        reduced=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=4),
         cols=st.one_of(st.sampled_from([1, 2, B, B + 1, 2 * B, 3 * B - 7]), st.integers(1, 700)),
-        with_offset=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(half=3, r_share=0.5, cols=1, with_offset=True, seed=0)
-    @example(half=3, r_share=0.5, cols=2, with_offset=False, seed=1)
-    @example(half=8, r_share=1.0, cols=B, with_offset=True, seed=2)
-    @example(half=8, r_share=0.0, cols=B + 1, with_offset=False, seed=3)
-    @example(half=5, r_share=0.3, cols=2 * B + 100, with_offset=True, seed=4)
-    def test_random_bases(self, half, r_share, cols, with_offset, seed):
+    @example(half=3, reduced=[(0.5, True)], cols=1, seed=0)
+    @example(half=3, reduced=[(0.5, False), (0.0, True)], cols=2, seed=1)
+    @example(half=8, reduced=[(1.0, True), (0.3, False)], cols=B, seed=2)
+    @example(half=8, reduced=[(0.0, False)], cols=B + 1, seed=3)
+    @example(half=5, reduced=[(0.3, True), (1.0, False), (0.6, True)], cols=2 * B + 100, seed=4)
+    def test_random_bases(self, half, reduced, cols, seed):
+        # ``reduced`` holds (share of the dimension in the basis, with offset) per reduced run
         rng = np.random.default_rng(seed)
         dim = 2 * half
-        r = 1 + int(r_share * (dim - 1))
-        basis = np.linalg.qr(rng.standard_normal((dim, r)))[0]
-        coeffs = rng.standard_normal((r, cols))
-        offset = rng.standard_normal(dim) if with_offset else None
         times = 0.1 * np.arange(cols)
-        fom_states = rng.standard_normal((dim, cols))
-        decoded = basis @ coeffs + (0.0 if offset is None else offset[:, None])
 
-        def traj(states, **decode_map):
-            return Trajectory(times=times, states=states, energies=np.zeros(cols),
+        def traj(states, at=times, **decode_map):
+            return Trajectory(times=at, states=states, energies=np.zeros(cols),
                               steps_total=max(cols - 1, 1), dt=0.1, **decode_map)
 
+        fom_states = rng.standard_normal((dim, cols))
         fom = traj(fom_states)
-        rom = traj(coeffs, basis=basis, offset=offset)
-        full = traj(decoded)
-        diff = decoded - fom_states
+        runs, decoded = [], []
+        for r_share, with_offset in reduced:
+            r = 1 + int(r_share * (dim - 1))
+            basis = np.linalg.qr(rng.standard_normal((dim, r)))[0]
+            coeffs = rng.standard_normal((r, cols))
+            offset = rng.standard_normal(dim) if with_offset else None
+            runs.append(traj(coeffs, basis=basis, offset=offset))
+            decoded.append(basis @ coeffs + (0.0 if offset is None else offset[:, None]))
+        decoded.append(rng.standard_normal((dim, cols)))
+        runs.append(traj(decoded[-1]))  # a full-state run among the reduced ones
+        diffs = [states - fom_states for states in decoded]
 
-        def close(value, expected):
-            return abs(value - expected) <= 1e-14 * abs(expected)
+        def close(values, expected):
+            return np.all(np.abs(values - expected) <= 1e-14 * np.abs(expected))
 
-        wave = np.sqrt(diff[:half] ** 2 + diff[half:] ** 2).max()
-        for a, b in ((fom, rom), (rom, fom), (fom, full)):
-            assert close(e_inf_wave(a, b), wave)
-        err2 = np.sum(diff**2, axis=0)
-        got = squared_errors(fom, rom)
-        assert got.shape == (cols,)
-        assert np.all(np.abs(got - err2) <= 1e-14 * err2)
-        assert close(np.trapezoid(got, times), np.trapezoid(err2, times))
+        def one_by_one(metric, reference=fom):
+            return np.concatenate([metric(reference, [run]) for run in runs])
+
+        wave = np.array([np.sqrt(d[:half] ** 2 + d[half:] ** 2).max() for d in diffs])
+        got = e_inf_wave(fom, runs)
+        assert got.shape == (len(runs),) and close(got, wave)
+        assert np.array_equal(got, one_by_one(e_inf_wave))
+        assert close(e_inf_wave(runs[0], [fom]), wave[0])  # a reduced run as the reference
+        err2 = np.array([np.sum(d**2, axis=0) for d in diffs])
+        rows = squared_errors(fom, runs)
+        assert rows.shape == (len(runs), cols) and close(rows, err2)
+        assert np.array_equal(rows, one_by_one(squared_errors))
+        assert close(np.trapezoid(rows, times), np.trapezoid(err2, times))
         if cols == 1:
             with pytest.raises(ValueError, match="recorded time after the start"):
-                e_inf_scalar(fom, rom)
+                e_inf_scalar(fom, runs)
         else:
-            scalar = np.abs(diff[:, 1:]).max()
-            for a, b in ((fom, rom), (rom, fom), (fom, full)):
-                assert close(e_inf_scalar(a, b), scalar)
+            scalar = np.array([np.abs(d[:, 1:]).max() for d in diffs])
+            got = e_inf_scalar(fom, runs)
+            assert got.shape == (len(runs),) and close(got, scalar)
+            assert np.array_equal(got, one_by_one(e_inf_scalar))
+            assert close(e_inf_scalar(runs[0], [fom]), scalar[0])
+        # one run on another grid or time axis spoils the whole call
+        for bad, match in ((traj(np.zeros((dim + 2, cols))), "grids"),
+                           (traj(fom_states, at=times + 1.0), "times")):
+            mixed = runs[:1] + [bad] + runs[1:]
+            for metric in (e_inf_wave, e_inf_scalar, squared_errors):
+                with pytest.raises(ValueError, match=match):
+                    metric(fom, mixed)
 
     def test_reduced_against_reduced(self):
         rng = np.random.default_rng(5)
@@ -175,7 +194,8 @@ class TestBlockwiseMatchesDecoded:
         second = Trajectory(times=times, states=b, energies=np.zeros(2), steps_total=299,
                             dt=1.0, basis=basis, offset=np.ones(6))
         diff = basis @ (b - a) + 1.0
-        assert e_inf_scalar(first, second) == pytest.approx(np.abs(diff[:, 1:]).max(), rel=1e-14)
+        assert e_inf_scalar(first, [second]) == pytest.approx([np.abs(diff[:, 1:]).max()],
+                                                             rel=1e-14)
 
     def test_decode_basis_must_match_the_coefficients(self):
         with pytest.raises(ValueError, match="decode basis"):
