@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .avf import AvfScheme, StepFailure, Trajectory, integrate
 from .fileio import (
@@ -78,20 +77,18 @@ def _blas_build() -> str:
 
 def _solver_tag(directory: Path) -> str:
     """16 hex digits of the sha256 of the stepper, system and linear-algebra
-    sources in ``directory``, of the NumPy and SciPy versions and of NumPy's
-    BLAS build."""
+    sources in ``directory``, of the NumPy version and of NumPy's BLAS build."""
     digest = hashlib.sha256()
     for name in ("avf.py", "systems.py", "linalg.py"):
         digest.update((directory / name).read_bytes())
-    digest.update(f"numpy={np.__version__};scipy={scipy.__version__};"
-                  f"blas={_blas_build()}".encode())
+    digest.update(f"numpy={np.__version__};blas={_blas_build()}".encode())
     return digest.hexdigest()[:16]
 
 
-# Names the code of the full-order run (the AVF stepper, its linear solver and
-# the energy evaluation), the NumPy and SciPy releases and NumPy's BLAS build
-# it ran on in every cache key, so a trajectory cached by other code, or
-# rounded by another BLAS, is never served.
+# Names the code of the full-order run (the AVF stepper, its linear algebra and
+# the energy evaluation), the NumPy release and NumPy's BLAS build it ran on in
+# every cache key, so a trajectory cached by other code, or rounded by another
+# BLAS, is never served.  No full-order step calls SciPy.
 FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 
@@ -496,13 +493,19 @@ def _attempt(cfg: ExperimentConfig, ref: _Reference,
         return None
 
 
+def _compare(ref: _Reference, runs: Sequence[Optional[Trajectory]], compare) -> list:
+    """``compare`` (:mod:`hamrom.metrics`) of each run against the every-step
+    reference, every run that ran in one pass over it; None for a failed run."""
+    values = iter(compare(ref.dense, [run for run in runs if run is not None]))
+    return [None if run is None else next(values) for run in runs]
+
+
 def _e_inf(cfg: ExperimentConfig, ref: _Reference,
            runs: Sequence[Optional[Trajectory]]) -> list[float]:
-    """Maximum error of every run against the every-step reference, all runs
-    compared in one pass over it; NaN for a failed run (None)."""
-    compare = e_inf_wave if cfg.system == "wave" else e_inf_scalar
-    values = iter(compare(ref.dense, [run for run in runs if run is not None]))
-    return [float("nan") if run is None else float(next(values)) for run in runs]
+    """Maximum error of every run against the every-step reference; NaN for
+    a failed run (None)."""
+    errors = _compare(ref, runs, e_inf_wave if cfg.system == "wave" else e_inf_scalar)
+    return [float("nan") if e is None else float(e) for e in errors]
 
 
 def _run_all(cfg: ExperimentConfig, ref: _Reference,
@@ -628,22 +631,18 @@ def tail_bound_check(
     with _references(cfg) as ref:
         for spec in specs:
             attempt = _attempt(cfg, ref, spec)
-            if attempt is not None:
-                model, rom_traj, _ = attempt
-                runs.append(rom_traj)
-                tails.append(sum(sigma_tail(basis, spec.r) for basis in model.bases))
-            else:
-                runs.append(None)
-                tails.append(None)
-        errors = iter(squared_errors(ref.dense, [run for run in runs if run is not None]))
+            runs.append(None if attempt is None else attempt[1])
+            tails.append(None if attempt is None else
+                         sum(sigma_tail(basis, spec.r) for basis in attempt[0].bases))
+        errors = _compare(ref, runs, squared_errors)
         times = ref.dense.times
     rows = []
-    for spec, run, tail in zip(specs, runs, tails):
-        if run is None:
+    for spec, error, tail in zip(specs, errors, tails):
+        if error is None:
             nan = float("nan")
             rows.append((int(spec.r), nan, nan, nan))
             continue
-        integrated = float(np.trapezoid(next(errors), times))
+        integrated = float(np.trapezoid(error, times))
         ratio = integrated / tail if tail > 0 else float("inf")
         rows.append((int(spec.r), integrated, float(tail), float(ratio)))
     write_tail_csv(Path(cfg.out_dir) / "tail_check.csv", rows)

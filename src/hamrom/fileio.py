@@ -16,7 +16,6 @@ exactly, unknown keys are errors.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 import tempfile
@@ -266,29 +265,23 @@ def read_config(path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _fmt(x: float) -> str:
-    """Render a float with 17 significant digits (exact double round-trip)."""
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows) -> None:
-    """Write a header line and one line per row of fields."""
+def _write_rows(path, header: str, row_format: str, rows) -> None:
+    """Write a header line and one line per row in the ``%`` format
+    ``row_format`` (``%.17g``: an exact double round-trip).  No field needs
+    quoting, so the bytes are those of ``csv.writer``, CRLF line ends included."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([header] + [row_format % tuple(row) for row in rows]) + "\r\n")
 
 
 def write_report_csv(path, reports) -> None:
     """Write comparison rows: one line per ROM variant."""
-    _write_csv(
+    _write_rows(
         path,
-        ["variant", "r", "mu", "e_inf", "H0", "Hfinal", "max_drift", "offset", "wall_ms"],
+        "variant,r,mu,e_inf,H0,Hfinal,max_drift,offset,wall_ms",
+        "%s,%d" + ",%.17g" * 7,
         (
-            [rep.variant, rep.r] + [_fmt(x) for x in (
-                rep.mu, rep.e_inf, rep.energy_initial, rep.energy_final,
-                rep.max_energy_drift, rep.energy_offset_vs_fom, rep.wall_ms,
-            )]
+            (rep.variant, rep.r, rep.mu, rep.e_inf, rep.energy_initial, rep.energy_final,
+             rep.max_energy_drift, rep.energy_offset_vs_fom, rep.wall_ms)
             for rep in reports
         ),
     )
@@ -300,22 +293,14 @@ def write_energy_csv(path, times, energies) -> None:
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape:
         raise ValueError("times and energies must have matching lengths")
-    # the bytes of _write_csv, one format per row: %.17g is _fmt's rendering
-    rows = ["%.17g,%.17g\r\n" % row for row in zip(times.tolist(), energies.tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,H\r\n")
-        fh.write("".join(rows))
+    _write_rows(path, "t,H", "%.17g,%.17g", zip(times.tolist(), energies.tolist()))
 
 
 def write_sweep_csv(path, rows) -> None:
     """Write gradient-weight sweep results as ``mu,e_inf`` rows."""
-    _write_csv(path, ["mu", "e_inf"], ([_fmt(mu), _fmt(err)] for mu, err in rows))
+    _write_rows(path, "mu,e_inf", "%.17g,%.17g", rows)
 
 
 def write_tail_csv(path, rows) -> None:
     """Write tail-bound check rows: ``r,integrated_error,sigma_tail,ratio``."""
-    _write_csv(
-        path,
-        ["r", "integrated_error", "sigma_tail", "ratio"],
-        ([r, _fmt(err), _fmt(tail), _fmt(ratio)] for r, err, tail, ratio in rows),
-    )
+    _write_rows(path, "r,integrated_error,sigma_tail,ratio", "%d,%.17g,%.17g,%.17g", rows)

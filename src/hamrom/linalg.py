@@ -2,7 +2,8 @@
 
 Thin SVD of dense snapshot matrices and reusable LU factorizations of dense
 arrays (the reduced models; the full-order stencils step in Fourier modes,
-see :mod:`hamrom.avf`).
+see :mod:`hamrom.avf`).  The LU is the package's only use of SciPy, which
+is imported with the first :class:`LuFactorization`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LuFactorization",
@@ -92,6 +92,12 @@ def thin_svd_snapshots(Y):
     return U[:, :d], sigma[:d]
 
 
+# SciPy's LAPACK routines themselves, bound by the first LuFactorization: the
+# scipy.linalg wrappers cost more than the work at reduced sizes (r <= 60), and
+# NumPy's solve cannot report the pivots that the singularity check reads
+_getrf = _getrs = None
+
+
 class LuFactorization:
     """Reusable partial-pivoting LU factorization of a dense square matrix.
 
@@ -105,6 +111,10 @@ class LuFactorization:
     """
 
     def __init__(self, A):
+        global _getrf, _getrs
+        if _getrf is None:
+            from scipy.linalg import lapack
+            _getrf, _getrs = lapack.dgetrf, lapack.dgetrs
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
@@ -123,9 +133,7 @@ class LuFactorization:
         scale = np.abs(A).max()
         if not math.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
-        # the LAPACK routines themselves: the scipy.linalg wrappers cost more
-        # than the work at reduced sizes (r <= 60)
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(A)
+        lu, piv, _ = _getrf(A)
         if np.abs(lu.diagonal()).min() <= 1e-14 * scale:
             raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
         self._lu, self._piv = lu, piv
@@ -140,4 +148,4 @@ class LuFactorization:
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.shape[0]}")
-        return scipy.linalg.lapack.dgetrs(self._lu, self._piv, b)[0]
+        return _getrs(self._lu, self._piv, b)[0]

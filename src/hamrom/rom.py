@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .avf import AvfScheme, Trajectory, integrate
 from .pod import PodBasis
@@ -64,8 +63,8 @@ class ReducedModel:
 
     ``bases`` are the per-field bases the model was reduced on (their
     spectra give the projection-error tails); ``basis_matrix`` is their
-    (block-diagonal) stack; ``decode_offset`` is the affine shift of the
-    ansatz (the initial state for shifted-basis models, absent otherwise).
+    column-major block-diagonal stack (one basis: its ``phi``); ``decode_offset``
+    is the ansatz's shift (the initial state for shifted bases, else absent).
     """
 
     flow: PolyGradFlow
@@ -135,7 +134,13 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = bases[0].phi if len(bases) == 1 else scipy.linalg.block_diag(*(b.phi for b in bases))
+    phi = bases[0].phi
+    if len(bases) > 1:  # the block-diagonal stack, column-major as each basis is
+        phi = np.zeros((sum(b.phi.shape[0] for b in bases), sum(b.r for b in bases)), order="F")
+        row = col = 0
+        for b in bases:
+            phi[row : row + b.phi.shape[0], col : col + b.r] = b.phi
+            row, col = row + b.phi.shape[0], col + b.r
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"
@@ -193,15 +198,13 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory
     ``initial_state`` is the full-order start state (for shifted-basis
     models, whose offset is that state, it encodes to zero coefficients).
     The result's ``states`` are the r x m reduced coefficients at the
-    recording times, and it carries the decode map (``basis`` and
-    ``offset``): :meth:`Trajectory.full_states` decodes a block of columns,
-    as the error metrics do.  The energy series is the reduced energy
-    polynomial at every step, equal to the full-order energy of the decoded
-    state up to rounding.
+    recording times, and it carries the decode map: ``basis`` is the
+    model's column-major ``basis_matrix`` itself (for a single-field model
+    the :class:`PodBasis` ``phi``, shared with every model reduced on that
+    basis, not a copy) and ``offset`` its ``decode_offset``.
+    :meth:`Trajectory.full_states` decodes a block of columns, as the error
+    metrics do.  The energy series is the reduced energy polynomial at every
+    step, equal to the full-order energy of the decoded state up to rounding.
     """
     reduced = integrate(model.flow, encode(model, initial_state), scheme)
-    # a column-major copy: decoding a column block of the wave benchmark's
-    # r=5 model took 2.6 ms per comparison through it against 4.5 ms through
-    # the row-major basis, with the same bits
-    return replace(reduced, basis=np.asfortranarray(model.basis_matrix),
-                   offset=model.decode_offset)
+    return replace(reduced, basis=model.basis_matrix, offset=model.decode_offset)

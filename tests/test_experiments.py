@@ -43,6 +43,15 @@ def tiny_wave_cfg(out_dir, roms=("SP0:2", "GROM:2")):
     )
 
 
+def tiny_kdv_cfg(out_dir, roms=("GROM:3", "SP0:3", "SP1:3", "SP2:3")):
+    return ExperimentConfig(
+        system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, n=32, length=40.0,
+        origin=-20.0, dt=0.05, t_end=1.0, stride=4,
+        roms=tuple(RomSpec.parse(s) for s in roms),
+        out_dir=str(out_dir),
+    )
+
+
 CONFIG_TEXT = """\
 # tiny wave benchmark
 system = wave
@@ -234,10 +243,15 @@ class TestRunExperiment:
             path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # one byte changed
             assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
             path.write_bytes(data)
-        for package in (experiments.np, experiments.scipy):
-            with monkeypatch.context() as patched:
-                patched.setattr(package, "__version__", package.__version__ + "+other")
-                assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments.np, "__version__", experiments.np.__version__ + "+other")
+            assert experiments._solver_tag(tmp_path) != experiments.FOM_SOLVER
+        # no full-order step calls SciPy: its release does not name the run
+        import scipy
+
+        with monkeypatch.context() as patched:
+            patched.setattr(scipy, "__version__", scipy.__version__ + "+other")
+            assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
         assert experiments._solver_tag(tmp_path) == experiments.FOM_SOLVER
 
     def test_solver_tag_names_the_blas_build(self, tmp_path, monkeypatch):
@@ -511,16 +525,24 @@ class TestRunExperiment:
         assert all(np.isnan(e) for _, e in rows)
 
     def test_all_variants_run_on_tiny_kdv(self, tmp_path):
-        cfg = ExperimentConfig(
-            system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, n=32, length=40.0,
-            origin=-20.0, dt=0.05, t_end=1.0, stride=4,
-            roms=tuple(RomSpec.parse(s) for s in ("GROM:3", "SP0:3", "SP1:3", "SP2:3")),
-            out_dir=str(tmp_path / "out"),
-        )
-        reports = run_experiment(cfg)
+        reports = run_experiment(tiny_kdv_cfg(tmp_path / "out"))
         assert all(not r.failed for r in reports)
         sp_rows = [r for r in reports if r.variant != "G-ROM"]
         assert all(r.max_energy_drift <= 1e-9 for r in sp_rows)
+
+    def test_runs_decode_through_the_memoized_bases(self, tmp_path):
+        # one column-major array per basis: G-ROM and SP-ROM-0 share the
+        # memoized POD basis and decode through its phi, not through copies
+        cfg = tiny_kdv_cfg(tmp_path / "kdv")
+        with experiments._references(cfg) as ref:
+            runs = [run for _, run in experiments._run_all(cfg, ref, cfg.roms)]
+            ((plain,), (shifted,)) = ref.bases[(0.0, False, 3)], ref.bases[(0.0, True, 3)]
+        assert runs[0].basis is plain.phi and runs[1].basis is plain.phi
+        assert runs[3].basis is shifted.phi
+        wave = tiny_wave_cfg(tmp_path / "wave", roms=("GROM:2", "SP0:2", "SP1:2", "SP2:2"))
+        with experiments._references(wave) as ref:
+            runs += [run for _, run in experiments._run_all(wave, ref, wave.roms)]
+        assert len(runs) == 8 and all(run.basis.flags.f_contiguous for run in runs)
 
 
 class TestSweep:

@@ -18,8 +18,10 @@ from hamrom.fileio import (
     write_matrix,
     write_report_csv,
     write_sweep_csv,
+    write_tail_csv,
 )
 from hamrom.metrics import RomReport
+from hamrom.rom import RomVariant
 
 
 class TestMatrixContainer:
@@ -312,17 +314,38 @@ class TestCsvWriters:
         assert float(lines[2].split(",")[1]) == 1.0 + 1e-15
 
     def test_energy_series_bytes_match_the_csv_writer(self, tmp_path):
+        # every CSV writer renders a row with one % format: the bytes are those
+        # of csv.writer over the fields, floats formatted with ".17g"
         values = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 0.1 + 0.2, 5e-324,
-                  1.7976931348623157e308, -1.5, 3.0]
-        path = tmp_path / "energy.csv"
-        write_energy_csv(path, values, values[::-1])
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "H"])
-            writer.writerows([format(t, ".17g"), format(h, ".17g")]
-                             for t, h in zip(values, values[::-1]))
-        assert path.read_bytes() == expected.read_bytes()
+                  -2.2250738585072e-310, 1.7976931348623157e308, -1.5, 3.0]
+        columns = [values[k:] + values[:k] for k in range(7)]  # every value in every column
+        ints = [1, 5, 40, 0, 7, 12, 2, 3, 99, 11, 4]
+        variants = [v.value for v in RomVariant] * 3
+
+        def csv_bytes(name, header, rows):
+            path = tmp_path / f"{name}.expected"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([x if isinstance(x, (str, int)) else format(x, ".17g")
+                                  for x in row] for row in rows)
+            return path.read_bytes()
+
+        write_energy_csv(tmp_path / "energy.csv", columns[0], columns[1])
+        assert (tmp_path / "energy.csv").read_bytes() == csv_bytes(
+            "energy", ["t", "H"], zip(columns[0], columns[1]))
+        reports = [RomReport(variant, r, *row)
+                   for variant, r, row in zip(variants, ints, zip(*columns))]
+        write_report_csv(tmp_path / "report.csv", reports)
+        assert (tmp_path / "report.csv").read_bytes() == csv_bytes(
+            "report", ["variant", "r", "mu", "e_inf", "H0", "Hfinal", "max_drift", "offset",
+                       "wall_ms"], zip(variants, ints, *columns))
+        write_sweep_csv(tmp_path / "sweep.csv", zip(columns[0], columns[1]))
+        assert (tmp_path / "sweep.csv").read_bytes() == csv_bytes(
+            "sweep", ["mu", "e_inf"], zip(columns[0], columns[1]))
+        write_tail_csv(tmp_path / "tail.csv", zip(ints, *columns[:3]))
+        assert (tmp_path / "tail.csv").read_bytes() == csv_bytes(
+            "tail", ["r", "integrated_error", "sigma_tail", "ratio"], zip(ints, *columns[:3]))
 
     def test_energy_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

@@ -186,12 +186,20 @@ class TestLu:
             fac.solve(np.ones(4))
 
 
-def test_cli_import_leaves_the_sparse_solvers_unimported(tmp_path):
-    # no code path needs scipy.sparse: importing the command line or running
-    # a tiny wave and a tiny KdV experiment must not load any of it
+def _fresh_process(code: str) -> list[str]:
+    """The output lines of ``code`` run by a fresh interpreter on these sources."""
     src = Path(__file__).resolve().parent.parent / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.split("\n")
+
+
+def test_cli_import_leaves_the_sparse_solvers_unimported(tmp_path):
+    # no code path needs scipy.sparse: importing the command line or running
+    # a tiny wave and a tiny KdV experiment must not load any of it
     code = f"""
 import sys
 import hamrom.cli
@@ -209,7 +217,33 @@ run_experiment(ExperimentConfig(system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, n=32
                                 roms=roms, out_dir={str(tmp_path / "kdv")!r}))
 print(sparse())
 """
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert _fresh_process(code)[:2] == ["[]", "[]"]
+
+
+def test_full_order_runs_leave_scipy_unimported(tmp_path):
+    # SciPy serves only the dense LU of the reduced models: importing the
+    # package and the command line, building the parser and integrating tiny
+    # wave and KdV full-order models load none of it; a reduced run does
+    code = f"""
+import sys
+import hamrom
+import hamrom.cli
+from hamrom.experiments import ExperimentConfig, RomSpec, fom_trajectory, run_experiment
+
+def scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+hamrom.cli.build_parser()
+print(scipy())
+wave = ExperimentConfig(system="wave", c=0.1, n=16, length=1.0, dt=0.05, t_end=1.0, stride=5,
+                        out_dir={str(tmp_path / "wave")!r})
+kdv = ExperimentConfig(system="kdv", alpha=-6.0, rho=0.0, nu=-1.0, n=32, length=40.0,
+                       origin=-20.0, dt=0.02, t_end=0.4, stride=2,
+                       roms=(RomSpec.parse("SP0:3"),), out_dir={str(tmp_path / "kdv")!r})
+fom_trajectory(wave)
+fom_trajectory(kdv)
+print(scipy())
+run_experiment(kdv)
+print("scipy.linalg" in sys.modules)
+"""
+    assert _fresh_process(code)[:3] == ["[]", "[]", "True"]

@@ -274,6 +274,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="orthonormal"):
             PodBasis(phi=np.ones((3, 2)), sigma=np.array([1.0, 0.5]))
 
+    def test_basis_is_stored_column_major(self):
+        phi = np.ascontiguousarray(np.eye(6)[:, :3])
+        assert not phi.flags.f_contiguous
+        basis = PodBasis(phi=phi, sigma=np.ones(3))
+        assert basis.phi.flags.f_contiguous
+        assert np.array_equal(basis.phi, phi)
+        assert PodBasis(phi=basis.phi, sigma=np.ones(3)).phi is basis.phi  # no second copy
+
     def test_basis_rank_bound(self):
         with pytest.raises(ValueError, match="spectrum"):
             PodBasis(phi=np.eye(3), sigma=np.array([1.0]))
