@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import LuFactorization, SingularMatrixError
+from .linalg import PIVOT_TOL, LuFactorization, SingularMatrixError
 from .systems import (
     DiagonalQuadratic,
     PeriodicStencil,
@@ -142,22 +142,17 @@ class AvfStepper:
     """One-step AVF integrator; the storage of the flow's operators picks its maps.
 
     With ``A = dt/2 S G1``, every step solves
-    ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``.
-    :class:`_FourierMaps` take the step of periodic stencils (full-order
-    models) and :class:`_DenseMaps` that of dense operators (reduced models):
-    a linear flow's step is one linear solve, a quadratic flow's the
-    nonlinear iteration of its maps, each in its own loop: Picard on
-    Fourier modes, chord Newton on dense operators.
-
-    Both iterations stop when an increment drops to ``picard_tol`` relative
-    to ``1 + max|x|``, ``x`` the iterate it updates; Newton also stops when
-    its predicted remaining error does (see :class:`_DenseMaps`).  Either
-    fails with :class:`StepFailure` on overflow or after
-    :data:`MAX_ITERATIONS` iterations; ``last_iterations`` is the count of
-    the last step (0 for linear flows).  It starts from a cubic extrapolation
-    of the step history (an explicit RK4 prediction while the history is
-    short).  The predictor only changes the iteration count, never the
-    converged step.
+    ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``:
+    by :class:`_FourierMaps` for periodic stencils (full-order models), by
+    :class:`_DenseMaps` for dense operators (reduced models).  A linear
+    flow's step is one linear solve, a quadratic flow's the nonlinear
+    iteration of its maps to ``picard_tol``, Picard on Fourier modes or
+    chord Newton on dense operators.  An iteration fails with
+    :class:`StepFailure` on overflow or after :data:`MAX_ITERATIONS`
+    iterations; ``last_iterations`` is the count of the last step (0 for
+    linear flows).  It starts from a cubic extrapolation of the step history
+    (an explicit RK4 prediction while the history is short).  The predictor
+    only changes the iteration count, never the converged step.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
@@ -238,8 +233,10 @@ class _DenseMaps:
     increment rule, from the second update on the iteration stops when the
     predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of the increments
     ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.  A tensor term
-    folds ``dt S / 3`` into its tensor once, stored (r r, r), so ``K(x)`` is
-    one matrix-vector product.
+    (every reduced model) folds ``dt S / 3`` into its tensor once, stored
+    (r r, r), so ``K(x)`` is one matrix-vector product; any other term gives
+    ``J2(x)`` by its own block ``eval`` of ``x`` against the identity, column
+    k being ``G2(x, e_k)``.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
@@ -255,8 +252,8 @@ class _DenseMaps:
         if isinstance(quad, TensorQuadratic):
             folded = np.tensordot(dtS3, quad.tensor, axes=1).reshape(r * r, r)
             self.jacobian = lambda x: (folded @ x).reshape(r, r)
-        elif quad is not None:
-            self.jacobian = lambda x: dtS3 @ quad.jacobian(x)
+        elif quad is not None:  # the column of x broadcasts against eye's
+            self.jacobian = lambda x: dtS3 @ quad.eval(x[:, None], eye)
 
     def _base(self, u: np.ndarray) -> np.ndarray:
         """``(I + A) u + dt S g0``."""
@@ -348,11 +345,13 @@ class _FourierMaps:
     ``x <- P u + K (G2(u,u) + G2(u,x) + G2(x,x))`` with
     ``K = (I - A)^-1 dt S / 3``, one 1-D transform pair per iteration, and
     stops by the increment rule alone.  A mode whose pivot is at or below
-    1e-14 of the largest symbol entry of ``I - A`` raises
-    :class:`SingularMatrixError`, as :class:`LuFactorization` does, and a
-    flow with a g0 (no command builds one) raises ValueError.  Symbols are
-    stored (b, b, modes) and spectra (b, modes), so every product runs along
-    the contiguous mode axis.
+    :data:`~hamrom.linalg.PIVOT_TOL` of the largest symbol entry of ``I - A``
+    raises :class:`SingularMatrixError`, as :class:`LuFactorization` does:
+    on one or two fields the pivots of partial pivoting are the largest
+    entry of the first column and ``|det|`` over it, so a flow on more
+    fields raises ValueError, as a flow with a g0 does (no command builds
+    either).  Symbols are stored (b, b, modes) and spectra (b, modes), so
+    every product runs along the contiguous mode axis.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
@@ -361,6 +360,8 @@ class _FourierMaps:
         quad = flow.quadratic
         structure, linear = flow.structure.columns, flow.linear.columns
         fields, _, self._n = structure.shape
+        if fields > 2:
+            raise ValueError(f"a periodic-stencil flow has one or two fields, got {fields}")
         if quad is not None and (fields != 1 or not isinstance(quad, DiagonalQuadratic)):
             raise ValueError("a quadratic periodic-stencil flow must be one field "
                              "with an entrywise quadratic term")
@@ -372,8 +373,8 @@ class _FourierMaps:
         first = np.abs(lhs[:, :, 0]).max(axis=1)  # the first pivot of partial pivoting
         with np.errstate(divide="ignore", invalid="ignore"):
             pivots = first if fields == 1 else np.minimum(first, np.abs(np.linalg.det(lhs)) / first)
-        if not np.all(pivots > 1e-14 * np.abs(lhs).max()):  # NaN fails too
-            raise SingularMatrixError("Fourier-mode pivot below 1e-14 of the symbol scale")
+        if not np.all(pivots > PIVOT_TOL * np.abs(lhs).max()):  # NaN fails too
+            raise SingularMatrixError(f"Fourier-mode pivot below {PIVOT_TOL:g} of the symbol scale")
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
         if quad is not None:  # the (modes,) symbol of K and the coefficient of G2

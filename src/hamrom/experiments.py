@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -92,6 +93,15 @@ def _solver_tag(directory: Path) -> str:
 FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, a NumPy integer too, so that one value has
+    one cache key; ValueError for anything that is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RomSpec:
     """One requested reduced run: variant, dimension, gradient weight."""
@@ -101,6 +111,7 @@ class RomSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _integer("reduced dimension", self.r))
         if self.r < 1:
             raise ValueError(f"reduced dimension must be at least 1, got {self.r!r}")
         if not (np.isfinite(self.mu) and self.mu >= 0):
@@ -138,10 +149,13 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # one value, one key: c=1 in code and "c = 1" in a file are both 1.0
+        # one value, one key: c=1 in code and "c = 1" in a file are both 1.0,
+        # and n=np.int64(500) is n=500
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", "Optional[float]") and value is not None:
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integer(f.name, value))
+            elif f.type in ("float", "Optional[float]") and value is not None:
                 if not np.isfinite(value):
                     raise ValueError(f"{f.name} must be finite, got {value!r}")
                 object.__setattr__(self, f.name, float(value))

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 
 __all__ = [
+    "PIVOT_TOL",
     "LuFactorization",
     "NumericalError",
     "RankError",
@@ -92,6 +93,10 @@ def thin_svd_snapshots(Y):
     return U[:, :d], sigma[:d]
 
 
+# relative singularity threshold of a factorization: a pivot at or below
+# PIVOT_TOL times the largest entry of the matrix is rejected
+PIVOT_TOL = 1e-14
+
 # SciPy's LAPACK routines themselves, bound by the first LuFactorization: the
 # scipy.linalg wrappers cost more than the work at reduced sizes (r <= 60), and
 # NumPy's solve cannot report the pivots that the singularity check reads
@@ -104,7 +109,7 @@ class LuFactorization:
     Factor once, then call :meth:`solve` for any number of right-hand sides;
     constant-coefficient time stepping reuses one factorization for thousands
     of solves.  ``A`` is factored by LAPACK (``getrf``), which rejects a
-    pivot at or below ``1e-14`` of the largest entry of ``A`` (so an
+    pivot at or below :data:`PIVOT_TOL` of the largest entry of ``A`` (so an
     all-zero matrix is singular too).  :meth:`factor` replaces the factors
     in place, for a Newton iteration that refactors its Jacobian; a
     rejected matrix leaves the previous factors in place.
@@ -127,15 +132,15 @@ class LuFactorization:
         constructor, this converts and checks nothing but the entries, so
         that a Newton iteration refactors without per-call validation.  The
         one scan of ``|A|`` serves both checks: a non-finite entry raises
-        ValueError and a pivot at or below 1e-14 of the largest entry
-        :class:`SingularMatrixError`; either keeps the previous factors.
+        ValueError and a pivot at or below :data:`PIVOT_TOL` of the largest
+        entry :class:`SingularMatrixError`; either keeps the previous factors.
         """
         scale = np.abs(A).max()
         if not math.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
         lu, piv, _ = _getrf(A)
-        if np.abs(lu.diagonal()).min() <= 1e-14 * scale:
-            raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
+        if np.abs(lu.diagonal()).min() <= PIVOT_TOL * scale:
+            raise SingularMatrixError(f"pivot below {PIVOT_TOL:g} of the matrix scale")
         self._lu, self._piv = lu, piv
         self.shape = A.shape
 

@@ -67,6 +67,9 @@ class Grid1D:
         return self.origin + self.dx * np.arange(1, self.n + 1)
 
 
+# A quadratic term is its ``eval``: G2 of two vectors, or column by column of
+# two (dim, m) blocks, a (dim, 1) block pairing its column with every column
+# of the other; ``eval(x[:, None], I)`` is then the matrix of ``v -> G2(x, v)``.
 @dataclass(frozen=True)
 class DiagonalQuadratic:
     """Entrywise quadratic gradient term: ``G2(u, v)_i = coeff * u_i * v_i``."""
@@ -76,18 +79,14 @@ class DiagonalQuadratic:
     def eval(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.coeff * u * v
 
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of ``v -> G2(a, v)``: ``diag(coeff * a)``, dense."""
-        return np.diag(self.coeff * a)
-
 
 @dataclass(frozen=True)
 class TensorQuadratic:
     """Dense quadratic term ``G2(a, b)_p = sum_ij T[p, i, j] a_i b_j``.
 
     The tensor must be symmetric in its last two indices; full symmetry in all
-    three is not required (plain Galerkin reductions break it).  ``a`` and
-    ``b`` are vectors or (r, m) blocks of column vectors.
+    three is not required (plain Galerkin reductions break it).  The dense
+    maps fold it into their Newton Jacobian rather than evaluating it.
     """
 
     tensor: np.ndarray
@@ -120,10 +119,6 @@ class ProjectedQuadratic:
 
     def eval(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.left @ (self.coeff * (self.basis @ a) * (self.basis @ b))
-
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of ``v -> G2(a, v)``: ``left diag(coeff B a) B``."""
-        return self.left @ ((self.coeff * (self.basis @ a))[:, None] * self.basis)
 
 
 class PeriodicStencil:

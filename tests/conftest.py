@@ -3,7 +3,9 @@
 The full-order trajectories and the benchmark ROM sweeps are the costly part
 of the suite (the KdV full-order run takes about 1.5 s on 2 vCPUs), so
 everything paper-scale is computed once per session and reused by the module
-and acceptance tests.
+and acceptance tests.  Each benchmark's reference is the one the commands
+compare against: the every-step run in its cache file, read block by block,
+and its snapshot view.
 """
 
 from dataclasses import replace
@@ -11,12 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hamrom.avf import AvfStepper
 from hamrom.experiments import (
     RomSpec,
-    _Reference,
+    _references,
     _run_all,
     build_system,
-    fom_trajectory,
     mu_sweep,
     table_preset,
     tail_bound_check,
@@ -40,6 +42,18 @@ def dense(op):
 def densified(flow):
     """``flow`` with dense copies of its structure and linear operators."""
     return replace(flow, structure=dense(flow.structure), linear=dense(flow.linear))
+
+
+def march(flow, u, dt, steps):
+    """``steps`` AVF steps of ``flow`` from ``u``, one :class:`AvfStepper`:
+    the states, one row per step, and the per-step iteration counts."""
+    stepper = AvfStepper(flow, dt)
+    states, counts = [], []
+    for k in range(1, steps + 1):
+        u = stepper.step(u, step_index=k)
+        states.append(u)
+        counts.append(stepper.last_iterations)
+    return np.array(states), counts
 
 
 @pytest.fixture(scope="session")
@@ -68,34 +82,42 @@ def kdv_system(kdv_cfg):
 
 
 @pytest.fixture(scope="session")
-def wave_dense(wave_cfg):
-    """Wave benchmark trajectory recorded at every step."""
-    return fom_trajectory(wave_cfg, stride=1)
+def wave_ref(wave_cfg):
+    """The wave benchmark's reference, closed at the end of the session."""
+    with _references(wave_cfg) as ref:
+        yield ref
 
 
 @pytest.fixture(scope="session")
-def kdv_dense(kdv_cfg):
-    """KdV benchmark trajectory recorded at every step."""
-    return fom_trajectory(kdv_cfg, stride=1)
+def kdv_ref(kdv_cfg):
+    """The KdV benchmark's reference, closed at the end of the session."""
+    with _references(kdv_cfg) as ref:
+        yield ref
 
 
 @pytest.fixture(scope="session")
-def wave_snap(wave_cfg, wave_dense):
-    return fom_trajectory(wave_cfg)  # the strided columns of the cached run
+def wave_dense(wave_ref):
+    """Wave benchmark run recorded at every step, read from its cache file."""
+    return wave_ref.dense
 
 
 @pytest.fixture(scope="session")
-def kdv_snap(kdv_cfg, kdv_dense):
-    return fom_trajectory(kdv_cfg)  # the strided columns of the cached run
+def kdv_dense(kdv_ref):
+    """KdV benchmark run recorded at every step, read from its cache file."""
+    return kdv_ref.dense
 
 
-def _reference(cfg, system, dense, snap):
-    return _Reference(flow=system[0], dense=dense, snap=snap,
-                      fields=2 if cfg.system == "wave" else 1)
+@pytest.fixture(scope="session")
+def wave_snap(wave_ref):
+    return wave_ref.snap  # the strided columns of the cached run
 
 
-def _variant_runs(cfg, system, dense, snap, r, variants=tuple(RomVariant)):
-    ref = _reference(cfg, system, dense, snap)
+@pytest.fixture(scope="session")
+def kdv_snap(kdv_ref):
+    return kdv_ref.snap  # the strided columns of the cached run
+
+
+def _variant_runs(cfg, ref, r, variants=tuple(RomVariant)):
     specs = [RomSpec(variant=variant, r=r) for variant in variants]
     out = {}
     for spec, (report, traj) in zip(specs, _run_all(cfg, ref, specs)):
@@ -105,27 +127,25 @@ def _variant_runs(cfg, system, dense, snap, r, variants=tuple(RomVariant)):
 
 
 @pytest.fixture(scope="session")
-def wave_table1(wave_cfg, wave_system, wave_dense, wave_snap):
+def wave_table1(wave_cfg, wave_ref):
     """All four reduced variants of the wave benchmark at r=5."""
-    return _variant_runs(wave_cfg, wave_system, wave_dense, wave_snap, r=5)
+    return _variant_runs(wave_cfg, wave_ref, r=5)
 
 
 @pytest.fixture(scope="session")
-def wave_r20(wave_cfg, wave_system, wave_dense, wave_snap):
-    return _variant_runs(wave_cfg, wave_system, wave_dense, wave_snap, r=20,
-                         variants=(RomVariant.GROM, RomVariant.SP0))
+def wave_r20(wave_cfg, wave_ref):
+    return _variant_runs(wave_cfg, wave_ref, r=20, variants=(RomVariant.GROM, RomVariant.SP0))
 
 
 @pytest.fixture(scope="session")
-def kdv_table2(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
+def kdv_table2(kdv_cfg, kdv_ref):
     """All four reduced variants of the KdV benchmark at r=40."""
-    return _variant_runs(kdv_cfg, kdv_system, kdv_dense, kdv_snap, r=40)
+    return _variant_runs(kdv_cfg, kdv_ref, r=40)
 
 
 @pytest.fixture(scope="session")
-def kdv_r60(kdv_cfg, kdv_system, kdv_dense, kdv_snap):
-    return _variant_runs(kdv_cfg, kdv_system, kdv_dense, kdv_snap, r=60,
-                         variants=(RomVariant.GROM, RomVariant.SP0))
+def kdv_r60(kdv_cfg, kdv_ref):
+    return _variant_runs(kdv_cfg, kdv_ref, r=60, variants=(RomVariant.GROM, RomVariant.SP0))
 
 
 @pytest.fixture(scope="session")

@@ -261,7 +261,7 @@ def test_criterion_10_kdv_table_r40(kdv_table2, kdv_cfg, kdv_system, kdv_dense, 
     values are still printed.  Analysis and measurements: docs/decisions.md.
     """
     flow = kdv_system[0]
-    u0 = kdv_dense.states[:, 0]
+    u0 = kdv_snap.states[:, 0]
     failures = []
     e = {}
     for variant, target in E_INF_TARGETS_KDV_R40.items():

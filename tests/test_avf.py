@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import march
 
 from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
@@ -364,9 +365,9 @@ class TestBenchmarkRuns:
         # tight solves must stay cheap on the benchmark configuration
         assert kdv_dense.max_picard_iterations <= 10
 
-    def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_dense):
+    def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_snap):
         _, u0, _ = kdv_system
-        assert np.array_equal(kdv_dense.states[:, 0], u0)
+        assert np.array_equal(kdv_snap.states[:, 0], u0)
 
 
 def _reference_predictor(flow, dt):
@@ -458,16 +459,6 @@ def _full_newton_march(flow, u, dt, steps, tol=1e-12):
     return np.array(states), counts
 
 
-def _stepper_march(flow, u, dt, steps):
-    stepper = AvfStepper(flow, dt)
-    states, counts = [], []
-    for k in range(1, steps + 1):
-        u = stepper.step(u, step_index=k)
-        states.append(u)
-        counts.append(stepper.last_iterations)
-    return np.array(states), counts
-
-
 class TestReferencePaths:
     """The flattened Picard loop and the chord Newton loop against the
     iterations they replaced, on a tiny KdV model (n = 64, 50 steps)."""
@@ -477,7 +468,7 @@ class TestReferencePaths:
 
     def test_fourier_picard_is_bit_identical(self):
         flow, u0 = build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
-        states, counts = _stepper_march(flow, u0, self.DT, self.STEPS)
+        states, counts = march(flow, u0, self.DT, self.STEPS)
         ref_states, ref_counts = _fourier_picard_march(flow, u0, self.DT, self.STEPS)
         assert np.array_equal(states, ref_states)
         assert counts == ref_counts
@@ -489,7 +480,7 @@ class TestReferencePaths:
         basis = compute_basis(collect_snapshots(integrate(fom, u0, scheme), fom), 8)
         rom = reduce_operators(fom, basis, variant).flow
         a0 = basis.phi.T @ u0
-        states, counts = _stepper_march(rom, a0, self.DT, self.STEPS)
+        states, counts = march(rom, a0, self.DT, self.STEPS)
         ref_states, ref_counts = _full_newton_march(rom, a0, self.DT, self.STEPS)
         assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
         assert sum(counts) <= sum(ref_counts)

@@ -164,6 +164,24 @@ class TestConfig:
         fom_trajectory(from_text)
         assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
 
+    def test_cache_key_canonical_in_integer_fields(self):
+        # a NumPy integer is the same run as the Python int of its value
+        preset = table_preset(1)
+        cfg = replace(preset, n=np.int64(500), stride=np.int32(50))
+        assert cfg.cache_key() == preset.cache_key()
+        assert type(cfg.n) is int and type(cfg.stride) is int
+        spec = RomSpec(RomVariant.SP0, np.int64(5))
+        assert type(spec.r) is int and spec == RomSpec(RomVariant.SP0, 5)
+
+    def test_non_integer_count_rejected(self):
+        # n=500.0 used to pass here and fail with a TypeError in build_system
+        preset = table_preset(1)
+        for name in ("n", "stride"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                replace(preset, **{name: float(getattr(preset, name))})
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            RomSpec(RomVariant.SP0, 5.0)
+
     def test_table_presets(self):
         assert table_preset(1).system == "wave"
         assert table_preset(2).system == "kdv"

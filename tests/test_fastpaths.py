@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import march
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -96,25 +97,18 @@ def _picard_march(flow, u, dt, steps):
     return u, iterations
 
 
-def _march(flow, u, dt, steps):
-    """Final state and per-step iteration counts of ``steps`` AVF steps."""
-    stepper = AvfStepper(flow, dt)
-    iterations = []
-    for k in range(1, steps + 1):
-        u = stepper.step(u, step_index=k)
-        iterations.append(stepper.last_iterations)
-    return u, iterations
-
-
 class TestQuadraticTerms:
-    # a tensor term has no jacobian method: the dense maps fold it
-    @pytest.mark.parametrize("kind", ("diagonal", "projected"))
+    @pytest.mark.parametrize("kind", QUADRATICS)
     def test_jacobian_is_the_matrix_of_the_second_slot(self, kind):
-        rng = np.random.default_rng(11)
-        quad = _quadratic(kind, rng, 7, 0.8)
+        # K(a) = dt S J2(a) / 3 of the dense maps: the folded tensor of a
+        # tensor term, the block eval against the identity of the others
+        dt = 0.05
+        flow = _skew_flow(11, 7, quadratic=kind, coeff=0.8)
+        rng = np.random.default_rng(12)
         a, v = rng.standard_normal(7), rng.standard_normal(7)
-        expected = quad.eval(a, v)
-        assert np.abs(quad.jacobian(a) @ v - expected).max() <= 1e-13 * np.abs(expected).max()
+        expected = dt * flow.structure @ flow.quadratic.eval(a, v) / 3.0
+        got = avf._DenseMaps(flow, dt).jacobian(a) @ v
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("kind", QUADRATICS)
     def test_block_eval_is_columnwise(self, kind):
@@ -154,7 +148,8 @@ class TestNewton:
     def test_matches_picard(self, dim, kind, coeff, dt, seed):
         flow = _skew_flow(seed, dim, quadratic=kind, coeff=coeff)
         u0 = 0.2 * np.random.default_rng(seed + 1).standard_normal(dim)
-        newton, newton_iters = _march(flow, u0, dt, 20)
+        newton_states, newton_iters = march(flow, u0, dt, 20)
+        newton = newton_states[-1]
         picard, picard_iters = _picard_march(flow, u0, dt, 20)
         assert np.abs(newton - picard).max() <= 1e-10 * np.abs(picard).max()
         # quadratic convergence: at most four iterations per step, where the
@@ -207,17 +202,6 @@ class TestNewton:
 class TestBlockPropagation:
     """A dense linear flow is integrated from stacked propagator powers."""
 
-    @staticmethod
-    def _per_step(flow, u0, dt, steps, stride):
-        """Recorded states of ``steps`` single LU steps of the AVF system."""
-        stepper = AvfStepper(flow, dt)
-        recorded, u = [u0], u0
-        for k in range(1, steps + 1):
-            u = stepper.step(u, step_index=k)
-            if k % stride == 0:
-                recorded.append(u)
-        return np.column_stack(recorded)
-
     @PROPERTY
     @given(
         dim=st.integers(1, 12),
@@ -240,7 +224,7 @@ class TestBlockPropagation:
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(avf, "_ENERGY_BLOCK_ENTRIES", entries)
             traj = integrate(flow, u0, AvfScheme(dt=dt, t_end=dt * steps, snapshot_stride=stride))
-        reference = self._per_step(flow, u0, dt, steps, stride)
+        reference = np.vstack([u0, march(flow, u0, dt, steps)[0][stride - 1 :: stride]]).T
         assert traj.states.shape == reference.shape
         assert np.array_equal(traj.states[:, 0], u0)
         assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()

@@ -1,21 +1,22 @@
 """The Fourier-mode path of periodic-stencil flows and the basis memo.
 
-Flows whose S and G1 are periodic stencils step per Fourier mode; such a flow
-with a constant term g0 is rejected.
+Flows whose S and G1 are periodic stencils step per Fourier mode, checked
+against the steps of dense copies of the same operators; such a flow with a
+constant term g0, or on more than two fields, is rejected.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import densified
+from conftest import densified, march
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamrom import avf, experiments, pod
 from hamrom.avf import AvfScheme, AvfStepper, integrate
 from hamrom.experiments import ExperimentConfig, RomSpec, mu_sweep, run_experiment
-from hamrom.linalg import SingularMatrixError
+from hamrom.linalg import PIVOT_TOL, LuFactorization, SingularMatrixError
 from hamrom.rom import RomVariant
 from hamrom.systems import (
     Grid1D,
@@ -24,6 +25,7 @@ from hamrom.systems import (
     TensorQuadratic,
     build_kdv_fom,
     build_wave_fom,
+    kdv_initial,
     laplacian_matrix,
 )
 
@@ -43,11 +45,52 @@ def _circulant_flow(fields, n, seed, constant=False):
     return replace(flow, constant=g0)
 
 
-def _steps(flow, u, dt, count):
-    stepper = AvfStepper(flow, dt)
-    for k in range(1, count + 1):
-        u = stepper.step(u, step_index=k)
-    return u
+def _constant_stencil(matrix, n):
+    """The periodic stencil on b fields of ``n`` points whose every block is a
+    multiple of the identity: its symbol is the b x b ``matrix`` on every mode."""
+    columns = np.zeros(np.shape(matrix) + (n,))
+    columns[..., 0] = matrix
+    return PeriodicStencil(columns)
+
+
+def _accepts(flow, dt):
+    """Whether the flow's maps take its ``I - A`` as nonsingular."""
+    try:
+        AvfStepper(flow, dt)
+    except SingularMatrixError:
+        return False
+    return True
+
+
+def _assert_paths_agree(flow, u0, dt):
+    modes = march(flow, u0, dt, 5)[0][-1]
+    reference = march(densified(flow), u0, dt, 5)[0][-1]
+    assert np.abs(modes - reference).max() <= 1e-11 * np.abs(reference).max()
+
+
+class TestStepperPaths:
+    @PROPERTY
+    @given(
+        n=st.integers(8, 64),
+        alpha=st.floats(-6.0, 6.0),
+        rho=st.floats(-1.0, 1.0),
+        nu=st.floats(-1.5, 1.5),
+        dt=st.floats(1e-3, 0.05),
+    )
+    def test_kdv_stencil_matches_dense(self, n, alpha, rho, nu, dt):
+        grid = Grid1D(n=n, length=40.0, origin=-20.0)
+        _assert_paths_agree(build_kdv_fom(alpha, rho, nu, grid), kdv_initial(grid), dt)
+
+    @PROPERTY
+    @given(
+        n=st.integers(8, 64),
+        c=st.floats(0.05, 2.0),
+        dt=st.floats(1e-3, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wave_stencil_matches_dense(self, n, c, dt, seed):
+        u0 = np.random.default_rng(seed).standard_normal(2 * n)
+        _assert_paths_agree(build_wave_fom(c, Grid1D(n=n, length=1.0)), u0, dt)
 
 
 class TestDetection:
@@ -67,6 +110,21 @@ class TestDetection:
         with pytest.raises(ValueError, match="constant term"):
             AvfStepper(flow, 0.01)
         AvfStepper(densified(flow), 0.01)
+
+    def test_flow_on_three_fields_is_rejected(self):
+        # S = (2/dt) I and G1 = I - A make every mode's I - A the matrix A,
+        # whose pivots of partial pivoting are 1, 8.4e-15 and 3.93 against a
+        # threshold of 3.05e-14: the LU rejects it, while the two-field
+        # closed form min(first, |det| / first) = 3.3e-14 would pass it
+        A = np.array([[1.0, 1.0, 0.88], [1.0, 1.0 + 8.5e-15, 0.88], [-1.0, -1.0, 3.05]])
+        dt = 0.1
+        flow = PolyGradFlow(structure=_constant_stencil((2.0 / dt) * np.eye(3), 8),
+                            linear=_constant_stencil(np.eye(3) - A, 8))
+        with pytest.raises(ValueError, match="one or two fields"):
+            AvfStepper(flow, dt)
+        with pytest.raises(SingularMatrixError):
+            LuFactorization(A)
+        assert not _accepts(densified(flow), dt)
 
     def test_quadratic_flow_must_be_one_entrywise_field(self):
         # the Picard loop transforms one field and forms coeff u once per step
@@ -93,7 +151,7 @@ class TestModeSteps:
         flow = _circulant_flow(fields, n, seed)
         assert isinstance(AvfStepper(flow, dt)._maps, avf._FourierMaps)
         u0 = np.random.default_rng(seed + 1).standard_normal(flow.dim)
-        modes, dense = _steps(flow, u0, dt, 10), _steps(densified(flow), u0, dt, 10)
+        modes, dense = march(flow, u0, dt, 10)[0][-1], march(densified(flow), u0, dt, 10)[0][-1]
         assert np.abs(modes - dense).max() <= 1e-11 * np.abs(dense).max()
 
     @PROPERTY
@@ -119,16 +177,39 @@ class TestModeSteps:
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(avf, "_ENERGY_BLOCK_ENTRIES", entries)
             traj = integrate(flow, u0, AvfScheme(dt=dt, t_end=dt * steps, snapshot_stride=stride))
-        stepper, u, recorded = AvfStepper(flow, dt), u0, [u0]
-        for k in range(1, steps + 1):
-            u = stepper.step(u, step_index=k)
-            if k % stride == 0:
-                recorded.append(u)
-        reference = np.column_stack(recorded)
+        reference = np.vstack([u0, march(flow, u0, dt, steps)[0][stride - 1 :: stride]]).T
         assert traj.states.shape == reference.shape
         assert np.array_equal(traj.states[:, 0], u0)
         assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()
         assert traj.max_picard_iterations == 0
+
+    @pytest.mark.parametrize("factor", [0.95, 1.05])
+    @pytest.mark.parametrize("case", ["one field", "two fields", "two fields, rows swapped"])
+    def test_pivot_rule_is_the_lu_rule(self, case, factor):
+        # at dt = 2 with S = I a mode's I - A is I - G1's symbol; each case's
+        # smallest pivot of partial pivoting is about factor * PIVOT_TOL of
+        # its largest entry (rounded to the grid of doubles near 1)
+        t = factor * PIVOT_TOL
+        if case == "one field":
+            # a constant one-field symbol is its own scale, so the two modes
+            # of n = 2 differ: symbols g0 + g1 and g0 - g1 of G1 = [g0, g1]
+            g = np.full(2, (1.0 - t) / 2.0)
+            structure, linear = PeriodicStencil([[[1.0, 0.0]]]), PeriodicStencil(g[None, None])
+            modes = np.diag([1.0 - (g[0] + g[1]), 1.0 - (g[0] - g[1])])
+        else:  # the same symbol on every mode; pivots 1 and t, or 1 and -2t
+            modes = (np.array([[1.0, 1.0], [1.0, 1.0 + t]]) if case == "two fields"
+                     else np.array([[0.5, 1.0], [1.0, 2.0 + 4.0 * t]]))
+            structure = _constant_stencil(np.eye(2), 4)
+            linear = _constant_stencil(np.eye(2) - modes, 4)
+        flow = PolyGradFlow(structure=structure, linear=linear)
+        try:
+            LuFactorization(modes)  # the modes' matrices, block-diagonally (one if equal)
+            lu_accepts = True
+        except SingularMatrixError:
+            lu_accepts = False
+        assert _accepts(flow, 2.0) == lu_accepts == (factor > 1.0)
+        if case != "one field":  # the dense copy has the pivots of the one symbol
+            assert _accepts(densified(flow), 2.0) == lu_accepts
 
     def test_zero_pivot_mode_raises(self):
         # I - dt/2 S G1 with S the Laplacian and G1 = -I is 1 - dt L / 2 per

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from conftest import dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
+    PeriodicStencil,
     PolyGradFlow,
     TensorQuadratic,
     build_kdv_fom,
@@ -16,6 +20,8 @@ from hamrom.systems import (
     laplacian_matrix,
     wave_initial,
 )
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 class TestGrid:
@@ -320,3 +326,59 @@ class TestPolyGradFlow:
         flow = build_kdv_fom(-6.0, 0.0, -1.0, Grid1D(n=8, length=4.0))
         with pytest.raises(ValueError):
             eval_grad(flow, np.zeros(9))
+
+
+class TestPeriodicStencil:
+    @PROPERTY
+    @given(
+        fields=st.sampled_from([1, 2]),
+        n=st.integers(1, 40),
+        width=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_match_the_dense_copy(self, fields, n, width, seed):
+        # random columns with some zero entries; a vector or a (dim, k) block
+        rng = np.random.default_rng(seed)
+        columns = rng.standard_normal((fields, fields, n)) * (rng.random((fields, fields, n)) < 0.6)
+        op = PeriodicStencil(columns)
+        x = rng.standard_normal(fields * n if width is None else (fields * n, width))
+        for stencil, matrix in ((op, dense(op)), (op.T, dense(op).T)):
+            expected = matrix @ x
+            scale = max(np.abs(expected).max(), 1e-300)
+            assert (stencil @ x).shape == expected.shape
+            assert np.abs(stencil @ x - expected).max() <= 1e-14 * scale
+        assert np.array_equal(dense(op.T), dense(op).T)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (1, 2, 8), (2, 1, 8), (1, 1, 0)])
+    def test_rejects_columns_that_are_not_square_blocks(self, shape):
+        with pytest.raises(ValueError, match="columns"):
+            PeriodicStencil(np.zeros(shape))
+
+    def test_flow_rejects_mixed_and_foreign_operators(self):
+        grid = Grid1D(n=8, length=1.0)
+        D = central_diff_matrix(grid)
+        with pytest.raises(ValueError, match="both"):
+            PolyGradFlow(structure=scipy.sparse.csr_array(dense(D)),
+                         linear=scipy.sparse.eye_array(8, format="csr"))
+        with pytest.raises(ValueError, match="both"):
+            PolyGradFlow(structure=D, linear=np.eye(8))
+        # both (16, 16): D on two fields of 8 against an identity on one of 16
+        two_fields = PeriodicStencil(np.stack([np.stack([D.columns[0, 0]] * 2)] * 2))
+        one_field = PeriodicStencil(np.eye(1, 16)[None])
+        with pytest.raises(ValueError, match="field counts"):
+            PolyGradFlow(structure=two_fields, linear=one_field)
+
+
+class TestStorage:
+    @pytest.mark.parametrize("rho, nu", [(0.0, -1.0), (0.4, -1.0), (0.4, 0.0)])
+    def test_kdv_operators_are_stencils(self, rho, nu):
+        flow = build_kdv_fom(-6.0, rho, nu, Grid1D(n=50, length=40.0, origin=-20.0))
+        for op in (flow.structure, flow.linear):
+            assert isinstance(op, PeriodicStencil) and op.columns.shape == (1, 1, 50)
+            assert np.count_nonzero(op.columns) <= 3
+
+    def test_wave_operators_are_stencils(self):
+        flow = build_wave_fom(0.1, Grid1D(n=50, length=1.0))
+        for op in (flow.structure, flow.linear):
+            assert isinstance(op, PeriodicStencil) and op.columns.shape == (2, 2, 50)
+            assert np.count_nonzero(op.columns, axis=-1).max() <= 3
