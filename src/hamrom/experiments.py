@@ -49,8 +49,9 @@ from .pod import (
     enrich_with_ic_residual,
     sigma_tail,
     snapshot_frames,
+    weighted_basis,
 )
-from .rom import ReducedModel, RomVariant, reduce_operators, run_rom
+from .rom import ReducedModel, RomVariant, reduce_operators, run_rom, stack_bases
 from .systems import Grid1D, PolyGradFlow, build_kdv_fom, build_wave_fom, kdv_initial, wave_initial
 
 __all__ = [
@@ -95,11 +96,14 @@ FOM_SOLVER = _solver_tag(Path(__file__).parent)
 
 def _integer(name: str, value) -> int:
     """``value`` as a Python int, a NumPy integer too, so that one value has
-    one cache key; ValueError for anything that is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    one cache key; ValueError for anything that is not an integer, a bool
+    included."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -428,8 +432,11 @@ class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
     full-order flow, the every-step reference run, its snapshot view and the
     number of field row blocks (two for the wave, one for KdV).  ``bases``
-    memoizes the per-field POD bases by (mu, shifted, r).  As a context
-    manager it closes the stored reference when the block ends."""
+    memoizes the per-field POD bases by (mu, shifted, r), and ``stacks``
+    their block-diagonal stack by the same key.  ``unweighted`` keeps each
+    field's mu = 0 basis by (field, r) apart from them, so a sweep that
+    forgets every point's bases keeps it.  As a context manager it closes
+    the stored reference when the block ends."""
 
     flow: PolyGradFlow
     dense: _StoredRun
@@ -437,6 +444,8 @@ class _Reference:
     fields: int
     frames: Optional[tuple[SnapshotFrame, ...]] = None
     bases: dict[tuple[float, bool, int], tuple[PodBasis, ...]] = field(default_factory=dict)
+    stacks: dict[tuple[float, bool, int], np.ndarray] = field(default_factory=dict)
+    unweighted: dict[tuple[int, int], PodBasis] = field(default_factory=dict)
 
     def snapshot_sets(self, mu: float, shifted: bool) -> tuple[SnapshotSet, ...]:
         """One snapshot set per field.  Gradient-augmented sets (``mu > 0``)
@@ -453,11 +462,40 @@ class _Reference:
 
     def pod_bases(self, mu: float, shifted: bool, r: int) -> tuple[PodBasis, ...]:
         """One basis of ``r`` vectors per field, decomposed once per key:
-        G-ROM, SP-ROM-0 and SP-ROM-1 share theirs."""
+        G-ROM, SP-ROM-0 and SP-ROM-1 share theirs.  A field whose gradients
+        are an exact multiple of its states (:attr:`SnapshotFrame.multiple`)
+        takes no SVD for an unshifted ``mu > 0``: its basis is the mu = 0
+        one, weighted (:func:`hamrom.pod.weighted_basis`)."""
         key = (mu, shifted, r)
         if key not in self.bases:
-            self.bases[key] = tuple(compute_basis(s, r) for s in self.snapshot_sets(mu, shifted))
+            sets = self.snapshot_sets(mu, shifted)
+            if shifted:
+                self.bases[key] = tuple(compute_basis(s, r) for s in sets)
+            elif mu == 0:
+                self.bases[key] = tuple(self._unweighted(i, s, r) for i, s in enumerate(sets))
+            else:
+                self.bases[key] = tuple(
+                    compute_basis(s, r) if frame.multiple is None else
+                    weighted_basis(self._unweighted(i, None, r), frame.multiple, mu)
+                    for i, (s, frame) in enumerate(zip(sets, self.frames))
+                )
         return self.bases[key]
+
+    def _unweighted(self, i: int, snaps: Optional[SnapshotSet], r: int) -> PodBasis:
+        """The memoized mu = 0 basis of field ``i``, decomposed from ``snaps``
+        (assembled when None) on the first request."""
+        if (i, r) not in self.unweighted:
+            snaps = self.snapshot_sets(0.0, False)[i] if snaps is None else snaps
+            self.unweighted[i, r] = compute_basis(snaps, r)
+        return self.unweighted[i, r]
+
+    def basis_matrix(self, mu: float, shifted: bool, r: int) -> np.ndarray:
+        """The block-diagonal stack of :meth:`pod_bases`, built once per key,
+        so that every model reduced on those bases decodes through one array."""
+        key = (mu, shifted, r)
+        if key not in self.stacks:
+            self.stacks[key] = stack_bases(self.pod_bases(mu, shifted, r))
+        return self.stacks[key]
 
     def __enter__(self) -> "_Reference":
         return self
@@ -486,11 +524,13 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     """Reduced model for one ROM spec, snapshots taken from the reference's
     snapshot view.  One basis per field row block: a single block for KdV,
     two for the wave."""
-    bases = ref.pod_bases(spec.mu, spec.variant is RomVariant.SP2, spec.r)
+    key = (spec.mu, spec.variant is RomVariant.SP2, spec.r)
+    bases = ref.pod_bases(*key)
     if spec.variant is RomVariant.SP1:
         starts = np.split(ref.snap.states[:, 0], len(bases))
         bases = tuple(enrich_with_ic_residual(b, u0) for b, u0 in zip(bases, starts))
-    return reduce_operators(ref.flow, bases, spec.variant)
+        return reduce_operators(ref.flow, bases, spec.variant)
+    return reduce_operators(ref.flow, bases, spec.variant, basis_matrix=ref.basis_matrix(*key))
 
 
 def _attempt(cfg: ExperimentConfig, ref: _Reference,
@@ -505,6 +545,12 @@ def _attempt(cfg: ExperimentConfig, ref: _Reference,
     except (StepFailure, NumericalError) as exc:
         log.warning("%s r=%d failed at mu=%g: %s", spec.variant.value, spec.r, spec.mu, exc)
         return None
+
+
+def _held(attempt: Optional[tuple[ReducedModel, Trajectory, float]]) -> Optional[Trajectory]:
+    """The run of an attempt as a sweep or tail check holds it for the
+    comparison, which reads no energy series: without one."""
+    return None if attempt is None else replace(attempt[1], energies=None)
 
 
 def _compare(ref: _Reference, runs: Sequence[Optional[Trajectory]], compare) -> list:
@@ -615,9 +661,10 @@ def mu_sweep(
     runs = []
     with _references(cfg) as ref:
         for spec in specs:
-            attempt = _attempt(cfg, ref, spec)
-            runs.append(None if attempt is None else attempt[1])
-            ref.bases.clear()  # every weight is its own key: keep no basis past its point
+            runs.append(_held(_attempt(cfg, ref, spec)))
+            # every weight is its own key: keep no basis past its point
+            ref.bases.clear()
+            ref.stacks.clear()
         rows = sorted(zip([spec.mu for spec in specs], _e_inf(cfg, ref, runs)),
                       key=lambda row: row[0])
     write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
@@ -645,7 +692,7 @@ def tail_bound_check(
     with _references(cfg) as ref:
         for spec in specs:
             attempt = _attempt(cfg, ref, spec)
-            runs.append(None if attempt is None else attempt[1])
+            runs.append(_held(attempt))
             tails.append(None if attempt is None else
                          sum(sigma_tail(basis, spec.r) for basis in attempt[0].bases))
         errors = _compare(ref, runs, squared_errors)

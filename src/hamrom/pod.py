@@ -14,6 +14,13 @@ through it holds the coordinates ``Q^T Y(mu)`` and carries ``Q``, and
 :func:`compute_basis` lifts the SVD of the coordinates back with ``Q``.
 That gives the bases of the directly assembled set exactly (no Gram
 product), and a sweep over weights builds ``F`` and the frame once.
+
+A field whose gradients are an exact multiple of its states, ``F = c U`` bit
+for bit (the wave's momentum field, ``c = 1``), needs no SVD past ``mu = 0``:
+every unshifted ``Y(mu) = [U, mu c U]`` has ``Y Y^T = (1 + c^2 mu^2) U U^T``,
+so its POD basis is ``U``'s own with the spectrum scaled by
+``hypot(1, c mu)``.  The frame records ``c`` (:attr:`SnapshotFrame.multiple`)
+and :func:`weighted_basis` gives such a basis from the ``mu = 0`` one.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "projection_error",
     "sigma_tail",
     "snapshot_frames",
+    "weighted_basis",
 ]
 
 
@@ -73,13 +81,15 @@ class SnapshotFrame:
     rank: a cutoff relative to ``[U, F]`` would drop directions that a set
     with a small weight keeps.  ``states`` and ``grads`` are ``Q^T U`` and
     ``Q^T F``; ``reference`` is the field's initial state, the shift of
-    shifted sets.
+    shifted sets.  ``multiple`` is ``c`` when ``F == c U`` holds exactly
+    (see :func:`weighted_basis`), else None.
     """
 
     basis: np.ndarray
     states: np.ndarray
     grads: np.ndarray
     reference: np.ndarray
+    multiple: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,16 @@ def _assemble(traj: Trajectory, flow: PolyGradFlow, mu: float, shifted: bool):
     return np.hstack(blocks), ref
 
 
+def _exact_multiple(F: np.ndarray, U: np.ndarray) -> Optional[float]:
+    """``c`` with ``F == c * U`` entry for entry, or None.  The candidate is
+    the ratio at the largest ``|U|``; an all-zero ``U`` has none."""
+    k = np.argmax(np.abs(U))
+    if U.flat[k] == 0:
+        return None
+    c = F.flat[k] / U.flat[k]
+    return float(c) if np.array_equal(F, c * U) else None
+
+
 def snapshot_frames(
     traj: Trajectory, flow: PolyGradFlow, fields: int = 1
 ) -> tuple[SnapshotFrame, ...]:
@@ -140,7 +160,9 @@ def snapshot_frames(
 
     The gradients are evaluated once at all recorded states; each field's
     ``[U, F]`` is factored by a Householder QR (NumPy's, which shares its
-    BLAS with the SVD that follows).
+    BLAS with the SVD that follows).  Each frame also records whether its
+    field's gradients are an exact multiple of the states: no tolerance,
+    since the reused basis is exact only for an exact multiple.
     """
     states = traj.states
     if states.shape[1] == 0:
@@ -152,7 +174,7 @@ def snapshot_frames(
     for U, F in zip(np.split(states, fields), np.split(eval_grad(flow, states), fields)):
         q, r = np.linalg.qr(np.hstack([U, F]))
         frames.append(SnapshotFrame(basis=q, states=r[:, :m], grads=r[:, m:],
-                                    reference=U[:, 0].copy()))
+                                    reference=U[:, 0].copy(), multiple=_exact_multiple(F, U)))
     return tuple(frames)
 
 
@@ -225,6 +247,15 @@ def compute_basis(snaps: SnapshotSet, r: int) -> PodBasis:
         shifted_reference=snaps.reference,
         enriched=False,
     )
+
+
+def weighted_basis(unweighted: PodBasis, multiple: float, mu: float) -> PodBasis:
+    """The basis of the unshifted set ``[U, mu c U]`` (``c = multiple``) from
+    ``unweighted``, the basis of ``U`` alone: the same columns (not copied)
+    and the spectrum times ``hypot(1, c mu)``, at the same numerical rank."""
+    if unweighted.shifted_reference is not None or unweighted.enriched:
+        raise ValueError("only a plain basis of unshifted states can be weighted")
+    return PodBasis(phi=unweighted.phi, sigma=unweighted.sigma * np.hypot(1.0, multiple * mu))
 
 
 def projection_error(snaps: SnapshotSet, basis: PodBasis) -> float:

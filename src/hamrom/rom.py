@@ -37,7 +37,7 @@ from .systems import (
     eval_grad,
 )
 
-__all__ = ["ReducedModel", "RomVariant", "encode", "reduce_operators", "run_rom"]
+__all__ = ["ReducedModel", "RomVariant", "encode", "reduce_operators", "run_rom", "stack_bases"]
 
 
 class RomVariant(enum.Enum):
@@ -102,10 +102,24 @@ def _reduced_tensors(lefts, phi: np.ndarray, coeff: float) -> list[TensorQuadrat
     return out
 
 
+def stack_bases(bases: Sequence[PodBasis]) -> np.ndarray:
+    """The column-major block-diagonal stack of per-field bases; one basis
+    is its own ``phi``, not a copy."""
+    if len(bases) == 1:
+        return bases[0].phi
+    phi = np.zeros((sum(b.phi.shape[0] for b in bases), sum(b.r for b in bases)), order="F")
+    row = col = 0
+    for b in bases:
+        phi[row : row + b.phi.shape[0], col : col + b.r] = b.phi
+        row, col = row + b.phi.shape[0], col + b.r
+    return phi
+
+
 def reduce_operators(
     fom: PolyGradFlow,
     basis: Union[PodBasis, Sequence[PodBasis]],
     variant: RomVariant,
+    basis_matrix: Optional[np.ndarray] = None,
 ) -> ReducedModel:
     """Assemble the reduced operators of ``fom`` for the requested variant.
 
@@ -118,6 +132,10 @@ def reduce_operators(
     model's weight (and ``H(u0)`` as SP-ROM-2's shift).  The SP variants
     step them with ``S_r = Phi^T S Phi``; G-ROM keeps them as its
     ``energy_terms`` and steps the same terms projected by ``Phi^T S``.
+
+    ``basis_matrix`` is :func:`stack_bases` of the bases when the caller
+    holds it already; the model keeps it as is, so models reduced on the same
+    bases decode through one array.
 
     Raises ``ValueError`` on variant/basis mismatches: SP1 needs
     enrichment-processed bases, SP2 needs shifted-snapshot bases, and shifted
@@ -134,13 +152,7 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = bases[0].phi
-    if len(bases) > 1:  # the block-diagonal stack, column-major as each basis is
-        phi = np.zeros((sum(b.phi.shape[0] for b in bases), sum(b.r for b in bases)), order="F")
-        row = col = 0
-        for b in bases:
-            phi[row : row + b.phi.shape[0], col : col + b.r] = b.phi
-            row, col = row + b.phi.shape[0], col + b.r
+    phi = stack_bases(bases) if basis_matrix is None else basis_matrix
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"
@@ -199,9 +211,9 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory
     models, whose offset is that state, it encodes to zero coefficients).
     The result's ``states`` are the r x m reduced coefficients at the
     recording times, and it carries the decode map: ``basis`` is the
-    model's column-major ``basis_matrix`` itself (for a single-field model
-    the :class:`PodBasis` ``phi``, shared with every model reduced on that
-    basis, not a copy) and ``offset`` its ``decode_offset``.
+    model's column-major ``basis_matrix`` itself, not a copy (for a
+    single-field model the :class:`PodBasis` ``phi``) and ``offset`` its
+    ``decode_offset``.
     :meth:`Trajectory.full_states` decodes a block of columns, as the error
     metrics do.  The energy series is the reduced energy polynomial at every
     step, equal to the full-order energy of the decoded state up to rounding.

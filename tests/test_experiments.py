@@ -182,6 +182,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="dimension must be an integer"):
             RomSpec(RomVariant.SP0, 5.0)
 
+    def test_bool_count_rejected(self):
+        # a bool passes operator.index: stride=True used to give stride 1
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            replace(table_preset(1), stride=True)
+
+    def test_bool_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            RomSpec(RomVariant.SP0, True)
+
     def test_table_presets(self):
         assert table_preset(1).system == "wave"
         assert table_preset(2).system == "kdv"
@@ -526,7 +535,7 @@ class TestRunExperiment:
 
     def test_build_errors_propagate(self, tmp_path, monkeypatch):
         # a ValueError in the model build is a programming error, not a failed row
-        def broken(flow, bases, variant):
+        def broken(flow, bases, variant, basis_matrix=None):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)
@@ -561,6 +570,8 @@ class TestRunExperiment:
         with experiments._references(wave) as ref:
             runs += [run for _, run in experiments._run_all(wave, ref, wave.roms)]
         assert len(runs) == 8 and all(run.basis.flags.f_contiguous for run in runs)
+        # the two wave field bases are stacked once for G-ROM and SP-ROM-0
+        assert runs[4].basis is runs[5].basis
 
 
 class TestSweep:
@@ -632,6 +643,21 @@ class TestSweep:
         assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
         assert (tmp_path / "out" / "sweep_mu_sp0_r2.csv").read_text().count("nan") == 1
 
+    def test_held_runs_carry_no_energies(self, tmp_path, monkeypatch):
+        # the comparison reads states and times only
+        compared, compare = [], experiments._compare
+
+        def recording(ref, runs, metric):
+            compared.extend(runs)
+            return compare(ref, runs, metric)
+
+        monkeypatch.setattr(experiments, "_compare", recording)
+        cfg = tiny_wave_cfg(tmp_path / "out", roms=())
+        rows = mu_sweep(cfg, mu_grid=[0.0, 0.1], variant=RomVariant.SP0, r=2)
+        rows += tail_bound_check(cfg, [1, 2])
+        assert len(compared) == 4 and all(run.energies is None for run in compared)
+        assert all(np.isfinite(row[1]) for row in rows)
+
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_sweep_holds_no_every_step_reference(self, tmp_path, cache):
         # 5000 steps of 256 unknowns: a 10.2 MB every-step reference; each of
@@ -675,7 +701,7 @@ class TestTailCheck:
         assert (tmp_path / "out" / "tail_check.csv").read_text().count("nan") == 3
 
     def test_other_errors_propagate(self, tmp_path, monkeypatch):
-        def broken(flow, bases, variant):
+        def broken(flow, bases, variant, basis_matrix=None):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)
@@ -823,7 +849,7 @@ class TestCli:
 
     def test_run_errors_propagate(self, tmp_path, monkeypatch):
         # an error inside the run is a programming error, not a usage error
-        def broken(flow, bases, variant):
+        def broken(flow, bases, variant, basis_matrix=None):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)

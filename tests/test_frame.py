@@ -18,6 +18,7 @@ from hamrom.experiments import (
     mu_sweep,
     run_experiment,
 )
+from hamrom.linalg import thin_svd_snapshots
 from hamrom.metrics import e_inf_scalar, e_inf_wave
 from hamrom.pod import (
     collect_snapshots,
@@ -30,6 +31,8 @@ from hamrom.rom import RomVariant, reduce_operators, run_rom
 from hamrom.systems import PolyGradFlow
 
 PROPERTY = settings(max_examples=60, deadline=None)
+# the same examples on every run
+DERANDOMIZED = settings(PROPERTY, derandomize=True)
 
 
 def _orthonormal(rng, n, k):
@@ -62,9 +65,47 @@ def _sets(traj, flow, fields, mu, shifted, frames=None):
     return (collect_snapshots(traj, flow, mu, shifted, frame=frames and frames[0]),)
 
 
+def _multiple_case(seed, fields, rows, m, decades, c):
+    """States as in :func:`_random_case` and gradients exactly ``c`` times them."""
+    traj, _ = _random_case(seed, fields, rows, m, decades, 1.0)
+    n = fields * rows
+    return traj, PolyGradFlow(structure=np.eye(n), linear=c * np.eye(n))
+
+
 def _subspace_gap(a, b):
     """Sine of the largest principal angle between two orthonormal column sets."""
     return np.linalg.norm(b - a @ (a.T @ b), 2)
+
+
+def _assert_same_basis(a, b):
+    """``b`` has the retained rank of the direct basis ``a``, its spectrum to
+    1e-13 sigma_1 and, between well-separated singular values, its leading
+    subspaces."""
+    assert b.sigma.size == a.sigma.size
+    sigma = a.sigma
+    assert np.abs(b.sigma - sigma).max() <= 1e-13 * sigma[0]
+    for r in range(1, a.r):
+        if sigma[r - 1] / sigma[r] < 1.01:
+            continue
+        # a backward-stable SVD fixes the r-subspace only to about
+        # eps * sigma_1 / (sigma_r - sigma_{r+1}): 1e-12 where that
+        # condition is at most 10, the bound with 450 eps beyond
+        condition = sigma[0] / (sigma[r - 1] - sigma[r])
+        gap = _subspace_gap(a.phi[:, :r], b.phi[:, :r])
+        assert gap <= 1e-12 * max(1.0, condition / 10.0)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The snapshot SVDs taken from here on, one entry per call."""
+    calls = []
+
+    def counting(Y):
+        calls.append(Y.shape)
+        return thin_svd_snapshots(Y)
+
+    monkeypatch.setattr(pod, "thin_svd_snapshots", counting)
+    return calls
 
 
 class TestFrameMatchesDirectSvd:
@@ -87,19 +128,8 @@ class TestFrameMatchesDirectSvd:
                                   _sets(traj, flow, fields, mu, shifted, frames)):
             d = compute_basis(direct, 1).sigma.size
             a, b = compute_basis(direct, d), compute_basis(framed, d)
-            assert b.sigma.size == d
-            sigma = a.sigma
-            assert np.abs(b.sigma - sigma).max() <= 1e-13 * sigma[0]
-            assert projection_error(framed, b) <= 1e-20 + 1e-24 * np.sum(sigma**2)
-            for r in range(1, d):
-                if sigma[r - 1] / sigma[r] < 1.01:
-                    continue
-                # a backward-stable SVD fixes the r-subspace only to about
-                # eps * sigma_1 / (sigma_r - sigma_{r+1}): 1e-12 where that
-                # condition is at most 10, the bound with 450 eps beyond
-                condition = sigma[0] / (sigma[r - 1] - sigma[r])
-                gap = _subspace_gap(a.phi[:, :r], b.phi[:, :r])
-                assert gap <= 1e-12 * max(1.0, condition / 10.0)
+            _assert_same_basis(a, b)
+            assert projection_error(framed, b) <= 1e-20 + 1e-24 * np.sum(a.sigma**2)
 
     def test_rank_deficient_pair_keeps_every_column(self):
         # gradients exactly -2x the states (the KdV sets are so to 1e-4):
@@ -131,6 +161,61 @@ class TestFrameMatchesDirectSvd:
         traj, flow = _random_case(3, 1, 9, 3, 1.0, 1.0)
         with pytest.raises(ValueError, match="split"):
             snapshot_frames(traj, flow, 2)
+
+
+def _reference(traj, flow, fields):
+    """The prelude's object on a recorded trajectory, without a stored run."""
+    return experiments._Reference(flow=flow, dense=None, snap=traj, fields=fields)
+
+
+class TestMultipleGradients:
+    """Gradients exactly ``c`` times the states: every unshifted weighted
+    basis is the mu = 0 one, its spectrum scaled by ``hypot(1, c mu)``."""
+
+    @DERANDOMIZED
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fields=st.sampled_from([1, 2]),
+        rows=st.integers(6, 40),
+        m=st.integers(2, 12),
+        decades=st.floats(0.0, 4.0),
+        c=st.sampled_from([1.0, -2.0, 0.5]),
+        mu=st.floats(0.0, 10.0),
+    )
+    def test_reused_basis_matches_direct_svd(self, seed, fields, rows, m, decades, c, mu):
+        traj, flow = _multiple_case(seed, fields, rows, m, decades, c)
+        direct = _sets(traj, flow, fields, mu, False)
+        d = min(compute_basis(s, 1).sigma.size for s in direct)
+        ref = _reference(traj, flow, fields)
+        reused = ref.pod_bases(mu, False, d)
+        if mu > 0:
+            assert [frame.multiple for frame in ref.frames] == [c] * fields
+            assert all(b.phi is ref.unweighted[i, d].phi for i, b in enumerate(reused))
+        for snaps, b in zip(direct, reused):
+            _assert_same_basis(compute_basis(snaps, d), b)
+
+    def test_multiple_is_exact(self):
+        traj, flow = _multiple_case(5, 1, 12, 5, 1.0, -2.0)
+        assert snapshot_frames(traj, flow)[0].multiple == -2.0
+        linear = flow.linear.copy()
+        linear[3, 3] = np.nextafter(-2.0, 0.0)  # one entry one ulp off
+        off = PolyGradFlow(structure=flow.structure, linear=linear)
+        assert snapshot_frames(traj, off)[0].multiple is None
+        assert snapshot_frames(*_random_case(5, 1, 12, 5, 1.0, 1.0))[0].multiple is None
+
+    @pytest.mark.parametrize("case, shifted", [
+        (lambda: _multiple_case(4, 2, 10, 5, 1.0, 1.0), True),
+        (lambda: _random_case(4, 2, 10, 5, 1.0, 1.0), False),
+        (lambda: _random_case(4, 2, 10, 5, 1.0, 1.0), True),
+    ], ids=["multiple-shifted", "other-unshifted", "other-shifted"])
+    def test_other_sets_keep_the_frame(self, case, shifted, svd_calls):
+        traj, flow = case()
+        ref = _reference(traj, flow, 2)
+        bases = ref.pod_bases(0.5, shifted, 3)
+        assert len(svd_calls) == 2 and not ref.unweighted
+        for snaps, basis in zip(_sets(traj, flow, 2, 0.5, shifted, ref.frames), bases):
+            assert snaps.frame is not None
+            assert np.array_equal(basis.phi, compute_basis(snaps, 3).phi)
 
 
 # -- end to end: mu_sweep on the frame against direct point-by-point bases ------
@@ -198,3 +283,28 @@ class TestSweepOnTheFrame:
         cfg = replace(tiny_wave(tmp_path / "out"), roms=roms)
         assert not any(report.failed for report in run_experiment(cfg))
         assert counted == {"eval_grad": 0, "snapshot_frames": 0}
+
+
+class TestSweepSvdCount:
+    @pytest.mark.parametrize("make_cfg, r, extra", [
+        (tiny_wave, 2, 1),  # the momentum field: its mu = 0 basis only
+        (tiny_kdv, 3, 0),
+    ], ids=["wave", "kdv"])
+    def test_svds_per_sweep(self, tmp_path, svd_calls, make_cfg, r, extra):
+        # no mu = 0 point: the first weight decomposes the momentum field's
+        # unweighted set (a grid with mu = 0 is TestBasisMemo's in test_fourier.py)
+        grid = [0.05, 0.1, 0.2]
+        cfg = make_cfg(tmp_path / "out")
+        rows = mu_sweep(cfg, mu_grid=grid, variant=RomVariant.SP0, r=r)
+        assert all(np.isfinite(e) for _, e in rows)
+        assert len(svd_calls) == len(grid) + extra
+
+    @pytest.mark.parametrize("make_cfg, multiples", [
+        (tiny_wave, [None, 1.0]),  # displacement, momentum
+        (tiny_kdv, [None]),
+    ], ids=["wave", "kdv"])
+    def test_only_the_momentum_field_is_a_multiple(self, tmp_path, make_cfg, multiples):
+        cfg = make_cfg(tmp_path / "out")
+        flow, _, _ = build_system(cfg)
+        frames = snapshot_frames(fom_trajectory(cfg), flow, len(multiples))
+        assert [frame.multiple for frame in frames] == multiples
