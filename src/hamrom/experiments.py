@@ -9,6 +9,11 @@ A configuration has one full-order reference: the run recorded at every
 step, which is all the cache stores.  It lives only in its cache file (or,
 when the cache cannot be written, in an anonymous temporary file): runs read
 its snapshot-strided columns, and the comparisons read it block by block.
+
+A table, a sweep and a tail check work in three phases (:func:`_run_compared`):
+the POD bases on a pool of workers, the reduced runs on the caller, the
+comparisons on the workers, with every loaded OpenBLAS pinned to one thread
+meanwhile.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import hashlib
 import logging
 import operator
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,15 +44,22 @@ from .fileio import (
     write_sweep_csv,
     write_tail_csv,
 )
-from .linalg import NumericalError
-from .metrics import RomReport, e_inf_scalar, e_inf_wave, energy_report, squared_errors
+from .linalg import NumericalError, bind_lapack, one_blas_thread
+from .metrics import (
+    RomReport,
+    e_inf_scalar,
+    e_inf_wave,
+    energy_report,
+    side_by_side_passes,
+    squared_errors,
+)
 from .pod import (
     PodBasis,
     SnapshotFrame,
     SnapshotSet,
     collect_snapshots,
     collect_wave_snapshots,
-    compute_basis,
+    decompose,
     enrich_with_ic_residual,
     sigma_tail,
     snapshot_frames,
@@ -427,25 +441,59 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     return traj
 
 
+# a basis, or the bases of every field, of one size; or the NumericalError
+# that building them raised, memoized in their place
+_Built = Union[PodBasis, tuple[PodBasis, ...], NumericalError]
+
+
+def _cut(snaps: SnapshotSet, sizes: Iterable[int]) -> dict[int, _Built]:
+    """The basis of every size in ``sizes`` of one snapshot set, all cut from
+    one SVD; the NumericalError of a size that failed in its place."""
+    try:
+        svd = decompose(snaps)
+    except NumericalError as exc:
+        return dict.fromkeys(sizes, exc)
+    out = {}
+    for r in sizes:
+        try:
+            out[r] = svd.basis(r)
+        except NumericalError as exc:
+            out[r] = exc
+    return out
+
+
 @dataclass
 class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
     full-order flow, the every-step reference run, its snapshot view and the
-    number of field row blocks (two for the wave, one for KdV).  ``bases``
-    memoizes the per-field POD bases by (mu, shifted, r), and ``stacks``
-    their block-diagonal stack by the same key.  ``unweighted`` keeps each
-    field's mu = 0 basis by (field, r) apart from them, so a sweep that
-    forgets every point's bases keeps it.  As a context manager it closes
-    the stored reference when the block ends."""
+    number of field row blocks (two for the wave, one for KdV).
+
+    ``bases`` memoizes the per-field POD bases by (mu, shifted, r), and
+    ``stacks`` their block-diagonal stack by the same key; a size that
+    failed memoizes its NumericalError.  ``unweighted`` keeps by (field, r)
+    the mu = 0 bases of each field whose gradients are a multiple of its
+    states, which every unshifted weight of that field reuses.  While the
+    phases of :func:`_run_compared` run, ``pool`` holds their ``workers``;
+    otherwise everything runs on the caller.  As a context manager it
+    closes the stored reference when the block ends."""
 
     flow: PolyGradFlow
     dense: _StoredRun
     snap: Trajectory
     fields: int
     frames: Optional[tuple[SnapshotFrame, ...]] = None
-    bases: dict[tuple[float, bool, int], tuple[PodBasis, ...]] = field(default_factory=dict)
+    bases: dict[tuple[float, bool, int], _Built] = field(default_factory=dict)
     stacks: dict[tuple[float, bool, int], np.ndarray] = field(default_factory=dict)
-    unweighted: dict[tuple[int, int], PodBasis] = field(default_factory=dict)
+    unweighted: dict[tuple[int, int], _Built] = field(default_factory=dict)
+    pool: Optional[ThreadPoolExecutor] = None
+    workers: int = 1
+
+    def map(self, fn, items: Sequence) -> list:
+        """``fn`` of every item: on the workers when there is a pool and more
+        than one item, else on the caller."""
+        if self.pool is None or len(items) < 2:
+            return [fn(item) for item in items]
+        return list(self.pool.map(fn, items))
 
     def snapshot_sets(self, mu: float, shifted: bool) -> tuple[SnapshotSet, ...]:
         """One snapshot set per field.  Gradient-augmented sets (``mu > 0``)
@@ -460,34 +508,85 @@ class _Reference:
         frame = self.frames[0] if self.frames else None
         return (collect_snapshots(self.snap, self.flow, mu=mu, shifted=shifted, frame=frame),)
 
+    def _reuses(self, i: int, shifted: bool) -> bool:
+        """Whether field ``i`` takes its unshifted bases from ``unweighted``:
+        its gradients are an exact multiple of its states
+        (:attr:`SnapshotFrame.multiple`), so that every unshifted weight's
+        basis is the mu = 0 one, weighted (:func:`hamrom.pod.weighted_basis`)."""
+        return not shifted and self.frames is not None and self.frames[i].multiple is not None
+
+    def build_bases(self, keys: Iterable[tuple[float, bool, int]]) -> None:
+        """Memoize the bases of every ``(mu, shifted, r)`` key not memoized
+        yet: one SVD per field and distinct ``(mu, shifted)``, whatever the
+        sizes.  What the sets share is built first, on the caller: the
+        frames, and the mu = 0 bases of every field that reuses them.
+
+        The mu = 0 sets, assembled on the grid's rows, are decomposed on the
+        caller one after another: two of Table 2's 2000x201 SVDs side by
+        side raised its peak memory by up to 13%.  Each weight's sets, in
+        frame coordinates of at most twice as many rows as snapshots
+        whatever the grid, are decomposed on a worker.  The caller
+        memoizes the results in key order: no worker writes the memo."""
+        sizes: dict[tuple[float, bool], list[int]] = {}
+        for mu, shifted, r in keys:
+            if (mu, shifted, r) not in self.bases and r not in sizes.get((mu, shifted), ()):
+                sizes.setdefault((mu, shifted), []).append(r)
+        if not sizes:
+            return
+        if self.frames is None and any(mu > 0 for mu, _ in sizes):
+            self.frames = snapshot_frames(self.snap, self.flow, self.fields)
+        unshifted = sorted({r for (_, shifted), rs in sizes.items() if not shifted for r in rs})
+        for i in range(self.fields):
+            missing = [r for r in unshifted if (i, r) not in self.unweighted]
+            if self._reuses(i, False) and missing:
+                snaps = self.snapshot_sets(0.0, False)[i]
+                self.unweighted.update(((i, r), b) for r, b in _cut(snaps, missing).items())
+        framed = [item for item in sizes.items() if item[0][0] > 0]
+        built = dict(zip([key for key, _ in framed], self.map(self._key_bases, framed)))
+        for key, rs in sizes.items():
+            by_size = built[key] if key in built else self._key_bases((key, rs))
+            self.bases.update(((*key, r), bases) for r, bases in by_size.items())
+
+    def _key_bases(self, item: tuple[tuple[float, bool], list[int]]) -> dict[int, _Built]:
+        """The bases of every size of one ``((mu, shifted), sizes)`` item, by
+        size, a field that reuses its mu = 0 bases weighting them; the first
+        NumericalError of a field in place of a size that failed.  Reads the
+        memo and writes none of it."""
+        (mu, shifted), sizes = item
+        per_field = [
+            {r: self._weighted(i, r, mu) for r in sizes} if self._reuses(i, shifted)
+            else _cut(snaps, sizes)
+            for i, snaps in enumerate(self.snapshot_sets(mu, shifted))
+        ]
+        out = {}
+        for r in sizes:
+            bases = tuple(built[r] for built in per_field)
+            out[r] = next((b for b in bases if isinstance(b, NumericalError)), bases)
+        return out
+
+    def _weighted(self, i: int, r: int, mu: float) -> _Built:
+        """The memoized mu = 0 basis of field ``i`` and size ``r``, weighted
+        for ``mu``."""
+        basis = self.unweighted[i, r]
+        if mu == 0 or isinstance(basis, NumericalError):
+            return basis
+        return weighted_basis(basis, self.frames[i].multiple, mu)
+
     def pod_bases(self, mu: float, shifted: bool, r: int) -> tuple[PodBasis, ...]:
-        """One basis of ``r`` vectors per field, decomposed once per key:
-        G-ROM, SP-ROM-0 and SP-ROM-1 share theirs.  A field whose gradients
-        are an exact multiple of its states (:attr:`SnapshotFrame.multiple`)
-        takes no SVD for an unshifted ``mu > 0``: its basis is the mu = 0
-        one, weighted (:func:`hamrom.pod.weighted_basis`)."""
+        """One basis of ``r`` vectors per field, decomposed once per key
+        (:meth:`build_bases`): G-ROM, SP-ROM-0 and SP-ROM-1 share theirs.
+        Raises the NumericalError of a size that failed."""
         key = (mu, shifted, r)
-        if key not in self.bases:
-            sets = self.snapshot_sets(mu, shifted)
-            if shifted:
-                self.bases[key] = tuple(compute_basis(s, r) for s in sets)
-            elif mu == 0:
-                self.bases[key] = tuple(self._unweighted(i, s, r) for i, s in enumerate(sets))
-            else:
-                self.bases[key] = tuple(
-                    compute_basis(s, r) if frame.multiple is None else
-                    weighted_basis(self._unweighted(i, None, r), frame.multiple, mu)
-                    for i, (s, frame) in enumerate(zip(sets, self.frames))
-                )
+        self.build_bases([key])
+        if isinstance(self.bases[key], NumericalError):
+            raise self.bases[key]
         return self.bases[key]
 
-    def _unweighted(self, i: int, snaps: Optional[SnapshotSet], r: int) -> PodBasis:
-        """The memoized mu = 0 basis of field ``i``, decomposed from ``snaps``
-        (assembled when None) on the first request."""
-        if (i, r) not in self.unweighted:
-            snaps = self.snapshot_sets(0.0, False)[i] if snaps is None else snaps
-            self.unweighted[i, r] = compute_basis(snaps, r)
-        return self.unweighted[i, r]
+    def forget_bases(self) -> None:
+        """Drop the frames and every memoized basis and stack."""
+        self.frames = None
+        for memo in (self.bases, self.stacks, self.unweighted):
+            memo.clear()
 
     def basis_matrix(self, mu: float, shifted: bool, r: int) -> np.ndarray:
         """The block-diagonal stack of :meth:`pod_bases`, built once per key,
@@ -520,11 +619,16 @@ def _references(cfg: ExperimentConfig) -> _Reference:
     return _Reference(flow=flow, dense=dense, snap=snap, fields=_fields(cfg))
 
 
+def _basis_key(spec: RomSpec) -> tuple[float, bool, int]:
+    """The (mu, shifted, r) of the bases a spec's model is reduced on."""
+    return spec.mu, spec.variant is RomVariant.SP2, spec.r
+
+
 def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     """Reduced model for one ROM spec, snapshots taken from the reference's
     snapshot view.  One basis per field row block: a single block for KdV,
     two for the wave."""
-    key = (spec.mu, spec.variant is RomVariant.SP2, spec.r)
+    key = _basis_key(spec)
     bases = ref.pod_bases(*key)
     if spec.variant is RomVariant.SP1:
         starts = np.split(ref.snap.states[:, 0], len(bases))
@@ -533,45 +637,88 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     return reduce_operators(ref.flow, bases, spec.variant, basis_matrix=ref.basis_matrix(*key))
 
 
-def _attempt(cfg: ExperimentConfig, ref: _Reference,
-             spec: RomSpec) -> Optional[tuple[ReducedModel, Trajectory, float]]:
-    """Build and run one ROM: the model, its run and the run's wall time in ms,
-    or None after a logged solver or rank failure.  Other errors propagate."""
+# what a table, sweep or tail check keeps of one model that ran: the per-field bases it was
+# reduced on, its run and the run's wall time in ms
+_Attempt = tuple[tuple[PodBasis, ...], Trajectory, float]
+
+
+def _attempt(cfg: ExperimentConfig, ref: _Reference, spec: RomSpec) -> Optional[_Attempt]:
+    """Build and run one ROM: its bases, its run and the run's wall time in
+    ms, or None after a logged solver or rank failure.  Other errors
+    propagate."""
     try:
         model = _build_rom(ref, spec)
         start = time.perf_counter()
         rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.snap.states[:, 0])
-        return model, rom_traj, 1e3 * (time.perf_counter() - start)
+        return model.bases, rom_traj, 1e3 * (time.perf_counter() - start)
     except (StepFailure, NumericalError) as exc:
         log.warning("%s r=%d failed at mu=%g: %s", spec.variant.value, spec.r, spec.mu, exc)
         return None
 
 
-def _held(attempt: Optional[tuple[ReducedModel, Trajectory, float]]) -> Optional[Trajectory]:
-    """The run of an attempt as a sweep or tail check holds it for the
-    comparison, which reads no energy series: without one."""
-    return None if attempt is None else replace(attempt[1], energies=None)
-
-
 def _compare(ref: _Reference, runs: Sequence[Optional[Trajectory]], compare) -> list:
     """``compare`` (:mod:`hamrom.metrics`) of each run against the every-step
-    reference, every run that ran in one pass over it; None for a failed run."""
-    values = iter(compare(ref.dense, [run for run in runs if run is not None]))
+    reference; None for a failed run.  The runs that ran are split into one
+    group per worker, as far as the reference allows passes side by side
+    (:func:`hamrom.metrics.side_by_side_passes`), and each group is compared
+    in one pass over the reference: a run's value does not depend on the
+    group it is in."""
+    ran = [run for run in runs if run is not None]
+    k = min(ref.workers, len(ran), side_by_side_passes(ref.dense))
+    groups = [ran[len(ran) * j // k : len(ran) * (j + 1) // k] for j in range(k)]
+    values = iter([v for group in ref.map(partial(compare, ref.dense), groups) for v in group])
     return [None if run is None else next(values) for run in runs]
 
 
-def _e_inf(cfg: ExperimentConfig, ref: _Reference,
-           runs: Sequence[Optional[Trajectory]]) -> list[float]:
-    """Maximum error of every run against the every-step reference; NaN for
-    a failed run (None)."""
-    errors = _compare(ref, runs, e_inf_wave if cfg.system == "wave" else e_inf_scalar)
-    return [float("nan") if e is None else float(e) for e in errors]
+def _run_compared(cfg: ExperimentConfig, ref: _Reference, specs: Sequence[RomSpec], compare,
+                  hold: bool = False) -> tuple[list[Optional[_Attempt]], list]:
+    """Build, run and compare the model of every spec in three phases:
+
+    1. the bases of every distinct ``(mu, shifted)`` on the workers
+       (:meth:`_Reference.build_bases`);
+    2. every model reduced and run on the caller, in spec order, one after
+       another, so that each run's wall time is its own;
+    3. ``compare`` of every run against the every-step reference on the
+       workers (:func:`_compare`).
+
+    The workers are one per usable CPU, with every loaded OpenBLAS pinned to
+    one thread while the phases run (:func:`hamrom.linalg.one_blas_thread`);
+    no result depends on their number.  SciPy's LAPACK is bound first, so
+    that its OpenBLAS is pinned too and no run's wall time holds its import.
+    Returns each spec's attempt (None after a logged failure) and compared
+    value (None for a failed spec).  With ``hold`` (a sweep or a tail check,
+    which reads no energy series) each run is kept without its energies, and
+    the frames and memoized bases are dropped once every model ran.
+    """
+    bind_lapack()
+    with one_blas_thread() as workers, ThreadPoolExecutor(workers) as pool:
+        ref.pool, ref.workers = pool, workers
+        try:
+            ref.build_bases([_basis_key(spec) for spec in specs])
+            attempts = []
+            for spec in specs:
+                attempt = _attempt(cfg, ref, spec)
+                if hold and attempt is not None:
+                    bases, run, wall_ms = attempt
+                    attempt = bases, replace(run, energies=None), wall_ms
+                attempts.append(attempt)
+            if hold:
+                ref.forget_bases()
+            values = _compare(ref, [None if a is None else a[1] for a in attempts], compare)
+        finally:
+            ref.pool, ref.workers = None, 1
+    return attempts, values
+
+
+def _e_inf_metric(cfg: ExperimentConfig):
+    """The maximum error of the configuration's system (:mod:`hamrom.metrics`)."""
+    return e_inf_wave if cfg.system == "wave" else e_inf_scalar
 
 
 def _run_all(cfg: ExperimentConfig, ref: _Reference,
              specs: Sequence[RomSpec]) -> list[tuple[RomReport, Optional[Trajectory]]]:
     """Build and run every ROM, then compare all of them against the benchmark
-    at every step, in one pass over it.
+    at every step (:func:`_run_compared`).
 
     Snapshots come from the stride-sampled trajectory, the maximum error from
     the densely recorded one.  On the wave benchmark at r=5, stride-50
@@ -579,23 +726,19 @@ def _run_all(cfg: ExperimentConfig, ref: _Reference,
     the Table 1 values reproduce to <= 0.02% only with dense recording.
     A failed attempt is a NaN row without a run.
     """
-    runs = []  # each attempt's run and its wall time in ms, None when it failed
-    for spec in specs:
-        attempt = _attempt(cfg, ref, spec)
-        runs.append(None if attempt is None else attempt[1:])
-    errors = _e_inf(cfg, ref, [None if run is None else run[0] for run in runs])
+    attempts, errors = _run_compared(cfg, ref, specs, _e_inf_metric(cfg))
     out = []
-    for spec, run, e_inf in zip(specs, runs, errors):
-        if run is None:
+    for spec, attempt, e_inf in zip(specs, attempts, errors):
+        if attempt is None:
             nan = float("nan")
             out.append((RomReport(variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=nan,
                                   energy_initial=nan, energy_final=nan, max_energy_drift=nan,
                                   energy_offset_vs_fom=nan, wall_ms=0.0, failed=True), None))
             continue
-        rom_traj, wall_ms = run
+        _, rom_traj, wall_ms = attempt
         energy = energy_report(rom_traj, ref.dense)
         report = RomReport(
-            variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=e_inf,
+            variant=spec.variant.value, r=spec.r, mu=spec.mu, e_inf=float(e_inf),
             energy_initial=float(rom_traj.energies[0]),
             energy_final=float(rom_traj.energies[-1]),
             max_energy_drift=energy.drift, energy_offset_vs_fom=energy.offset, wall_ms=wall_ms,
@@ -649,8 +792,9 @@ def mu_sweep(
 
     The snapshot gradients and each field's frame of ``[U, F]`` are built
     once; every weight then costs one small SVD per field (see
-    :mod:`hamrom.pod`).  Every point runs first, keeping its reduced run;
-    then all of them are compared against the reference in one pass over it.
+    :mod:`hamrom.pod`), taken on the workers with the other weights'.
+    Every point then runs, keeping its reduced run, and the runs are
+    compared against the reference on the workers (:func:`_run_compared`).
     Per-point solver failures are recorded as NaN and the sweep continues.
     Rows come back sorted by weight and are written to
     ``sweep_mu_<variant>_r<r>.csv`` in ``cfg.out_dir``.  A negative or
@@ -658,15 +802,10 @@ def mu_sweep(
     """
     grid = default_mu_grid(cfg.system) if mu_grid is None else np.asarray(mu_grid, float)
     specs = [RomSpec(variant=variant, r=r, mu=float(mu)) for mu in grid]
-    runs = []
     with _references(cfg) as ref:
-        for spec in specs:
-            runs.append(_held(_attempt(cfg, ref, spec)))
-            # every weight is its own key: keep no basis past its point
-            ref.bases.clear()
-            ref.stacks.clear()
-        rows = sorted(zip([spec.mu for spec in specs], _e_inf(cfg, ref, runs)),
-                      key=lambda row: row[0])
+        _, errors = _run_compared(cfg, ref, specs, _e_inf_metric(cfg), hold=True)
+    errors = [float("nan") if e is None else float(e) for e in errors]
+    rows = sorted(zip([spec.mu for spec in specs], errors), key=lambda row: row[0])
     write_sweep_csv(Path(cfg.out_dir) / f"sweep_mu_{variant.name.lower()}_r{r}.csv", rows)
     return rows
 
@@ -682,27 +821,23 @@ def tail_bound_check(
     singular-value tail of the snapshot spectrum; the ratio column is reported
     without asserting any bound (the theoretical constant is not computable
     from the inputs).  For two-field systems the tail sums both per-field
-    spectra.  Every size runs first; then all runs are compared against the
-    reference in one pass over it.  As in :func:`mu_sweep`, a solver or rank
+    spectra.  The sizes share one SVD per field; every size runs, and the
+    runs are compared against the reference on the workers
+    (:func:`_run_compared`).  As in :func:`mu_sweep`, a solver or rank
     failure at one basis size is logged and recorded as a NaN row, and the
     check continues.  The rows are written to ``tail_check.csv`` in ``cfg.out_dir``.
     """
     specs = [RomSpec(variant=RomVariant.SP0, r=r) for r in r_list]
-    runs, tails = [], []
     with _references(cfg) as ref:
-        for spec in specs:
-            attempt = _attempt(cfg, ref, spec)
-            runs.append(_held(attempt))
-            tails.append(None if attempt is None else
-                         sum(sigma_tail(basis, spec.r) for basis in attempt[0].bases))
-        errors = _compare(ref, runs, squared_errors)
+        attempts, errors = _run_compared(cfg, ref, specs, squared_errors, hold=True)
         times = ref.dense.times
     rows = []
-    for spec, error, tail in zip(specs, errors, tails):
-        if error is None:
+    for spec, attempt, error in zip(specs, attempts, errors):
+        if attempt is None:
             nan = float("nan")
             rows.append((int(spec.r), nan, nan, nan))
             continue
+        tail = sum(sigma_tail(basis, spec.r) for basis in attempt[0])
         integrated = float(np.trapezoid(error, times))
         ratio = integrated / tail if tail > 0 else float("inf")
         rows.append((int(spec.r), integrated, float(tail), float(ratio)))

@@ -80,8 +80,10 @@ class MatrixReader:
     """Reads column blocks of an HROM container from an open binary file.
 
     The header is checked against the file size when the reader is made, so
-    a block read never allocates from a size the file cannot hold.  The
-    reader owns ``fh`` and closes it in :meth:`close`.
+    a block read never allocates from a size the file cannot hold.  A block
+    read does not use or move the file position (``os.preadv``), so threads
+    may read blocks of one reader side by side.  The reader owns ``fh`` and
+    closes it in :meth:`close`.
     """
 
     def __init__(self, fh, name: str = "matrix"):
@@ -123,10 +125,10 @@ class MatrixReader:
             raise ValueError(f"out must be a writable column-major float64 "
                              f"({self.rows}, {stop - start}) array")
         payload = out.reshape(-1, order="F").view(np.uint8)  # a view: out is column-major
-        self._fh.seek(_HEADER.size + 8 * self.rows * start)
+        offset = _HEADER.size + 8 * self.rows * start
         done = 0
         while done < payload.size:
-            got = self._fh.readinto(payload[done:])
+            got = os.preadv(self._fh.fileno(), [payload[done:]], offset + done)
             if not got:
                 raise FormatError(f"{self.name}: payload ends after {done} of "
                                   f"{payload.size} bytes of columns {start}:{stop}")

@@ -3,13 +3,21 @@
 Thin SVD of dense snapshot matrices and reusable LU factorizations of dense
 arrays (the reduced models; the full-order stencils step in Fourier modes,
 see :mod:`hamrom.avf`).  The LU is the package's only use of SciPy, which
-is imported with the first :class:`LuFactorization`.
+is imported by :func:`bind_lapack`, at the latest with the first
+:class:`LuFactorization`.  :func:`one_blas_thread` pins the loaded OpenBLAS
+libraries to one thread each while workers call into them side by side.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import sys
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +28,8 @@ __all__ = [
     "RankError",
     "SingularMatrixError",
     "as_dense",
+    "bind_lapack",
+    "one_blas_thread",
     "thin_svd_snapshots",
 ]
 
@@ -97,10 +107,80 @@ def thin_svd_snapshots(Y):
 # PIVOT_TOL times the largest entry of the matrix is rejected
 PIVOT_TOL = 1e-14
 
-# SciPy's LAPACK routines themselves, bound by the first LuFactorization: the
-# scipy.linalg wrappers cost more than the work at reduced sizes (r <= 60), and
-# NumPy's solve cannot report the pivots that the singularity check reads
+# SciPy's LAPACK routines themselves, bound by bind_lapack: the scipy.linalg
+# wrappers cost more than the work at reduced sizes (r <= 60), and NumPy's
+# solve cannot report the pivots that the singularity check reads
 _getrf = _getrs = None
+
+
+def bind_lapack() -> None:
+    """Import SciPy's LAPACK and bind the routines of :class:`LuFactorization`,
+    once per process.  The first factorization does it; a caller that times
+    its reduced runs does it first, so that no run's time holds the import."""
+    global _getrf, _getrs
+    if _getrf is None:
+        from scipy.linalg import lapack
+        _getrf, _getrs = lapack.dgetrf, lapack.dgetrs
+
+
+# the symbol names of OpenBLAS's thread-count calls across its builds: the
+# scipy_ prefix and the 64_ suffix of the ILP64 wheels, or neither
+_OPENBLAS_NAMES = [(f"{prefix}openblas_get_num_threads{suffix}",
+                    f"{prefix}openblas_set_num_threads{suffix}")
+                   for prefix in ("scipy_", "") for suffix in ("64_", "")]
+
+
+def _loaded_openblas() -> list[tuple]:
+    """The ``(get, set)`` thread-count calls of every OpenBLAS that NumPy
+    or SciPy has loaded from its wheel's ``<package>.libs`` directory.  A
+    library not loaded yet is left unloaded (``RTLD_NOLOAD``); a platform
+    without that flag, or a BLAS without these calls, gives none."""
+    nonload = getattr(os, "RTLD_NOLOAD", None)
+    if nonload is None:
+        return []
+    found = []
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = Path(module.__file__).resolve().parent.parent / f"{package}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=nonload)
+            except OSError:  # not loaded
+                continue
+            for get_name, set_name in _OPENBLAS_NAMES:
+                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
+    return found
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[int]:
+    """Pin every loaded OpenBLAS to one thread inside the block, and give the
+    number of workers that may call into it side by side: one per usable
+    CPU, or one when no OpenBLAS could be pinned.  Each library's previous
+    thread count is restored on exit, also when the block raises.
+
+    The experiments' snapshot SVDs and QRs are faster on one OpenBLAS thread
+    than on two (2 cores, min of 7: a 2000x201 SVD 31-32 against 51 ms, a
+    2000x201 QR 20-27 against 45-53 ms, a 202x202 SVD 6-9 against 9-10 ms;
+    docs/decisions.md), so a second core does more as a second worker than
+    as a second BLAS thread.
+    """
+    pins = _loaded_openblas()
+    previous = [get() for get, _ in pins]
+    try:
+        for _, set_ in pins:
+            set_(1)
+        yield len(os.sched_getaffinity(0)) if pins else 1
+    finally:
+        for (_, set_), count in zip(pins, previous):
+            set_(count)
 
 
 class LuFactorization:
@@ -116,10 +196,7 @@ class LuFactorization:
     """
 
     def __init__(self, A):
-        global _getrf, _getrs
-        if _getrf is None:
-            from scipy.linalg import lapack
-            _getrf, _getrs = lapack.dgetrf, lapack.dgetrs
+        bind_lapack()
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")

@@ -23,6 +23,7 @@ __all__ = [
     "e_inf_scalar",
     "e_inf_wave",
     "energy_report",
+    "side_by_side_passes",
     "squared_errors",
 ]
 
@@ -69,6 +70,20 @@ _BLOCK_COLUMNS = 256
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _block_width(dim: int) -> int:
+    """Columns per block of a comparison over states of ``dim`` entries."""
+    return max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // dim))
+
+
+def side_by_side_passes(fom: Trajectory) -> int:
+    """How many comparisons may pass over ``fom`` side by side, each with its
+    own runs: at least one, and so few that their blocks (two each) take at
+    most a quarter of the recorded states together, one pass per eight
+    blocks of ``fom``.  The block width is that of one pass, so a run's
+    value does not depend on how many passes there are."""
+    return max(1, fom.times.size // (8 * _block_width(fom.dim)))
+
+
 def _blockwise(fom: Trajectory, runs: Sequence[Trajectory], reduce, first: int = 0) -> list[list]:
     """``reduce(run - fom)`` of every column block of the full states from
     column ``first`` on, in one pass over ``fom``: each of its blocks is read
@@ -79,7 +94,7 @@ def _blockwise(fom: Trajectory, runs: Sequence[Trajectory], reduce, first: int =
     results = [[] for _ in runs]
     if not runs:
         return results
-    width = max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // fom.dim))
+    width = _block_width(fom.dim)
     diff = np.empty((fom.dim, width), order="F")
     spare = np.empty_like(diff)  # the first trajectory's block, when it is not a view
     for start in range(first, fom.times.size, width):

@@ -21,6 +21,10 @@ every unshifted ``Y(mu) = [U, mu c U]`` has ``Y Y^T = (1 + c^2 mu^2) U U^T``,
 so its POD basis is ``U``'s own with the spectrum scaled by
 ``hypot(1, c mu)``.  The frame records ``c`` (:attr:`SnapshotFrame.multiple`)
 and :func:`weighted_basis` gives such a basis from the ``mu = 0`` one.
+
+A set is decomposed once whatever the basis size: :func:`decompose` gives
+its :class:`SnapshotSvd`, from which :meth:`SnapshotSvd.basis` cuts the
+basis of any size, exactly the basis :func:`compute_basis` gives.
 """
 
 from __future__ import annotations
@@ -38,9 +42,11 @@ __all__ = [
     "PodBasis",
     "SnapshotFrame",
     "SnapshotSet",
+    "SnapshotSvd",
     "collect_snapshots",
     "collect_wave_snapshots",
     "compute_basis",
+    "decompose",
     "enrich_with_ic_residual",
     "projection_error",
     "sigma_tail",
@@ -229,24 +235,48 @@ def collect_wave_snapshots(
     )
 
 
+@dataclass(frozen=True)
+class SnapshotSvd:
+    """The thin SVD of one snapshot set, from which bases of any size are cut.
+
+    ``vectors`` are the left singular vectors of the numerical-rank spectrum
+    ``sigma`` (in the coordinates of ``frame`` when the set has one), and
+    ``reference`` is the set's shift.
+    """
+
+    vectors: np.ndarray
+    sigma: np.ndarray
+    frame: Optional[np.ndarray] = None
+    reference: Optional[np.ndarray] = None
+
+    def basis(self, r: int) -> PodBasis:
+        """The first ``r`` vectors, lifted by the frame: what
+        :func:`compute_basis` gives for ``r``.  :class:`RankError` past the
+        numerical rank."""
+        if not 1 <= r <= self.sigma.size:
+            raise RankError(f"requested r={r}, but the snapshot set has rank {self.sigma.size}")
+        w = self.vectors[:, :r]
+        return PodBasis(phi=w if self.frame is None else self.frame @ w, sigma=self.sigma,
+                        shifted_reference=self.reference)
+
+
+def decompose(snaps: SnapshotSet) -> SnapshotSvd:
+    """The thin SVD of a snapshot set, in its frame's coordinates when it has
+    one, cut at the numerical rank (:func:`hamrom.linalg.thin_svd_snapshots`)."""
+    w, sigma = thin_svd_snapshots(snaps.data)
+    return SnapshotSvd(vectors=w, sigma=sigma, frame=snaps.frame, reference=snaps.reference)
+
+
 def compute_basis(snaps: SnapshotSet, r: int) -> PodBasis:
     """First ``r`` left singular vectors of the snapshot matrix.
 
     The full numerical-rank spectrum is retained on the result for tail
     computations.  Requesting more vectors than the attained rank raises
     :class:`RankError`.  A set in frame coordinates is decomposed in them and
-    its vectors are lifted by the frame.
+    its vectors are lifted by the frame.  Bases of several sizes of one set
+    are cut from one :func:`decompose`.
     """
-    w, sigma = thin_svd_snapshots(snaps.data)
-    d = sigma.size
-    if not 1 <= r <= d:
-        raise RankError(f"requested r={r}, but the snapshot set has rank {d}")
-    return PodBasis(
-        phi=w[:, :r] if snaps.frame is None else snaps.frame @ w[:, :r],
-        sigma=sigma,
-        shifted_reference=snaps.reference,
-        enriched=False,
-    )
+    return decompose(snaps).basis(r)
 
 
 def weighted_basis(unweighted: PodBasis, multiple: float, mu: float) -> PodBasis:

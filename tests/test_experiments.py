@@ -10,6 +10,7 @@ import pytest
 
 import hamrom.avf as avf
 import hamrom.experiments as experiments
+import hamrom.linalg as linalg
 import hamrom.metrics as metrics
 from hamrom.avf import StepFailure, integrate
 from hamrom.cli import main
@@ -707,6 +708,110 @@ class TestTailCheck:
         monkeypatch.setattr(experiments, "reduce_operators", broken)
         with pytest.raises(ValueError, match="broken reduction"):
             tail_bound_check(tiny_wave_cfg(tmp_path / "out", roms=()), [2])
+
+
+def _csv_outputs(directory: Path) -> dict[str, list[str]]:
+    """The lines of every CSV under ``directory`` by relative path; those of
+    report.csv without their last column, the wall time."""
+    out = {}
+    for path in sorted(directory.rglob("*.csv")):
+        lines = path.read_text().splitlines()
+        if path.name == "report.csv":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        out[str(path.relative_to(directory))] = lines
+    return out
+
+
+class TestWorkers:
+    """The bases and comparisons of a table, sweep or tail check run on one
+    worker per usable CPU, with every loaded OpenBLAS pinned to one thread
+    meanwhile."""
+
+    @pytest.mark.parametrize("make_cfg, passes", [
+        # 5001 recorded times of 256 unknowns: the reference allows two
+        # comparison passes side by side
+        (lambda out, roms: replace(tiny_wave_cfg(out, roms), n=128, dt=0.001, t_end=5.0,
+                                   stride=50), 2),
+        (tiny_kdv_cfg, 1),
+    ], ids=["wave", "kdv"])
+    def test_outputs_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, make_cfg,
+                                                  passes):
+        roms = ("GROM:3", "SP0:3", "SP1:3", "SP2:3", "SP0:2:0.1", "SP2:3:0.1")
+        pools, pool = [], experiments.ThreadPoolExecutor
+        groups = []  # the runs each comparison pass compared
+
+        def recorded(workers):
+            pools.append(workers)
+            return pool(workers)
+
+        def counted(metric):
+            def compare(fom, runs):
+                groups.append(len(runs))
+                return metric(fom, runs)
+            return compare
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recorded)
+        for name in ("e_inf_wave", "e_inf_scalar", "squared_errors"):
+            monkeypatch.setattr(experiments, name, counted(getattr(metrics, name)))
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            cfg = make_cfg(tmp_path / f"cpus{cpus}", roms)
+            assert not any(report.failed for report in run_experiment(cfg))
+            mu_sweep(cfg, mu_grid=[0.2, 0.0, 0.05, 0.1], variant=RomVariant.SP0, r=2)
+            tail_bound_check(cfg, [1, 2, 3])
+            outputs.append(_csv_outputs(tmp_path / f"cpus{cpus}"))
+        two = 2 if linalg._loaded_openblas() else 1  # no pinned BLAS, one worker
+        assert pools == [1, 1, 1, two, two, two]
+        split = [[6], [4], [3]] if min(two, passes) == 1 else [[3, 3], [2, 2], [1, 2]]
+        assert groups == [6, 4, 3] + [n for call in split for n in call]
+        # the full-order and six reduced energy series, the report, the sweep, the tail check
+        assert len(outputs[0]) == 1 + len(roms) + 3
+        assert outputs[0] == outputs[1]
+
+    def test_blas_threads_are_restored(self, tmp_path, monkeypatch):
+        linalg.bind_lapack()  # SciPy's OpenBLAS is pinned too
+        pins = linalg._loaded_openblas()
+        if not pins:
+            pytest.skip("neither NumPy nor SciPy loaded an OpenBLAS that can be pinned")
+        counts = lambda: [get() for get, _ in pins]  # noqa: E731
+        before, during = counts(), []
+
+        def counting(model, scheme, initial_state=None):
+            during.append(counts())
+            return run_rom(model, scheme, initial_state=initial_state)
+
+        def broken(flow, bases, variant, basis_matrix=None):
+            raise ValueError("broken reduction")
+
+        monkeypatch.setattr(experiments, "run_rom", counting)
+        try:
+            for _, set_ in pins:
+                set_(2)
+            run_experiment(tiny_wave_cfg(tmp_path / "out"))
+            assert counts() == [2] * len(pins)
+            assert during == [[1] * len(pins)] * 2
+            monkeypatch.setattr(experiments, "reduce_operators", broken)
+            with pytest.raises(ValueError, match="broken reduction"):
+                mu_sweep(tiny_wave_cfg(tmp_path / "out"), mu_grid=[0.1], r=2)
+            assert counts() == [2] * len(pins)
+        finally:
+            for (_, set_), count in zip(pins, before):
+                set_(count)
+
+    def test_one_worker_without_a_pinned_blas(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(linalg, "_loaded_openblas", lambda: [])
+        with linalg.one_blas_thread() as workers:
+            assert workers == 1
+        counts = [3, 2]
+        pins = [(lambda i=i: counts[i], lambda n, i=i: counts.__setitem__(i, n)) for i in (0, 1)]
+        monkeypatch.setattr(linalg, "_loaded_openblas", lambda: pins)
+        with pytest.raises(KeyError):
+            with linalg.one_blas_thread() as workers:
+                assert (workers, counts) == (3, [1, 1])
+                raise KeyError("inside")
+        assert counts == [3, 2]
 
 
 class TestCli:

@@ -1,5 +1,7 @@
 import csv
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -238,6 +240,37 @@ class TestColumnBlocks:
             assert np.array_equal(reader.read(0, 4), np.ones((2000, 4)))
             with pytest.raises(FormatError, match="ends after"):
                 reader.read(3, 5)
+
+    def test_concurrent_reads_match_sequential_reads(self, tmp_path):
+        # a read neither uses nor moves the file position: threads reading
+        # blocks of one reader side by side, more of them than cores and
+        # switching often, each get what a lone reader gets
+        M = np.random.default_rng(3).standard_normal((300, 64))
+        write_matrix(tmp_path / "m.hrom", M)
+        blocks = [(start, min(start + width, 64)) for width in (1, 5, 16)
+                  for start in range(0, 64, width)]
+        threads, results = 4, {}
+        with MatrixReader.open(tmp_path / "m.hrom") as reader:
+            sequential = [reader.read(a, b) for a, b in blocks]
+
+            def read_all(k):
+                order = blocks[k::threads] + blocks[:k] + blocks[k + 1:]
+                results[k] = all(np.array_equal(reader.read(a, b), M[:, a:b])
+                                 for _ in range(5) for a, b in order)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=read_all, args=(k,)) for k in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == dict.fromkeys(range(threads), True)
+        assert all(np.array_equal(block, M[:, a:b]) for block, (a, b) in zip(sequential, blocks))
 
     def test_anonymous_file_reads_back(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

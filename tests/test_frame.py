@@ -17,6 +17,7 @@ from hamrom.experiments import (
     fom_trajectory,
     mu_sweep,
     run_experiment,
+    tail_bound_check,
 )
 from hamrom.linalg import thin_svd_snapshots
 from hamrom.metrics import e_inf_scalar, e_inf_wave
@@ -26,6 +27,7 @@ from hamrom.pod import (
     compute_basis,
     projection_error,
     snapshot_frames,
+    weighted_basis,
 )
 from hamrom.rom import RomVariant, reduce_operators, run_rom
 from hamrom.systems import PolyGradFlow
@@ -308,3 +310,41 @@ class TestSweepSvdCount:
         flow, _, _ = build_system(cfg)
         frames = snapshot_frames(fom_trajectory(cfg), flow, len(multiples))
         assert [frame.multiple for frame in frames] == multiples
+
+
+class TestOneSvdPerSet:
+    """The bases of every size of one snapshot set are cut from one SVD, each
+    bit for bit the basis that compute_basis gives for its size."""
+
+    @pytest.mark.parametrize("make_cfg, fields", [(tiny_wave, 2), (tiny_kdv, 1)],
+                             ids=["wave", "kdv"])
+    def test_tail_check_decomposes_each_field_once(self, tmp_path, svd_calls, make_cfg,
+                                                   fields):
+        rows = tail_bound_check(make_cfg(tmp_path / "out"), [1, 2, 3])
+        assert all(np.all(np.isfinite(row)) for row in rows)
+        assert len(svd_calls) == fields
+
+    @pytest.mark.parametrize("make_cfg", [tiny_wave, tiny_kdv], ids=["wave", "kdv"])
+    @pytest.mark.parametrize("mu, shifted", [(0.0, False), (0.0, True), (0.1, False),
+                                             (0.1, True)])
+    def test_cut_bases_are_those_of_compute_basis(self, tmp_path, svd_calls, make_cfg, mu,
+                                                  shifted):
+        sizes = [3, 1, 2]
+        with experiments._references(make_cfg(tmp_path / "out")) as ref:
+            ref.build_bases([(mu, shifted, r) for r in sizes])
+            assert len(svd_calls) == ref.fields
+            sets = ref.snapshot_sets(mu, shifted)
+            unweighted = ref.snapshot_sets(0.0, False)
+            for r in sizes:
+                for i, basis in enumerate(ref.pod_bases(mu, shifted, r)):
+                    if ref._reuses(i, shifted):  # the wave's momentum field
+                        direct = weighted_basis(compute_basis(unweighted[i], r),
+                                                ref.frames[i].multiple, mu)
+                    else:
+                        direct = compute_basis(sets[i], r)
+                    assert np.array_equal(basis.phi, direct.phi)
+                    assert np.array_equal(basis.sigma, direct.sigma)
+                    if shifted:
+                        assert np.array_equal(basis.shifted_reference, sets[i].reference)
+                    else:
+                        assert basis.shifted_reference is None

@@ -247,3 +247,27 @@ run_experiment(kdv)
 print("scipy.linalg" in sys.modules)
 """
     assert _fresh_process(code)[:3] == ["[]", "[]", "True"]
+
+
+def test_lapack_is_bound_before_the_first_timed_run(tmp_path):
+    # run_experiment imports SciPy before it times any reduced run: the first run
+    # of a process reports its own time, not the import's
+    code = f"""
+import sys
+import hamrom.experiments as experiments
+from hamrom.experiments import ExperimentConfig, RomSpec, run_experiment
+
+loaded, run_rom = [], experiments.run_rom
+
+def recording(*args, **kwargs):
+    loaded.append("scipy.linalg" in sys.modules)
+    return run_rom(*args, **kwargs)
+
+experiments.run_rom = recording
+print("scipy.linalg" in sys.modules)
+roms = tuple(RomSpec.parse(r) for r in ("GROM:2", "SP0:2"))
+run_experiment(ExperimentConfig(system="wave", c=0.1, n=16, length=1.0, dt=0.05, t_end=1.0,
+                                stride=5, roms=roms, out_dir={str(tmp_path / "wave")!r}))
+print(loaded)
+"""
+    assert _fresh_process(code)[:2] == ["False", "[True, True]"]
