@@ -34,6 +34,12 @@ __all__ = ["AvfScheme", "AvfStepper", "StepFailure", "Trajectory", "integrate"]
 # iteration cap of the nonlinear solve of one step (Picard or Newton)
 MAX_ITERATIONS = 100
 
+# the Picard window of a quadratic flow on periodic stencils (the KdV
+# full-order model) holds at most _WINDOW consecutive steps, and a step
+# enters it once the step before it has had _ENTRY_UPDATES updates
+_WINDOW = 4
+_ENTRY_UPDATES = 2
+
 
 @dataclass(frozen=True)
 class AvfScheme:
@@ -91,7 +97,8 @@ class Trajectory:
     plus the initial value, regardless of the recording stride; ``dt`` is the
     step size, so the energy of step k belongs to time ``k * dt``.
     ``max_picard_iterations`` is the largest per-step iteration count of the
-    nonlinear solver that ran (Picard or Newton; 0 for linear flows).
+    nonlinear solver that ran (Picard or Newton; 0 for linear flows); a step
+    iterated on a Picard window counts every update of its row.
 
     ``basis`` and ``offset`` are the decode map of a reduced run: with a
     ``basis``, ``states`` holds reduced coefficients and the full state of
@@ -153,6 +160,7 @@ class AvfStepper:
     linear flows).  It starts from a cubic extrapolation of the step history
     (an explicit RK4 prediction while the history is short).  The predictor
     only changes the iteration count, never the converged step.
+    :meth:`march` steps a quadratic stencil flow on a window of steps.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
@@ -162,6 +170,7 @@ class AvfStepper:
         self.dt = dt
         self.picard_tol = picard_tol
         self._deltas: list[np.ndarray] = []  # last three step increments
+        self._window = None  # the open Picard window of a march: (state, updates) per step
         self.last_iterations = 0
         maps = _FourierMaps if isinstance(flow.structure, PeriodicStencil) else _DenseMaps
         self._maps = maps(flow, dt)
@@ -184,9 +193,15 @@ class AvfStepper:
 
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
         """Advance one step from ``u``; raises StepFailure when the nonlinear
-        solve fails (``step_index`` is reported with it)."""
+        solve fails (``step_index`` is reported with it).  On periodic
+        stencils this is the Picard window of one; inside :meth:`march`,
+        once its window is open, it takes the window's next step, ``u``
+        being the state the previous call returned."""
         if self.flow.quadratic is None:
             return self._maps.linear_step(u)
+        if self._window is not None:
+            new, self.last_iterations = next(self._window)
+            return new
         # overflow inside a diverging iteration is expected and reported as
         # StepFailure, hence the suppressed floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -195,13 +210,35 @@ class AvfStepper:
             self._deltas = (self._deltas + [new - u])[-3:]
         return new
 
+    def march(self, u: np.ndarray, steps: int):
+        """Yield the states of steps 1 to ``steps`` from ``u`` in order, each
+        from one :meth:`step`.  A quadratic flow on periodic stencils steps
+        alone until the cubic predictor has its history (three steps), then
+        :meth:`_FourierMaps.pipeline` iterates the remaining steps on a
+        window, and each state is valid only until the next is asked for."""
+        history = [u]
+        windowed = self.flow.quadratic is not None and isinstance(self._maps, _FourierMaps)
+        try:
+            for k in range(1, steps + 1):
+                if windowed and len(history) == 4:
+                    self._window = self._maps.pipeline(
+                        np.array(history), self.picard_tol, k, steps)
+                    windowed = False
+                u = self.step(u, step_index=k)
+                if windowed:
+                    history.append(u)
+                yield u
+        finally:
+            self._window = None
+
 
 # The maps of a flow's operator storage, built from ``(flow, dt)``, own the
 # linear algebra of a step and its nonlinear solve: ``linear_step(u)``, the
 # step of a linear flow; ``iterate(u, x, tol, step_index)``, the step of a
 # quadratic flow iterated from the prediction ``x`` to the tolerance ``tol``,
 # as ``(state, iterations)``, or a StepFailure; and ``stacked(width)``, whole
-# blocks of a linear flow's steps.
+# blocks of a linear flow's steps.  The Fourier maps also iterate a window of
+# steps (``pipeline``).
 
 
 def _diverged(solver: str, m: int, step_index: int) -> StepFailure:
@@ -343,8 +380,10 @@ class _FourierMaps:
     must be one field with an entrywise quadratic term (the KdV full-order
     model); it iterates by Picard on the averaged quadratic term,
     ``x <- P u + K (G2(u,u) + G2(u,x) + G2(x,x))`` with
-    ``K = (I - A)^-1 dt S / 3``, one 1-D transform pair per iteration, and
-    stops by the increment rule alone.  A mode whose pivot is at or below
+    ``K = (I - A)^-1 dt S / 3``, and stops by the increment rule alone.
+    :meth:`pipeline` is the one Picard loop: it iterates a window of
+    consecutive steps with one batched transform pair per sweep, and
+    :meth:`iterate` is its window of one.  A mode whose pivot is at or below
     :data:`~hamrom.linalg.PIVOT_TOL` of the largest symbol entry of ``I - A``
     raises :class:`SingularMatrixError`, as :class:`LuFactorization` does:
     on one or two fields the pivots of partial pivoting are the largest
@@ -377,9 +416,9 @@ class _FourierMaps:
             raise SingularMatrixError(f"Fourier-mode pivot below {PIVOT_TOL:g} of the symbol scale")
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
-        if quad is not None:  # the (modes,) symbol of K and the coefficient of G2
-            self._K = np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
-            self._coeff = quad.coeff
+        if quad is not None:  # the (modes,) symbols of P and of K times the coefficient of G2
+            self._symbol = self._P[0, 0]
+            self._kernel = quad.coeff * np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
 
     def _modes(self, u: np.ndarray) -> np.ndarray:
         """The (b, modes) spectra of the b fields of a state."""
@@ -395,31 +434,95 @@ class _FourierMaps:
         return self._space(_apply(self._P, self._modes(u)))
 
     def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
-        """Picard iteration from ``x``: ``(state, iterations)``."""
-        n, coeff, kernel = self._n, self._coeff, self._K
+        """Picard iteration of one step from ``x``, the window of one:
+        ``(state, iterations)``."""
+        state, m = next(self.pipeline(u[None], tol, step_index, step_index, guess=x, width=1))
+        return state.copy(), m
+
+    def pipeline(self, history: np.ndarray, tol: float, first: int, last: int,
+                 guess: Optional[np.ndarray] = None, width: int = _WINDOW):
+        """Picard iteration of steps ``first`` to ``last`` on a window of
+        consecutive steps: yields ``(state, updates)`` of each step in order,
+        the state a view that the next step overwrites.
+
+        ``history`` holds the states before step ``first`` as rows, the last
+        one step ``first - 1``'s.  Row j of the window holds the iterate of
+        step ``k + j``; its predecessor is row j - 1, the front row's the
+        last accepted state.  A sweep updates every row from the rows as they
+        stood before it: one batched ``rfft`` of ``U (U + X) + X X`` (``U``
+        the predecessors, ``X`` the rows) and one batched ``irfft`` of
+        ``K q + P U``, where ``K`` holds the coefficient of G2 and each
+        predecessor's spectrum is the one kept from its last update.  After
+        a sweep the front row, whose predecessor is final, is accepted when
+        its increment is at most ``tol (1 + max|x|)``, ``x`` the iterate the
+        update started from; so at most one row is accepted per sweep.  A
+        new row enters at the back, from ``guess`` or else the cubic
+        extrapolation of the four states before it, once the row before it
+        has had ``_ENTRY_UPDATES`` updates, up to ``width`` rows.  A row
+        whose update overflows fails the step as :class:`StepFailure` at
+        the front; further back it and the rows behind it leave the window
+        and enter again.  A front row that reaches :data:`MAX_ITERATIONS`
+        updates, every update of its row counted, stalls.
+        """
+        n, kernel, symbol = self._n, self._kernel, self._symbol
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        base = self.linear_step(u)  # P u
-        cu = coeff * u
-        q_uu = cu * u  # G2(u, u)
-        for m in range(1, MAX_ITERATIONS + 1):
-            # (G2(u,u) + G2(u,x)) + G2(x,x) and K q with K the left operand:
-            # the roundings of the sum of three quad.eval terms, bit for bit
-            q = cu * x
-            q += q_uu
-            xx = coeff * x
-            xx *= x
-            q += xx
-            spectrum = rfft(q)
-            np.multiply(kernel, spectrum, out=spectrum)
-            new = irfft(spectrum, n)
-            new += base
-            increment = np.abs(new - x).max()
-            if not math.isfinite(increment):  # the maximum propagates NaN and inf
-                raise _diverged("Picard", m, step_index)
-            if increment <= tol * (1.0 + np.abs(x).max()):
-                return new, m
-            x = new
-        raise _stalled("Picard", increment, step_index)
+        h = history.shape[0]
+        # the window slides down one row per accepted step and moves back to
+        # the top when it reaches the bottom
+        rows = 2 * (h + width)
+        states = np.empty((rows, n))
+        spectra = np.empty((rows, n // 2 + 1), dtype=complex)
+        q, work, new = (np.empty((width, n)) for _ in range(3))
+        linear = np.empty((width, n // 2 + 1), dtype=complex)
+        states[:h] = history
+        a = h - 1  # the row of the last accepted state; window row j is row a + 1 + j
+        spectra[a] = rfft(history[-1])
+        updates: list[int] = []  # per window row
+        k = first  # the step of the front row
+        while True:
+            w = len(updates)
+            # overflow inside a diverging iteration is expected and reported
+            # as StepFailure, hence the suppressed floating-point warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                if w < width and k + w <= last and (not w or updates[-1] >= _ENTRY_UPDATES):
+                    if guess is None:
+                        s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
+                        guess_row = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
+                    else:
+                        guess_row = guess
+                    states[a + 1 + w] = guess_row
+                    updates.append(0)
+                    w += 1
+                U, X = states[a : a + w], states[a + 1 : a + 1 + w]
+                np.multiply(symbol, spectra[a : a + w], out=linear[:w])
+                np.add(U, X, out=q[:w])
+                q[:w] *= U
+                q[:w] += np.multiply(X, X, out=work[:w])
+                spectrum = rfft(q[:w], out=spectra[a + 1 : a + 1 + w])
+                np.multiply(kernel, spectrum, out=spectrum)  # K the left operand, as in K q
+                spectrum += linear[:w]
+                x = irfft(spectrum, n, out=new[:w])
+                increments = np.abs(np.subtract(x, X, out=work[:w]), out=work[:w]).max(axis=1)
+                if not math.isfinite(increments.max()):  # the maximum propagates NaN and inf
+                    j = int(np.flatnonzero(~np.isfinite(increments))[0])
+                    if j == 0:
+                        raise _diverged("Picard", updates[0] + 1, k)
+                    del updates[j:]
+                bound = tol * (1.0 + np.abs(X[0]).max())
+                X[...] = x
+                updates = [m + 1 for m in updates]
+            if increments[0] <= bound:
+                yield states[a + 1], updates.pop(0)
+                a, k = a + 1, k + 1
+                if k > last:
+                    return
+                if a + width >= rows:  # move the history and the window to the top
+                    live = slice(a - h + 1, a + 1 + len(updates))
+                    count = live.stop - live.start
+                    states[:count], spectra[:count] = states[live], spectra[live]
+                    a = h - 1
+            elif updates[0] == MAX_ITERATIONS:
+                raise _stalled("Picard", increments[0], k)
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
@@ -490,7 +593,10 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     a block without stepping: up to B states at a time come from the stacked
     propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
     state, for a circulant flow per Fourier mode with one batched inverse
-    transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step.
+    transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step,
+    through :meth:`AvfStepper.march`: on periodic stencils (the KdV
+    full-order model) its steps after the first three come from one Picard
+    window, whose every row update counts toward ``max_picard_iterations``.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
@@ -502,16 +608,18 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // dim, steps + 1))
     block = np.empty((dim, width))  # column j holds step k0 + j
     block[:, 0] = u
-    stacked = stepper._maps.stacked(width) if flow.quadratic is None else None
+    if flow.quadratic is None:
+        stacked = stepper._maps.stacked(width)
+    else:
+        stacked, marched = None, stepper.march(u, steps)
     max_iters = 0
     for k0 in range(0, steps + 1, width):
         w = min(width, steps + 1 - k0)
         start = 1 if k0 == 0 else 0  # column 0 of the first block is the initial state
         if stacked is None:
             for j in range(start, w):
-                u = stepper.step(u, step_index=k0 + j)
+                block[:, j] = next(marched)
                 max_iters = max(max_iters, stepper.last_iterations)
-                block[:, j] = u
         else:
             run, chunk = stacked
             for j in range(start, w, chunk):

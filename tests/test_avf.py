@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
 
@@ -365,6 +366,36 @@ class TestBenchmarkRuns:
         # tight solves must stay cheap on the benchmark configuration
         assert kdv_dense.max_picard_iterations <= 10
 
+    def test_kdv_reference_meets_the_avf_step_equation(self, kdv_dense, kdv_system, kdv_cfg):
+        # every stored step x of its predecessor u solves the AVF equation,
+        # evaluated with the stencils' own products (no transform), within
+        # what the Picard stopping rule leaves plus the rounding of the
+        # transforms and of this evaluation (derivation: docs/decisions.md,
+        # "A window of Picard steps")
+        flow = kdv_system[0]
+        S, G1, quad = flow.structure, flow.linear, flow.quadratic
+        dt, tol, c = kdv_cfg.dt, kdv_cfg.picard_tol, abs(quad.coeff)
+        s_norm, g_norm = (np.abs(op.columns).sum() for op in (S, G1))  # max row sums
+        eps = np.finfo(float).eps
+        transform_err = (2 * math.ceil(math.log2(flow.dim)) + 4) * eps
+        eval_err = (np.count_nonzero(S.columns) + np.count_nonzero(G1.columns) + 4) * eps
+        steps, width = kdv_dense.times.size, 64
+        for start in range(0, steps - 1, width):
+            block = kdv_dense.full_states(start, min(start + width + 1, steps))
+            u, x = block[:, :-1], block[:, 1:]
+            q = quad.eval(u, u) + quad.eval(u, x) + quad.eval(x, x)
+            residual = np.abs(x - u - dt * (S @ (G1 @ (0.5 * (u + x)) + q / 3.0))).max(axis=0)
+            a_u, a_x = np.abs(u).max(axis=0), np.abs(x).max(axis=0)
+            tau = tol * (1.0 + a_x) / (1.0 - tol)  # the last Picard increment, at most
+            stopping = dt / 3.0 * c * s_norm * tau * (a_u + 2.0 * a_x + tau)
+            jacobian = 1.0 + dt / 2.0 * s_norm * g_norm + dt / 3.0 * c * s_norm * (a_u + 2.0 * a_x)
+            terms = a_u + a_x + dt * s_norm * (g_norm * (a_u + a_x) / 2.0
+                                               + c * (a_u * a_u + a_u * a_x + a_x * a_x) / 3.0)
+            bound = stopping + jacobian * transform_err * (a_u + a_x) + eval_err * terms
+            over = np.flatnonzero(residual > bound)
+            assert over.size == 0, (f"step {start + over[0] + 1}: AVF residual "
+                                    f"{residual[over[0]]:.3e} > {bound[over[0]]:.3e}")
+
     def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_snap):
         _, u0, _ = kdv_system
         assert np.array_equal(kdv_snap.states[:, 0], u0)
@@ -394,29 +425,24 @@ def _reference_predictor(flow, dt):
 
 def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
     """States (one row per step) and Picard counts of the one-field Fourier
-    iteration as it stood before the loop was flattened: (b, b, modes)
-    symbols, (b, modes) spectra, and per iteration the three quadratic
-    evaluations and the transform pair of ``base + K q``."""
+    iteration written out plainly, in the arithmetic of the maps' window of
+    one: per-mode symbols ``P`` and ``K`` (``K`` times the coefficient of
+    G2), and per iteration ``q = u (u + x) + x x`` and one inverse transform
+    of ``K q + P u``, ``u``'s spectrum taken once per step."""
     n = flow.dim
     S, G1 = (np.moveaxis(np.fft.rfft(c), -1, 0) for c in (flow.structure.columns,
                                                           flow.linear.columns))
     half = 0.5 * dt * (S @ G1)
     eye = np.eye(1)
     lhs = eye - half
-    P, K = (np.ascontiguousarray(np.moveaxis(np.linalg.solve(lhs, m), -3, -1))
-            for m in (eye + half, (dt / 3.0) * S))
-
-    def apply(symbols, v):
-        spectra = np.fft.rfft(v.reshape(-1, n))
-        return np.fft.irfft(symbols[..., 0, :] * spectra[0], n).reshape(-1)
-
-    quad = flow.quadratic
+    P = np.linalg.solve(lhs, eye + half)[:, 0, 0]
+    K = flow.quadratic.coeff * np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
     predict, deltas = _reference_predictor(flow, dt)
     states, counts = [], []
     for _ in range(steps):
-        base, q_uu, x = apply(P, u), quad.eval(u, u), predict(u)
+        linear, x = P * np.fft.rfft(u), predict(u)
         for m in range(1, avf.MAX_ITERATIONS + 1):
-            new = base + apply(K, q_uu + quad.eval(u, x) + quad.eval(x, x))
+            new = np.fft.irfft(K * np.fft.rfft(u * (u + x) + x * x) + linear, n)
             if np.abs(new - x).max() <= tol * (1.0 + np.abs(x).max()):
                 break
             x = new
@@ -460,8 +486,9 @@ def _full_newton_march(flow, u, dt, steps, tol=1e-12):
 
 
 class TestReferencePaths:
-    """The flattened Picard loop and the chord Newton loop against the
-    iterations they replaced, on a tiny KdV model (n = 64, 50 steps)."""
+    """The Picard loop against the same iteration written out plainly, and
+    the chord Newton loop against full Newton, on a tiny KdV model (n = 64,
+    50 steps)."""
 
     GRID = Grid1D(n=64, length=40.0, origin=-20.0)
     DT, STEPS = 0.02, 50
@@ -484,6 +511,68 @@ class TestReferencePaths:
         ref_states, ref_counts = _full_newton_march(rom, a0, self.DT, self.STEPS)
         assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
         assert sum(counts) <= sum(ref_counts)
+
+
+class TestPicardWindow:
+    """``integrate`` iterates a quadratic stencil flow on a window of steps
+    once the start steps have given the cubic predictor its history; a
+    single-step march takes the window of one at every step."""
+
+    GRID = Grid1D(n=64, length=40.0, origin=-20.0)
+    DT, STEPS = 0.02, 50
+
+    def _kdv(self):
+        return build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
+
+    def test_integrate_agrees_with_single_steps(self):
+        flow, u0 = self._kdv()
+        traj = integrate(flow, u0, AvfScheme(dt=self.DT, t_end=self.DT * self.STEPS))
+        states, counts = march(flow, u0, self.DT, self.STEPS)
+        assert np.array_equal(traj.states[:, 1:4].T, states[:3])  # the start steps
+        # each path stops every step within picard_tol (1 + max|x|) of the
+        # step's solution (the increments contract); summed over the steps
+        bound = self.STEPS * 1e-12 * (1.0 + np.abs(states).max())
+        assert np.abs(traj.states[:, 1:].T - states).max() <= bound
+        assert np.abs(traj.energies[1:] - eval_energy(flow, states.T)).max() <= bound
+
+    def test_a_sweep_is_one_transform_pair_of_the_window(self, monkeypatch):
+        flow, u0 = self._kdv()
+        rows, irfft = [], np.fft.irfft
+
+        def counted(spectra, *args, **kwargs):
+            rows.append(spectra.shape[0] if spectra.ndim > 1 else 1)
+            return irfft(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        stepper = AvfStepper(flow, self.DT)
+        counts = [stepper.last_iterations for _ in stepper.march(u0, self.STEPS)]
+        assert sum(rows) == sum(counts)  # every update of a row is one inverse transform row
+        assert max(rows) == avf._WINDOW
+        assert len(rows) < sum(counts) / 2
+
+    def test_divergence_after_the_start_steps(self):
+        # du/dt = u^2 from 1 blows up at t = 1; at dt = 0.1 a step from u has
+        # a real solution only while dt u / 3 <= 0.155, and the single-step
+        # march fails at step 9, after the start steps
+        flow, u0, dt = blowup_flow("stencil"), np.array([1.0]), 0.1
+        with pytest.raises(StepFailure) as single:
+            march(flow, u0, dt, 20)
+        with pytest.raises(StepFailure, match="Picard iteration diverged") as window:
+            integrate(flow, u0, AvfScheme(dt=dt, t_end=2.0))
+        assert window.value.step_index == single.value.step_index == 9
+        assert 1 <= window.value.iterations <= avf.MAX_ITERATIONS
+        assert f"overflow after {window.value.iterations} iterations" in str(window.value)
+
+    def test_a_row_that_reaches_the_cap_stalls(self, monkeypatch):
+        flow, u0 = self._kdv()
+        marched = AvfStepper(flow, self.DT).march(u0, self.STEPS)
+        for _ in range(3):  # the start steps, at the full cap
+            next(marched)
+        # from its cubic extrapolation, step 4 needs more than three updates
+        monkeypatch.setattr(avf, "MAX_ITERATIONS", 3)
+        with pytest.raises(StepFailure, match="Picard iteration stalled after 3") as info:
+            next(marched)
+        assert (info.value.step_index, info.value.iterations) == (4, 3)
 
 
 def _stepping_paths():

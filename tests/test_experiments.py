@@ -418,6 +418,9 @@ class TestRunExperiment:
         every_step = 8 * 2 * cfg.n * (cfg.scheme().steps() + 1)
         if cache == "warm":
             fom_trajectory(cfg)
+        # SciPy's first import allocates more than the bound; run alone, this
+        # test would otherwise trace it
+        linalg.bind_lapack()
         tracemalloc.start()
         try:
             reports = run_experiment(cfg)
@@ -669,6 +672,9 @@ class TestSweep:
         every_step = 8 * 2 * cfg.n * (cfg.scheme().steps() + 1)
         if cache == "warm":
             fom_trajectory(cfg)
+        # SciPy's first import allocates more than the bound; run alone, this
+        # test would otherwise trace it
+        linalg.bind_lapack()
         tracemalloc.start()
         try:
             rows = mu_sweep(cfg, mu_grid=[0.0, 0.05, 0.1, 0.15, 0.2], variant=RomVariant.SP0, r=4)
