@@ -40,6 +40,8 @@ MAX_ITERATIONS = 100
 _WINDOW = 4
 _ENTRY_UPDATES = 2
 
+_CUBIC = np.array([-1.0, 4.0, -6.0, 4.0])  # the next state from the last four, oldest first
+
 
 @dataclass(frozen=True)
 class AvfScheme:
@@ -99,6 +101,8 @@ class Trajectory:
     ``max_picard_iterations`` is the largest per-step iteration count of the
     nonlinear solver that ran (Picard or Newton; 0 for linear flows); a step
     iterated on a Picard window counts every update of its row.
+    ``iteration_histogram`` counts in entry m the steps that took m iterations
+    (None for a run read back from the cache, whose meta keeps the maximum).
 
     ``basis`` and ``offset`` are the decode map of a reduced run: with a
     ``basis``, ``states`` holds reduced coefficients and the full state of
@@ -112,6 +116,7 @@ class Trajectory:
     steps_total: int
     dt: float
     max_picard_iterations: int = 0
+    iteration_histogram: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
 
@@ -157,10 +162,11 @@ class AvfStepper:
     chord Newton on dense operators.  An iteration fails with
     :class:`StepFailure` on overflow or after :data:`MAX_ITERATIONS`
     iterations; ``last_iterations`` is the count of the last step (0 for
-    linear flows).  It starts from a cubic extrapolation of the step history
-    (an explicit RK4 prediction while the history is short).  The predictor
-    only changes the iteration count, never the converged step.
-    :meth:`march` steps a quadratic stencil flow on a window of steps.
+    linear flows).  It starts from the cubic extrapolation of a fixed
+    four-row history of the chain (an RK4 prediction while it is shorter),
+    which only the very array the last step returned continues; this only
+    changes the iteration count, never the converged step.  :meth:`march`
+    steps a quadratic stencil flow on a window of steps.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
@@ -169,7 +175,9 @@ class AvfStepper:
         self.flow = flow
         self.dt = dt
         self.picard_tol = picard_tol
-        self._deltas: list[np.ndarray] = []  # last three step increments
+        self._history = np.empty((4, flow.dim))  # the chain: its last _known rows
+        self._known = 0
+        self._last = None  # the array the last step returned
         self._window = None  # the open Picard window of a march: (state, updates) per step
         self.last_iterations = 0
         maps = _FourierMaps if isinstance(flow.structure, PeriodicStencil) else _DenseMaps
@@ -180,9 +188,8 @@ class AvfStepper:
         return self.flow.structure @ _grad(self.flow, u)
 
     def _predict(self, u: np.ndarray) -> np.ndarray:
-        if len(self._deltas) == 3:
-            d1, d2, d3 = self._deltas
-            return u + 3.0 * d3 - 3.0 * d2 + d1
+        if self._known == 4 and u is self._last:
+            return _CUBIC.dot(self._history)
         dt = self.dt
         k1 = self._ode_rhs(u)
         k2 = self._ode_rhs(u + 0.5 * dt * k1)
@@ -207,7 +214,11 @@ class AvfStepper:
         with np.errstate(over="ignore", invalid="ignore"):
             new, self.last_iterations = self._maps.iterate(
                 u, self._predict(u), self.picard_tol, step_index)
-            self._deltas = (self._deltas + [new - u])[-3:]
+        if u is not self._last:  # a new chain starts at u
+            self._history[-1], self._known = u, 1
+        self._history[:-1] = self._history[1:]
+        self._history[-1], self._last = new, new
+        self._known = min(self._known + 1, 4)
         return new
 
     def march(self, u: np.ndarray, steps: int):
@@ -216,17 +227,13 @@ class AvfStepper:
         alone until the cubic predictor has its history (three steps), then
         :meth:`_FourierMaps.pipeline` iterates the remaining steps on a
         window, and each state is valid only until the next is asked for."""
-        history = [u]
         windowed = self.flow.quadratic is not None and isinstance(self._maps, _FourierMaps)
         try:
             for k in range(1, steps + 1):
-                if windowed and len(history) == 4:
-                    self._window = self._maps.pipeline(
-                        np.array(history), self.picard_tol, k, steps)
+                if windowed and self._known == 4 and u is self._last:
+                    self._window = self._maps.pipeline(self._history, self.picard_tol, k, steps)
                     windowed = False
                 u = self.step(u, step_index=k)
-                if windowed:
-                    history.append(u)
                 yield u
         finally:
             self._window = None
@@ -239,6 +246,11 @@ class AvfStepper:
 # as ``(state, iterations)``, or a StepFailure; and ``stacked(width)``, whole
 # blocks of a linear flow's steps.  The Fourier maps also iterate a window of
 # steps (``pipeline``).
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """``max |a|``, NaN when ``a`` holds one."""
+    return np.maximum.reduce(np.abs(a), axis=None)
 
 
 def _diverged(solver: str, m: int, step_index: int) -> StepFailure:
@@ -261,19 +273,24 @@ class _DenseMaps:
     A linear step is one LU solve; :meth:`stacked` forms the propagator
     ``x = M u + c``, ``M = (I - A)^-1 (I + A)``, ``c = (I - A)^-1 dt S g0``.
     A quadratic flow iterates by chord Newton on the residual
-    ``(I - A - K(u) - K(x)) x - b``, where ``K(a) = dt S J2(a) / 3``, ``J2(a)``
-    is the matrix of ``v -> G2(a, v)`` and ``b = (I + A) u + dt S g0 + K(u) u``.
-    The Jacobian ``I - A - K(u) - 2 K(x)`` is factored (into ``lhs``) at the
-    first iteration and again only after an increment that did not shrink
-    by at least half, so a step that converges at once takes one
-    factorization and a hard step still converges like Newton.  Besides the
-    increment rule, from the second update on the iteration stops when the
-    predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of the increments
-    ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.  A tensor term
-    (every reduced model) folds ``dt S / 3`` into its tensor once, stored
-    (r r, r), so ``K(x)`` is one matrix-vector product; any other term gives
-    ``J2(x)`` by its own block ``eval`` of ``x`` against the identity, column
-    k being ``G2(x, e_k)``.
+    ``(I - A) x - b - K(x)(u + x)``, where ``K(a) = dt S J2(a) / 3``,
+    ``J2(a)`` is the matrix of ``v -> G2(a, v)`` (symmetric ``G2``:
+    ``K(a) b = K(b) a``) and ``b = (I + A) u + dt S g0 + K(y)(u - dx)``, with
+    the Jacobian ``I - A - K(y) - 2 K(x)``.  ``y`` and ``dx`` are the last
+    evaluated iterate and update of the step that returned ``u = y - dx``,
+    so ``K(y)(u - dx) = K(u) u + O(|dx|^2)`` and ``K`` is evaluated once per
+    iteration; any ``u`` but the very array that step returned (a copy, a
+    step after a failure) has ``y = u``, ``dx = 0``.  The Jacobian is factored
+    (into ``lhs``) at the first iteration and again only after an increment
+    that did not shrink by at least half, so a step that converges at once
+    takes one factorization and a hard step still converges like Newton.
+    Besides the increment rule, from the second update on the iteration
+    stops when the predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of
+    the increments ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.
+    A tensor term (every reduced model) folds ``dt S / 3`` into its tensor
+    once, stored (r r, r) and exactly symmetric, so ``K(x)`` is one
+    matrix-vector product; any other term gives ``J2(x)`` by its own block
+    ``eval`` of ``x`` against the identity, column k being ``G2(x, e_k)``.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
@@ -287,14 +304,16 @@ class _DenseMaps:
         # x -> K(x), closed over locals only: the maps hold no cycle
         quad, dtS3, r = flow.quadratic, dtS / 3.0, flow.dim
         if isinstance(quad, TensorQuadratic):
-            folded = np.tensordot(dtS3, quad.tensor, axes=1).reshape(r * r, r)
-            self.jacobian = lambda x: (folded @ x).reshape(r, r)
+            folded = np.tensordot(dtS3, quad.tensor, axes=1)
+            folded = (0.5 * (folded + folded.transpose(0, 2, 1))).reshape(r * r, r)
+            self.jacobian = lambda x: folded.dot(x).reshape(r, r)
         elif quad is not None:  # the column of x broadcasts against eye's
             self.jacobian = lambda x: dtS3 @ quad.eval(x[:, None], eye)
+        self._carried = None  # (state, K(y), dx) of the last step, y - dx the state
 
     def _base(self, u: np.ndarray) -> np.ndarray:
         """``(I + A) u + dt S g0``."""
-        base = self.rhs_mat @ u
+        base = self.rhs_mat.dot(u)
         return base if self.const is None else base + self.const
 
     def linear_step(self, u: np.ndarray) -> np.ndarray:
@@ -303,19 +322,18 @@ class _DenseMaps:
 
     def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
         """Chord Newton iteration from ``x``: ``(state, iterations)``."""
-        jacobian, lhs = self.jacobian, self.lhs
-        k_u = jacobian(u)
-        base = self._base(u) + k_u @ u
-        fixed = self.lhs_mat - k_u  # the Jacobian's part that x leaves fixed
+        jacobian, lhs, lhs_mat = self.jacobian, self.lhs, self.lhs_mat
+        carried, self._carried = self._carried, None
+        _, k_y, dx = carried if carried is not None and carried[0] is u else (u, jacobian(u), 0.0)
+        base = self._base(u) + k_y.dot(u - dx)
+        fixed = lhs_mat - k_y  # the Jacobian's part that x leaves fixed
         refactor, last = True, np.inf  # last: the previous increment
         for m in range(1, MAX_ITERATIONS + 1):
             k_x = jacobian(x)
-            mat = fixed - k_x
-            residual = mat @ x - base
+            residual = lhs_mat.dot(x) - base - k_x.dot(u + x)
             if refactor:
-                mat -= k_x  # the Jacobian
                 try:
-                    lhs.factor(mat)
+                    lhs.factor(fixed - 2.0 * k_x)
                 except SingularMatrixError as exc:
                     raise StepFailure(
                         f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
@@ -325,13 +343,14 @@ class _DenseMaps:
                 except ValueError:  # a non-finite Jacobian: K(x) overflowed
                     raise _diverged("Newton", m, step_index) from None
             dx = lhs.solve(residual)
-            increment = np.abs(dx).max()
+            increment = _max_abs(dx)
             if not math.isfinite(increment):  # the maximum propagates NaN and inf
                 raise _diverged("Newton", m, step_index)
-            bound = tol * (1.0 + np.abs(x).max())
+            bound = tol * (1.0 + _max_abs(x))
             x = x - dx
             if increment <= bound or (m > 1 and increment < last
                                       and increment * increment <= bound * (last - increment)):
+                self._carried = x, k_x, dx
                 return x, m
             refactor, last = increment > 0.5 * last, increment
         raise _stalled("Newton", increment, step_index)
@@ -460,9 +479,9 @@ class _FourierMaps:
         extrapolation of the four states before it, once the row before it
         has had ``_ENTRY_UPDATES`` updates, up to ``width`` rows.  A row
         whose update overflows fails the step as :class:`StepFailure` at
-        the front; further back it and the rows behind it leave the window
-        and enter again.  A front row that reaches :data:`MAX_ITERATIONS`
-        updates, every update of its row counted, stalls.
+        the front (a non-finite increment); further back (a non-finite
+        entry) it and the rows behind it leave the window and enter again.
+        A front row that reaches :data:`MAX_ITERATIONS` updates stalls.
         """
         n, kernel, symbol = self._n, self._kernel, self._symbol
         rfft, irfft = np.fft.rfft, np.fft.irfft
@@ -480,49 +499,51 @@ class _FourierMaps:
         updates: list[int] = []  # per window row
         k = first  # the step of the front row
         while True:
-            w = len(updates)
             # overflow inside a diverging iteration is expected and reported
             # as StepFailure, hence the suppressed floating-point warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                if w < width and k + w <= last and (not w or updates[-1] >= _ENTRY_UPDATES):
-                    if guess is None:
-                        s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
-                        guess_row = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
-                    else:
-                        guess_row = guess
-                    states[a + 1 + w] = guess_row
-                    updates.append(0)
-                    w += 1
-                U, X = states[a : a + w], states[a + 1 : a + 1 + w]
-                np.multiply(symbol, spectra[a : a + w], out=linear[:w])
-                np.add(U, X, out=q[:w])
-                q[:w] *= U
-                q[:w] += np.multiply(X, X, out=work[:w])
-                spectrum = rfft(q[:w], out=spectra[a + 1 : a + 1 + w])
-                np.multiply(kernel, spectrum, out=spectrum)  # K the left operand, as in K q
-                spectrum += linear[:w]
-                x = irfft(spectrum, n, out=new[:w])
-                increments = np.abs(np.subtract(x, X, out=work[:w]), out=work[:w]).max(axis=1)
-                if not math.isfinite(increments.max()):  # the maximum propagates NaN and inf
-                    j = int(np.flatnonzero(~np.isfinite(increments))[0])
-                    if j == 0:
+                while True:  # the sweeps up to the front row's acceptance
+                    w = len(updates)
+                    if w < width and k + w <= last and (not w or updates[-1] >= _ENTRY_UPDATES):
+                        if guess is None:
+                            s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
+                            guess_row = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
+                        else:
+                            guess_row = guess
+                        states[a + 1 + w] = guess_row
+                        updates.append(0)
+                        w += 1
+                    U, X = states[a : a + w], states[a + 1 : a + 1 + w]
+                    np.multiply(symbol, spectra[a : a + w], out=linear[:w])
+                    np.add(U, X, out=q[:w])
+                    q[:w] *= U
+                    q[:w] += np.multiply(X, X, out=work[:w])
+                    spectrum = rfft(q[:w], out=spectra[a + 1 : a + 1 + w])
+                    np.multiply(kernel, spectrum, out=spectrum)  # K the left operand, as in K q
+                    spectrum += linear[:w]
+                    x = irfft(spectrum, n, out=new[:w])
+                    increment = _max_abs(np.subtract(x[0], X[0], out=work[0]))
+                    if not math.isfinite(increment):
                         raise _diverged("Picard", updates[0] + 1, k)
-                    del updates[j:]
-                bound = tol * (1.0 + np.abs(X[0]).max())
-                X[...] = x
-                updates = [m + 1 for m in updates]
-            if increments[0] <= bound:
-                yield states[a + 1], updates.pop(0)
-                a, k = a + 1, k + 1
-                if k > last:
-                    return
-                if a + width >= rows:  # move the history and the window to the top
-                    live = slice(a - h + 1, a + 1 + len(updates))
-                    count = live.stop - live.start
-                    states[:count], spectra[:count] = states[live], spectra[live]
-                    a = h - 1
-            elif updates[0] == MAX_ITERATIONS:
-                raise _stalled("Picard", increments[0], k)
+                    finite = np.isfinite(x[1:]).all(axis=1)  # the rows behind
+                    if not finite.all():
+                        del updates[1 + int(np.flatnonzero(~finite)[0]):]
+                    bound = tol * (1.0 + _max_abs(X[0]))
+                    X[...] = x
+                    updates = [m + 1 for m in updates]
+                    if increment <= bound:
+                        break
+                    if updates[0] == MAX_ITERATIONS:
+                        raise _stalled("Picard", increment, k)
+            yield states[a + 1], updates.pop(0)
+            a, k = a + 1, k + 1
+            if k > last:
+                return
+            if a + width >= rows:  # move the history and the window to the top
+                live = slice(a - h + 1, a + 1 + len(updates))
+                count = live.stop - live.start
+                states[:count], spectra[:count] = states[live], spectra[live]
+                a = h - 1
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
@@ -594,9 +615,10 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
     state, for a circulant flow per Fourier mode with one batched inverse
     transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step,
-    through :meth:`AvfStepper.march`: on periodic stencils (the KdV
-    full-order model) its steps after the first three come from one Picard
-    window, whose every row update counts toward ``max_picard_iterations``.
+    each passed the state the one before returned: on periodic stencils
+    (the KdV full-order model) through :meth:`AvfStepper.march`, whose steps
+    after the first three come from one Picard window, every row update
+    counting toward the iteration histogram.
     """
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
@@ -608,18 +630,20 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // dim, steps + 1))
     block = np.empty((dim, width))  # column j holds step k0 + j
     block[:, 0] = u
+    counts = [0] * (MAX_ITERATIONS + 1)  # entry m: the steps that took m iterations
     if flow.quadratic is None:
-        stacked = stepper._maps.stacked(width)
+        stacked, counts[0] = stepper._maps.stacked(width), steps
     else:
-        stacked, marched = None, stepper.march(u, steps)
-    max_iters = 0
+        stacked, step = None, stepper.step
+        marched = stepper.march(u, steps) if isinstance(stepper._maps, _FourierMaps) else None
     for k0 in range(0, steps + 1, width):
         w = min(width, steps + 1 - k0)
         start = 1 if k0 == 0 else 0  # column 0 of the first block is the initial state
         if stacked is None:
-            for j in range(start, w):
-                block[:, j] = next(marched)
-                max_iters = max(max_iters, stepper.last_iterations)
+            for k in range(k0 + start, k0 + w):
+                u = step(u, k) if marched is None else next(marched)
+                block[:, k - k0] = u
+                counts[stepper.last_iterations] += 1
         else:
             run, chunk = stacked
             for j in range(start, w, chunk):
@@ -633,11 +657,14 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
         first = -(-k0 // stride)  # index of the first recorded state in the block
         last = (k0 + w - 1) // stride + 1
         states[:, first:last] = block[:, first * stride - k0 : w : stride]
+    histogram = np.array(counts)
+    histogram = histogram[: histogram.nonzero()[0][-1] + 1]
     return Trajectory(
         times=scheme.dt * (stride * np.arange(states.shape[1])),  # step k at k * dt
         states=states,
         energies=energies,
         steps_total=steps,
         dt=scheme.dt,
-        max_picard_iterations=max_iters,
+        max_picard_iterations=len(histogram) - 1,
+        iteration_histogram=histogram,
     )

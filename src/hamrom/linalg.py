@@ -212,11 +212,11 @@ class LuFactorization:
         ValueError and a pivot at or below :data:`PIVOT_TOL` of the largest
         entry :class:`SingularMatrixError`; either keeps the previous factors.
         """
-        scale = np.abs(A).max()
+        scale = np.maximum.reduce(np.abs(A), axis=None)
         if not math.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
         lu, piv, _ = _getrf(A)
-        if np.abs(lu.diagonal()).min() <= PIVOT_TOL * scale:
+        if np.minimum.reduce(np.abs(lu.diagonal())) <= PIVOT_TOL * scale:
             raise SingularMatrixError(f"pivot below {PIVOT_TOL:g} of the matrix scale")
         self._lu, self._piv = lu, piv
         self.shape = A.shape

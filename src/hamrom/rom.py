@@ -86,20 +86,17 @@ def encode(model: ReducedModel, u) -> np.ndarray:
 
 def _reduced_tensors(lefts, phi: np.ndarray, coeff: float) -> list[TensorQuadratic]:
     """Project an entrywise quadratic term once per left factor:
-    ``T[p, i, j] = coeff * sum_m left[p, m] phi[m, i] phi[m, j]``, stored dense
-    with the (i, j) symmetry enforced exactly.  The basis products are formed
-    for one index i at a time, an n x r block, never all n x r^2 of them."""
+    ``T[p, i, j] = coeff * sum_m left[p, m] phi[m, i] phi[m, j]``, stored dense:
+    its ``i <= j`` half from an n x (r - i) block of basis products per index
+    i (never all n x r^2 of them), mirrored, so exactly symmetric."""
     n, r = phi.shape
     tensors = [np.empty((left.shape[0], r, r)) for left in lefts]
     for i in range(r):
-        W = phi * phi[:, i : i + 1]  # W[m, j] = phi[m, i] phi[m, j]
+        W = phi[:, i:] * phi[:, i : i + 1]  # W[m, j - i] = phi[m, i] phi[m, j]
         for T, left in zip(tensors, lefts):
-            np.matmul(left, W, out=T[:, i, :])
-    out = []
-    for T in tensors:
-        T *= coeff
-        out.append(TensorQuadratic(0.5 * (T + T.transpose(0, 2, 1))))
-    return out
+            np.matmul(left, W, out=T[:, i, i:])
+            T[:, i:, i] = T[:, i, i:]
+    return [TensorQuadratic(coeff * T) for T in tensors]
 
 
 def stack_bases(bases: Sequence[PodBasis]) -> np.ndarray:

@@ -18,6 +18,7 @@ from hamrom.systems import (
     PeriodicStencil,
     PolyGradFlow,
     ProjectedQuadratic,
+    TensorQuadratic,
     build_kdv_fom,
     build_wave_fom,
     eval_energy,
@@ -141,7 +142,8 @@ class TestIteration:
             stepper = self._stepper(storage, 0.0, picard_tol=0.9)
             assert stepper.step(np.array([1.0]))[0] == pytest.approx(expected, rel=1e-14)
             assert stepper.last_iterations == 2
-            assert stepper._deltas[-1][0] == pytest.approx(expected - 1.0, rel=1e-14)
+            start, end = stepper._history[-2:, 0]  # the step's chain: 1 to its state
+            assert (start, end) == (1.0, pytest.approx(expected, rel=1e-14))
 
     def test_newton_stops_on_its_predicted_error(self):
         # from 0 the Newton increments are d_1 = 1.22 and d_2 = 0.166: d_2 is
@@ -302,6 +304,27 @@ class TestIntegrate:
             integrate(blowup_flow("dense"), np.array([1.0]), AvfScheme(dt=0.9, t_end=9.0))
         assert info.value.step_index >= 1
 
+    def test_iteration_histogram(self):
+        # entry m counts the steps that took m iterations: Newton on a dense
+        # flow, Picard (every update of a window row) on a stencil flow
+        grid = Grid1D(n=64, length=40.0, origin=-20.0)
+        kdv = build_kdv_fom(-6.0, 0.0, -1.0, grid)
+        flows = [(random_skew_quadratic_flow(seed=9), 0.1 * np.ones(6)),
+                 (kdv, kdv_initial(grid))]
+        scheme = AvfScheme(dt=0.02, t_end=1.0)
+        for flow, u0 in flows:
+            traj = integrate(flow, u0, scheme)
+            counts = []
+            stepper = AvfStepper(flow, scheme.dt)
+            for _ in stepper.march(u0, traj.steps_total):
+                counts.append(stepper.last_iterations)
+            assert np.array_equal(traj.iteration_histogram, np.bincount(counts))
+            assert traj.max_picard_iterations == max(counts)
+        linear = build_wave_fom(0.1, Grid1D(n=16, length=1.0))
+        traj = integrate(linear, wave_initial(Grid1D(n=16, length=1.0)), scheme)
+        assert traj.iteration_histogram.tolist() == [scheme.steps()]
+        assert traj.max_picard_iterations == 0
+
     def test_deterministic(self):
         flow = random_skew_quadratic_flow(seed=9)
         u0 = 0.1 * np.random.default_rng(10).standard_normal(6)
@@ -402,25 +425,24 @@ class TestBenchmarkRuns:
 
 
 def _reference_predictor(flow, dt):
-    """``(predict, deltas)``: the stepper's start guess, RK4 while fewer than
-    three step increments are appended to ``deltas``, then their cubic
-    extrapolation, in the stepper's arithmetic."""
-    deltas = []
+    """``(predict, states)``: the stepper's start guess, RK4 while fewer than
+    four states of the chain are appended to ``states``, then the cubic
+    extrapolation of the last four, in the stepper's arithmetic."""
+    states = []
 
     def rhs(v):
         return flow.structure @ eval_grad(flow, v)
 
     def predict(u):
-        if len(deltas) >= 3:
-            d1, d2, d3 = deltas[-3:]
-            return u + 3.0 * d3 - 3.0 * d2 + d1
+        if len(states) >= 4:
+            return np.array([-1.0, 4.0, -6.0, 4.0]).dot(np.array(states[-4:]))
         k1 = rhs(u)
         k2 = rhs(u + 0.5 * dt * k1)
         k3 = rhs(u + 0.5 * dt * k2)
         k4 = rhs(u + dt * k3)
         return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return predict, deltas
+    return predict, states
 
 
 def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
@@ -437,7 +459,8 @@ def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
     lhs = eye - half
     P = np.linalg.solve(lhs, eye + half)[:, 0, 0]
     K = flow.quadratic.coeff * np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
-    predict, deltas = _reference_predictor(flow, dt)
+    predict, chain = _reference_predictor(flow, dt)
+    chain.append(u)
     states, counts = [], []
     for _ in range(steps):
         linear, x = P * np.fft.rfft(u), predict(u)
@@ -446,7 +469,7 @@ def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
             if np.abs(new - x).max() <= tol * (1.0 + np.abs(x).max()):
                 break
             x = new
-        deltas.append(new - u)
+        chain.append(new)
         counts.append(m)
         states.append(new)
         u = new
@@ -468,7 +491,8 @@ def _full_newton_march(flow, u, dt, steps, tol=1e-12):
     def J2(a):  # the matrix of v -> G2(a, v)
         return np.einsum("pij,i->pj", T, a)
 
-    predict, deltas = _reference_predictor(flow, dt)
+    predict, chain = _reference_predictor(flow, dt)
+    chain.append(u)
     states, counts = [], []
     for _ in range(steps):
         x, base = predict(u), rhs @ u + dtS3 @ G2(u, u)
@@ -478,7 +502,7 @@ def _full_newton_march(flow, u, dt, steps, tol=1e-12):
             if np.abs(new - x).max() <= tol * (1.0 + np.abs(x).max()):
                 break
             x = new
-        deltas.append(new - u)
+        chain.append(new)
         counts.append(m)
         states.append(new)
         u = new
@@ -502,15 +526,137 @@ class TestReferencePaths:
 
     @pytest.mark.parametrize("variant", [RomVariant.SP0, RomVariant.GROM])
     def test_chord_newton_matches_full_newton(self, variant):
-        fom, u0 = build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
-        scheme = AvfScheme(dt=self.DT, t_end=self.DT * self.STEPS)
-        basis = compute_basis(collect_snapshots(integrate(fom, u0, scheme), fom), 8)
-        rom = reduce_operators(fom, basis, variant).flow
-        a0 = basis.phi.T @ u0
-        states, counts = march(rom, a0, self.DT, self.STEPS)
+        # the march carries K from step to step: one K(x) per iteration,
+        # and K(u) once, at the first step
+        rom, a0 = _kdv_rom(variant, self.DT, self.STEPS)
+        stepper = AvfStepper(rom, self.DT)
+        gemvs = _counted_jacobian(stepper)
+        u, states, counts = a0, [], []
+        for k in range(1, self.STEPS + 1):
+            u = stepper.step(u, step_index=k)
+            states.append(u)
+            counts.append(stepper.last_iterations)
+        states = np.array(states)
         ref_states, ref_counts = _full_newton_march(rom, a0, self.DT, self.STEPS)
         assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
         assert sum(counts) <= sum(ref_counts)
+        assert len(gemvs) == sum(counts) + 1
+
+
+def _kdv_rom(variant, dt=0.02, steps=50, r=8):
+    """A tiny KdV reduced model (n = 64, r = 8) and its start coefficients."""
+    grid = Grid1D(n=64, length=40.0, origin=-20.0)
+    fom, u0 = build_kdv_fom(-6.0, 0.0, -1.0, grid), kdv_initial(grid)
+    scheme = AvfScheme(dt=dt, t_end=dt * steps)
+    basis = compute_basis(collect_snapshots(integrate(fom, u0, scheme), fom), r)
+    return reduce_operators(fom, basis, variant).flow, basis.phi.T @ u0
+
+
+def _counted_jacobian(stepper):
+    """The points at which the stepper's maps evaluate ``K`` from now on."""
+    points, jacobian = [], stepper._maps.jacobian
+    stepper._maps.jacobian = lambda x: points.append(x) or jacobian(x)
+    return points
+
+
+def _three_gemv_iterate(maps, u, x, tol=1e-12):
+    """The chord Newton step that evaluates ``K(u)`` itself: residual
+    ``(I - A - K(u) - K(x)) x - (I + A) u - dt S g0 - K(u) u``, Jacobian
+    ``I - A - K(u) - 2 K(x)`` refactored after an increment that did not
+    halve, both stopping rules; ``(state, iterations)``."""
+    k_u = maps.jacobian(u)
+    base = maps.rhs_mat @ u + k_u @ u
+    if maps.const is not None:
+        base = base + maps.const
+    refactor, last = True, np.inf
+    for m in range(1, avf.MAX_ITERATIONS + 1):
+        k_x = maps.jacobian(x)
+        mat = maps.lhs_mat - k_u - k_x
+        if refactor:
+            jac = mat - k_x
+        dx = np.linalg.solve(jac, mat @ x - base)
+        increment, bound = np.abs(dx).max(), tol * (1.0 + np.abs(x).max())
+        x = x - dx
+        if increment <= bound or (m > 1 and increment < last
+                                  and increment * increment <= bound * (last - increment)):
+            return x, m
+        refactor, last = increment > 0.5 * last, increment
+    raise AssertionError("the reference step stalled")
+
+
+class TestCarriedState:
+    """A dense quadratic step takes ``K(u)`` from the step that returned
+    ``u``, the array itself; any other input evaluates ``K(u)``, as the
+    three-GEMV step does."""
+
+    DT = 0.02
+
+    def _chained(self, variant=RomVariant.SP0, steps=6):
+        rom, a0 = _kdv_rom(variant)
+        stepper = AvfStepper(rom, self.DT)
+        u = a0
+        for k in range(1, steps + 1):
+            u = stepper.step(u, step_index=k)
+        return rom, stepper, u
+
+    @pytest.mark.parametrize("variant", [RomVariant.SP0, RomVariant.GROM])
+    @pytest.mark.parametrize("source", ["copy", "fresh stepper"])
+    def test_other_input_takes_the_three_gemv_step(self, variant, source):
+        rom, stepper, u = self._chained(variant)
+        if source == "fresh stepper":
+            stepper = AvfStepper(rom, self.DT)
+        u = u.copy()
+        x0 = stepper._predict(u)  # a new chain: the RK4 prediction
+        ref, ref_m = _three_gemv_iterate(stepper._maps, u, x0)
+        gemvs = _counted_jacobian(stepper)
+        new = stepper.step(u, step_index=7)
+        assert stepper.last_iterations == ref_m
+        assert len(gemvs) == ref_m + 1 and gemvs[0] is u  # K(u) first
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_the_returned_array_carries_its_k(self):
+        _, stepper, u = self._chained()
+        gemvs = _counted_jacobian(stepper)
+        carried = stepper.step(u, step_index=7)
+        assert len(gemvs) == stepper.last_iterations and all(p is not u for p in gemvs)
+        # the same step from an equal copy evaluates K(u)
+        _, stepper, u = self._chained()
+        x0 = stepper._predict(u)
+        stepper._predict = lambda _: x0  # the chained prediction, for both
+        again = stepper.step(u.copy(), step_index=7)
+        assert np.abs(carried - again).max() <= 1e-14 * np.abs(again).max()
+
+    def test_a_failed_step_breaks_the_carry(self):
+        _, stepper, u = self._chained()
+        factor = stepper._maps.lhs.factor
+
+        def singular(A):
+            raise SingularMatrixError("forced")
+
+        stepper._maps.lhs.factor = singular
+        with pytest.raises(StepFailure, match="singular Jacobian"):
+            stepper.step(u, step_index=7)
+        stepper._maps.lhs.factor = factor
+        gemvs = _counted_jacobian(stepper)
+        stepper.step(u, step_index=7)
+        assert gemvs[0] is u and len(gemvs) == stepper.last_iterations + 1
+
+    def test_a_nearly_symmetric_tensor_meets_the_step_equation(self):
+        # a tensor symmetric only to 1e-13 (TensorQuadratic accepts 1e-12):
+        # every step still solves the AVF equation of the term's own eval
+        rng = np.random.default_rng(11)
+        flow = random_skew_quadratic_flow(dim=6, seed=12)
+        T = rng.standard_normal((6, 6, 6))
+        T = 0.5 * (T + T.transpose(0, 2, 1)) + 1e-13 * np.abs(T).max() * rng.random((6, 6, 6))
+        assert not np.array_equal(T, T.transpose(0, 2, 1))
+        flow = replace(flow, quadratic=TensorQuadratic(0.1 * T))
+        traj = integrate(flow, 0.2 * rng.standard_normal(6), AvfScheme(dt=0.01, t_end=2.0))
+        u, x = traj.states[:, :-1], traj.states[:, 1:]
+        G2 = flow.quadratic.eval
+        q = G2(u, u) + G2(u, x) + G2(x, x)
+        grad = flow.linear @ (0.5 * (u + x)) + flow.constant[:, None] + q / 3.0
+        residual = np.abs(x - u - 0.01 * (flow.structure @ grad)).max(axis=0)
+        assert residual.max() <= 1e-12 * (1.0 + np.abs(x).max())
 
 
 class TestPicardWindow:
