@@ -26,6 +26,7 @@ from .systems import (
     TensorQuadratic,
     _as_state,
     _grad,
+    _integer,
     eval_energy,
 )
 
@@ -65,6 +66,8 @@ class AvfScheme:
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        object.__setattr__(self, "snapshot_stride",
+                           _integer("snapshot_stride", self.snapshot_stride))
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
 
@@ -180,8 +183,7 @@ class AvfStepper:
         self._last = None  # the array the last step returned
         self._window = None  # the open Picard window of a march: (state, updates) per step
         self.last_iterations = 0
-        maps = _FourierMaps if isinstance(flow.structure, PeriodicStencil) else _DenseMaps
-        self._maps = maps(flow, dt)
+        self._maps = _maps_for(flow, dt)
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
@@ -596,6 +598,12 @@ def _stacked_powers(M: np.ndarray, c: Optional[np.ndarray], count: int):
     return powers, offsets
 
 
+def _maps_for(flow: PolyGradFlow, dt: float):
+    """The maps of a flow's steps: Fourier for periodic stencils, else dense."""
+    maps = _FourierMaps if isinstance(flow.structure, PeriodicStencil) else _DenseMaps
+    return maps(flow, dt)
+
+
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
               consumer: Optional[Callable[[np.ndarray], None]] = None) -> Trajectory:
     """March ``flow`` from ``u0`` to ``t_end``, recording every stride-th state.
@@ -611,10 +619,10 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     goes to ``consumer`` when one is given (in order, starting at step 0),
     which must copy what it keeps: the next block overwrites it.  A
     linear flow (a linear reduced model, or the wave full-order model) fills
-    a block without stepping: up to B states at a time come from the stacked
-    propagator powers ``[M; M^2; ...; M^B]`` applied to the block's start
-    state, for a circulant flow per Fourier mode with one batched inverse
-    transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step,
+    a block from its maps, with no stepper: up to B states at a time come
+    from the stacked propagator powers ``[M; M^2; ...; M^B]`` applied to the
+    block's start state, for a circulant flow per Fourier mode with one
+    batched inverse transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step,
     each passed the state the one before returned: on periodic stencils
     (the KdV full-order model) through :meth:`AvfStepper.march`, whose steps
     after the first three come from one Picard window, every row update
@@ -623,7 +631,6 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     u = _as_state(u0, flow.dim)
     steps = scheme.steps()
     stride = scheme.snapshot_stride
-    stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol)
     dim = flow.dim
     states = np.empty((dim, steps // stride + 1), order="F")
     energies = np.empty(steps + 1)
@@ -632,8 +639,9 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     block[:, 0] = u
     counts = [0] * (MAX_ITERATIONS + 1)  # entry m: the steps that took m iterations
     if flow.quadratic is None:
-        stacked, counts[0] = stepper._maps.stacked(width), steps
+        stacked, counts[0] = _maps_for(flow, scheme.dt).stacked(width), steps
     else:
+        stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol)
         stacked, step = None, stepper.step
         marched = stepper.march(u, steps) if isinstance(stepper._maps, _FourierMaps) else None
     for k0 in range(0, steps + 1, width):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -65,8 +64,16 @@ from .pod import (
     snapshot_frames,
     weighted_basis,
 )
-from .rom import ReducedModel, RomVariant, reduce_operators, run_rom, stack_bases
-from .systems import Grid1D, PolyGradFlow, build_kdv_fom, build_wave_fom, kdv_initial, wave_initial
+from .rom import ReducedModel, RomVariant, reduce_operators, run_rom
+from .systems import (
+    Grid1D,
+    PolyGradFlow,
+    _integer,
+    build_kdv_fom,
+    build_wave_fom,
+    kdv_initial,
+    wave_initial,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -106,18 +113,6 @@ def _solver_tag(directory: Path) -> str:
 # every cache key, so a trajectory cached by other code, or rounded by another
 # BLAS, is never served.  No full-order step calls SciPy.
 FOM_SOLVER = _solver_tag(Path(__file__).parent)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int, a NumPy integer too, so that one value has
-    one cache key; ValueError for anything that is not an integer, a bool
-    included."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -410,7 +405,7 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     and the run streams into an anonymous temporary file instead; only a
     stream that fails midway integrates a second time.
     """
-    stride = cfg.stride if stride is None else stride
+    stride = cfg.stride if stride is None else _integer("stride", stride)
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     key, paths = _cache_entry(cfg)
@@ -441,9 +436,9 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
     return traj
 
 
-# a basis, or the bases of every field, of one size; or the NumericalError
-# that building them raised, memoized in their place
-_Built = Union[PodBasis, tuple[PodBasis, ...], NumericalError]
+# one field's basis of one size, or the NumericalError that building it
+# raised, memoized in its place
+_Built = Union[PodBasis, NumericalError]
 
 
 def _cut(snaps: SnapshotSet, sizes: Iterable[int]) -> dict[int, _Built]:
@@ -468,12 +463,9 @@ class _Reference:
     full-order flow, the every-step reference run, its snapshot view and the
     number of field row blocks (two for the wave, one for KdV).
 
-    ``bases`` memoizes the per-field POD bases by (mu, shifted, r), and
-    ``stacks`` their block-diagonal stack by the same key; a size that
-    failed memoizes its NumericalError.  ``unweighted`` keeps by (field, r)
-    the mu = 0 bases of each field whose gradients are a multiple of its
-    states, which every unshifted weight of that field reuses.  While the
-    phases of :func:`_run_compared` run, ``pool`` holds their ``workers``;
+    ``bases`` memoizes the POD basis of each field by (field, mu, shifted,
+    r); a size that failed memoizes its NumericalError.  While the phases
+    of :func:`_run_compared` run, ``pool`` holds their ``workers``;
     otherwise everything runs on the caller.  As a context manager it
     closes the stored reference when the block ends."""
 
@@ -482,9 +474,7 @@ class _Reference:
     snap: Trajectory
     fields: int
     frames: Optional[tuple[SnapshotFrame, ...]] = None
-    bases: dict[tuple[float, bool, int], _Built] = field(default_factory=dict)
-    stacks: dict[tuple[float, bool, int], np.ndarray] = field(default_factory=dict)
-    unweighted: dict[tuple[int, int], _Built] = field(default_factory=dict)
+    bases: dict[tuple[int, float, bool, int], _Built] = field(default_factory=dict)
     pool: Optional[ThreadPoolExecutor] = None
     workers: int = 1
 
@@ -509,92 +499,69 @@ class _Reference:
         return (collect_snapshots(self.snap, self.flow, mu=mu, shifted=shifted, frame=frame),)
 
     def _reuses(self, i: int, shifted: bool) -> bool:
-        """Whether field ``i`` takes its unshifted bases from ``unweighted``:
+        """Whether field ``i`` takes its unshifted bases from its mu = 0 ones:
         its gradients are an exact multiple of its states
         (:attr:`SnapshotFrame.multiple`), so that every unshifted weight's
         basis is the mu = 0 one, weighted (:func:`hamrom.pod.weighted_basis`)."""
         return not shifted and self.frames is not None and self.frames[i].multiple is not None
 
     def build_bases(self, keys: Iterable[tuple[float, bool, int]]) -> None:
-        """Memoize the bases of every ``(mu, shifted, r)`` key not memoized
-        yet: one SVD per field and distinct ``(mu, shifted)``, whatever the
-        sizes.  What the sets share is built first, on the caller: the
-        frames, and the mu = 0 bases of every field that reuses them.
+        """Memoize the basis of every field for every ``(mu, shifted, r)`` key:
+        one SVD per field and distinct ``(mu, shifted)`` with a size not
+        memoized yet.  A field that reuses its mu = 0 bases (:meth:`_reuses`)
+        takes every other weight's by weighting them.
 
-        The mu = 0 sets, assembled on the grid's rows, are decomposed on the
-        caller one after another: two of Table 2's 2000x201 SVDs side by
-        side raised its peak memory by up to 13%.  Each weight's sets, in
-        frame coordinates of at most twice as many rows as snapshots
-        whatever the grid, are decomposed on a worker.  The caller
-        memoizes the results in key order: no worker writes the memo."""
-        sizes: dict[tuple[float, bool], list[int]] = {}
-        for mu, shifted, r in keys:
-            if (mu, shifted, r) not in self.bases and r not in sizes.get((mu, shifted), ()):
-                sizes.setdefault((mu, shifted), []).append(r)
-        if not sizes:
-            return
-        if self.frames is None and any(mu > 0 for mu, _ in sizes):
+        The mu = 0 sets, assembled on the grid's rows, are decomposed first,
+        on the caller, one after another: two of Table 2's 2000x201 SVDs
+        side by side raised its peak memory by up to 13%.  Each weight's
+        sets, in frame coordinates of at most twice as many rows as
+        snapshots whatever the grid, are decomposed on a worker.  Only the
+        caller writes the memo."""
+        wanted = dict.fromkeys((i, *key) for key in keys for i in range(self.fields))
+        missing = [key for key in wanted if key not in self.bases]
+        if self.frames is None and any(mu > 0 for _, mu, _, _ in missing):
             self.frames = snapshot_frames(self.snap, self.flow, self.fields)
-        unshifted = sorted({r for (_, shifted), rs in sizes.items() if not shifted for r in rs})
-        for i in range(self.fields):
-            missing = [r for r in unshifted if (i, r) not in self.unweighted]
-            if self._reuses(i, False) and missing:
-                snaps = self.snapshot_sets(0.0, False)[i]
-                self.unweighted.update(((i, r), b) for r, b in _cut(snaps, missing).items())
+        weighted = {key for key in missing if key[1] > 0 and self._reuses(key[0], key[2])}
+        # the sizes to cut by (mu, shifted) and field; a weighted key needs its mu = 0 basis
+        sizes: dict[tuple[float, bool], dict[int, list[int]]] = {}
+        for i, mu, shifted, r in dict.fromkeys(
+            (key[0], 0.0, False, key[3]) if key in weighted else key for key in missing
+        ):
+            if (i, mu, shifted, r) not in self.bases:
+                sizes.setdefault((mu, shifted), {}).setdefault(i, []).append(r)
+        tall = [item for item in sizes.items() if item[0][0] == 0]
         framed = [item for item in sizes.items() if item[0][0] > 0]
-        built = dict(zip([key for key, _ in framed], self.map(self._key_bases, framed)))
-        for key, rs in sizes.items():
-            by_size = built[key] if key in built else self._key_bases((key, rs))
-            self.bases.update(((*key, r), bases) for r, bases in by_size.items())
+        for built in [self._cut_sets(item) for item in tall] + self.map(self._cut_sets, framed):
+            self.bases.update(built)
+        for i, mu, shifted, r in weighted:
+            basis = self.bases[i, 0.0, False, r]
+            if not isinstance(basis, NumericalError):
+                basis = weighted_basis(basis, self.frames[i].multiple, mu)
+            self.bases[i, mu, shifted, r] = basis
 
-    def _key_bases(self, item: tuple[tuple[float, bool], list[int]]) -> dict[int, _Built]:
-        """The bases of every size of one ``((mu, shifted), sizes)`` item, by
-        size, a field that reuses its mu = 0 bases weighting them; the first
-        NumericalError of a field in place of a size that failed.  Reads the
-        memo and writes none of it."""
+    def _cut_sets(self, item: tuple[tuple[float, bool], dict[int, list[int]]]) -> dict:
+        """The bases of one ``((mu, shifted), sizes by field)`` item by memo
+        key, one SVD per field.  Reads the memo and writes none of it."""
         (mu, shifted), sizes = item
-        per_field = [
-            {r: self._weighted(i, r, mu) for r in sizes} if self._reuses(i, shifted)
-            else _cut(snaps, sizes)
-            for i, snaps in enumerate(self.snapshot_sets(mu, shifted))
-        ]
-        out = {}
-        for r in sizes:
-            bases = tuple(built[r] for built in per_field)
-            out[r] = next((b for b in bases if isinstance(b, NumericalError)), bases)
-        return out
-
-    def _weighted(self, i: int, r: int, mu: float) -> _Built:
-        """The memoized mu = 0 basis of field ``i`` and size ``r``, weighted
-        for ``mu``."""
-        basis = self.unweighted[i, r]
-        if mu == 0 or isinstance(basis, NumericalError):
-            return basis
-        return weighted_basis(basis, self.frames[i].multiple, mu)
+        sets = self.snapshot_sets(mu, shifted)
+        return {(i, mu, shifted, r): basis
+                for i, rs in sizes.items() for r, basis in _cut(sets[i], rs).items()}
 
     def pod_bases(self, mu: float, shifted: bool, r: int) -> tuple[PodBasis, ...]:
         """One basis of ``r`` vectors per field, decomposed once per key
         (:meth:`build_bases`): G-ROM, SP-ROM-0 and SP-ROM-1 share theirs.
-        Raises the NumericalError of a size that failed."""
-        key = (mu, shifted, r)
-        self.build_bases([key])
-        if isinstance(self.bases[key], NumericalError):
-            raise self.bases[key]
-        return self.bases[key]
+        Raises the first NumericalError of a field whose size failed."""
+        self.build_bases([(mu, shifted, r)])
+        bases = tuple(self.bases[i, mu, shifted, r] for i in range(self.fields))
+        for basis in bases:
+            if isinstance(basis, NumericalError):
+                raise basis
+        return bases
 
     def forget_bases(self) -> None:
-        """Drop the frames and every memoized basis and stack."""
+        """Drop the frames and every memoized basis."""
         self.frames = None
-        for memo in (self.bases, self.stacks, self.unweighted):
-            memo.clear()
-
-    def basis_matrix(self, mu: float, shifted: bool, r: int) -> np.ndarray:
-        """The block-diagonal stack of :meth:`pod_bases`, built once per key,
-        so that every model reduced on those bases decodes through one array."""
-        key = (mu, shifted, r)
-        if key not in self.stacks:
-            self.stacks[key] = stack_bases(self.pod_bases(mu, shifted, r))
-        return self.stacks[key]
+        self.bases.clear()
 
     def __enter__(self) -> "_Reference":
         return self
@@ -628,13 +595,11 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
     """Reduced model for one ROM spec, snapshots taken from the reference's
     snapshot view.  One basis per field row block: a single block for KdV,
     two for the wave."""
-    key = _basis_key(spec)
-    bases = ref.pod_bases(*key)
+    bases = ref.pod_bases(*_basis_key(spec))
     if spec.variant is RomVariant.SP1:
         starts = np.split(ref.snap.states[:, 0], len(bases))
         bases = tuple(enrich_with_ic_residual(b, u0) for b, u0 in zip(bases, starts))
-        return reduce_operators(ref.flow, bases, spec.variant)
-    return reduce_operators(ref.flow, bases, spec.variant, basis_matrix=ref.basis_matrix(*key))
+    return reduce_operators(ref.flow, bases, spec.variant)
 
 
 # what a table, sweep or tail check keeps of one model that ran: the per-field bases it was

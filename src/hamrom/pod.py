@@ -279,13 +279,13 @@ def compute_basis(snaps: SnapshotSet, r: int) -> PodBasis:
     return decompose(snaps).basis(r)
 
 
-def weighted_basis(unweighted: PodBasis, multiple: float, mu: float) -> PodBasis:
+def weighted_basis(plain: PodBasis, multiple: float, mu: float) -> PodBasis:
     """The basis of the unshifted set ``[U, mu c U]`` (``c = multiple``) from
-    ``unweighted``, the basis of ``U`` alone: the same columns (not copied)
-    and the spectrum times ``hypot(1, c mu)``, at the same numerical rank."""
-    if unweighted.shifted_reference is not None or unweighted.enriched:
+    ``plain``, the basis of ``U`` alone: the same columns (not copied) and
+    the spectrum times ``hypot(1, c mu)``, at the same numerical rank."""
+    if plain.shifted_reference is not None or plain.enriched:
         raise ValueError("only a plain basis of unshifted states can be weighted")
-    return PodBasis(phi=unweighted.phi, sigma=unweighted.sigma * np.hypot(1.0, multiple * mu))
+    return PodBasis(phi=plain.phi, sigma=plain.sigma * np.hypot(1.0, multiple * mu))
 
 
 def projection_error(snaps: SnapshotSet, basis: PodBasis) -> float:

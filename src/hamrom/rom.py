@@ -116,7 +116,6 @@ def reduce_operators(
     fom: PolyGradFlow,
     basis: Union[PodBasis, Sequence[PodBasis]],
     variant: RomVariant,
-    basis_matrix: Optional[np.ndarray] = None,
 ) -> ReducedModel:
     """Assemble the reduced operators of ``fom`` for the requested variant.
 
@@ -129,10 +128,6 @@ def reduce_operators(
     model's weight (and ``H(u0)`` as SP-ROM-2's shift).  The SP variants
     step them with ``S_r = Phi^T S Phi``; G-ROM keeps them as its
     ``energy_terms`` and steps the same terms projected by ``Phi^T S``.
-
-    ``basis_matrix`` is :func:`stack_bases` of the bases when the caller
-    holds it already; the model keeps it as is, so models reduced on the same
-    bases decode through one array.
 
     Raises ``ValueError`` on variant/basis mismatches: SP1 needs
     enrichment-processed bases, SP2 needs shifted-snapshot bases, and shifted
@@ -149,7 +144,7 @@ def reduce_operators(
     elif any(b.shifted_reference is not None for b in bases):
         raise ValueError(f"shifted-snapshot bases are only valid for SP-ROM-2, not {variant.value}")
 
-    phi = stack_bases(bases) if basis_matrix is None else basis_matrix
+    phi = stack_bases(bases)
     if phi.shape[0] != fom.dim:
         raise ValueError(
             f"stacked basis has {phi.shape[0]} rows, full model has dimension {fom.dim}"
@@ -197,7 +192,7 @@ def reduce_operators(
         energy_shift=shift,
         energy_terms=energy_terms,
     )
-    return ReducedModel(flow=flow, bases=bases, basis_matrix=phi, decode_offset=offset)
+    return ReducedModel(flow, bases, phi, decode_offset=offset)
 
 
 def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory:

@@ -14,6 +14,7 @@ arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,6 +41,18 @@ __all__ = [
 STRUCTURE_TAGS = ("skew", "negative-semidefinite", "none")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, a NumPy integer too, so that one value has
+    one cache key; ValueError for anything else, bools and integral floats
+    included."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid: ``n`` nodes covering ``length`` units.
@@ -53,6 +66,7 @@ class Grid1D:
     origin: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 3:
             raise ValueError("grid needs at least 3 points for the stencils")
         if not self.length > 0:
@@ -319,11 +333,11 @@ def laplacian_matrix(grid: Grid1D, scale: float = 1.0) -> PeriodicStencil:
 def build_wave_fom(c: float, grid: Grid1D) -> PolyGradFlow:
     """Linear wave benchmark ``u_tt = c^2 u_xx`` as a canonical-structure flow.
 
-    The state stacks the two fields: entries ``[:n]`` are the displacement u,
-    entries ``[n:]`` the velocity v.  The energy is the quadratic form
-    ``dx * x.G1 x / 2`` of the stacked gradient operator, which equals the
-    dx-weighted discrete integral of ``v^2/2 + c^2 u_x^2 / 2`` with forward
-    differences for ``u_x``.
+    The state is the two fields, stacked: entries ``[:n]`` are the
+    displacement u, entries ``[n:]`` the velocity v.  The energy is the
+    quadratic form ``dx * x.G1 x / 2`` of the stacked gradient operator,
+    which equals the dx-weighted discrete integral of
+    ``v^2/2 + c^2 u_x^2 / 2`` with forward differences for ``u_x``.
     """
     if c <= 0:
         raise ValueError("wave speed must be positive")

@@ -348,6 +348,17 @@ class TestValidation:
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     AvfScheme(**{"dt": 0.1, "t_end": 1.0, name: value})
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True])
+    def test_non_integer_stride_rejected(self, stride):
+        # 2.5 used to pass here, then fail with a TypeError inside integrate
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer"):
+            AvfScheme(dt=0.1, t_end=1.0, snapshot_stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        scheme = AvfScheme(dt=0.1, t_end=1.0, snapshot_stride=np.int32(2))
+        assert type(scheme.snapshot_stride) is int
+        assert scheme == AvfScheme(dt=0.1, t_end=1.0, snapshot_stride=2)
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="match"):
             Trajectory(

@@ -496,8 +496,9 @@ class TestRunExperiment:
         assert np.array_equal(view.times, recorded.times)
         assert np.array_equal(view.states, recorded.states)
         assert np.array_equal(view.energies, recorded.energies)
-        with pytest.raises(ValueError, match="stride"):
-            fom_trajectory(cfg, stride=0)
+        for bad in (0, 2.5, True):  # a cache hit: 2.5 used to raise TypeError here
+            with pytest.raises(ValueError, match="stride"):
+                fom_trajectory(cfg, stride=bad)
 
     def test_outputs_written(self, tmp_path):
         cfg = tiny_wave_cfg(tmp_path / "out")
@@ -539,7 +540,7 @@ class TestRunExperiment:
 
     def test_build_errors_propagate(self, tmp_path, monkeypatch):
         # a ValueError in the model build is a programming error, not a failed row
-        def broken(flow, bases, variant, basis_matrix=None):
+        def broken(flow, bases, variant):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)
@@ -567,15 +568,13 @@ class TestRunExperiment:
         cfg = tiny_kdv_cfg(tmp_path / "kdv")
         with experiments._references(cfg) as ref:
             runs = [run for _, run in experiments._run_all(cfg, ref, cfg.roms)]
-            ((plain,), (shifted,)) = ref.bases[(0.0, False, 3)], ref.bases[(0.0, True, 3)]
+            plain, shifted = ref.bases[0, 0.0, False, 3], ref.bases[0, 0.0, True, 3]
         assert runs[0].basis is plain.phi and runs[1].basis is plain.phi
         assert runs[3].basis is shifted.phi
         wave = tiny_wave_cfg(tmp_path / "wave", roms=("GROM:2", "SP0:2", "SP1:2", "SP2:2"))
         with experiments._references(wave) as ref:
             runs += [run for _, run in experiments._run_all(wave, ref, wave.roms)]
         assert len(runs) == 8 and all(run.basis.flags.f_contiguous for run in runs)
-        # the two wave field bases are stacked once for G-ROM and SP-ROM-0
-        assert runs[4].basis is runs[5].basis
 
 
 class TestSweep:
@@ -708,7 +707,7 @@ class TestTailCheck:
         assert (tmp_path / "out" / "tail_check.csv").read_text().count("nan") == 3
 
     def test_other_errors_propagate(self, tmp_path, monkeypatch):
-        def broken(flow, bases, variant, basis_matrix=None):
+        def broken(flow, bases, variant):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)
@@ -787,7 +786,7 @@ class TestWorkers:
             during.append(counts())
             return run_rom(model, scheme, initial_state=initial_state)
 
-        def broken(flow, bases, variant, basis_matrix=None):
+        def broken(flow, bases, variant):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "run_rom", counting)
@@ -960,7 +959,7 @@ class TestCli:
 
     def test_run_errors_propagate(self, tmp_path, monkeypatch):
         # an error inside the run is a programming error, not a usage error
-        def broken(flow, bases, variant, basis_matrix=None):
+        def broken(flow, bases, variant):
             raise ValueError("broken reduction")
 
         monkeypatch.setattr(experiments, "reduce_operators", broken)

@@ -284,4 +284,4 @@ class TestBasisMemo:
         # one per weight for each field, but the wave's momentum field: its
         # gradients are its states, and it takes only its mu = 0 basis
         assert len(svd_count) == len(grid) + fields - 1
-        assert refs[0].bases == {} and refs[0].stacks == {}
+        assert refs[0].bases == {}

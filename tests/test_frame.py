@@ -74,6 +74,17 @@ def _multiple_case(seed, fields, rows, m, decades, c):
     return traj, PolyGradFlow(structure=np.eye(n), linear=c * np.eye(n))
 
 
+def _mixed_case(seed, rows, m, decades, c):
+    """Two fields as in :func:`_random_case`, the first one's gradients
+    exactly ``c`` times its states and the second one's not: the wave's
+    fields the other way round."""
+    traj, flow = _random_case(seed, 2, rows, m, decades, 1.0)
+    linear = np.zeros_like(flow.linear)
+    linear[:rows, :rows] = c * np.eye(rows)
+    linear[rows:, rows:] = flow.linear[rows:, rows:]
+    return traj, PolyGradFlow(structure=flow.structure, linear=linear)
+
+
 def _subspace_gap(a, b):
     """Sine of the largest principal angle between two orthonormal column sets."""
     return np.linalg.norm(b - a @ (a.T @ b), 2)
@@ -192,7 +203,7 @@ class TestMultipleGradients:
         reused = ref.pod_bases(mu, False, d)
         if mu > 0:
             assert [frame.multiple for frame in ref.frames] == [c] * fields
-            assert all(b.phi is ref.unweighted[i, d].phi for i, b in enumerate(reused))
+            assert all(b.phi is ref.bases[i, 0.0, False, d].phi for i, b in enumerate(reused))
         for snaps, b in zip(direct, reused):
             _assert_same_basis(compute_basis(snaps, d), b)
 
@@ -214,10 +225,32 @@ class TestMultipleGradients:
         traj, flow = case()
         ref = _reference(traj, flow, 2)
         bases = ref.pod_bases(0.5, shifted, 3)
-        assert len(svd_calls) == 2 and not ref.unweighted
+        assert len(svd_calls) == 2 and all(mu == 0.5 for _, mu, _, _ in ref.bases)
         for snaps, basis in zip(_sets(traj, flow, 2, 0.5, shifted, ref.frames), bases):
             assert snaps.frame is not None
             assert np.array_equal(basis.phi, compute_basis(snaps, 3).phi)
+
+    @DERANDOMIZED
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(6, 40),
+        m=st.integers(2, 12),
+        decades=st.floats(0.0, 4.0),
+        c=st.sampled_from([1.0, -2.0, 0.5]),
+        mu=st.floats(0.0, 10.0),
+    )
+    def test_only_the_multiple_field_is_weighted(self, seed, rows, m, decades, c, mu):
+        traj, flow = _mixed_case(seed, rows, m, decades, c)
+        direct = _sets(traj, flow, 2, mu, False)
+        d = min(compute_basis(s, 1).sigma.size for s in direct)
+        ref = _reference(traj, flow, 2)
+        bases = ref.pod_bases(mu, False, d)
+        if mu > 0:
+            assert [frame.multiple for frame in ref.frames] == [c, None]
+            assert bases[0].phi is ref.bases[0, 0.0, False, d].phi
+            assert (1, 0.0, False, d) not in ref.bases
+        for snaps, b in zip(direct, bases):
+            _assert_same_basis(compute_basis(snaps, d), b)
 
 
 # -- end to end: mu_sweep on the frame against direct point-by-point bases ------
@@ -348,3 +381,27 @@ class TestOneSvdPerSet:
                         assert np.array_equal(basis.shifted_reference, sets[i].reference)
                     else:
                         assert basis.shifted_reference is None
+
+
+class TestMemoizedBasesTakeNoSvd:
+    def test_second_request_of_a_key(self, tmp_path, svd_calls):
+        with experiments._references(tiny_wave(tmp_path / "out")) as ref:
+            first = ref.pod_bases(0.1, False, 2)
+            assert len(svd_calls) == 2  # displacement at 0.1, momentum at 0
+            again = ref.pod_bases(0.1, False, 2)
+            assert len(svd_calls) == 2
+            assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("make_cfg, svds", [(tiny_wave, 5), (tiny_kdv, 3)],
+                             ids=["wave", "kdv"])
+    def test_sweep_after_a_table(self, tmp_path, svd_calls, make_cfg, svds):
+        roms = tuple(RomSpec.parse(text) for text in ("GROM:2", "SP0:2", "SP0:2:0.1", "SP2:2"))
+        cfg = replace(make_cfg(tmp_path / "out"), roms=roms)
+        with experiments._references(cfg) as ref:
+            reports = [report for report, _ in experiments._run_all(cfg, ref, cfg.roms)]
+            assert len(svd_calls) == svds
+            specs = [RomSpec(RomVariant.SP0, 2, mu) for mu in (0.0, 0.1)]
+            _, errors = experiments._run_compared(cfg, ref, specs,
+                                                  experiments._e_inf_metric(cfg), hold=True)
+        assert len(svd_calls) == svds
+        assert errors == [reports[1].e_inf, reports[2].e_inf]

@@ -41,6 +41,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(n=2, length=1.0)
 
+    @pytest.mark.parametrize("n", [16.5, 16.0, True])
+    def test_non_integer_size_rejected(self, n):
+        # n=16.5 used to build a 17-point grid, then fail in the stencil builder
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Grid1D(n=n, length=1.0)
+
+    def test_numpy_integer_size_accepted(self):
+        g = Grid1D(n=np.int64(16), length=1.0)
+        assert type(g.n) is int and g == Grid1D(n=16, length=1.0)
+
 
 class TestOperators:
     def test_central_diff_annihilates_constants(self):
