@@ -160,16 +160,21 @@ class AvfStepper:
     ``(I - A) x = (I + A) u + dt S g0 + dt S (G2(u,u) + G2(u,x) + G2(x,x)) / 3``:
     by :class:`_FourierMaps` for periodic stencils (full-order models), by
     :class:`_DenseMaps` for dense operators (reduced models).  A linear
-    flow's step is one linear solve, a quadratic flow's the nonlinear
-    iteration of its maps to ``picard_tol``, Picard on Fourier modes or
-    chord Newton on dense operators.  An iteration fails with
+    flow's step is its maps' one-step propagator, a quadratic flow's the
+    nonlinear iteration of its maps to ``picard_tol``, Picard on Fourier
+    modes or chord Newton on dense operators.  An iteration fails with
     :class:`StepFailure` on overflow or after :data:`MAX_ITERATIONS`
     iterations; ``last_iterations`` is the count of the last step (0 for
-    linear flows).  It starts from the cubic extrapolation of a fixed
-    four-row history of the chain (an RK4 prediction while it is shorter),
-    which only the very array the last step returned continues; this only
-    changes the iteration count, never the converged step.  :meth:`march`
-    steps a quadratic stencil flow on a window of steps.
+    linear flows).
+
+    A quadratic flow's steps form chains: a step continues the chain only
+    when ``u`` is the very array the last step returned; any other ``u``
+    (an equal copy too) starts a new one, and so does a retry after a failed
+    step.  A step starts from the cubic extrapolation of the chain's last
+    four states (an RK4 prediction while it is shorter), which changes the
+    iteration count, never the converged step.  On periodic stencils, once
+    the chain has those four states, its steps come from one
+    :meth:`_FourierMaps.pipeline` window, each returned as an owned copy.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
@@ -181,9 +186,10 @@ class AvfStepper:
         self._history = np.empty((4, flow.dim))  # the chain: its last _known rows
         self._known = 0
         self._last = None  # the array the last step returned
-        self._window = None  # the open Picard window of a march: (state, updates) per step
+        self._window = None  # the chain's open Picard window: (state, updates) per step
         self.last_iterations = 0
         self._maps = _maps_for(flow, dt)
+        self._linear = self._maps.stacked(1)[0] if flow.quadratic is None else None
 
     def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
         # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
@@ -202,52 +208,39 @@ class AvfStepper:
 
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
         """Advance one step from ``u``; raises StepFailure when the nonlinear
-        solve fails (``step_index`` is reported with it).  On periodic
-        stencils this is the Picard window of one; inside :meth:`march`,
-        once its window is open, it takes the window's next step, ``u``
-        being the state the previous call returned."""
-        if self.flow.quadratic is None:
-            return self._maps.linear_step(u)
-        if self._window is not None:
-            new, self.last_iterations = next(self._window)
-            return new
-        # overflow inside a diverging iteration is expected and reported as
-        # StepFailure, hence the suppressed floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            new, self.last_iterations = self._maps.iterate(
-                u, self._predict(u), self.picard_tol, step_index)
+        solve fails (``step_index`` is reported with it)."""
+        if self._linear is not None:
+            return self._linear(u, 1)[0]
         if u is not self._last:  # a new chain starts at u
-            self._history[-1], self._known = u, 1
+            self._window, self._history[-1], self._known = None, u, 1
+        elif (self._window is None and self._known == 4
+              and isinstance(self._maps, _FourierMaps)):
+            self._window = self._maps.pipeline(self._history, self.picard_tol, step_index)
+        try:
+            if self._window is not None:
+                new, self.last_iterations = next(self._window)
+                self._last = new
+                return new
+            # overflow inside a diverging iteration is expected and reported
+            # as StepFailure, hence the suppressed floating-point warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                new, self.last_iterations = self._maps.iterate(
+                    u, self._predict(u), self.picard_tol, step_index)
+        except BaseException:
+            self._window = self._last = None
+            raise
         self._history[:-1] = self._history[1:]
         self._history[-1], self._last = new, new
         self._known = min(self._known + 1, 4)
         return new
 
-    def march(self, u: np.ndarray, steps: int):
-        """Yield the states of steps 1 to ``steps`` from ``u`` in order, each
-        from one :meth:`step`.  A quadratic flow on periodic stencils steps
-        alone until the cubic predictor has its history (three steps), then
-        :meth:`_FourierMaps.pipeline` iterates the remaining steps on a
-        window, and each state is valid only until the next is asked for."""
-        windowed = self.flow.quadratic is not None and isinstance(self._maps, _FourierMaps)
-        try:
-            for k in range(1, steps + 1):
-                if windowed and self._known == 4 and u is self._last:
-                    self._window = self._maps.pipeline(self._history, self.picard_tol, k, steps)
-                    windowed = False
-                u = self.step(u, step_index=k)
-                yield u
-        finally:
-            self._window = None
-
 
 # The maps of a flow's operator storage, built from ``(flow, dt)``, own the
-# linear algebra of a step and its nonlinear solve: ``linear_step(u)``, the
-# step of a linear flow; ``iterate(u, x, tol, step_index)``, the step of a
-# quadratic flow iterated from the prediction ``x`` to the tolerance ``tol``,
-# as ``(state, iterations)``, or a StepFailure; and ``stacked(width)``, whole
-# blocks of a linear flow's steps.  The Fourier maps also iterate a window of
-# steps (``pipeline``).
+# linear algebra of a step and its nonlinear solve: ``iterate(u, x, tol,
+# step_index)``, the step of a quadratic flow iterated from the prediction
+# ``x`` to the tolerance ``tol``, as ``(state, iterations)``, or a
+# StepFailure; and ``stacked(width)``, whole blocks of a linear flow's steps.
+# The Fourier maps also iterate a window of steps (``pipeline``).
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -272,8 +265,8 @@ def _stalled(solver: str, increment: float, step_index: int) -> StepFailure:
 class _DenseMaps:
     """Dense operators (reduced models): one LU factorization of ``I - A``.
 
-    A linear step is one LU solve; :meth:`stacked` forms the propagator
-    ``x = M u + c``, ``M = (I - A)^-1 (I + A)``, ``c = (I - A)^-1 dt S g0``.
+    A linear flow steps by the propagator ``x = M u + c`` (:meth:`stacked`),
+    ``M = (I - A)^-1 (I + A)``, ``c = (I - A)^-1 dt S g0``.
     A quadratic flow iterates by chord Newton on the residual
     ``(I - A) x - b - K(x)(u + x)``, where ``K(a) = dt S J2(a) / 3``,
     ``J2(a)`` is the matrix of ``v -> G2(a, v)`` (symmetric ``G2``:
@@ -313,21 +306,13 @@ class _DenseMaps:
             self.jacobian = lambda x: dtS3 @ quad.eval(x[:, None], eye)
         self._carried = None  # (state, K(y), dx) of the last step, y - dx the state
 
-    def _base(self, u: np.ndarray) -> np.ndarray:
-        """``(I + A) u + dt S g0``."""
-        base = self.rhs_mat.dot(u)
-        return base if self.const is None else base + self.const
-
-    def linear_step(self, u: np.ndarray) -> np.ndarray:
-        """The step of a linear flow: ``(I - A)^-1 ((I + A) u + dt S g0)``."""
-        return self.lhs.solve(self._base(u))
-
     def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
         """Chord Newton iteration from ``x``: ``(state, iterations)``."""
         jacobian, lhs, lhs_mat = self.jacobian, self.lhs, self.lhs_mat
         carried, self._carried = self._carried, None
         _, k_y, dx = carried if carried is not None and carried[0] is u else (u, jacobian(u), 0.0)
-        base = self._base(u) + k_y.dot(u - dx)
+        base = self.rhs_mat.dot(u)  # (I + A) u + dt S g0 + K(y)(u - dx)
+        base = (base if self.const is None else base + self.const) + k_y.dot(u - dx)
         fixed = lhs_mat - k_y  # the Jacobian's part that x leaves fixed
         refactor, last = True, np.inf  # last: the previous increment
         for m in range(1, MAX_ITERATIONS + 1):
@@ -397,21 +382,23 @@ class _FourierMaps:
     on b fields whose every block is one (the ``columns`` of a
     :class:`PeriodicStencil`), ``I - A``, ``I + A`` and ``dt S`` are b x b
     symbols per mode of ``numpy.fft.rfft``, and ``P = (I - A)^-1 (I + A)``
-    is formed once: a linear step is one transform pair.  A quadratic flow
-    must be one field with an entrywise quadratic term (the KdV full-order
-    model); it iterates by Picard on the averaged quadratic term,
+    is formed once: a linear flow steps by per-mode powers of ``P``
+    (:meth:`stacked`).  A quadratic flow must be one field with an
+    entrywise quadratic term (the KdV full-order model); it iterates by
+    Picard on the averaged quadratic term,
     ``x <- P u + K (G2(u,u) + G2(u,x) + G2(x,x))`` with
     ``K = (I - A)^-1 dt S / 3``, and stops by the increment rule alone.
     :meth:`pipeline` is the one Picard loop: it iterates a window of
-    consecutive steps with one batched transform pair per sweep, and
-    :meth:`iterate` is its window of one.  A mode whose pivot is at or below
-    :data:`~hamrom.linalg.PIVOT_TOL` of the largest symbol entry of ``I - A``
-    raises :class:`SingularMatrixError`, as :class:`LuFactorization` does:
-    on one or two fields the pivots of partial pivoting are the largest
-    entry of the first column and ``|det|`` over it, so a flow on more
-    fields raises ValueError, as a flow with a g0 does (no command builds
-    either).  Symbols are stored (b, b, modes) and spectra (b, modes), so
-    every product runs along the contiguous mode axis.
+    consecutive steps with one batched transform pair per sweep, which
+    :class:`AvfStepper` keeps open along a chain of steps, and
+    :meth:`iterate` is its window of one, for the chain's first steps.  A
+    mode whose pivot is at or below :data:`~hamrom.linalg.PIVOT_TOL` of the
+    largest symbol entry of ``I - A`` raises :class:`SingularMatrixError`,
+    as :class:`LuFactorization` does: on one or two fields the pivots of
+    partial pivoting are the largest entry of the first column and ``|det|``
+    over it, so a flow on more fields raises ValueError, as a flow with a g0
+    does (no command builds either).  Symbols are stored (b, b, modes) and
+    spectra (b, modes), so every product runs along the contiguous mode axis.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float):
@@ -450,21 +437,16 @@ class _FourierMaps:
         x = np.fft.irfft(spectra, self._n)
         return x.reshape(x.shape[:-2] + (-1,))
 
-    def linear_step(self, u: np.ndarray) -> np.ndarray:
-        """``P u``: the step of a linear flow."""
-        return self._space(_apply(self._P, self._modes(u)))
-
     def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
         """Picard iteration of one step from ``x``, the window of one:
         ``(state, iterations)``."""
-        state, m = next(self.pipeline(u[None], tol, step_index, step_index, guess=x, width=1))
-        return state.copy(), m
+        return next(self.pipeline(u[None], tol, step_index, guess=x, width=1))
 
-    def pipeline(self, history: np.ndarray, tol: float, first: int, last: int,
+    def pipeline(self, history: np.ndarray, tol: float, first: int,
                  guess: Optional[np.ndarray] = None, width: int = _WINDOW):
-        """Picard iteration of steps ``first`` to ``last`` on a window of
+        """Picard iteration of the steps from ``first`` on, on a window of
         consecutive steps: yields ``(state, updates)`` of each step in order,
-        the state a view that the next step overwrites.
+        the state an owned copy.
 
         ``history`` holds the states before step ``first`` as rows, the last
         one step ``first - 1``'s.  Row j of the window holds the iterate of
@@ -506,7 +488,7 @@ class _FourierMaps:
             with np.errstate(over="ignore", invalid="ignore"):
                 while True:  # the sweeps up to the front row's acceptance
                     w = len(updates)
-                    if w < width and k + w <= last and (not w or updates[-1] >= _ENTRY_UPDATES):
+                    if w < width and (not w or updates[-1] >= _ENTRY_UPDATES):
                         if guess is None:
                             s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
                             guess_row = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
@@ -537,10 +519,8 @@ class _FourierMaps:
                         break
                     if updates[0] == MAX_ITERATIONS:
                         raise _stalled("Picard", increment, k)
-            yield states[a + 1], updates.pop(0)
+            yield states[a + 1].copy(), updates.pop(0)
             a, k = a + 1, k + 1
-            if k > last:
-                return
             if a + width >= rows:  # move the history and the window to the top
                 live = slice(a - h + 1, a + 1 + len(updates))
                 count = live.stop - live.start
@@ -622,9 +602,9 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     a block from its maps, with no stepper: up to B states at a time come
     from the stacked propagator powers ``[M; M^2; ...; M^B]`` applied to the
     block's start state, for a circulant flow per Fourier mode with one
-    batched inverse transform.  A quadratic flow takes :meth:`AvfStepper.step` once per step,
-    each passed the state the one before returned: on periodic stencils
-    (the KdV full-order model) through :meth:`AvfStepper.march`, whose steps
+    batched inverse transform.  A quadratic flow is one chain of
+    :meth:`AvfStepper.step` calls, each passed the state the one before
+    returned; on periodic stencils (the KdV full-order model) the steps
     after the first three come from one Picard window, every row update
     counting toward the iteration histogram.
     """
@@ -643,13 +623,12 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     else:
         stepper = AvfStepper(flow, scheme.dt, scheme.picard_tol)
         stacked, step = None, stepper.step
-        marched = stepper.march(u, steps) if isinstance(stepper._maps, _FourierMaps) else None
     for k0 in range(0, steps + 1, width):
         w = min(width, steps + 1 - k0)
         start = 1 if k0 == 0 else 0  # column 0 of the first block is the initial state
         if stacked is None:
             for k in range(k0 + start, k0 + w):
-                u = step(u, k) if marched is None else next(marched)
+                u = step(u, k)
                 block[:, k - k0] = u
                 counts[stepper.last_iterations] += 1
         else:

@@ -108,9 +108,9 @@ def _cmd_fom(args):
 
 def _cmd_rom(args):
     cfg = _load_config(args)
-    if args.variant is not None or args.r is not None:
+    if args.variant is not None or args.r is not None or args.mu is not None:
         if args.variant is None or args.r is None:
-            raise ValueError("--variant and --r must be given together")
+            raise ValueError("--variant and --r must be given together (and with --mu)")
         spec = RomSpec(variant=RomVariant.parse(args.variant), r=args.r, mu=args.mu or 0.0)
         cfg = replace(cfg, roms=(spec,))
     if not cfg.roms:

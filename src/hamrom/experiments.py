@@ -332,10 +332,8 @@ class _StoredRun:
 
 def _cache_entry(cfg: ExperimentConfig) -> tuple[str, dict[str, Path]]:
     """The cache key of a configuration and the paths of its cache files."""
-    cache_dir = Path(cfg.out_dir) / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
     key = cfg.cache_key()
-    return key, _cache_paths(key, cfg.system, cache_dir)
+    return key, _cache_paths(key, cfg.system, Path(cfg.out_dir) / "cache")
 
 
 def _read_cache(cfg: ExperimentConfig, key: str, paths: dict[str, Path]) -> Optional[_StoredRun]:
@@ -420,6 +418,7 @@ def fom_trajectory(cfg: ExperimentConfig, stride: Optional[int] = None) -> Traje
         flow, u0, _ = build_system(cfg)
         scheme = replace(cfg.scheme(), snapshot_stride=stride)
         try:
+            paths["states"].parent.mkdir(parents=True, exist_ok=True)
             stored, traj = _stream(flow, u0, scheme, paths["states"])
             # the meta file last: it vouches for the two payloads
             write_matrix(paths["energies"], traj.energies)

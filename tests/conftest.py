@@ -44,10 +44,11 @@ def densified(flow):
     return replace(flow, structure=dense(flow.structure), linear=dense(flow.linear))
 
 
-def march(flow, u, dt, steps):
-    """``steps`` AVF steps of ``flow`` from ``u``, one :class:`AvfStepper`:
-    the states, one row per step, and the per-step iteration counts."""
-    stepper = AvfStepper(flow, dt)
+def march(flow, u, dt, steps, stepper=None):
+    """``steps`` chained AVF steps of ``flow`` from ``u``, on ``stepper`` or
+    a new :class:`AvfStepper`: the states, one row per step, and the
+    per-step iteration counts."""
+    stepper = AvfStepper(flow, dt) if stepper is None else stepper
     states, counts = [], []
     for k in range(1, steps + 1):
         u = stepper.step(u, step_index=k)

@@ -314,10 +314,7 @@ class TestIntegrate:
         scheme = AvfScheme(dt=0.02, t_end=1.0)
         for flow, u0 in flows:
             traj = integrate(flow, u0, scheme)
-            counts = []
-            stepper = AvfStepper(flow, scheme.dt)
-            for _ in stepper.march(u0, traj.steps_total):
-                counts.append(stepper.last_iterations)
+            _, counts = march(flow, u0, scheme.dt, traj.steps_total)
             assert np.array_equal(traj.iteration_histogram, np.bincount(counts))
             assert traj.max_picard_iterations == max(counts)
         linear = build_wave_fom(0.1, Grid1D(n=16, length=1.0))
@@ -487,6 +484,22 @@ def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
     return np.array(states), counts
 
 
+def _window_of_one(flow, u, dt, steps, tol=1e-12):
+    """States (one row per step) and Picard counts of ``steps`` single steps
+    of a quadratic stencil flow: each the Fourier maps' window of one, from
+    the stepper's start guess in the reference predictor's arithmetic."""
+    maps = avf._FourierMaps(flow, dt)
+    predict, chain = _reference_predictor(flow, dt)
+    chain.append(u)
+    states, counts = [], []
+    for k in range(1, steps + 1):
+        u, m = maps.iterate(u, predict(u), tol, k)
+        chain.append(u)
+        states.append(u)
+        counts.append(m)
+    return np.array(states), counts
+
+
 def _full_newton_march(flow, u, dt, steps, tol=1e-12):
     """States (one row per step) and Newton counts of a dense quadratic
     flow's AVF steps by full Newton: the Jacobian factored at every
@@ -530,7 +543,7 @@ class TestReferencePaths:
 
     def test_fourier_picard_is_bit_identical(self):
         flow, u0 = build_kdv_fom(-6.0, 0.0, -1.0, self.GRID), kdv_initial(self.GRID)
-        states, counts = march(flow, u0, self.DT, self.STEPS)
+        states, counts = _window_of_one(flow, u0, self.DT, self.STEPS)
         ref_states, ref_counts = _fourier_picard_march(flow, u0, self.DT, self.STEPS)
         assert np.array_equal(states, ref_states)
         assert counts == ref_counts
@@ -671,9 +684,10 @@ class TestCarriedState:
 
 
 class TestPicardWindow:
-    """``integrate`` iterates a quadratic stencil flow on a window of steps
-    once the start steps have given the cubic predictor its history; a
-    single-step march takes the window of one at every step."""
+    """A chain of steps of a quadratic stencil flow iterates on a window of
+    steps once the start steps have given the cubic predictor its history;
+    the single steps of :func:`_window_of_one` take the window of one at
+    every step."""
 
     GRID = Grid1D(n=64, length=40.0, origin=-20.0)
     DT, STEPS = 0.02, 50
@@ -684,7 +698,7 @@ class TestPicardWindow:
     def test_integrate_agrees_with_single_steps(self):
         flow, u0 = self._kdv()
         traj = integrate(flow, u0, AvfScheme(dt=self.DT, t_end=self.DT * self.STEPS))
-        states, counts = march(flow, u0, self.DT, self.STEPS)
+        states, counts = _window_of_one(flow, u0, self.DT, self.STEPS)
         assert np.array_equal(traj.states[:, 1:4].T, states[:3])  # the start steps
         # each path stops every step within picard_tol (1 + max|x|) of the
         # step's solution (the increments contract); summed over the steps
@@ -702,18 +716,21 @@ class TestPicardWindow:
 
         monkeypatch.setattr(np.fft, "irfft", counted)
         stepper = AvfStepper(flow, self.DT)
-        counts = [stepper.last_iterations for _ in stepper.march(u0, self.STEPS)]
-        assert sum(rows) == sum(counts)  # every update of a row is one inverse transform row
+        _, counts = march(flow, u0, self.DT, self.STEPS, stepper)
+        # every update of a row is one inverse transform row, the updates of
+        # the rows behind the last returned step too
+        ahead = stepper._window.gi_frame.f_locals["updates"]
+        assert sum(rows) == sum(counts) + sum(ahead)
         assert max(rows) == avf._WINDOW
         assert len(rows) < sum(counts) / 2
 
     def test_divergence_after_the_start_steps(self):
         # du/dt = u^2 from 1 blows up at t = 1; at dt = 0.1 a step from u has
         # a real solution only while dt u / 3 <= 0.155, and the single-step
-        # march fails at step 9, after the start steps
+        # steps fail at step 9, after the start steps
         flow, u0, dt = blowup_flow("stencil"), np.array([1.0]), 0.1
         with pytest.raises(StepFailure) as single:
-            march(flow, u0, dt, 20)
+            _window_of_one(flow, u0, dt, 20)
         with pytest.raises(StepFailure, match="Picard iteration diverged") as window:
             integrate(flow, u0, AvfScheme(dt=dt, t_end=2.0))
         assert window.value.step_index == single.value.step_index == 9
@@ -722,14 +739,66 @@ class TestPicardWindow:
 
     def test_a_row_that_reaches_the_cap_stalls(self, monkeypatch):
         flow, u0 = self._kdv()
-        marched = AvfStepper(flow, self.DT).march(u0, self.STEPS)
-        for _ in range(3):  # the start steps, at the full cap
-            next(marched)
+        stepper, u = AvfStepper(flow, self.DT), u0
+        for k in range(1, 4):  # the start steps, at the full cap
+            u = stepper.step(u, step_index=k)
         # from its cubic extrapolation, step 4 needs more than three updates
         monkeypatch.setattr(avf, "MAX_ITERATIONS", 3)
         with pytest.raises(StepFailure, match="Picard iteration stalled after 3") as info:
-            next(marched)
+            stepper.step(u, step_index=4)
         assert (info.value.step_index, info.value.iterations) == (4, 3)
+
+
+class TestOneSteppingCall:
+    """``integrate`` of a quadratic flow is one chain of ``step`` calls: a
+    step continues the chain only from the very array the last one returned,
+    a window's states are owned copies, and a failed step ends the chain."""
+
+    GRID, DT, STEPS = TestPicardWindow.GRID, 0.02, 20
+    _kdv = TestPicardWindow._kdv
+
+    def _chain(self, steps):
+        flow, u0 = self._kdv()
+        stepper, u = AvfStepper(flow, self.DT), u0
+        for k in range(1, steps + 1):
+            u = stepper.step(u, step_index=k)
+        return flow, stepper, u
+
+    @pytest.mark.parametrize("model", ["kdv fom (Fourier window)", "kdv r=8 ROM (Newton)"])
+    def test_chained_steps_are_integrate(self, model):
+        flow, u0 = self._kdv() if model.startswith("kdv fom") else _kdv_rom(RomVariant.SP0)
+        traj = integrate(flow, u0, AvfScheme(dt=self.DT, t_end=self.DT * self.STEPS))
+        states, counts = march(flow, u0, self.DT, self.STEPS)
+        assert np.array_equal(traj.states[:, 1:].T, states)
+        assert np.array_equal(traj.iteration_histogram, np.bincount(counts))
+
+    def test_held_states_stay_valid(self):
+        flow, u0 = self._kdv()
+        stepper, u, held, copies = AvfStepper(flow, self.DT), u0, [], []
+        for k in range(1, self.STEPS + 1):
+            u = stepper.step(u, step_index=k)
+            held.append(u)
+            copies.append(u.copy())
+        assert stepper._window is not None  # steps 4 on came from the window
+        assert all(np.array_equal(h, c) for h, c in zip(held, copies))
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[:i])
+
+    def test_an_equal_copy_starts_a_new_chain(self):
+        flow, stepper, u = self._chain(6)
+        copy = u.copy()
+        continued, counts = march(flow, copy, self.DT, 6, stepper)
+        fresh, fresh_counts = march(flow, copy, self.DT, 6)
+        assert np.array_equal(continued, fresh) and counts == fresh_counts
+
+    def test_a_retry_after_a_window_failure_is_a_fresh_chain(self, monkeypatch):
+        flow, stepper, u = self._chain(3)
+        with monkeypatch.context() as patched:
+            patched.setattr(avf, "MAX_ITERATIONS", 3)
+            with pytest.raises(StepFailure, match="stalled after 3"):
+                stepper.step(u, step_index=4)  # the window's first step
+        retried, counts = march(flow, u, self.DT, 6, stepper)
+        fresh, fresh_counts = march(flow, u.copy(), self.DT, 6)
+        assert np.array_equal(retried, fresh) and counts == fresh_counts
 
 
 def _stepping_paths():

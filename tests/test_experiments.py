@@ -340,6 +340,22 @@ class TestRunExperiment:
         assert len(integrations) == 1  # the full-order model, straight into the temporary file
         assert list((tmp_path / "out" / "cache").iterdir()) == []
 
+    def test_cache_directory_that_cannot_be_made_streams_to_a_temporary_file(
+            self, tmp_path, caplog, monkeypatch):
+        # a regular file where the cache directory belongs
+        cfg = tiny_wave_cfg(tmp_path / "out")
+        fresh = fom_trajectory(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "cache").write_bytes(b"not a directory")
+        integrations = _count_integrations(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="hamrom"):
+            traj = fom_trajectory(cfg)
+        assert "could not write cache" in caplog.text
+        assert len(integrations) == 1
+        assert np.array_equal(traj.states, fresh.states)
+        assert np.array_equal(traj.energies, fresh.energies)
+        assert (tmp_path / "out" / "cache").read_bytes() == b"not a directory"
+
     def test_warm_run_opens_the_cache_once(self, tmp_path, monkeypatch):
         # one lookup validates the entry and serves both the snapshot view and
         # the every-step reference from one open file
@@ -938,6 +954,8 @@ class TestCli:
         (["fom"], "dt = 0.03", "not an integer step count"),
         (["fom"], "n = 2", "at least 3 points"),
         (["fom"], "origin = 0.5", "unit interval"),
+        (["rom", "--mu", "0.5"], "", "given together"),
+        (["rom", "--r", "2", "--mu", "0.5"], "", "given together"),
     ])
     def test_input_errors_are_usage_errors(self, tmp_path, capsys, argv, line, message):
         # ``line`` replaces the configuration's line of its key, or the roms
