@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,16 +166,16 @@ class AvfStepper:
     modes or chord Newton on dense operators.  An iteration fails with
     :class:`StepFailure` on overflow or after :data:`MAX_ITERATIONS`
     iterations; ``last_iterations`` is the count of the last step (0 for
-    linear flows).
+    linear flows).  A state that is not finite or not of the flow's shape
+    is a ValueError, checked once per chain.
 
-    A quadratic flow's steps form chains: a step continues the chain only
-    when ``u`` is the very array the last step returned; any other ``u``
-    (an equal copy too) starts a new one, and so does a retry after a failed
-    step.  A step starts from the cubic extrapolation of the chain's last
-    four states (an RK4 prediction while it is shorter), which changes the
-    iteration count, never the converged step.  On periodic stencils, once
-    the chain has those four states, its steps come from one
-    :meth:`_FourierMaps.pipeline` window, each returned as an owned copy.
+    A quadratic flow's steps form chains, each one generator of its maps'
+    ``chain``: a step continues the chain only when ``u`` is the very array
+    the last step returned; any other ``u`` (an equal copy too) starts a new
+    one, and so does a retry after a failed step.  The chain keeps its last
+    four states and starts each step from their cubic extrapolation (from
+    the RK4 step of the last state while it has fewer), which changes the
+    iteration count, never the converged step.
     """
 
     def __init__(self, flow: PolyGradFlow, dt: float, picard_tol: float = 1e-12):
@@ -183,64 +184,47 @@ class AvfStepper:
         self.flow = flow
         self.dt = dt
         self.picard_tol = picard_tol
-        self._history = np.empty((4, flow.dim))  # the chain: its last _known rows
-        self._known = 0
         self._last = None  # the array the last step returned
-        self._window = None  # the chain's open Picard window: (state, updates) per step
+        self._chain = None  # the open chain of steps: a generator of (state, iterations)
         self.last_iterations = 0
         self._maps = _maps_for(flow, dt)
         self._linear = self._maps.stacked(1)[0] if flow.quadratic is None else None
-
-    def _ode_rhs(self, u: np.ndarray) -> np.ndarray:
-        # unvalidated: a non-finite RK4 stage only makes _predict fall back to u
-        return self.flow.structure @ _grad(self.flow, u)
-
-    def _predict(self, u: np.ndarray) -> np.ndarray:
-        if self._known == 4 and u is self._last:
-            return _CUBIC.dot(self._history)
-        dt = self.dt
-        k1 = self._ode_rhs(u)
-        k2 = self._ode_rhs(u + 0.5 * dt * k1)
-        k3 = self._ode_rhs(u + 0.5 * dt * k2)
-        k4 = self._ode_rhs(u + dt * k3)
-        guess = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return guess if np.all(np.isfinite(guess)) else u
 
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
         """Advance one step from ``u``; raises StepFailure when the nonlinear
         solve fails (``step_index`` is reported with it)."""
         if self._linear is not None:
-            return self._linear(u, 1)[0]
+            return self._linear(_as_state(u, self.flow.dim), 1)[0]
         if u is not self._last:  # a new chain starts at u
-            self._window, self._history[-1], self._known = None, u, 1
-        elif (self._window is None and self._known == 4
-              and isinstance(self._maps, _FourierMaps)):
-            self._window = self._maps.pipeline(self._history, self.picard_tol, step_index)
+            self._chain = self._maps.chain(_as_state(u, self.flow.dim), self.picard_tol,
+                                           step_index)
         try:
-            if self._window is not None:
-                new, self.last_iterations = next(self._window)
-                self._last = new
-                return new
-            # overflow inside a diverging iteration is expected and reported
-            # as StepFailure, hence the suppressed floating-point warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                new, self.last_iterations = self._maps.iterate(
-                    u, self._predict(u), self.picard_tol, step_index)
+            self._last, self.last_iterations = next(self._chain)
         except BaseException:
-            self._window = self._last = None
+            self._chain = self._last = None
             raise
-        self._history[:-1] = self._history[1:]
-        self._history[-1], self._last = new, new
-        self._known = min(self._known + 1, 4)
-        return new
+        return self._last
 
 
 # The maps of a flow's operator storage, built from ``(flow, dt)``, own the
-# linear algebra of a step and its nonlinear solve: ``iterate(u, x, tol,
-# step_index)``, the step of a quadratic flow iterated from the prediction
-# ``x`` to the tolerance ``tol``, as ``(state, iterations)``, or a
-# StepFailure; and ``stacked(width)``, whole blocks of a linear flow's steps.
-# The Fourier maps also iterate a window of steps (``pipeline``).
+# linear algebra of a step and its nonlinear solve: ``chain(u, tol, first)``,
+# a generator of ``(state, iterations)`` of a quadratic flow's steps from
+# ``u``, numbered from ``first``, each iterated to the tolerance ``tol`` or
+# failed as a StepFailure; and ``stacked(width)``, whole blocks of a linear
+# flow's steps.  ``_predict`` is the RK4 start guess of a chain's first steps.
+
+
+def _rk4(flow: PolyGradFlow, dt: float, u: np.ndarray) -> np.ndarray:
+    """The RK4 step of ``flow`` from ``u``, or ``u`` when a stage overflows."""
+    def rhs(v):  # unvalidated: a non-finite stage only makes the guess u
+        return flow.structure @ _grad(flow, v)
+
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    guess = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return guess if np.all(np.isfinite(guess)) else u
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -272,13 +256,13 @@ class _DenseMaps:
     ``J2(a)`` is the matrix of ``v -> G2(a, v)`` (symmetric ``G2``:
     ``K(a) b = K(b) a``) and ``b = (I + A) u + dt S g0 + K(y)(u - dx)``, with
     the Jacobian ``I - A - K(y) - 2 K(x)``.  ``y`` and ``dx`` are the last
-    evaluated iterate and update of the step that returned ``u = y - dx``,
-    so ``K(y)(u - dx) = K(u) u + O(|dx|^2)`` and ``K`` is evaluated once per
-    iteration; any ``u`` but the very array that step returned (a copy, a
-    step after a failure) has ``y = u``, ``dx = 0``.  The Jacobian is factored
-    (into ``lhs``) at the first iteration and again only after an increment
-    that did not shrink by at least half, so a step that converges at once
-    takes one factorization and a hard step still converges like Newton.
+    evaluated iterate and update of the chain's step that returned
+    ``u = y - dx``, so ``K(y)(u - dx) = K(u) u + O(|dx|^2)`` and ``K`` is
+    evaluated once per iteration; a chain's first step has ``y = u``,
+    ``dx = 0``.  The Jacobian is factored (into ``lhs``) at the first
+    iteration and again only after an increment that did not shrink by at
+    least half, so a step that converges at once takes one factorization
+    and a hard step still converges like Newton.
     Besides the increment rule, from the second update on the iteration
     stops when the predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of
     the increments ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.
@@ -296,6 +280,7 @@ class _DenseMaps:
         self.rhs_mat = eye + half
         dtS = dt * flow.structure
         self.const = dtS @ flow.constant if flow.constant is not None else None
+        self._predict = partial(_rk4, flow, dt)
         # x -> K(x), closed over locals only: the maps hold no cycle
         quad, dtS3, r = flow.quadratic, dtS / 3.0, flow.dim
         if isinstance(quad, TensorQuadratic):
@@ -304,43 +289,51 @@ class _DenseMaps:
             self.jacobian = lambda x: folded.dot(x).reshape(r, r)
         elif quad is not None:  # the column of x broadcasts against eye's
             self.jacobian = lambda x: dtS3 @ quad.eval(x[:, None], eye)
-        self._carried = None  # (state, K(y), dx) of the last step, y - dx the state
 
-    def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
-        """Chord Newton iteration from ``x``: ``(state, iterations)``."""
-        jacobian, lhs, lhs_mat = self.jacobian, self.lhs, self.lhs_mat
-        carried, self._carried = self._carried, None
-        _, k_y, dx = carried if carried is not None and carried[0] is u else (u, jacobian(u), 0.0)
-        base = self.rhs_mat.dot(u)  # (I + A) u + dt S g0 + K(y)(u - dx)
-        base = (base if self.const is None else base + self.const) + k_y.dot(u - dx)
-        fixed = lhs_mat - k_y  # the Jacobian's part that x leaves fixed
-        refactor, last = True, np.inf  # last: the previous increment
-        for m in range(1, MAX_ITERATIONS + 1):
-            k_x = jacobian(x)
-            residual = lhs_mat.dot(x) - base - k_x.dot(u + x)
-            if refactor:
-                try:
-                    lhs.factor(fixed - 2.0 * k_x)
-                except SingularMatrixError as exc:
-                    raise StepFailure(
-                        f"Newton iteration met a singular Jacobian at iteration {m}: {exc}",
-                        step_index=step_index,
-                        iterations=m,
-                    ) from exc
-                except ValueError:  # a non-finite Jacobian: K(x) overflowed
-                    raise _diverged("Newton", m, step_index) from None
-            dx = lhs.solve(residual)
-            increment = _max_abs(dx)
-            if not math.isfinite(increment):  # the maximum propagates NaN and inf
-                raise _diverged("Newton", m, step_index)
-            bound = tol * (1.0 + _max_abs(x))
-            x = x - dx
-            if increment <= bound or (m > 1 and increment < last
-                                      and increment * increment <= bound * (last - increment)):
-                self._carried = x, k_x, dx
-                return x, m
-            refactor, last = increment > 0.5 * last, increment
-        raise _stalled("Newton", increment, step_index)
+    def chain(self, u: np.ndarray, tol: float, first: int):
+        """Chord Newton steps from ``u``, each from the cubic extrapolation
+        of the chain's last four states (RK4 while it has fewer): yields
+        ``(state, iterations)`` of steps ``first``, ``first + 1``, ..."""
+        history = np.empty((4, u.size))  # the chain's last four states, oldest first
+        history[-1], known, k_y, dx, k = u, 1, None, 0.0, first
+        while True:
+            jacobian, lhs, lhs_mat = self.jacobian, self.lhs, self.lhs_mat
+            # overflow inside a diverging iteration is expected and reported
+            # as StepFailure, hence the suppressed floating-point warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _CUBIC.dot(history) if known == 4 else self._predict(u)
+                k_y = jacobian(u) if k_y is None else k_y
+                base = self.rhs_mat.dot(u)  # (I + A) u + dt S g0 + K(y)(u - dx)
+                base = (base if self.const is None else base + self.const) + k_y.dot(u - dx)
+                fixed = lhs_mat - k_y  # the Jacobian's part that x leaves fixed
+                refactor, last = True, np.inf  # last: the previous increment
+                for m in range(1, MAX_ITERATIONS + 1):
+                    k_x = jacobian(x)
+                    residual = lhs_mat.dot(x) - base - k_x.dot(u + x)
+                    if refactor:
+                        try:
+                            lhs.factor(fixed - 2.0 * k_x)
+                        except SingularMatrixError as exc:
+                            raise StepFailure("Newton iteration met a singular Jacobian at "
+                                              f"iteration {m}: {exc}", k, m) from exc
+                        except ValueError:  # a non-finite Jacobian: K(x) overflowed
+                            raise _diverged("Newton", m, k) from None
+                    dx = lhs.solve(residual)
+                    increment = _max_abs(dx)
+                    if not math.isfinite(increment):  # the maximum propagates NaN and inf
+                        raise _diverged("Newton", m, k)
+                    bound = tol * (1.0 + _max_abs(x))
+                    x = x - dx
+                    if increment <= bound or (m > 1 and increment < last and
+                                              increment * increment <= bound * (last - increment)):
+                        break
+                    refactor, last = increment > 0.5 * last, increment
+                else:
+                    raise _stalled("Newton", increment, k)
+            history[:-1] = history[1:]
+            history[-1], u, k_y, known = x, x, k_x, min(known + 1, 4)
+            yield x, m
+            k += 1
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states
@@ -388,10 +381,8 @@ class _FourierMaps:
     Picard on the averaged quadratic term,
     ``x <- P u + K (G2(u,u) + G2(u,x) + G2(x,x))`` with
     ``K = (I - A)^-1 dt S / 3``, and stops by the increment rule alone.
-    :meth:`pipeline` is the one Picard loop: it iterates a window of
-    consecutive steps with one batched transform pair per sweep, which
-    :class:`AvfStepper` keeps open along a chain of steps, and
-    :meth:`iterate` is its window of one, for the chain's first steps.  A
+    :meth:`chain` is the one Picard loop: it iterates a window of
+    consecutive steps with one batched transform pair per sweep.  A
     mode whose pivot is at or below :data:`~hamrom.linalg.PIVOT_TOL` of the
     largest symbol entry of ``I - A`` raises :class:`SingularMatrixError`,
     as :class:`LuFactorization` does: on one or two fields the pivots of
@@ -424,6 +415,7 @@ class _FourierMaps:
             raise SingularMatrixError(f"Fourier-mode pivot below {PIVOT_TOL:g} of the symbol scale")
         self._P_modes = np.linalg.solve(lhs, eye + half)
         self._P = _modes_last(self._P_modes)
+        self._predict = partial(_rk4, flow, dt)
         if quad is not None:  # the (modes,) symbols of P and of K times the coefficient of G2
             self._symbol = self._P[0, 0]
             self._kernel = quad.coeff * np.linalg.solve(lhs, (dt / 3.0) * S)[:, 0, 0]
@@ -437,31 +429,27 @@ class _FourierMaps:
         x = np.fft.irfft(spectra, self._n)
         return x.reshape(x.shape[:-2] + (-1,))
 
-    def iterate(self, u: np.ndarray, x: np.ndarray, tol: float, step_index: int):
-        """Picard iteration of one step from ``x``, the window of one:
-        ``(state, iterations)``."""
-        return next(self.pipeline(u[None], tol, step_index, guess=x, width=1))
+    def chain(self, u: np.ndarray, tol: float, first: int):
+        """Picard iteration of the steps from ``u`` on a window of
+        consecutive steps: yields ``(state, updates)`` of steps ``first``,
+        ``first + 1``, ... in order, the state an owned copy.
 
-    def pipeline(self, history: np.ndarray, tol: float, first: int,
-                 guess: Optional[np.ndarray] = None, width: int = _WINDOW):
-        """Picard iteration of the steps from ``first`` on, on a window of
-        consecutive steps: yields ``(state, updates)`` of each step in order,
-        the state an owned copy.
-
-        ``history`` holds the states before step ``first`` as rows, the last
-        one step ``first - 1``'s.  Row j of the window holds the iterate of
-        step ``k + j``; its predecessor is row j - 1, the front row's the
-        last accepted state.  A sweep updates every row from the rows as they
-        stood before it: one batched ``rfft`` of ``U (U + X) + X X`` (``U``
-        the predecessors, ``X`` the rows) and one batched ``irfft`` of
-        ``K q + P U``, where ``K`` holds the coefficient of G2 and each
-        predecessor's spectrum is the one kept from its last update.  After
-        a sweep the front row, whose predecessor is final, is accepted when
-        its increment is at most ``tol (1 + max|x|)``, ``x`` the iterate the
-        update started from; so at most one row is accepted per sweep.  A
-        new row enters at the back, from ``guess`` or else the cubic
-        extrapolation of the four states before it, once the row before it
-        has had ``_ENTRY_UPDATES`` updates, up to ``width`` rows.  A row
+        Row j of the window holds the iterate of step ``k + j``; its
+        predecessor is row j - 1, the front row's the last accepted state.
+        A sweep updates every row from the rows as they stood before it: one
+        batched ``rfft`` of ``U (U + X) + X X`` (``U`` the predecessors,
+        ``X`` the rows) and one batched ``irfft`` of ``K q + P U``, where
+        ``K`` holds the coefficient of G2 and each predecessor's spectrum is
+        the one kept from its last update.  After a sweep the front row,
+        whose predecessor is final, is accepted when its increment is at
+        most ``tol (1 + max|x|)``, ``x`` the iterate the update started
+        from; so at most one row is accepted per sweep.  A new row enters at
+        the back, from the cubic extrapolation of the four states before
+        it, once the row before it has had ``_ENTRY_UPDATES`` updates, up to
+        ``_WINDOW`` rows.  While the chain has fewer than four states the
+        window is the front row alone, entered from the RK4 guess of the
+        last accepted state, whose spectrum is transformed afresh; so the
+        first four steps are those of separate one-row windows.  A row
         whose update overflows fails the step as :class:`StepFailure` at
         the front (a non-finite increment); further back (a non-finite
         entry) it and the rows behind it leave the window and enter again.
@@ -469,32 +457,31 @@ class _FourierMaps:
         """
         n, kernel, symbol = self._n, self._kernel, self._symbol
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        h = history.shape[0]
         # the window slides down one row per accepted step and moves back to
-        # the top when it reaches the bottom
-        rows = 2 * (h + width)
+        # the top, under the last four states, when it reaches the bottom
+        rows = 2 * (4 + _WINDOW)
         states = np.empty((rows, n))
         spectra = np.empty((rows, n // 2 + 1), dtype=complex)
-        q, work, new = (np.empty((width, n)) for _ in range(3))
-        linear = np.empty((width, n // 2 + 1), dtype=complex)
-        states[:h] = history
-        a = h - 1  # the row of the last accepted state; window row j is row a + 1 + j
-        spectra[a] = rfft(history[-1])
+        q, work, new = (np.empty((_WINDOW, n)) for _ in range(3))
+        linear = np.empty((_WINDOW, n // 2 + 1), dtype=complex)
+        a = 3  # the row of the last accepted state; window row j is row a + 1 + j
+        states[a], spectra[a] = u, rfft(u)
+        known = 1  # the chain's states, up to four
         updates: list[int] = []  # per window row
         k = first  # the step of the front row
         while True:
+            width = _WINDOW if known == 4 else 1
             # overflow inside a diverging iteration is expected and reported
             # as StepFailure, hence the suppressed floating-point warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 while True:  # the sweeps up to the front row's acceptance
                     w = len(updates)
                     if w < width and (not w or updates[-1] >= _ENTRY_UPDATES):
-                        if guess is None:
-                            s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
-                            guess_row = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
+                        if known < 4:
+                            states[a + 1] = self._predict(states[a])
                         else:
-                            guess_row = guess
-                        states[a + 1 + w] = guess_row
+                            s0, s1, s2, s3 = states[a + w - 3 : a + w + 1]
+                            states[a + 1 + w] = s3 + 3.0 * (s3 - s2) - 3.0 * (s2 - s1) + (s1 - s0)
                         updates.append(0)
                         w += 1
                     U, X = states[a : a + w], states[a + 1 : a + 1 + w]
@@ -521,11 +508,14 @@ class _FourierMaps:
                         raise _stalled("Picard", increment, k)
             yield states[a + 1].copy(), updates.pop(0)
             a, k = a + 1, k + 1
-            if a + width >= rows:  # move the history and the window to the top
-                live = slice(a - h + 1, a + 1 + len(updates))
+            if known < 4:  # the first four states' spectra are transformed afresh
+                known += 1
+                spectra[a] = rfft(states[a])
+            if a + _WINDOW >= rows:  # move the last four states and the window to the top
+                live = slice(a - 3, a + 1 + len(updates))
                 count = live.stop - live.start
                 states[:count], spectra[:count] = states[live], spectra[live]
-                a = h - 1
+                a = 3
 
     def stacked(self, width: int):
         """``(run, count)``: ``run(u, k)`` gives the next ``k <= count`` states

@@ -714,8 +714,9 @@ def _run_all(cfg: ExperimentConfig, ref: _Reference,
 def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     """Run the full-order benchmark and every requested reduced model.
 
-    Emits ``report.csv``, the full-order energy series, and one energy series
-    per ROM into ``cfg.out_dir``.  Every ROM runs first; then all of them are
+    Emits ``report.csv`` (its header alone for no ROMs, and then no worker
+    starts), the full-order energy series, and one energy series per ROM
+    into ``cfg.out_dir``.  Every ROM runs first; then all of them are
     compared against the reference in one pass over it.  A solver failure
     marks that row failed and the remaining ROMs still run.  Deterministic:
     identical configurations produce identical numbers.
@@ -725,9 +726,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RomReport]:
     with _references(cfg) as ref:
         out.mkdir(parents=True, exist_ok=True)
         write_energy_csv(out / "fom_energy.csv", ref.snap.energy_times, ref.snap.energies)
-        if not cfg.roms:
-            return []
-        for spec, (report, rom_traj) in zip(cfg.roms, _run_all(cfg, ref, cfg.roms)):
+        runs = _run_all(cfg, ref, cfg.roms) if cfg.roms else []
+        for spec, (report, rom_traj) in zip(cfg.roms, runs):
             if rom_traj is not None:
                 name = f"energy_{spec.variant.name.lower()}_r{spec.r}_mu{spec.mu:g}.csv"
                 write_energy_csv(out / name, rom_traj.energy_times, rom_traj.energies)

@@ -128,7 +128,7 @@ class TestIteration:
     @staticmethod
     def _stepper(storage, x0, dt=0.3, picard_tol=1e-12):
         stepper = AvfStepper(blowup_flow(storage), dt=dt, picard_tol=picard_tol)
-        stepper._predict = lambda u: np.array([x0])
+        stepper._maps._predict = lambda u: np.array([x0])
         return stepper
 
     def test_stopping_rule_is_relative_to_the_previous_iterate(self):
@@ -139,11 +139,10 @@ class TestIteration:
         newton = x1 - (x1 - 1.0 - k * (1.0 + x1 + x1 * x1)) / 0.9  # the chord reuses R'(0)
         picard = 1.0 + k * (1.0 + 1.1 + 1.1 * 1.1)  # x_1 = 1 + k
         for (storage, _), expected in zip(STORAGES, (newton, picard)):
-            stepper = self._stepper(storage, 0.0, picard_tol=0.9)
-            assert stepper.step(np.array([1.0]))[0] == pytest.approx(expected, rel=1e-14)
+            stepper, start = self._stepper(storage, 0.0, picard_tol=0.9), np.array([1.0])
+            end = stepper.step(start)
             assert stepper.last_iterations == 2
-            start, end = stepper._history[-2:, 0]  # the step's chain: 1 to its state
-            assert (start, end) == (1.0, pytest.approx(expected, rel=1e-14))
+            assert (start[0], end[0]) == (1.0, pytest.approx(expected, rel=1e-14))
 
     def test_newton_stops_on_its_predicted_error(self):
         # from 0 the Newton increments are d_1 = 1.22 and d_2 = 0.166: d_2 is
@@ -486,14 +485,15 @@ def _fourier_picard_march(flow, u, dt, steps, tol=1e-12):
 
 def _window_of_one(flow, u, dt, steps, tol=1e-12):
     """States (one row per step) and Picard counts of ``steps`` single steps
-    of a quadratic stencil flow: each the Fourier maps' window of one, from
-    the stepper's start guess in the reference predictor's arithmetic."""
+    of a quadratic stencil flow: each the first step of a new chain of the
+    Fourier maps (the window of one), from the stepper's start guess in the
+    reference predictor's arithmetic."""
     maps = avf._FourierMaps(flow, dt)
-    predict, chain = _reference_predictor(flow, dt)
+    maps._predict, chain = _reference_predictor(flow, dt)
     chain.append(u)
     states, counts = [], []
     for k in range(1, steps + 1):
-        u, m = maps.iterate(u, predict(u), tol, k)
+        u, m = next(maps.chain(u, tol, k))
         chain.append(u)
         states.append(u)
         counts.append(m)
@@ -616,21 +616,23 @@ class TestCarriedState:
     DT = 0.02
 
     def _chained(self, variant=RomVariant.SP0, steps=6):
-        rom, a0 = _kdv_rom(variant)
-        stepper = AvfStepper(rom, self.DT)
-        u = a0
+        """A reduced model, a stepper after ``steps`` chained steps, and the
+        states they returned."""
+        rom, u = _kdv_rom(variant)
+        stepper, states = AvfStepper(rom, self.DT), []
         for k in range(1, steps + 1):
             u = stepper.step(u, step_index=k)
-        return rom, stepper, u
+            states.append(u)
+        return rom, stepper, states
 
     @pytest.mark.parametrize("variant", [RomVariant.SP0, RomVariant.GROM])
     @pytest.mark.parametrize("source", ["copy", "fresh stepper"])
     def test_other_input_takes_the_three_gemv_step(self, variant, source):
-        rom, stepper, u = self._chained(variant)
+        rom, stepper, states = self._chained(variant)
         if source == "fresh stepper":
             stepper = AvfStepper(rom, self.DT)
-        u = u.copy()
-        x0 = stepper._predict(u)  # a new chain: the RK4 prediction
+        u = states[-1].copy()
+        x0 = stepper._maps._predict(u)  # a new chain: the RK4 prediction
         ref, ref_m = _three_gemv_iterate(stepper._maps, u, x0)
         gemvs = _counted_jacobian(stepper)
         new = stepper.step(u, step_index=7)
@@ -639,19 +641,20 @@ class TestCarriedState:
         assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_the_returned_array_carries_its_k(self):
-        _, stepper, u = self._chained()
+        _, stepper, states = self._chained()
+        u = states[-1]
         gemvs = _counted_jacobian(stepper)
         carried = stepper.step(u, step_index=7)
         assert len(gemvs) == stepper.last_iterations and all(p is not u for p in gemvs)
         # the same step from an equal copy evaluates K(u)
-        _, stepper, u = self._chained()
-        x0 = stepper._predict(u)
-        stepper._predict = lambda _: x0  # the chained prediction, for both
+        x0 = avf._CUBIC.dot(np.array(states[-4:]))
+        stepper._maps._predict = lambda _: x0  # the chained prediction, for both
         again = stepper.step(u.copy(), step_index=7)
         assert np.abs(carried - again).max() <= 1e-14 * np.abs(again).max()
 
     def test_a_failed_step_breaks_the_carry(self):
-        _, stepper, u = self._chained()
+        _, stepper, states = self._chained()
+        u = states[-1]
         factor = stepper._maps.lhs.factor
 
         def singular(A):
@@ -686,8 +689,8 @@ class TestCarriedState:
 class TestPicardWindow:
     """A chain of steps of a quadratic stencil flow iterates on a window of
     steps once the start steps have given the cubic predictor its history;
-    the single steps of :func:`_window_of_one` take the window of one at
-    every step."""
+    the single steps of :func:`_window_of_one` take the first step of a
+    new chain, the window of one, at every step."""
 
     GRID = Grid1D(n=64, length=40.0, origin=-20.0)
     DT, STEPS = 0.02, 50
@@ -719,7 +722,7 @@ class TestPicardWindow:
         _, counts = march(flow, u0, self.DT, self.STEPS, stepper)
         # every update of a row is one inverse transform row, the updates of
         # the rows behind the last returned step too
-        ahead = stepper._window.gi_frame.f_locals["updates"]
+        ahead = stepper._chain.gi_frame.f_locals["updates"]
         assert sum(rows) == sum(counts) + sum(ahead)
         assert max(rows) == avf._WINDOW
         assert len(rows) < sum(counts) / 2
@@ -779,7 +782,7 @@ class TestOneSteppingCall:
             u = stepper.step(u, step_index=k)
             held.append(u)
             copies.append(u.copy())
-        assert stepper._window is not None  # steps 4 on came from the window
+        assert stepper._chain.gi_frame.f_locals["known"] == 4  # steps 4 on came from the window
         assert all(np.array_equal(h, c) for h, c in zip(held, copies))
         assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[:i])
 
@@ -799,6 +802,37 @@ class TestOneSteppingCall:
         retried, counts = march(flow, u, self.DT, 6, stepper)
         fresh, fresh_counts = march(flow, u.copy(), self.DT, 6)
         assert np.array_equal(retried, fresh) and counts == fresh_counts
+
+    def test_a_retry_after_a_newton_failure_is_a_fresh_chain(self):
+        _, stepper, states = TestCarriedState()._chained()
+        flow, u, factor = stepper.flow, states[-1], stepper._maps.lhs.factor
+
+        def singular(A):
+            raise SingularMatrixError("forced")
+
+        stepper._maps.lhs.factor = singular
+        with pytest.raises(StepFailure, match="singular Jacobian"):
+            stepper.step(u, step_index=7)  # in the middle of the chain
+        stepper._maps.lhs.factor = factor
+        retried, counts = march(flow, u, self.DT, 6, stepper)
+        fresh, fresh_counts = march(flow, u.copy(), self.DT, 6)
+        assert np.array_equal(retried, fresh) and counts == fresh_counts
+
+    @pytest.mark.parametrize("storage", [storage for storage, _ in STORAGES])
+    def test_a_chain_counts_steps_from_the_call_that_started_it(self, storage):
+        # du/dt = u^2 from 1 at dt = 0.1: the chain fails some steps in; the
+        # same chain started at step 101 fails 100 steps later, whatever
+        # indices the calls after its first pass
+        flow, u0 = blowup_flow(storage), np.array([1.0])
+        with pytest.raises(StepFailure) as numbered:
+            march(flow, u0, 0.1, 20)
+        stepper, u = AvfStepper(flow, 0.1), u0
+        with pytest.raises(StepFailure) as shifted:
+            u = stepper.step(u, step_index=101)
+            for _ in range(20):
+                u = stepper.step(u)
+        assert numbered.value.step_index > 3
+        assert shifted.value.step_index == 100 + numbered.value.step_index
 
 
 def _stepping_paths():
@@ -839,8 +873,35 @@ def test_every_stepping_path_is_freed_without_the_cycle_collector():
             assert type(stepper._maps) is maps, name
             for k in range(1, 6):
                 u = stepper.step(u, step_index=k)
-            released = weakref.ref(stepper), weakref.ref(stepper._maps)
+            released = [weakref.ref(stepper), weakref.ref(stepper._maps)]
+            assert (stepper._chain is None) == (flow.quadratic is None), name
+            if stepper._chain is not None:  # the open chain, a generator of the maps
+                released.append(weakref.ref(stepper._chain))
             del stepper
-            assert [ref() for ref in released] == [None, None], name
+            assert [ref() for ref in released] == [None] * len(released), name
     finally:
         gc.enable()
+
+
+def test_a_bad_state_is_a_value_error_on_every_stepping_path(monkeypatch):
+    # a non-finite or misshapen state is a programming error, as in
+    # integrate, not a solver failure; a chain checks its start state once,
+    # a linear flow every step's
+    checked, as_state = [], avf._as_state
+
+    def counted(u, dim):
+        checked.append(u)
+        return as_state(u, dim)
+
+    monkeypatch.setattr(avf, "_as_state", counted)
+    for name, (flow, u, _) in _stepping_paths().items():
+        for bad, match in ((np.full(flow.dim, np.nan), "non-finite"),
+                           (np.full(flow.dim, np.inf), "non-finite"),
+                           (np.ones(1), "shape")):
+            with pytest.raises(ValueError, match=match):
+                AvfStepper(flow, dt=0.01).step(bad)
+        stepper = AvfStepper(flow, dt=0.01)
+        del checked[:]
+        u = march(flow, u, 0.01, 5, stepper)[0][-1]  # a copy: a new chain
+        stepper.step(u)
+        assert len(checked) == (6 if flow.quadratic is None else 2), name

@@ -523,11 +523,27 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "fom_energy.csv").exists()
         assert (tmp_path / "out" / "energy_sp0_r2_mu0.csv").exists()
 
-    def test_fom_only_config(self, tmp_path):
+    def test_fom_only_config(self, tmp_path, monkeypatch):
+        # the report of no ROMs is its header; nothing binds LAPACK or
+        # starts the workers
+        def unexpected(*args):
+            raise AssertionError("a configuration without ROMs ran the drivers' phases")
+
+        monkeypatch.setattr(experiments, "bind_lapack", unexpected)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", unexpected)
         cfg = tiny_wave_cfg(tmp_path / "out", roms=())
         assert run_experiment(cfg) == []
         assert (tmp_path / "out" / "fom_energy.csv").exists()
-        assert not (tmp_path / "out" / "report.csv").exists()
+        report = (tmp_path / "out" / "report.csv").read_text()
+        assert report.splitlines() == ["variant,r,mu,e_inf,H0,Hfinal,max_drift,offset,wall_ms"]
+
+    def test_fom_only_config_replaces_a_stale_report(self, tmp_path):
+        report = tmp_path / "out" / "report.csv"
+        run_experiment(tiny_wave_cfg(tmp_path / "out", roms=("SP0:2",)))
+        header, row = report.read_text().splitlines()
+        assert row.startswith("SP-ROM-0,2,")
+        run_experiment(tiny_wave_cfg(tmp_path / "out", roms=()))
+        assert report.read_text().splitlines() == [header]
 
     def test_failure_isolation(self, tmp_path):
         # r beyond the snapshot rank fails that row; the rest still run
