@@ -43,6 +43,8 @@ _WINDOW = 4
 _ENTRY_UPDATES = 2
 
 _CUBIC = np.array([-1.0, 4.0, -6.0, 4.0])  # the next state from the last four, oldest first
+# the same weights on a ring of four slots: row s when slot s holds the oldest
+_CUBIC_RING = np.array([np.roll(_CUBIC, s) for s in range(4)])
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,9 @@ class AvfStepper:
     A quadratic flow's steps form chains, each one generator of its maps'
     ``chain``: a step continues the chain only when ``u`` is the very array
     the last step returned; any other ``u`` (an equal copy too) starts a new
-    one, and so does a retry after a failed step.  The chain keeps its last
-    four states and starts each step from their cubic extrapolation (from
+    one, and so does a retry after a failed step.  The chain starts each
+    step from the cubic extrapolation of its last four steps (of their
+    states on Fourier maps, of their last evaluated iterates on dense maps;
     the RK4 step of the last state while it has fewer), which changes the
     iteration count, never the converged step.
     """
@@ -257,18 +260,23 @@ class _DenseMaps:
     ``K(a) b = K(b) a``) and ``b = (I + A) u + dt S g0 + K(y)(u - dx)``, with
     the Jacobian ``I - A - K(y) - 2 K(x)``.  ``y`` and ``dx`` are the last
     evaluated iterate and update of the chain's step that returned
-    ``u = y - dx``, so ``K(y)(u - dx) = K(u) u + O(|dx|^2)`` and ``K`` is
-    evaluated once per iteration; a chain's first step has ``y = u``,
-    ``dx = 0``.  The Jacobian is factored (into ``lhs``) at the first
-    iteration and again only after an increment that did not shrink by at
-    least half, so a step that converges at once takes one factorization
-    and a hard step still converges like Newton.
+    ``u = y - dx``, so ``K(y)(u - dx) = K(u) u + O(|dx|^2)``; a chain's
+    first step has ``y = u``, ``dx = 0``.  ``K`` is linear, so a step that
+    starts from the cubic extrapolation ``x_0`` of the chain's last four
+    ``y`` takes ``K(x_0)`` as the same extrapolation of their ``K``
+    (:meth:`chain`), and a step of two iterations evaluates ``K`` once, at
+    its second iterate.  The Jacobian is built in a column-major buffer and
+    factored there in place (into ``lhs``) at the first iteration, and
+    again only after an increment that did not shrink by at least half, so
+    a step that converges at once takes one factorization and a hard step
+    still converges like Newton.
     Besides the increment rule, from the second update on the iteration
     stops when the predicted remaining error ``d_m^2 / (d_{m-1} - d_m)`` of
     the increments ``d`` drops to ``picard_tol`` relative to ``1 + max|x|``.
     A tensor term (every reduced model) folds ``dt S / 3`` into its tensor
-    once, stored (r r, r) and exactly symmetric, so ``K(x)`` is one
-    matrix-vector product; any other term gives ``J2(x)`` by its own block
+    once, exactly symmetric and stored (r r, r) with rows ``(i, p)`` for
+    entry ``[p, i, j]``, so ``K(x)`` is one matrix-vector product that comes
+    out column-major; any other term gives ``J2(x)`` by its own block
     ``eval`` of ``x`` against the identity, column k being ``G2(x, e_k)``.
     """
 
@@ -281,38 +289,68 @@ class _DenseMaps:
         dtS = dt * flow.structure
         self.const = dtS @ flow.constant if flow.constant is not None else None
         self._predict = partial(_rk4, flow, dt)
-        # x -> K(x), closed over locals only: the maps hold no cycle
+        # (x, out=None) -> K(x), a column-major (r, r) view of ``out`` (a
+        # flat r r array, or a new one), closed over locals only: the maps
+        # hold no cycle
         quad, dtS3, r = flow.quadratic, dtS / 3.0, flow.dim
         if isinstance(quad, TensorQuadratic):
             folded = np.tensordot(dtS3, quad.tensor, axes=1)
-            folded = (0.5 * (folded + folded.transpose(0, 2, 1))).reshape(r * r, r)
-            self.jacobian = lambda x: folded.dot(x).reshape(r, r)
+            # rows (i, p) of entry [p, i, j]: the product is K(x) transposed
+            folded = (0.5 * (folded + folded.transpose(0, 2, 1))).transpose(1, 0, 2)
+            folded = folded.reshape(r * r, r)
+            self.jacobian = lambda x, out=None: folded.dot(x, out=out).reshape(r, r).T
         elif quad is not None:  # the column of x broadcasts against eye's
-            self.jacobian = lambda x: dtS3 @ quad.eval(x[:, None], eye)
+            self.jacobian = lambda x, out=None: np.matmul(
+                quad.eval(x[:, None], eye).T, dtS3.T,
+                out=None if out is None else out.reshape(r, r)).T
 
     def chain(self, u: np.ndarray, tol: float, first: int):
-        """Chord Newton steps from ``u``, each from the cubic extrapolation
-        of the chain's last four states (RK4 while it has fewer): yields
-        ``(state, iterations)`` of steps ``first``, ``first + 1``, ..."""
-        history = np.empty((4, u.size))  # the chain's last four states, oldest first
-        history[-1], known, k_y, dx, k = u, 1, None, 0.0, first
+        """Chord Newton steps from ``u``: yields ``(state, iterations)`` of
+        steps ``first``, ``first + 1``, ...
+
+        Slot ``n % 4`` of the chain's ring holds its n-th evaluated iterate
+        ``y`` (``u`` is the 0th) and ``K(y)``, always a fresh product: the
+        last iterate each step evaluated, whose ``K`` the next step carries.
+        While the ring has fewer than four entries a step starts from the RK4
+        guess and evaluates ``K`` at it; then from the cubic extrapolation
+        ``x_0`` of the ring, and since ``K`` is linear, ``K(x_0)`` is the same
+        extrapolation of the ring's ``K``.  A step that stops at its first
+        iteration evaluates ``K(x_0)`` afresh before ``x_0`` enters the ring.
+        """
+        r = u.size
+        ring, k_ring = np.empty((4, r)), np.empty((4, r * r))
+        k_cubic = np.empty(r * r)  # the extrapolated K(x_0)
+        # the Jacobian's buffer, which LAPACK factors in place, and I - A,
+        # column-major like it and like every K
+        jac, lhs_f = np.empty((r, r), order="F"), np.asfortranarray(self.lhs_mat)
+        ring[0], n, dx, k = u, 1, 0.0, first
+        k_y = self.jacobian(u, k_ring[0])
         while True:
-            jacobian, lhs, lhs_mat = self.jacobian, self.lhs, self.lhs_mat
+            jacobian, lhs, lhs_mat, slot = self.jacobian, self.lhs, self.lhs_mat, n % 4
             # overflow inside a diverging iteration is expected and reported
             # as StepFailure, hence the suppressed floating-point warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                x = _CUBIC.dot(history) if known == 4 else self._predict(u)
-                k_y = jacobian(u) if k_y is None else k_y
+                fresh = n < 4
+                if fresh:
+                    x = self._predict(u)
+                    k_x = jacobian(x, k_ring[slot])
+                else:
+                    weights = _CUBIC_RING[slot]
+                    x = weights.dot(ring)
+                    k_x = weights.dot(k_ring, out=k_cubic).reshape(r, r).T
                 base = self.rhs_mat.dot(u)  # (I + A) u + dt S g0 + K(y)(u - dx)
                 base = (base if self.const is None else base + self.const) + k_y.dot(u - dx)
-                fixed = lhs_mat - k_y  # the Jacobian's part that x leaves fixed
-                refactor, last = True, np.inf  # last: the previous increment
+                y, refactor, last = x, True, np.inf  # last: the previous increment
                 for m in range(1, MAX_ITERATIONS + 1):
-                    k_x = jacobian(x)
+                    if m > 1:
+                        y, k_x, fresh = x, jacobian(x, k_ring[slot]), True
                     residual = lhs_mat.dot(x) - base - k_x.dot(u + x)
                     if refactor:
+                        np.subtract(lhs_f, k_y, out=jac)  # I - A - K(y) - 2 K(x)
+                        jac -= k_x
+                        jac -= k_x
                         try:
-                            lhs.factor(fixed - 2.0 * k_x)
+                            lhs.factor(jac)
                         except SingularMatrixError as exc:
                             raise StepFailure("Newton iteration met a singular Jacobian at "
                                               f"iteration {m}: {exc}", k, m) from exc
@@ -330,8 +368,9 @@ class _DenseMaps:
                     refactor, last = increment > 0.5 * last, increment
                 else:
                     raise _stalled("Newton", increment, k)
-            history[:-1] = history[1:]
-            history[-1], u, k_y, known = x, x, k_x, min(known + 1, 4)
+                if not fresh:  # stopped at x_0: its K enters the ring as a product
+                    k_x = jacobian(y, k_ring[slot])
+            ring[slot], k_y, u, n = y, k_x, x, n + 1
             yield x, m
             k += 1
 

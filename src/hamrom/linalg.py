@@ -190,14 +190,15 @@ class LuFactorization:
     constant-coefficient time stepping reuses one factorization for thousands
     of solves.  ``A`` is factored by LAPACK (``getrf``), which rejects a
     pivot at or below :data:`PIVOT_TOL` of the largest entry of ``A`` (so an
-    all-zero matrix is singular too).  :meth:`factor` replaces the factors
-    in place, for a Newton iteration that refactors its Jacobian; a
-    rejected matrix leaves the previous factors in place.
+    all-zero matrix is singular too).  :meth:`factor` replaces the factors,
+    for a Newton iteration that refactors its Jacobian, in place of a
+    column-major matrix; a rejected matrix leaves the previous factors in
+    place, unless it was written over their storage.
     """
 
     def __init__(self, A):
         bind_lapack()
-        A = np.asarray(A, dtype=float)
+        A = np.array(A, dtype=float, order="F")  # an own copy, which LAPACK overwrites
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise ValueError(f"A must be square and non-empty, got shape {A.shape}")
         self.factor(A)
@@ -211,11 +212,14 @@ class LuFactorization:
         one scan of ``|A|`` serves both checks: a non-finite entry raises
         ValueError and a pivot at or below :data:`PIVOT_TOL` of the largest
         entry :class:`SingularMatrixError`; either keeps the previous factors.
+        LAPACK factors a column-major ``A`` in place, without a copy: its
+        storage then holds the factors, so a caller that refills it gives up
+        the previous ones (any other ``A`` is copied and left as it is).
         """
         scale = np.maximum.reduce(np.abs(A), axis=None)
         if not math.isfinite(scale):  # the maximum propagates NaN and inf
             raise ValueError("A contains non-finite entries")
-        lu, piv, _ = _getrf(A)
+        lu, piv, _ = _getrf(A, overwrite_a=True)
         if np.minimum.reduce(np.abs(lu.diagonal())) <= PIVOT_TOL * scale:
             raise SingularMatrixError(f"pivot below {PIVOT_TOL:g} of the matrix scale")
         self._lu, self._piv = lu, piv

@@ -9,9 +9,10 @@ from conftest import march
 
 from hamrom import avf
 from hamrom.avf import AvfScheme, AvfStepper, StepFailure, Trajectory, integrate
+from hamrom.experiments import RomSpec, _build_rom
 from hamrom.linalg import SingularMatrixError
 from hamrom.pod import collect_snapshots, collect_wave_snapshots, compute_basis
-from hamrom.rom import RomVariant, reduce_operators
+from hamrom.rom import RomVariant, encode, reduce_operators
 from hamrom.systems import (
     DiagonalQuadratic,
     Grid1D,
@@ -213,9 +214,9 @@ class TestNewtonFailures:
         jacobian = stepper._maps.jacobian
         calls = []
 
-        def overflowing(x):  # call 0 is K(u), call j is K(x_{j-1})
+        def overflowing(x, out):  # call 0 is K(u), call j is K(x_{j-1})
             calls.append(x)
-            return np.full((1, 1), np.inf) if len(calls) == m + 1 else jacobian(x)
+            return np.full((1, 1), np.inf) if len(calls) == m + 1 else jacobian(x, out)
 
         stepper._maps.jacobian = overflowing
         with pytest.raises(StepFailure, match=f"Newton iteration diverged .overflow after {m} it"
@@ -426,6 +427,53 @@ class TestBenchmarkRuns:
             assert over.size == 0, (f"step {start + over[0] + 1}: AVF residual "
                                     f"{residual[over[0]]:.3e} > {bound[over[0]]:.3e}")
 
+    @pytest.mark.parametrize("variant", list(RomVariant))
+    def test_kdv_reduced_steps_meet_the_avf_step_equation(self, variant, kdv_ref, kdv_cfg):
+        # every step x of its predecessor u of each Table 2 model, re-run at
+        # stride 1, solves the reduced AVF equation evaluated with fresh
+        # tensor products, within what the Newton stopping rule leaves plus
+        # the rounding of the step and of this evaluation (derivation:
+        # docs/decisions.md, "One tensor product per reduced Newton step")
+        model = _build_rom(kdv_ref, RomSpec(variant=variant, r=40))
+        flow, scheme = model.flow, replace(kdv_cfg.scheme(), snapshot_stride=1)
+        traj = integrate(flow, encode(model, kdv_ref.snap.states[:, 0]), scheme)
+        # no step stops at its first iteration, whose K would be extrapolated
+        assert traj.iteration_histogram[:2].sum() == 0
+        states = traj.states
+        S, G1, T = flow.structure, flow.linear, flow.quadratic.tensor
+        g0 = np.zeros(flow.dim) if flow.constant is None else flow.constant
+        dt, tol, r, eps = scheme.dt, scheme.picard_tol, flow.dim, np.finfo(float).eps
+        A, dtS3 = 0.5 * dt * (S @ G1), dt * S / 3.0
+        F = np.einsum("pq,qij->pij", dtS3, T)  # K(a)[p, i] = sum_j F[p, i, j] a_j
+        abs_a = np.eye(r) + 0.5 * dt * (np.abs(S) @ np.abs(G1))  # covers |I - A|, |I + A|
+        abs_s3, abs_t = np.abs(dtS3), np.abs(T)
+        f_norm = np.abs(F).sum(axis=(1, 2)).max()  # max_p sum_ij |F_pij|
+        gamma = (3 * r + 4) * eps / (1.0 - (3 * r + 4) * eps)
+        G2 = flow.quadratic.eval
+        for start in range(0, states.shape[1] - 1, 200):
+            block = states[:, start : start + 201]
+            u, x = block[:, :-1], block[:, 1:]
+            q = G2(u, u) + G2(u, x) + G2(x, x)
+            residual = np.abs((np.eye(r) - A) @ x - (np.eye(r) + A) @ u - dt * (S @ g0)[:, None]
+                              - dtS3 @ q).max(axis=0)
+            a_u, a_x = np.abs(u).max(axis=0), np.abs(x).max(axis=0)
+            # the distance of x from the solution, and of u from its step's, at most
+            tau, tau_u = (tol * (1.0 + a) / (1.0 - tol) for a in (a_x, a_u))
+            k_u, k_x = (np.einsum("pij,jk->kpi", F, v) for v in (u, x))
+            jac = np.abs(np.eye(r) - A - k_u - 2.0 * k_x).sum(axis=2).max(axis=1)
+            # R(x) - R(x*) = (I - A - K(u) - K(x + x*))(x - x*), plus the
+            # carried K(y)(u - dx), which leaves out K(dx) dx
+            stopping = (jac + 2.0 * f_norm * tau) * (tau + eps * a_x) + f_norm * tau_u * tau_u
+            abs_u, abs_x = np.abs(u), np.abs(x)
+            quad = (np.einsum("pij,ik,jk->pk", abs_t, abs_u, abs_u + abs_x)
+                    + np.einsum("pij,ik,jk->pk", abs_t, abs_x, abs_x))
+            terms = (abs_a @ (abs_u + abs_x) + dt * (np.abs(S) @ np.abs(g0))[:, None]
+                     + abs_s3 @ quad)
+            bound = stopping + 2.0 * gamma * terms.max(axis=0)
+            over = np.flatnonzero(residual > bound)
+            assert over.size == 0, (f"step {start + over[0] + 1}: AVF residual "
+                                    f"{residual[over[0]]:.3e} > {bound[over[0]]:.3e}")
+
     def test_kdv_initial_profile_is_benchmark(self, kdv_system, kdv_snap):
         _, u0, _ = kdv_system
         assert np.array_equal(kdv_snap.states[:, 0], u0)
@@ -550,8 +598,10 @@ class TestReferencePaths:
 
     @pytest.mark.parametrize("variant", [RomVariant.SP0, RomVariant.GROM])
     def test_chord_newton_matches_full_newton(self, variant):
-        # the march carries K from step to step: one K(x) per iteration,
-        # and K(u) once, at the first step
+        # the march carries K from step to step: K(u) once, at the first
+        # step; a start step evaluates K at every iterate, a later step at
+        # every iterate but x_0 (its K is extrapolated), or at x_0 alone
+        # when it stops there
         rom, a0 = _kdv_rom(variant, self.DT, self.STEPS)
         stepper = AvfStepper(rom, self.DT)
         gemvs = _counted_jacobian(stepper)
@@ -564,7 +614,7 @@ class TestReferencePaths:
         ref_states, ref_counts = _full_newton_march(rom, a0, self.DT, self.STEPS)
         assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
         assert sum(counts) <= sum(ref_counts)
-        assert len(gemvs) == sum(counts) + 1
+        assert len(gemvs) == 1 + sum(counts[:3]) + sum(max(m - 1, 1) for m in counts[3:])
 
 
 def _kdv_rom(variant, dt=0.02, steps=50, r=8):
@@ -579,7 +629,7 @@ def _kdv_rom(variant, dt=0.02, steps=50, r=8):
 def _counted_jacobian(stepper):
     """The points at which the stepper's maps evaluate ``K`` from now on."""
     points, jacobian = [], stepper._maps.jacobian
-    stepper._maps.jacobian = lambda x: points.append(x) or jacobian(x)
+    stepper._maps.jacobian = lambda x, out=None: points.append(x) or jacobian(x, out)
     return points
 
 
@@ -606,6 +656,113 @@ def _three_gemv_iterate(maps, u, x, tol=1e-12):
             return x, m
         refactor, last = increment > 0.5 * last, increment
     raise AssertionError("the reference step stalled")
+
+
+def _two_product_chain(flow, u, dt, steps, tol=1e-12):
+    """States (one row per step) and Newton counts of the dense chain with a
+    tensor product at every iterate: ``x_0`` the cubic extrapolation of the
+    last four states (RK4 before), ``K(u) u`` taken as ``K(y)(u - dx)`` from
+    the last iterate ``y`` and update ``dx`` of the step before (``K(u)``
+    at the first step), the Jacobian ``I - A - K(y) - 2 K(x)`` refactored
+    after an increment that did not halve, both stopping rules."""
+    maps = avf._DenseMaps(flow, dt)
+    predict, chain = _reference_predictor(flow, dt)
+    chain.append(u)
+    k_y, dx, states, counts = maps.jacobian(u), 0.0, [], []
+    for _ in range(steps):
+        x, base = predict(u), maps.rhs_mat @ u + k_y @ (u - dx)
+        if maps.const is not None:
+            base = base + maps.const
+        refactor, last = True, np.inf
+        for m in range(1, avf.MAX_ITERATIONS + 1):
+            k_x = maps.jacobian(x)
+            if refactor:
+                jac = maps.lhs_mat - k_y - 2.0 * k_x
+            dx = np.linalg.solve(jac, maps.lhs_mat @ x - base - k_x @ (u + x))
+            increment, bound = np.abs(dx).max(), tol * (1.0 + np.abs(x).max())
+            x = x - dx
+            if increment <= bound or (m > 1 and increment < last
+                                      and increment * increment <= bound * (last - increment)):
+                break
+            refactor, last = increment > 0.5 * last, increment
+        else:
+            raise AssertionError("the reference step stalled")
+        k_y, u = k_x, x
+        chain.append(x)
+        states.append(x)
+        counts.append(m)
+    return np.array(states), counts
+
+
+class TestOneProductChain:
+    """After its three start steps a dense chain extrapolates ``K(x_0)``
+    from a ring of the last four evaluated iterates and their fresh ``K``
+    products, so a two-iteration step takes one tensor product."""
+
+    DT = 0.02
+
+    @pytest.fixture(scope="class")
+    def rom(self):
+        # a basis of 1000 full-order steps: the reduced model stays bounded
+        # over 1000 steps (one of 50 steps blows up at step 156)
+        return _kdv_rom(RomVariant.SP0, self.DT, steps=1000)
+
+    @staticmethod
+    def _counted(stepper):
+        """The points at which the stepper's maps evaluate ``K`` from now on,
+        and copies of what each evaluation gave."""
+        points, values, jacobian = [], [], stepper._maps.jacobian
+
+        def counted(x, out=None):
+            k = jacobian(x, out)
+            points.append(x.copy())
+            values.append(k.copy())
+            return k
+
+        stepper._maps.jacobian = counted
+        return points, values
+
+    @staticmethod
+    def _ring(stepper):
+        """The open chain's ring: its iterates, their stored ``K`` as (r, r)
+        matrices, and the slot of the newest."""
+        chain = stepper._chain.gi_frame.f_locals
+        ring, r = chain["ring"], chain["r"]
+        return ring, chain["k_ring"].reshape(4, r, r).transpose(0, 2, 1), (chain["n"] - 1) % 4
+
+    def test_agrees_with_the_two_product_chain(self, rom):
+        flow, a0 = rom
+        states, counts = march(flow, a0, self.DT, 500)
+        ref_states, ref_counts = _two_product_chain(flow, a0, self.DT, 500)
+        assert counts == ref_counts
+        assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
+
+    def test_the_ring_holds_fresh_products_after_1000_steps(self, rom):
+        flow, a0 = rom
+        stepper = AvfStepper(flow, self.DT)
+        march(flow, a0, self.DT, 1000, stepper)
+        ring, stored, _ = self._ring(stepper)
+        for y, k in zip(ring, stored):
+            fresh = stepper._maps.jacobian(y)
+            assert np.abs(k - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+    def test_a_first_iteration_stop_stores_a_fresh_product(self, rom):
+        # at picard_tol = 1e-6 about a quarter of the steps stop at their
+        # first iteration, at x_0, whose K was extrapolated: the step then
+        # evaluates K(x_0) once, and that product enters the ring
+        flow, u = rom
+        stepper, stops = AvfStepper(flow, self.DT, picard_tol=1e-6), 0
+        points, values = self._counted(stepper)
+        for k in range(1, 201):
+            del points[:], values[:]
+            u = stepper.step(u, step_index=k)
+            if k > 3 and stepper.last_iterations == 1:
+                stops += 1
+                ring, stored, newest = self._ring(stepper)
+                assert len(points) == 1
+                assert np.array_equal(ring[newest], points[0])
+                assert np.array_equal(stored[newest], values[0])
+        assert stops >= 20
 
 
 class TestCarriedState:
@@ -643,11 +800,14 @@ class TestCarriedState:
     def test_the_returned_array_carries_its_k(self):
         _, stepper, states = self._chained()
         u = states[-1]
+        chain = stepper._chain.gi_frame.f_locals  # the chained prediction: its ring's extrapolation
+        x0 = avf._CUBIC_RING[chain["n"] % 4].dot(chain["ring"])
         gemvs = _counted_jacobian(stepper)
         carried = stepper.step(u, step_index=7)
-        assert len(gemvs) == stepper.last_iterations and all(p is not u for p in gemvs)
+        # K at every iterate but x_0, whose K is the ring's extrapolated K
+        assert len(gemvs) == max(stepper.last_iterations - 1, 1)
+        assert all(p is not u for p in gemvs)
         # the same step from an equal copy evaluates K(u)
-        x0 = avf._CUBIC.dot(np.array(states[-4:]))
         stepper._maps._predict = lambda _: x0  # the chained prediction, for both
         again = stepper.step(u.copy(), step_index=7)
         assert np.abs(carried - again).max() <= 1e-14 * np.abs(again).max()
