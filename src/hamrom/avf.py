@@ -102,8 +102,9 @@ class Trajectory:
 
     ``states`` holds one recorded state per column, ``times`` the matching
     instants (first entry is t=0).  ``energies`` has one entry per time step
-    plus the initial value, regardless of the recording stride; ``dt`` is the
-    step size, so the energy of step k belongs to time ``k * dt``.
+    plus the initial value, regardless of the recording stride (None for a
+    run that evaluated none); ``dt`` is the step size, so the energy of step
+    k belongs to time ``k * dt``.
     ``max_picard_iterations`` is the largest per-step iteration count of the
     nonlinear solver that ran (Picard or Newton; 0 for linear flows); a step
     iterated on a Picard window counts every update of its row.
@@ -118,7 +119,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    energies: np.ndarray
+    energies: Optional[np.ndarray]
     steps_total: int
     dt: float
     max_picard_iterations: int = 0
@@ -614,13 +615,15 @@ def _maps_for(flow: PolyGradFlow, dt: float):
 
 
 def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
-              consumer: Optional[Callable[[np.ndarray], None]] = None) -> Trajectory:
+              consumer: Optional[Callable[[np.ndarray], None]] = None,
+              energies: bool = True) -> Trajectory:
     """March ``flow`` from ``u0`` to ``t_end``, recording every stride-th state.
 
     Column 0 of the result is the initial state; each recorded state is one
     contiguous column (column-major ``states``).  The energy series carries
     one entry per step (plus the initial one) so conservation can be checked
-    at full resolution even when states are recorded sparsely.
+    at full resolution even when states are recorded sparsely; without
+    ``energies`` none is evaluated and the result's ``energies`` is None.
 
     The steps fill blocks of consecutive states, and each block gives its
     energies in one evaluation and its recorded states in one copy.  Each
@@ -642,7 +645,7 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     stride = scheme.snapshot_stride
     dim = flow.dim
     states = np.empty((dim, steps // stride + 1), order="F")
-    energies = np.empty(steps + 1)
+    series = np.empty(steps + 1) if energies else None
     width = max(2, min(_ENERGY_BLOCK_COLUMNS, _ENERGY_BLOCK_ENTRIES // dim, steps + 1))
     block = np.empty((dim, width))  # column j holds step k0 + j
     block[:, 0] = u
@@ -667,7 +670,8 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
                 x = run(u, count)
                 block[:, j : j + count] = x.T
                 u = x[-1]
-        energies[k0 : k0 + w] = eval_energy(flow, block[:, :w])
+        if series is not None:
+            series[k0 : k0 + w] = eval_energy(flow, block[:, :w])
         if consumer is not None:
             consumer(block[:, :w])
         first = -(-k0 // stride)  # index of the first recorded state in the block
@@ -678,7 +682,7 @@ def integrate(flow: PolyGradFlow, u0, scheme: AvfScheme,
     return Trajectory(
         times=scheme.dt * (stride * np.arange(states.shape[1])),  # step k at k * dt
         states=states,
-        energies=energies,
+        energies=series,
         steps_total=steps,
         dt=scheme.dt,
         max_picard_iterations=len(histogram) - 1,

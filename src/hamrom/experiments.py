@@ -56,8 +56,6 @@ from .pod import (
     PodBasis,
     SnapshotFrame,
     SnapshotSet,
-    collect_snapshots,
-    collect_wave_snapshots,
     decompose,
     enrich_with_ic_residual,
     sigma_tail,
@@ -456,6 +454,16 @@ def _cut(snaps: SnapshotSet, sizes: Iterable[int]) -> dict[int, _Built]:
     return out
 
 
+def _cut_sets(frames: Sequence[SnapshotFrame],
+              item: tuple[tuple[float, bool], dict[int, list[int]]]) -> dict:
+    """The bases of one ``((mu, shifted), sizes by field)`` item by memo key:
+    one set and one SVD for each field that the item names, in coordinates of
+    that field's frame."""
+    (mu, shifted), sizes = item
+    return {(i, mu, shifted, r): basis for i, rs in sizes.items()
+            for r, basis in _cut(frames[i].snapshot_set(mu, shifted), rs).items()}
+
+
 @dataclass
 class _Reference:
     """What run_experiment, mu_sweep and tail_bound_check start from: the
@@ -472,7 +480,6 @@ class _Reference:
     dense: _StoredRun
     snap: Trajectory
     fields: int
-    frames: Optional[tuple[SnapshotFrame, ...]] = None
     bases: dict[tuple[int, float, bool, int], _Built] = field(default_factory=dict)
     pool: Optional[ThreadPoolExecutor] = None
     workers: int = 1
@@ -484,43 +491,30 @@ class _Reference:
             return [fn(item) for item in items]
         return list(self.pool.map(fn, items))
 
-    def snapshot_sets(self, mu: float, shifted: bool) -> tuple[SnapshotSet, ...]:
-        """One snapshot set per field.  Gradient-augmented sets (``mu > 0``)
-        come in coordinates of the per-field frames of ``[U, F]``, built on
-        the first such request and shared by every later weight; ``mu = 0``
-        sets are assembled directly and never build the frames."""
-        if mu > 0 and self.frames is None:
-            self.frames = snapshot_frames(self.snap, self.flow, self.fields)
-        if self.fields == 2:
-            return collect_wave_snapshots(self.snap, self.flow, mu=mu, shifted=shifted,
-                                          frames=self.frames)
-        frame = self.frames[0] if self.frames else None
-        return (collect_snapshots(self.snap, self.flow, mu=mu, shifted=shifted, frame=frame),)
-
-    def _reuses(self, i: int, shifted: bool) -> bool:
-        """Whether field ``i`` takes its unshifted bases from its mu = 0 ones:
-        its gradients are an exact multiple of its states
-        (:attr:`SnapshotFrame.multiple`), so that every unshifted weight's
-        basis is the mu = 0 one, weighted (:func:`hamrom.pod.weighted_basis`)."""
-        return not shifted and self.frames is not None and self.frames[i].multiple is not None
-
     def build_bases(self, keys: Iterable[tuple[float, bool, int]]) -> None:
         """Memoize the basis of every field for every ``(mu, shifted, r)`` key:
         one SVD per field and distinct ``(mu, shifted)`` with a size not
-        memoized yet.  A field that reuses its mu = 0 bases (:meth:`_reuses`)
-        takes every other weight's by weighting them.
+        memoized yet, in coordinates of the field's frame
+        (:func:`hamrom.pod.snapshot_frames`).  The frames are of the states
+        alone, or of states and gradients when a missing key is weighted; they
+        are built on the caller and released once the bases are cut.  A field
+        whose gradients are an exact multiple of its states
+        (:attr:`SnapshotFrame.multiple`) takes every other unshifted weight's
+        bases by weighting its mu = 0 ones (:func:`hamrom.pod.weighted_basis`).
 
-        The mu = 0 sets, assembled on the grid's rows, are decomposed first,
-        on the caller, one after another: two of Table 2's 2000x201 SVDs
-        side by side raised its peak memory by up to 13%.  Each weight's
-        sets, in frame coordinates of at most twice as many rows as
-        snapshots whatever the grid, are decomposed on a worker.  Only the
-        caller writes the memo."""
+        Every set has at most twice as many rows as snapshots whatever the
+        grid.  The mu = 0 sets are decomposed on the caller, one after
+        another, each weight's sets on a worker: Table 1's peak memory was
+        higher with its mu = 0 SVDs on the workers.  Only the caller writes
+        the memo."""
         wanted = dict.fromkeys((i, *key) for key in keys for i in range(self.fields))
         missing = [key for key in wanted if key not in self.bases]
-        if self.frames is None and any(mu > 0 for _, mu, _, _ in missing):
-            self.frames = snapshot_frames(self.snap, self.flow, self.fields)
-        weighted = {key for key in missing if key[1] > 0 and self._reuses(key[0], key[2])}
+        if not missing:
+            return
+        frames = snapshot_frames(self.snap, self.flow, self.fields,
+                                 gradients=any(mu > 0 for _, mu, _, _ in missing))
+        weighted = {key for key in missing
+                    if key[1] > 0 and not key[2] and frames[key[0]].multiple is not None}
         # the sizes to cut by (mu, shifted) and field; a weighted key needs its mu = 0 basis
         sizes: dict[tuple[float, bool], dict[int, list[int]]] = {}
         for i, mu, shifted, r in dict.fromkeys(
@@ -528,23 +522,16 @@ class _Reference:
         ):
             if (i, mu, shifted, r) not in self.bases:
                 sizes.setdefault((mu, shifted), {}).setdefault(i, []).append(r)
-        tall = [item for item in sizes.items() if item[0][0] == 0]
-        framed = [item for item in sizes.items() if item[0][0] > 0]
-        for built in [self._cut_sets(item) for item in tall] + self.map(self._cut_sets, framed):
+        cut = partial(_cut_sets, frames)
+        on_caller = [item for item in sizes.items() if item[0][0] == 0]
+        on_workers = [item for item in sizes.items() if item[0][0] > 0]
+        for built in [cut(item) for item in on_caller] + self.map(cut, on_workers):
             self.bases.update(built)
         for i, mu, shifted, r in weighted:
             basis = self.bases[i, 0.0, False, r]
             if not isinstance(basis, NumericalError):
-                basis = weighted_basis(basis, self.frames[i].multiple, mu)
+                basis = weighted_basis(basis, frames[i].multiple, mu)
             self.bases[i, mu, shifted, r] = basis
-
-    def _cut_sets(self, item: tuple[tuple[float, bool], dict[int, list[int]]]) -> dict:
-        """The bases of one ``((mu, shifted), sizes by field)`` item by memo
-        key, one SVD per field.  Reads the memo and writes none of it."""
-        (mu, shifted), sizes = item
-        sets = self.snapshot_sets(mu, shifted)
-        return {(i, mu, shifted, r): basis
-                for i, rs in sizes.items() for r, basis in _cut(sets[i], rs).items()}
 
     def pod_bases(self, mu: float, shifted: bool, r: int) -> tuple[PodBasis, ...]:
         """One basis of ``r`` vectors per field, decomposed once per key
@@ -556,11 +543,6 @@ class _Reference:
             if isinstance(basis, NumericalError):
                 raise basis
         return bases
-
-    def forget_bases(self) -> None:
-        """Drop the frames and every memoized basis."""
-        self.frames = None
-        self.bases.clear()
 
     def __enter__(self) -> "_Reference":
         return self
@@ -606,14 +588,16 @@ def _build_rom(ref: _Reference, spec: RomSpec) -> ReducedModel:
 _Attempt = tuple[tuple[PodBasis, ...], Trajectory, float]
 
 
-def _attempt(cfg: ExperimentConfig, ref: _Reference, spec: RomSpec) -> Optional[_Attempt]:
-    """Build and run one ROM: its bases, its run and the run's wall time in
-    ms, or None after a logged solver or rank failure.  Other errors
-    propagate."""
+def _attempt(cfg: ExperimentConfig, ref: _Reference, spec: RomSpec,
+             energies: bool = True) -> Optional[_Attempt]:
+    """Build and run one ROM: its bases, its run (with its energy series when
+    ``energies``) and the run's wall time in ms, or None after a logged solver
+    or rank failure.  Other errors propagate."""
     try:
         model = _build_rom(ref, spec)
         start = time.perf_counter()
-        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.snap.states[:, 0])
+        rom_traj = run_rom(model, cfg.scheme(), initial_state=ref.snap.states[:, 0],
+                           energies=energies)
         return model.bases, rom_traj, 1e3 * (time.perf_counter() - start)
     except (StepFailure, NumericalError) as exc:
         log.warning("%s r=%d failed at mu=%g: %s", spec.variant.value, spec.r, spec.mu, exc)
@@ -651,23 +635,17 @@ def _run_compared(cfg: ExperimentConfig, ref: _Reference, specs: Sequence[RomSpe
     that its OpenBLAS is pinned too and no run's wall time holds its import.
     Returns each spec's attempt (None after a logged failure) and compared
     value (None for a failed spec).  With ``hold`` (a sweep or a tail check,
-    which reads no energy series) each run is kept without its energies, and
-    the frames and memoized bases are dropped once every model ran.
+    which reads no energy series) no run evaluates its energies, and the
+    memoized bases are dropped once every model ran.
     """
     bind_lapack()
     with one_blas_thread() as workers, ThreadPoolExecutor(workers) as pool:
         ref.pool, ref.workers = pool, workers
         try:
             ref.build_bases([_basis_key(spec) for spec in specs])
-            attempts = []
-            for spec in specs:
-                attempt = _attempt(cfg, ref, spec)
-                if hold and attempt is not None:
-                    bases, run, wall_ms = attempt
-                    attempt = bases, replace(run, energies=None), wall_ms
-                attempts.append(attempt)
+            attempts = [_attempt(cfg, ref, spec, energies=not hold) for spec in specs]
             if hold:
-                ref.forget_bases()
+                ref.bases.clear()
             values = _compare(ref, [None if a is None else a[1] for a in attempts], compare)
         finally:
             ref.pool, ref.workers = None, 1

@@ -67,7 +67,7 @@ RANK_TOL = 1e-12
 
 
 def thin_svd_snapshots(Y):
-    """Thin SVD of a tall snapshot matrix (LAPACK ``gesdd``).
+    """Thin SVD of a snapshot matrix (LAPACK ``gesdd``).
 
     Works on ``Y`` itself rather than on the Gram matrix ``Y.T @ Y``, whose
     squared condition number would lose every singular value below about
@@ -79,7 +79,9 @@ def thin_svd_snapshots(Y):
     Parameters
     ----------
     Y : (n, m) array
-        Snapshot columns, typically with n >> m.
+        Snapshot columns, or their coordinates in a frame of the snapshots
+        (:class:`hamrom.pod.SnapshotFrame`, at most twice as many rows as
+        snapshots), as the drivers pass them.
 
     Returns
     -------

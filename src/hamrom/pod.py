@@ -7,13 +7,17 @@ shifted columns (states minus the initial state, with the reduced ansatz
 projection residual of the initial state so the start configuration is
 represented exactly.
 
-Every gradient-augmented set ``Y(mu) = [U, mu F]``, shifted or not, lies in
-the range of ``[U, F]``.  A :class:`SnapshotFrame` holds an orthonormal
-basis ``Q`` of that range with ``Q^T U`` and ``Q^T F``; a set collected
-through it holds the coordinates ``Q^T Y(mu)`` and carries ``Q``, and
-:func:`compute_basis` lifts the SVD of the coordinates back with ``Q``.
-That gives the bases of the directly assembled set exactly (no Gram
-product), and a sweep over weights builds ``F`` and the frame once.
+Every set of one field lies in the range of its states ``U`` and, when
+weighted, its gradients ``F``: the shifted states too, since their shift
+``u0`` is ``U``'s first column.  A :class:`SnapshotFrame` holds an
+orthonormal basis ``Q`` of that range (a QR of ``U``, or of ``[U, F]`` when
+weighted sets are wanted) with ``R_U = Q^T U`` and ``R_F = Q^T F``; a set
+collected through it (:meth:`SnapshotFrame.snapshot_set`) holds the
+coordinates ``R_U``, ``R_U - R_U[:, :1]`` or ``[R_U, mu R_F]`` and carries
+``Q``, and :func:`compute_basis` lifts the SVD of the coordinates back with
+``Q``.  That gives the bases of the directly assembled set (no Gram
+product) from SVDs of at most twice as many rows as snapshots whatever the
+grid, and a sweep over weights builds ``F`` and the frame once.
 
 A field whose gradients are an exact multiple of its states, ``F = c U`` bit
 for bit (the wave's momentum field, ``c = 1``), needs no SVD past ``mu = 0``:
@@ -81,21 +85,38 @@ class SnapshotSet:
 
 @dataclass(frozen=True)
 class SnapshotFrame:
-    """Orthonormal frame of one field's states ``U`` and gradients ``F``.
+    """Orthonormal frame of one field's states ``U``, and gradients ``F`` when
+    weighted sets are wanted.
 
-    ``basis`` spans the range of ``[U, F]`` and is not truncated at any
-    rank: a cutoff relative to ``[U, F]`` would drop directions that a set
-    with a small weight keeps.  ``states`` and ``grads`` are ``Q^T U`` and
-    ``Q^T F``; ``reference`` is the field's initial state, the shift of
-    shifted sets.  ``multiple`` is ``c`` when ``F == c U`` holds exactly
-    (see :func:`weighted_basis`), else None.
+    ``basis`` is the ``Q`` of a QR of ``U`` or of ``[U, F]``, not truncated
+    at any rank: a cutoff relative to ``[U, F]`` would drop directions that a
+    set with a small weight keeps.  ``states`` and ``grads`` are ``Q^T U``
+    and ``Q^T F`` (``grads`` None for a frame of the states alone);
+    ``reference`` is the field's initial state, the shift of shifted sets.
+    ``multiple`` is ``c`` when ``F == c U`` holds exactly (see
+    :func:`weighted_basis`), else None, and None without gradients.
     """
 
     basis: np.ndarray
     states: np.ndarray
-    grads: np.ndarray
+    grads: Optional[np.ndarray]
     reference: np.ndarray
     multiple: Optional[float]
+
+    def snapshot_set(self, mu: float = 0.0, shifted: bool = False) -> SnapshotSet:
+        """The set of :func:`collect_snapshots` in this frame's coordinates:
+        ``R_U``, shifted ``R_U - R_U[:, :1]`` (the initial state is
+        ``Q R_U[:, 0]``), with ``mu > 0`` followed by ``mu R_F``."""
+        if mu < 0:
+            raise ValueError("mu must be non-negative")
+        if mu > 0 and self.grads is None:
+            raise ValueError("a gradient-weighted set needs a frame of the gradients too")
+        states = self.states - self.states[:, :1] if shifted else self.states
+        return SnapshotSet(
+            data=np.hstack([states, mu * self.grads]) if mu > 0 else states,
+            reference=self.reference if shifted else None,
+            frame=self.basis,
+        )
 
 
 @dataclass(frozen=True)
@@ -160,15 +181,16 @@ def _exact_multiple(F: np.ndarray, U: np.ndarray) -> Optional[float]:
 
 
 def snapshot_frames(
-    traj: Trajectory, flow: PolyGradFlow, fields: int = 1
+    traj: Trajectory, flow: PolyGradFlow, fields: int = 1, gradients: bool = True
 ) -> tuple[SnapshotFrame, ...]:
     """One :class:`SnapshotFrame` per field row block of a recorded trajectory.
 
-    The gradients are evaluated once at all recorded states; each field's
-    ``[U, F]`` is factored by a Householder QR (NumPy's, which shares its
-    BLAS with the SVD that follows).  Each frame also records whether its
-    field's gradients are an exact multiple of the states: no tolerance,
-    since the reused basis is exact only for an exact multiple.
+    Each field's states ``U`` are factored by a Householder QR (NumPy's,
+    which shares its BLAS with the SVD that follows); with ``gradients``, the
+    gradients are evaluated once at all recorded states and each field's
+    ``[U, F]`` is factored instead.  A frame with gradients also records
+    whether its field's gradients are an exact multiple of the states: no
+    tolerance, since the reused basis is exact only for an exact multiple.
     """
     states = traj.states
     if states.shape[1] == 0:
@@ -176,58 +198,42 @@ def snapshot_frames(
     if flow.dim % fields:
         raise ValueError(f"flow dimension {flow.dim} does not split into {fields} fields")
     m = states.shape[1]
+    grads = np.split(eval_grad(flow, states), fields) if gradients else [None] * fields
     frames = []
-    for U, F in zip(np.split(states, fields), np.split(eval_grad(flow, states), fields)):
-        q, r = np.linalg.qr(np.hstack([U, F]))
-        frames.append(SnapshotFrame(basis=q, states=r[:, :m], grads=r[:, m:],
-                                    reference=U[:, 0].copy(), multiple=_exact_multiple(F, U)))
+    for U, F in zip(np.split(states, fields), grads):
+        q, r = np.linalg.qr(U if F is None else np.hstack([U, F]))
+        frames.append(SnapshotFrame(
+            basis=q, states=r[:, :m], grads=None if F is None else r[:, m:],
+            reference=U[:, 0].copy(), multiple=None if F is None else _exact_multiple(F, U),
+        ))
     return tuple(frames)
-
-
-def _from_frame(frame: SnapshotFrame, mu: float, shifted: bool) -> SnapshotSet:
-    """The set of :func:`collect_snapshots`, in coordinates of ``frame``."""
-    states = frame.states - frame.states[:, :1] if shifted else frame.states
-    return SnapshotSet(
-        data=np.hstack([states, mu * frame.grads]),
-        reference=frame.reference if shifted else None,
-        frame=frame.basis,
-    )
 
 
 def collect_snapshots(
     traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False,
-    frame: Optional[SnapshotFrame] = None,
 ) -> SnapshotSet:
     """Assemble the snapshot matrix of a recorded trajectory.
 
     State columns are the recorded states (shifted by the initial one when
     ``shifted``); with ``mu > 0``, ``mu``-weighted gradient columns evaluated
-    at the unshifted states are appended.  With ``mu > 0`` and the
-    trajectory's ``frame`` (:func:`snapshot_frames`), the set comes in the
-    frame's coordinates and no gradient is evaluated.
+    at the unshifted states are appended.  The same set in coordinates of a
+    frame is :meth:`SnapshotFrame.snapshot_set`.
     """
-    if mu > 0 and frame is not None:
-        return _from_frame(frame, mu, shifted)
     data, ref = _assemble(traj, flow, mu, shifted)
     return SnapshotSet(data=data, reference=ref if shifted else None)
 
 
 def collect_wave_snapshots(
     traj: Trajectory, flow: PolyGradFlow, mu: float = 0.0, shifted: bool = False,
-    frames: Optional[tuple[SnapshotFrame, SnapshotFrame]] = None,
 ) -> tuple[SnapshotSet, SnapshotSet]:
     """Per-field snapshot sets for a stacked two-field (wave) trajectory.
 
     The two fields are collected and reduced separately: each set is the
     matching row block of the stacked snapshot matrix, so the first-field set
     gets the first-field gradient block and likewise for the second field.
-    With ``mu > 0`` and the per-field ``frames`` (:func:`snapshot_frames`
-    with two fields), each set comes in its field's frame coordinates.
     """
     if flow.dim % 2:
         raise ValueError("stacked two-field flow must have even dimension")
-    if mu > 0 and frames is not None:
-        return tuple(_from_frame(frame, mu, shifted) for frame in frames)
     data, ref = _assemble(traj, flow, mu, shifted)
     return tuple(
         SnapshotSet(data=rows, reference=field_ref if shifted else None)

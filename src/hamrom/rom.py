@@ -195,7 +195,8 @@ def reduce_operators(
     return ReducedModel(flow, bases, phi, decode_offset=offset)
 
 
-def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory:
+def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state,
+            energies: bool = True) -> Trajectory:
     """Integrate the reduced flow from ``encode(model, initial_state)``; the
     trajectory stays in reduced coordinates.
 
@@ -208,7 +209,8 @@ def run_rom(model: ReducedModel, scheme: AvfScheme, initial_state) -> Trajectory
     ``decode_offset``.
     :meth:`Trajectory.full_states` decodes a block of columns, as the error
     metrics do.  The energy series is the reduced energy polynomial at every
-    step, equal to the full-order energy of the decoded state up to rounding.
+    step, equal to the full-order energy of the decoded state up to rounding;
+    without ``energies`` it is not evaluated (see :func:`integrate`).
     """
-    reduced = integrate(model.flow, encode(model, initial_state), scheme)
+    reduced = integrate(model.flow, encode(model, initial_state), scheme, energies=energies)
     return replace(reduced, basis=model.basis_matrix, offset=model.decode_offset)

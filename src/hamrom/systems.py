@@ -169,10 +169,13 @@ class PeriodicStencil:
         x = np.asarray(x)
         by_field = x.reshape((fields, n) + x.shape[1:])
         out = np.zeros(by_field.shape)
+        # every term multiplies into one scratch field: each entry takes the
+        # two roundings of `out += w * x`, and no term allocates
+        scratch = np.empty(by_field.shape[1:])
         for i, j, k, w in self._terms:  # out[i] += w * np.roll(by_field[j], k, axis=0)
-            out[i, k:] += w * by_field[j, : n - k]
+            out[i, k:] += np.multiply(by_field[j, : n - k], w, out=scratch[: n - k])
             if k:
-                out[i, :k] += w * by_field[j, n - k :]
+                out[i, :k] += np.multiply(by_field[j, n - k :], w, out=scratch[:k])
         return out.reshape(x.shape)
 
 

@@ -331,6 +331,20 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.energies, b.energies)
 
+    @pytest.mark.parametrize("flow, u0", [
+        (random_skew_quadratic_flow(seed=9), 0.1 * np.ones(6)),
+        (build_wave_fom(0.1, Grid1D(n=16, length=1.0)), wave_initial(Grid1D(n=16, length=1.0))),
+    ], ids=["quadratic", "linear"])
+    def test_a_run_without_energies_evaluates_none(self, monkeypatch, flow, u0):
+        scheme = AvfScheme(dt=0.02, t_end=1.0, snapshot_stride=5)
+        full = integrate(flow, u0, scheme)
+        calls = []
+        monkeypatch.setattr(avf, "eval_energy", lambda *args: calls.append(args))
+        bare = integrate(flow, u0, scheme, energies=False)
+        assert calls == [] and bare.energies is None
+        assert np.array_equal(bare.states, full.states)
+        assert np.array_equal(bare.iteration_histogram, full.iteration_histogram)
+
 
 class TestValidation:
     def test_scheme_validation(self):

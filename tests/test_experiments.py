@@ -555,8 +555,8 @@ class TestRunExperiment:
     def test_comparison_errors_propagate(self, tmp_path, monkeypatch):
         # a ROM run recorded at other times than the benchmark is a programming
         # error of the comparison, not a failed row
-        def misrecorded(model, scheme, initial_state=None):
-            traj = run_rom(model, scheme, initial_state=initial_state)
+        def misrecorded(model, scheme, initial_state=None, energies=True):
+            traj = run_rom(model, scheme, initial_state=initial_state, energies=energies)
             return replace(traj, times=traj.times[:-1], states=traj.states[:, :-1])
 
         monkeypatch.setattr(experiments, "run_rom", misrecorded)
@@ -662,11 +662,11 @@ class TestSweep:
                          variant=RomVariant.SP0, r=2)
         calls = []
 
-        def third_point_fails(model, scheme, initial_state=None):
+        def third_point_fails(model, scheme, initial_state=None, energies=True):
             calls.append(model)
             if len(calls) == 3:  # the points run in grid order: mu = 0.1
                 raise StepFailure("forced failure", step_index=7, iterations=3)
-            return run_rom(model, scheme, initial_state=initial_state)
+            return run_rom(model, scheme, initial_state=initial_state, energies=energies)
 
         monkeypatch.setattr(experiments, "run_rom", third_point_fails)
         with caplog.at_level(logging.WARNING, logger="hamrom"):
@@ -814,9 +814,9 @@ class TestWorkers:
         counts = lambda: [get() for get, _ in pins]  # noqa: E731
         before, during = counts(), []
 
-        def counting(model, scheme, initial_state=None):
+        def counting(model, scheme, initial_state=None, energies=True):
             during.append(counts())
-            return run_rom(model, scheme, initial_state=initial_state)
+            return run_rom(model, scheme, initial_state=initial_state, energies=energies)
 
         def broken(flow, bases, variant):
             raise ValueError("broken reduction")

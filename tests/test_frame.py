@@ -1,5 +1,7 @@
 """The shared sweep frame against direct SVDs of the assembled snapshot sets."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -62,9 +64,13 @@ def _random_case(seed, fields, rows, m, decades, f_scale):
 
 
 def _sets(traj, flow, fields, mu, shifted, frames=None):
+    """The directly assembled sets, or with ``frames`` the sets in their
+    coordinates."""
+    if frames is not None:
+        return tuple(frame.snapshot_set(mu, shifted) for frame in frames)
     if fields == 2:
-        return collect_wave_snapshots(traj, flow, mu, shifted, frames=frames)
-    return (collect_snapshots(traj, flow, mu, shifted, frame=frames and frames[0]),)
+        return collect_wave_snapshots(traj, flow, mu, shifted)
+    return (collect_snapshots(traj, flow, mu, shifted),)
 
 
 def _multiple_case(seed, fields, rows, m, decades, c):
@@ -164,11 +170,45 @@ class TestFrameMatchesDirectSvd:
             assert np.array_equal(snaps.reference, u0)
             assert not np.any(snaps.data[:, 0])  # u0 - u0 is exactly zero
 
-    def test_zero_weight_is_assembled_directly(self):
+    @DERANDOMIZED
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fields=st.sampled_from([1, 2]),
+        rows=st.integers(6, 40),
+        m=st.integers(2, 12),
+        decades=st.floats(0.0, 4.0),
+        shifted=st.booleans(),
+    )
+    def test_zero_weight_sets_through_the_state_frame(self, seed, fields, rows, m, decades,
+                                                      shifted):
+        # mu = 0 sets in coordinates of the QR of U alone: the plain set is
+        # R, the shifted one R - R[:, :1]; the rank, the spectrum to
+        # 1e-13 sigma_1 and the subspaces of the direct set
+        traj, flow = _random_case(seed, fields, rows, m, decades, 1.0)
+        frames = snapshot_frames(traj, flow, fields, gradients=False)
+        for direct, framed in zip(_sets(traj, flow, fields, 0.0, shifted),
+                                  _sets(traj, flow, fields, 0.0, shifted, frames)):
+            assert framed.data.shape[0] <= m
+            d = compute_basis(direct, 1).sigma.size
+            a, b = compute_basis(direct, d), compute_basis(framed, d)
+            _assert_same_basis(a, b)
+            assert projection_error(framed, b) <= 1e-20 + 1e-24 * np.sum(a.sigma**2)
+
+    def test_zero_weight_set_in_the_state_frame(self):
         traj, flow = _random_case(2, 1, 10, 4, 1.0, 2.0)
-        frames = snapshot_frames(traj, flow)
-        (snaps,) = _sets(traj, flow, 1, 0.0, False, frames)
+        (snaps,) = _sets(traj, flow, 1, 0.0, False)  # no frame: assembled directly
         assert snaps.frame is None and np.array_equal(snaps.data, traj.states)
+        (frame,) = snapshot_frames(traj, flow, gradients=False)
+        assert frame.grads is None and frame.multiple is None
+        assert frame.basis.shape == (10, 4)
+        (snaps,) = _sets(traj, flow, 1, 0.0, False, (frame,))
+        assert snaps.frame is frame.basis and snaps.data is frame.states
+        assert np.allclose(snaps.frame @ snaps.data, traj.states, rtol=0, atol=1e-14)
+        (shifted,) = _sets(traj, flow, 1, 0.0, True, (frame,))
+        assert not np.any(shifted.data[:, 0])
+        assert np.array_equal(shifted.reference, traj.states[:, 0])
+        with pytest.raises(ValueError, match="gradients"):
+            frame.snapshot_set(0.5)
 
     def test_fields_must_split_the_flow(self):
         traj, flow = _random_case(3, 1, 9, 3, 1.0, 1.0)
@@ -202,7 +242,7 @@ class TestMultipleGradients:
         ref = _reference(traj, flow, fields)
         reused = ref.pod_bases(mu, False, d)
         if mu > 0:
-            assert [frame.multiple for frame in ref.frames] == [c] * fields
+            assert [frame.multiple for frame in snapshot_frames(traj, flow, fields)] == [c] * fields
             assert all(b.phi is ref.bases[i, 0.0, False, d].phi for i, b in enumerate(reused))
         for snaps, b in zip(direct, reused):
             _assert_same_basis(compute_basis(snaps, d), b)
@@ -226,7 +266,8 @@ class TestMultipleGradients:
         ref = _reference(traj, flow, 2)
         bases = ref.pod_bases(0.5, shifted, 3)
         assert len(svd_calls) == 2 and all(mu == 0.5 for _, mu, _, _ in ref.bases)
-        for snaps, basis in zip(_sets(traj, flow, 2, 0.5, shifted, ref.frames), bases):
+        frames = snapshot_frames(traj, flow, 2)  # the frames the call built and released
+        for snaps, basis in zip(_sets(traj, flow, 2, 0.5, shifted, frames), bases):
             assert snaps.frame is not None
             assert np.array_equal(basis.phi, compute_basis(snaps, 3).phi)
 
@@ -246,7 +287,7 @@ class TestMultipleGradients:
         ref = _reference(traj, flow, 2)
         bases = ref.pod_bases(mu, False, d)
         if mu > 0:
-            assert [frame.multiple for frame in ref.frames] == [c, None]
+            assert [frame.multiple for frame in snapshot_frames(traj, flow, 2)] == [c, None]
             assert bases[0].phi is ref.bases[0, 0.0, False, d].phi
             assert (1, 0.0, False, d) not in ref.bases
         for snaps, b in zip(direct, bases):
@@ -313,11 +354,12 @@ class TestSweepOnTheFrame:
         mu_sweep(cfg, mu_grid=[0.0, 0.05, 0.1, 0.2], variant=RomVariant.SP0, r=2)
         assert counted == {"eval_grad": 1, "snapshot_frames": 1}
 
-    def test_zero_weight_run_never_builds_the_frame(self, tmp_path, counted):
+    def test_zero_weight_run_evaluates_no_gradient(self, tmp_path, counted):
+        # one call builds the frames of the states alone
         roms = tuple(RomSpec(v, 2) for v in RomVariant)
         cfg = replace(tiny_wave(tmp_path / "out"), roms=roms)
         assert not any(report.failed for report in run_experiment(cfg))
-        assert counted == {"eval_grad": 0, "snapshot_frames": 0}
+        assert counted == {"eval_grad": 0, "snapshot_frames": 1}
 
 
 class TestSweepSvdCount:
@@ -366,13 +408,16 @@ class TestOneSvdPerSet:
         with experiments._references(make_cfg(tmp_path / "out")) as ref:
             ref.build_bases([(mu, shifted, r) for r in sizes])
             assert len(svd_calls) == ref.fields
-            sets = ref.snapshot_sets(mu, shifted)
-            unweighted = ref.snapshot_sets(0.0, False)
+            # the frames the call built and released
+            frames = snapshot_frames(ref.snap, ref.flow, ref.fields, gradients=mu > 0)
+            sets = [frame.snapshot_set(mu, shifted) for frame in frames]
+            unweighted = [frame.snapshot_set() for frame in frames]
             for r in sizes:
                 for i, basis in enumerate(ref.pod_bases(mu, shifted, r)):
-                    if ref._reuses(i, shifted):  # the wave's momentum field
+                    if mu > 0 and not shifted and frames[i].multiple is not None:
+                        # the wave's momentum field
                         direct = weighted_basis(compute_basis(unweighted[i], r),
-                                                ref.frames[i].multiple, mu)
+                                                frames[i].multiple, mu)
                     else:
                         direct = compute_basis(sets[i], r)
                     assert np.array_equal(basis.phi, direct.phi)
@@ -381,6 +426,45 @@ class TestOneSvdPerSet:
                         assert np.array_equal(basis.shifted_reference, sets[i].reference)
                     else:
                         assert basis.shifted_reference is None
+
+
+class TestSetsInFrameCoordinates:
+    """Every set a driver decomposes is in coordinates of its field's frame,
+    so no SVD sees the grid's rows, and no call keeps its frames."""
+
+    @pytest.mark.parametrize("make_cfg", [tiny_wave, tiny_kdv], ids=["wave", "kdv"])
+    def test_no_set_has_more_rows_than_twice_its_snapshots(self, tmp_path, svd_calls,
+                                                          make_cfg):
+        roms = tuple(RomSpec.parse(text) for text in ("GROM:2", "SP0:2", "SP1:2", "SP2:2",
+                                                      "SP0:2:0.1", "SP2:2:0.1"))
+        cfg = replace(make_cfg(tmp_path / "out"), roms=roms)
+        snapshots = cfg.scheme().steps() // cfg.stride + 1
+        assert cfg.n > 2 * snapshots  # the grid's rows would fail the check
+        assert not any(report.failed for report in run_experiment(cfg))
+        mu_sweep(cfg, mu_grid=[0.0, 0.05, 0.1], variant=RomVariant.SP2, r=2)
+        tail_bound_check(cfg, [1, 2])
+        assert len(svd_calls) > 0
+        assert all(rows <= 2 * snapshots for rows, _ in svd_calls), svd_calls
+
+    @pytest.mark.parametrize("hold", [False, True], ids=["table", "sweep"])
+    def test_frames_are_released_after_the_call(self, tmp_path, monkeypatch, hold):
+        built = []
+        original = experiments.snapshot_frames
+
+        def recording(*args, **kwargs):
+            frames = original(*args, **kwargs)
+            built.extend(weakref.ref(obj) for frame in frames for obj in (frame, frame.basis))
+            return frames
+
+        monkeypatch.setattr(experiments, "snapshot_frames", recording)
+        cfg = tiny_wave(tmp_path / "out")
+        specs = [RomSpec(RomVariant.SP0, 2, mu) for mu in (0.0, 0.1)] + [RomSpec(RomVariant.SP2, 2)]
+        with experiments._references(cfg) as ref:
+            attempts, _ = experiments._run_compared(cfg, ref, specs,
+                                                    experiments._e_inf_metric(cfg), hold=hold)
+            assert all(attempt is not None for attempt in attempts)
+            gc.collect()
+            assert len(built) == 4 and all(alive() is None for alive in built)
 
 
 class TestMemoizedBasesTakeNoSvd:
